@@ -10,7 +10,7 @@ CHAOS_SEED_FILE := .github/chaos-seeds.json
 FUSION_FUZZ_SEED_FILE := .github/fusion-fuzz-seeds.json
 
 .PHONY: install test chaos fusion-fuzz bench bench-smoke bench-regression \
-        serve-load figures examples clean
+        serve-load e2e-smoke figures examples clean
 
 install:
 	pip install -e .[test] || pip install -e . --no-build-isolation
@@ -82,6 +82,14 @@ serve-load:
 	    --chaos-seed $$($(PYTHON) -c "import json; \
 	        print(json.load(open('$(CHAOS_SEED_FILE)'))[0])") \
 	    --out benchmarks/results/ab13_serve_smoke.json
+
+# Mirrors the CI e2e-smoke job: one short run of each gated end-to-end
+# workload.  run.py exits non-zero on a result mismatch or too few
+# samples; timings are printed but not gated.  etl_process needs ~30 s to
+# collect its 100 samples on a 2-core host.
+e2e-smoke:
+	$(PYTHON) e2ebench/run.py --workload serve_mix --seed 1 --seconds 4 --trace 0
+	$(PYTHON) e2ebench/run.py --workload etl_process --seed 1 --seconds 30 --trace 0
 
 bench-output:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt

@@ -28,9 +28,7 @@ text rendering via :meth:`ExplainPlan.render`.
 from __future__ import annotations
 
 import copy
-from functools import lru_cache
 
-from repro.forkjoin.pool import common_pool_parallelism
 from repro.streams.fusion import FusedOp, fuse_ops, fusion_enabled
 from repro.streams.ops import (
     LimitOp,
@@ -38,6 +36,13 @@ from repro.streams.ops import (
     select_mode,
 )
 from repro.streams.adaptive import decide_threshold, shape_key
+from repro.streams.parallel import (
+    _walk_split_tree,
+    backend_parallelism,
+    plan_window,
+    residual_backend,
+    window_run,
+)
 from repro.streams.spliterator import UNKNOWN_SIZE, Characteristics, Spliterator
 
 #: Mode names reported under ``execution.mode`` / ``segments[].mode`` —
@@ -79,24 +84,6 @@ def _predict_mode(ops: list[Op], force_short_circuit: bool = False) -> str:
     traversal takes the chunked path.
     """
     return _MODE_NAMES[select_mode(ops, force_short_circuit)]
-
-
-@lru_cache(maxsize=4096)
-def _walk_split_tree(size: int, target_size: int) -> tuple[int, int]:
-    """Predicted ``(leaves, depth)`` of the divide-and-conquer tree.
-
-    Mirrors ``_ReduceTask``: a node at or under the target is a leaf;
-    otherwise the prefix takes ``size - size // 2`` elements and the
-    suffix ``size // 2`` (``try_split`` halves, prefix gets the extra
-    element of an odd split).  Memoized — sibling sizes repeat at every
-    level, so the walk is O(depth²) instead of O(leaves).
-    """
-    if size <= target_size:
-        return 1, 0
-    suffix = size // 2
-    left_leaves, left_depth = _walk_split_tree(size - suffix, target_size)
-    right_leaves, right_depth = _walk_split_tree(suffix, target_size)
-    return left_leaves + right_leaves, max(left_depth, right_depth) + 1
 
 
 def _fusion_section(ops: list[Op]) -> tuple[dict, list[Op]]:
@@ -153,7 +140,11 @@ def _parallel_execution(
     Mirrors ``Stream._barrier_stateful``: the chain is cut at each
     stateful op; every stateless segment runs as its own fork/join
     reduction (each re-fused and mode-selected independently), with the
-    stateful op applied as a sequential barrier between segments.
+    stateful op applied as a sequential barrier between segments.  A
+    ``limit``/``skip`` cut over maps is reported from the planner itself
+    (:func:`~repro.streams.parallel.plan_window`): its window, leaf count
+    and whether it runs in the caller — as is an op-free tail folded in
+    the caller (:func:`~repro.streams.parallel.residual_backend`).
 
     With ``backend='process'`` the pool is the worker-process pool and the
     plan additionally predicts the *shipping* mode — whether leaves travel
@@ -161,25 +152,48 @@ def _parallel_execution(
     pickled element copies.
     """
     shipping = None
+    parallelism = backend_parallelism(backend, pool)
     if backend == "process":
         from repro.streams import process_backend as _pb
 
         pool_name = "process"
-        parallelism = (
-            _pb._shared_executor.processes
-            if _pb._shared_executor is not None
-            else _pb.default_process_count()
-        )
         if spliterator is not None:
             shipping = _pb.shipping_mode(spliterator)
-    elif pool is not None:
-        pool_name, parallelism = pool.name, pool.parallelism
     else:
-        pool_name, parallelism = "common", common_pool_parallelism()
+        pool_name = pool.name if pool is not None else "common"
+
+    def fused_labels(chain):
+        fused, _ = fuse_ops(chain) if fusion_enabled() else (chain, 0)
+        return [_op_label(op) for op in fused], _predict_mode(fused)
 
     segments = []
+    first_window = None
     remaining = list(ops)
     while True:
+        # Only the first segment reads the real source; later ones read a
+        # barrier buffer whose size is unknown until it runs.
+        if not segments and spliterator is not None:
+            window = plan_window(
+                spliterator, remaining, parallelism, explicit_target,
+                backend, record=False,
+            )
+            first_window = window
+        else:
+            window = window_run(remaining)
+        if window is not None:
+            labels, mode = fused_labels(window.maps)
+            segment = {
+                "ops": labels,
+                "mode": mode,
+                "barrier": "|".join(_op_label(op) for op in window.counted),
+                "window": {"lo": window.lo, "hi": window.hi, "of": window.size},
+            }
+            if window.split_tree is not None:
+                segment["leaves"] = window.split_tree[0]
+                segment["in_caller"] = window.in_caller
+            segments.append(segment)
+            remaining = window.rest
+            continue
         cut = next(
             (i for i, op in enumerate(remaining) if op.stateful), None
         )
@@ -197,18 +211,21 @@ def _parallel_execution(
         if barrier is not None and isinstance(barrier, LimitOp):
             budget = barrier.n
             leaf_chain = prefix + [barrier]
-        fused, _ = (
-            fuse_ops(leaf_chain) if fusion_enabled() else (leaf_chain, 0)
-        )
+        labels, mode = fused_labels(leaf_chain)
         segment = {
-            "ops": [_op_label(op) for op in fused],
+            "ops": labels,
             # Leaves of a parallel reduction run the chain through
             # run_pipeline; match/find leaves poll (short-circuit).
-            "mode": _predict_mode(fused),
+            "mode": mode,
             "barrier": _op_label(barrier) if barrier is not None else None,
         }
         if budget is not None:
             segment["budget"] = budget
+        if (
+            barrier is None and segments
+            and residual_backend(backend, prefix) != backend
+        ):
+            segment["in_caller"] = True
         segments.append(segment)
         if barrier is None:
             break
@@ -248,13 +265,21 @@ def _parallel_execution(
 
     # The split tree is only predictable for a sized source; the shape of
     # later segments depends on barrier output sizes (e.g. after filter),
-    # so the prediction covers the first segment.
-    if size is not None:
+    # so the prediction covers the first segment — for a counted window,
+    # the narrowed tree the planner splits.
+    if first_window is not None:
+        leaves, depth = first_window.split_tree
+        execution["split_tree"] = {"leaves": leaves, "depth": depth}
+    elif size is not None:
         leaves, depth = _walk_split_tree(size, target)
         execution["split_tree"] = {"leaves": leaves, "depth": depth}
     else:
         execution["split_tree"] = None
     return execution
+
+
+def _leaves(count: int) -> str:
+    return f"{count} leaf" if count == 1 else f"{count} leaves"
 
 
 class ExplainPlan:
@@ -349,11 +374,20 @@ class ExplainPlan:
             tail = f" ⊣ barrier {seg['barrier']}" if seg["barrier"] else ""
             if "budget" in seg:
                 tail += f" (budget={seg['budget']})"
+            if "window" in seg:
+                w = seg["window"]
+                hi = "" if w["hi"] is None else w["hi"]
+                of = "?" if w["of"] is None else w["of"]
+                tail += f", window [{w['lo']}:{hi}) of {of}"
+            if "leaves" in seg:
+                tail += f", {_leaves(seg['leaves'])}"
+            if seg.get("in_caller"):
+                tail += ", in caller" if seg["barrier"] else "  folded in caller"
             lines.append(f"     segment[{i}]: {chain}  mode={seg['mode']}{tail}")
         tree = ex["split_tree"]
         if tree is not None:
             lines.append(
-                f"     split tree: {tree['leaves']} leaves, depth {tree['depth']}"
+                f"     split tree: {_leaves(tree['leaves'])}, depth {tree['depth']}"
             )
         else:
             lines.append("     split tree: unknown (unsized source)")

@@ -75,6 +75,7 @@ from repro.streams.ops import (
     Sink,
     SkipOp,
 )
+from repro.streams.spliterators import slice_source
 
 try:  # numpy is a hard dependency of the repo, but keep fusion importable
     import numpy as _np
@@ -392,6 +393,33 @@ def _kernel_class(kinds: Sequence[str], fns: Sequence[Callable | None]) -> str:
     return "comprehension"
 
 
+def counted_window(ops: Sequence[Op]) -> tuple[int, int | None] | None:
+    """The source-index window ``[lo, hi)`` a ``counted-window`` run keeps.
+
+    Every ``map`` is 1:1, so the counted ops of a run made only of
+    ``map``/``limit``/``skip`` compose to one window over the *source*
+    positions: ``skip(n)`` advances ``lo``, ``limit(n)`` clamps ``hi``
+    (None = unbounded).  Returns None for any other run, including one
+    without a counted op.  The single window computation behind the fused
+    kernel, the parallel planner (``parallel.plan_window``) and
+    ``Stream.explain()``.
+    """
+    lo, hi = 0, None
+    counted = False
+    for op in ops:
+        kind = type(op)
+        if kind is SkipOp:
+            lo += op.n
+            if hi is not None and lo > hi:
+                lo = hi
+        elif kind is LimitOp:
+            hi = lo + op.n if hi is None else min(hi, lo + op.n)
+        elif kind is not MapOp:
+            return None
+        counted = counted or kind is not MapOp
+    return (lo, hi) if counted else None
+
+
 class FusedOp(Op):
     """A run of adjacent fusible ops collapsed into one pipeline stage.
 
@@ -454,19 +482,9 @@ class FusedOp(Op):
 
         kc = self.kernel_class
         if kc == "counted-window":
-            # Every map is 1:1, so the counted ops compose to one
-            # source-index window [lo, hi): skip(n) advances lo, limit(n)
-            # clamps hi — the chunk path slices this window off each chunk
+            # The chunk path slices the source-index window off each chunk
             # and only then applies the map kernel.
-            lo, hi = 0, None
-            for op, kind in zip(self.source_ops, self.kinds):
-                if kind == "skip":
-                    lo += op.n
-                    if hi is not None and lo > hi:
-                        lo = hi
-                elif kind == "limit":
-                    hi = lo + op.n if hi is None else min(hi, lo + op.n)
-            self._window = (lo, hi)
+            self._window = counted_window(self.source_ops)
             map_fns = [f for f in fns if f is not None]
             if map_fns:
                 self._window_kernel = _bind(
@@ -638,7 +656,7 @@ class FusedOp(Op):
                         # ndarray/range slices are views — the window cut
                         # costs O(1), and the map kernel only ever touches
                         # elements inside the window.
-                        chunk = chunk[lo:hi]
+                        chunk = slice_source(chunk, lo, hi)
                     if whole_kernel is not None and isinstance(
                         chunk, _np.ndarray
                     ):

@@ -29,29 +29,37 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from typing import Any, Callable, TypeVar
+from functools import lru_cache
+from typing import Any, Callable, NamedTuple, TypeVar
 
 from repro.common import CancellationError, IllegalArgumentError
 from repro.faults.plan import current_fault_plan
 from repro.faults.policy import Deadline
-from repro.forkjoin.pool import ForkJoinPool, current_worker
+from repro.forkjoin.pool import (
+    ForkJoinPool,
+    common_pool_parallelism,
+    current_worker,
+)
 from repro.forkjoin.task import RecursiveTask
 from repro.obs.profile import current_profiler
 from repro.obs.tracer import EXTERNAL_WORKER, current_tracer
 from repro.streams import adaptive
 from repro.streams.adaptive import LEAF_FACTOR, compute_target_size
 from repro.streams.collector import Collector
-from repro.streams.fusion import maybe_fuse
+from repro.streams.fusion import counted_window, maybe_fuse
 from repro.streams.ops import (
     AccumulatorSink,
     LimitOp,
+    MapOp,
     Op,
     ReducingSink,
     Sink,
+    SkipOp,
     run_pipeline,
 )
 from repro.streams.optional import Optional
 from repro.streams.spliterator import Spliterator
+from repro.streams.spliterators import ListSpliterator, RangeSpliterator
 
 T = TypeVar("T")
 A = TypeVar("A")
@@ -263,15 +271,152 @@ class _CountedBudget:
 
 def _leaf_origin(spliterator: Spliterator) -> int | None:
     """The absolute source position a leaf starts at, for spliterator
-    types whose splits tile the source contiguously; None disables
-    cross-leaf budget cancellation (per-leaf truncation still applies)."""
-    from repro.streams.spliterators import ListSpliterator, RangeSpliterator
-
+    types whose splits tile the source contiguously (lists, ranges, and
+    the ndarray and PowerList sequences a ``ListSpliterator`` wraps);
+    None disables cross-leaf budget cancellation and window narrowing."""
     if isinstance(spliterator, ListSpliterator):
         return spliterator._index
     if isinstance(spliterator, RangeSpliterator):
         return spliterator._lo
     return None
+
+
+# --------------------------------------------------------------------------- #
+# Plan: counted windows and in-caller runs
+# --------------------------------------------------------------------------- #
+
+
+@lru_cache(maxsize=4096)
+def _walk_split_tree(size: int, target_size: int) -> tuple[int, int]:
+    """Predicted ``(leaves, depth)`` of the divide-and-conquer tree.
+
+    Mirrors ``_ReduceTask``: a node at or under the target is a leaf;
+    otherwise the prefix takes ``size - size // 2`` elements and the
+    suffix ``size // 2`` (``try_split`` halves, prefix gets the extra
+    element of an odd split).  Memoized — sibling sizes repeat at every
+    level, so the walk is O(depth²) instead of O(leaves).
+    """
+    if size <= target_size:
+        return 1, 0
+    suffix = size // 2
+    left_leaves, left_depth = _walk_split_tree(size - suffix, target_size)
+    right_leaves, right_depth = _walk_split_tree(suffix, target_size)
+    return left_leaves + right_leaves, max(left_depth, right_depth) + 1
+
+
+def backend_parallelism(backend: str, pool: ForkJoinPool | None) -> int:
+    """The width a backend splits for, without creating a pool or
+    executor as a side effect (``Stream.explain()`` plans with it too)."""
+    if backend == "process":
+        from repro.streams import process_backend as _pb
+
+        executor = _pb._shared_executor
+        return (
+            executor.processes if executor is not None
+            else _pb.default_process_count()
+        )
+    return pool.parallelism if pool is not None else common_pool_parallelism()
+
+
+class WindowPlan(NamedTuple):
+    """A ``limit``/``skip`` cut that follows only ``map`` stages.
+
+    ``maps``/``counted``/``rest`` split the op chain; ``[lo, hi)`` is the
+    source-index window (``hi`` None = unbounded).  :func:`plan_window`
+    fills in the rest against a contiguous sized source; they stay None
+    for a barrier buffer whose size ``Stream.explain()`` cannot know.
+    """
+
+    maps: list
+    counted: list
+    rest: list
+    lo: int
+    hi: int | None
+    size: int | None = None
+    spliterator: Spliterator | None = None
+    target_size: int | None = None
+    split_tree: tuple[int, int] | None = None
+    in_caller: bool = False
+
+
+def window_run(ops: list[Op]) -> WindowPlan | None:
+    """The leading ``map``/``limit``/``skip`` run of ``ops`` as a window
+    plan, or None when it holds no counted op (the run the fuser labels
+    ``counted-window``; see :func:`repro.streams.fusion.counted_window`)."""
+    run = 0
+    while run < len(ops) and type(ops[run]) in (MapOp, LimitOp, SkipOp):
+        run += 1
+    window = counted_window(ops[:run])
+    if window is None:
+        return None
+    head = ops[:run]
+    return WindowPlan(
+        [op for op in head if type(op) is MapOp],
+        [op for op in head if type(op) is not MapOp],
+        ops[run:], window[0], window[1],
+    )
+
+
+def plan_window(
+    spliterator: Spliterator,
+    ops: list[Op],
+    parallelism: int,
+    requested,
+    backend: str,
+    record: bool = True,
+) -> WindowPlan | None:
+    """Plan a parallel ``limit``/``skip`` over maps to evaluate only its
+    window — the decision ``Stream._barrier_stateful`` executes and
+    ``Stream.explain()`` reports.
+
+    Over a contiguous sized source (:func:`_leaf_origin`) the window is
+    sliced off the source before splitting, as the JDK's ``SliceOps``
+    does for SUBSIZED sources, so no element outside it is evaluated and
+    no budget or per-leaf limit is needed.  The leaf target is the one
+    the un-narrowed source gets: narrowing changes how many elements run,
+    not what one costs, and Java's rule applied to the window's size
+    would split a 100-element window into ``4 × parallelism`` slivers.
+    On the threads backend a window within that target is one leaf, run
+    in the caller.  Returns None where the rule does not apply.
+    """
+    plan = window_run(ops)
+    origin = _leaf_origin(spliterator)
+    if plan is None or origin is None:
+        return None
+    size = spliterator.estimate_size()
+    lo = min(plan.lo, size)
+    hi = size if plan.hi is None else max(lo, min(plan.hi, size))
+    if isinstance(spliterator, RangeSpliterator):
+        narrowed = RangeSpliterator(origin + lo, origin + hi)
+    else:
+        narrowed = ListSpliterator(
+            spliterator._source, origin + lo, origin + hi, spliterator._extra
+        )
+    if adaptive.wants_auto(requested):
+        # Keyed like the first segment explain() reports: the maps
+        # before the first counted op.
+        cut = next(i for i, op in enumerate(ops) if op.stateful)
+        key = adaptive.shape_key(ops[:cut], spliterator, parallelism, backend)
+        target = adaptive.decide_threshold(
+            size, parallelism, explicit=requested, key=key, record=record
+        ).target_size
+    else:
+        target = adaptive.fixed_target(size, parallelism, requested)
+    return plan._replace(
+        lo=lo, hi=hi, size=size, spliterator=narrowed, target_size=target,
+        split_tree=_walk_split_tree(hi - lo, target),
+        in_caller=backend == "threads" and hi - lo <= target,
+    )
+
+
+def residual_backend(backend: str, ops: list[Op]) -> str:
+    """The backend for the tail after a pipeline's last barrier.
+
+    An op-free tail on threads folds its buffer in the caller (the
+    ``sequential`` path) instead of re-splitting it by Java's
+    ``size // (4 × parallelism)`` rule just to copy or fold it.
+    """
+    return "sequential" if backend == "threads" and not ops else backend
 
 
 class _BudgetCancelToken:
@@ -454,6 +599,7 @@ def _invoke_fail_fast(
     root: _ReduceTask,
     ctx: _TerminalContext,
     deadline: Deadline | None = None,
+    in_caller: bool = False,
 ):
     """Run ``root`` on ``pool``, guaranteeing the *original* failure wins.
 
@@ -465,11 +611,21 @@ def _invoke_fail_fast(
     A ``deadline`` bounds the external wait: the remaining budget becomes
     ``pool.invoke``'s timeout, so an overrunning terminal surfaces as
     :class:`~repro.common.TaskTimeoutError` instead of blocking forever.
+
+    ``in_caller`` runs a one-leaf root in the calling thread (a planned
+    counted window, :func:`plan_window`): the same leaf — fused kernel,
+    ``leaf`` span, fault points — with the deadline checked on both sides
+    and no pool round trip.
     """
     timeout = None
     if deadline is not None:
         deadline.check("parallel terminal")
         timeout = deadline.remaining()
+    if in_caller:
+        result = root.compute()
+        if deadline is not None:
+            deadline.check("parallel terminal")
+        return result
     try:
         return pool.invoke(root, timeout=timeout)
     except BaseException as exc:
@@ -488,6 +644,7 @@ def parallel_collect(
     deadline: Deadline | None = None,
     backend: str | None = None,
     budget: int | None = None,
+    in_caller: bool = False,
 ) -> Any:
     """Parallel mutable reduction (``Stream.collect``) over the pool.
 
@@ -503,6 +660,10 @@ def parallel_collect(
     scan at its cut), and a :class:`_CountedBudget` cancels still-running
     sibling leaves once the contiguous prefix of completed leaves has
     produced ``n`` outputs.  The caller truncates the merged buffer.
+
+    ``in_caller`` (threads only) runs a one-leaf plan in the calling
+    thread; ``Stream._barrier_stateful`` sets it for a counted window
+    that :func:`plan_window` found to fit one leaf.
     """
     # Backend dispatch happens on the *raw* op chain: fused kernels are
     # exec-compiled and unpicklable, so the process backend ships unfused
@@ -585,7 +746,7 @@ def parallel_collect(
         return sink.container
 
     root = _ReduceTask(spliterator, target_size, leaf, combine, ctx)
-    result = finish(_invoke_fail_fast(pool, root, ctx, deadline))
+    result = finish(_invoke_fail_fast(pool, root, ctx, deadline, in_caller))
     if observer is not None:
         observer.complete(pool)
     return result

@@ -78,7 +78,11 @@ from repro.streams.ops import (
 )
 from repro.streams.optional import Optional
 from repro.streams.spliterator import Spliterator, UNKNOWN_SIZE
-from repro.streams.spliterators import ListSpliterator, RangeSpliterator
+from repro.streams.spliterators import (
+    ListSpliterator,
+    RangeSpliterator,
+    slice_source,
+)
 
 # --------------------------------------------------------------------------- #
 # The shared executor (lazy: forking workers is expensive, reuse them)
@@ -161,13 +165,7 @@ def _leaf_source_spec(leaf: Spliterator) -> tuple:
     if isinstance(leaf, RangeSpliterator):
         return ("range", leaf._lo, leaf._hi)
     if isinstance(leaf, ListSpliterator):
-        source, lo, hi = leaf._source, leaf._index, leaf._fence
-        try:
-            view = source[lo:hi]
-        except Exception:
-            # e.g. a PowerList view whose slice length is not a power of
-            # two — fall back to an elementwise copy.
-            view = [source[i] for i in range(lo, hi)]
+        view = slice_source(leaf._source, leaf._index, leaf._fence)
         if isinstance(view, np.ndarray):
             descriptor = _shm.describe(view)
             if descriptor is not None:

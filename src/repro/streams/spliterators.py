@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from repro.common import check_range, is_power_of_two
+from repro.common import NotPowerOfTwoError, check_range, is_power_of_two
 from repro.streams.spliterator import (
     UNKNOWN_SIZE,
     Characteristics,
@@ -26,6 +26,21 @@ _SIZED_FLAGS = (
     | Characteristics.SIZED
     | Characteristics.SUBSIZED
 )
+
+
+def slice_source(source: Sequence[T], lo: int, hi: int) -> Sequence[T]:
+    """``source[lo:hi]`` for any random-access source.
+
+    A PowerList view only slices to power-of-two lengths; any other slice
+    is taken from its backing storage instead: a strided ndarray view
+    (which still ships as a shared-memory descriptor) or one C-level list
+    copy.
+    """
+    try:
+        return source[lo:hi]
+    except NotPowerOfTwoError:
+        start, stride = source.start, source.stride
+        return source.storage[start + lo * stride : start + hi * stride : stride]
 
 
 class ListSpliterator(Spliterator[T]):
@@ -79,7 +94,7 @@ class ListSpliterator(Spliterator[T]):
         if lo >= hi:
             return ()
         self._index = hi
-        return self._source[lo:hi]
+        return slice_source(self._source, lo, hi)
 
     def try_split(self) -> "ListSpliterator[T] | None":
         lo, hi = self._index, self._fence

@@ -429,10 +429,10 @@ class Stream:
             )
         spliterator, ops = self._terminal()
         if self._parallel:
-            spliterator, ops = self._barrier_stateful(spliterator, ops)
+            spliterator, ops, backend = self._barrier_stateful(spliterator, ops)
             return _parallel.parallel_collect(
                 spliterator, ops, collector, self._effective_pool(),
-                self._target_size, self._deadline, self._backend,
+                self._target_size, self._deadline, backend,
             )
         sink = AccumulatorSink(
             collector.supplier()(),
@@ -466,7 +466,7 @@ class Stream:
 
         spliterator, ops = self._terminal()
         if self._parallel:
-            spliterator, ops = self._barrier_stateful(spliterator, ops)
+            spliterator, ops, backend = self._barrier_stateful(spliterator, ops)
             if len(args) == 3:
                 # Distinct accumulator/combiner: leaf-fold with accumulator,
                 # merge partials with combiner via a collector.
@@ -479,7 +479,7 @@ class Stream:
                 )
                 return _parallel.parallel_collect(
                     spliterator, ops, collector, self._effective_pool(),
-                    self._target_size, self._deadline, self._backend,
+                    self._target_size, self._deadline, backend,
                 )
             return _parallel.parallel_reduce(
                 spliterator,
@@ -490,7 +490,7 @@ class Stream:
                 has_identity,
                 self._target_size,
                 self._deadline,
-                self._backend,
+                backend,
             )
         # Sequential fold.
         sink = ReducingSink(accumulator, identity, has_identity)
@@ -503,10 +503,10 @@ class Stream:
         """Apply ``action`` to each element (unordered when parallel)."""
         spliterator, ops = self._terminal()
         if self._parallel:
-            spliterator, ops = self._barrier_stateful(spliterator, ops)
+            spliterator, ops, backend = self._barrier_stateful(spliterator, ops)
             _parallel.parallel_for_each(
                 spliterator, ops, action, self._effective_pool(),
-                self._target_size, self._deadline, self._backend,
+                self._target_size, self._deadline, backend,
             )
             return
 
@@ -682,7 +682,7 @@ class Stream:
 
     def _barrier_stateful(
         self, spliterator: Spliterator, ops: list[Op]
-    ) -> tuple[Spliterator, list[Op]]:
+    ) -> tuple[Spliterator, list[Op], str]:
         """Evaluate stateful ops as barriers, returning the residual tail.
 
         Splits ``ops`` at each stateful stage: the stateless run before it
@@ -690,41 +690,62 @@ class Stream:
         applied to the buffer sequentially, and the buffer becomes the new
         (splittable) source.
 
-        A ``limit(n)`` cut additionally passes its count as the collect's
-        *budget*: leaves truncate locally through counted fused kernels
-        and a satisfied contiguous prefix of leaves cancels still-running
-        siblings (threads: ``_TerminalContext.cancel``; process:
-        ``SharedFlag``), so the barrier scan stops near the cut instead of
-        draining the whole source.  ``apply_to_buffer`` below still
-        truncates the merged buffer, keeping semantics exact.
+        A ``limit``/``skip`` cut that follows only maps is planned by
+        :func:`~repro.streams.parallel.plan_window`: over a contiguous
+        sized source only its window is evaluated, and on threads a
+        window that fits one leaf runs in the caller.  Any other ``limit(n)``
+        cut passes its count as the collect's *budget*: leaves truncate
+        locally through counted fused kernels and a satisfied contiguous
+        prefix of leaves cancels still-running siblings (threads:
+        ``_TerminalContext.cancel``; process: ``SharedFlag``), so the
+        barrier scan stops near the cut instead of draining the whole
+        source.  ``apply_to_buffer`` below still truncates the merged
+        buffer, keeping semantics exact.
+
+        Returns ``(spliterator, ops, backend)``: the backend is the one
+        the terminal runs the residual on — ``sequential`` for an op-free
+        tail on threads (:func:`~repro.streams.parallel.residual_backend`).
         """
         from repro.streams import collectors
 
+        backend = _parallel.resolve_backend(self._backend)
+        pool = self._effective_pool()
+        barriered = False
         while any(op.stateful for op in ops):
-            cut = next(i for i, op in enumerate(ops) if op.stateful)
-            prefix, stateful, ops = ops[:cut], ops[cut], ops[cut + 1 :]
-            budget = stateful.n if isinstance(stateful, LimitOp) else None
-            buffer = _parallel.parallel_collect(
-                spliterator,
-                prefix,
-                collectors.to_list(),
-                self._effective_pool(),
-                self._target_size,
-                self._deadline,
-                self._backend,
-                budget=budget,
+            window = _parallel.plan_window(
+                spliterator, ops,
+                _parallel.backend_parallelism(backend, pool),
+                self._target_size, backend,
             )
-            buffer = stateful.apply_to_buffer(buffer)
+            if window is not None:
+                buffer = _parallel.parallel_collect(
+                    window.spliterator, window.maps, collectors.to_list(),
+                    pool, window.target_size, self._deadline, backend,
+                    in_caller=window.in_caller,
+                )
+                ops = window.rest
+            else:
+                cut = next(i for i, op in enumerate(ops) if op.stateful)
+                prefix, stateful, ops = ops[:cut], ops[cut], ops[cut + 1 :]
+                budget = stateful.n if isinstance(stateful, LimitOp) else None
+                buffer = _parallel.parallel_collect(
+                    spliterator, prefix, collectors.to_list(), pool,
+                    self._target_size, self._deadline, backend, budget=budget,
+                )
+                buffer = stateful.apply_to_buffer(buffer)
             spliterator = ListSpliterator(buffer)
-        return spliterator, ops
+            barriered = True
+        if barriered:
+            backend = _parallel.residual_backend(backend, ops)
+        return spliterator, ops, backend
 
     def _match(self, predicate: Callable[[T], bool], kind: str) -> bool:
         spliterator, ops = self._terminal()
         if self._parallel:
-            spliterator, ops = self._barrier_stateful(spliterator, ops)
+            spliterator, ops, backend = self._barrier_stateful(spliterator, ops)
             return _parallel.parallel_match(
                 spliterator, ops, predicate, self._effective_pool(), kind,
-                self._target_size, self._deadline, self._backend,
+                self._target_size, self._deadline, backend,
             )
         found = [False]
         trigger = predicate if kind in ("any", "none") else (lambda t: not predicate(t))
@@ -743,10 +764,10 @@ class Stream:
     def _find(self, first: bool) -> Optional:
         spliterator, ops = self._terminal()
         if self._parallel:
-            spliterator, ops = self._barrier_stateful(spliterator, ops)
+            spliterator, ops, backend = self._barrier_stateful(spliterator, ops)
             return _parallel.parallel_find(
                 spliterator, ops, self._effective_pool(), first,
-                self._target_size, self._deadline, self._backend,
+                self._target_size, self._deadline, backend,
             )
         result: list = []
 

@@ -288,3 +288,99 @@ class TestSplitTreeWalk:
     )
     def test_shapes(self, size, target, leaves, depth):
         assert _walk_split_tree(size, target) == (leaves, depth)
+
+
+def _plus_one(x):
+    return x + 1
+
+
+class TestCountedWindowPlan:
+    """A parallel limit/skip over maps: explain() reports the planner's
+    window decision, and its leaf count matches the traced run."""
+
+    N = 1 << 13
+
+    def _counted(self, pool):
+        return (
+            Stream.of_iterable(list(range(self.N))).parallel().with_pool(pool)
+            .map(_triple).map(_plus_one).limit(100)
+        )
+
+    def test_pinned_segments(self):
+        with ForkJoinPool(parallelism=2, name="explain-window") as pool:
+            plan = self._counted(pool).explain()
+        ex = plan.to_dict()["execution"]
+        assert ex["segments"] == [
+            {
+                "ops": ["fused(map|map)"],
+                "mode": "chunked",
+                "barrier": "limit",
+                "window": {"lo": 0, "hi": 100, "of": self.N},
+                "leaves": 1,
+                "in_caller": True,
+            },
+            {"ops": [], "mode": "chunked", "barrier": None, "in_caller": True},
+        ]
+        # The leaf target is the un-narrowed source's, not the window's.
+        assert ex["target_size"] == self.N // (4 * 2)
+        assert ex["split_tree"] == {"leaves": 1, "depth": 0}
+        text = plan.render()
+        assert "window [0:100) of 8192, 1 leaf, in caller" in text
+        assert "(passthrough)  mode=chunked  folded in caller" in text
+
+    def test_process_backend_ships_the_narrowed_window(self):
+        # Fewer, smaller leaves — still in worker processes, and the
+        # op-free tail is not folded in the caller.
+        for target, leaves in ((2048, 1), (256, 4)):
+            plan = (
+                Stream.range(0, self.N).parallel().with_backend("process")
+                .with_target_size(target).map(_triple).skip(1000).limit(1000)
+                .explain()
+            )
+            first, tail = plan.to_dict()["execution"]["segments"]
+            assert first["window"] == {"lo": 1000, "hi": 2000, "of": self.N}
+            assert first["leaves"] == leaves
+            assert first["in_caller"] is False
+            assert "in_caller" not in tail
+
+    def test_filter_before_limit_keeps_the_budget(self):
+        with ForkJoinPool(parallelism=2, name="explain-window") as pool:
+            plan = (
+                Stream.range(0, self.N).parallel().with_pool(pool)
+                .map(_triple).filter(_even).limit(100).explain().to_dict()
+            )
+        first = plan["execution"]["segments"][0]
+        assert first["budget"] == 100
+        assert "window" not in first
+        assert plan["execution"]["split_tree"] == {"leaves": 8, "depth": 3}
+
+    def test_window_after_a_barrier_is_unsized(self):
+        # The second segment reads a barrier buffer: the window rule
+        # applies, but its size and leaf count are unknown until it runs.
+        plan = (
+            Stream.range(0, 64).parallel().filter(_even).limit(20)
+            .map(_triple).skip(3).explain()
+        )
+        second = plan.to_dict()["execution"]["segments"][1]
+        assert second["window"] == {"lo": 3, "hi": None, "of": None}
+        assert "leaves" not in second
+        assert "window [3:) of ?" in plan.render()
+
+    @pytest.mark.parametrize("build", [
+        lambda s: s.map(_triple).map(_plus_one).limit(100),
+        lambda s: s.map(_triple).skip(1000).limit(3000),
+        lambda s: s.sorted(),
+    ], ids=["counted-one-leaf", "counted-narrowed", "sorted"])
+    def test_predicted_leaves_match_traced_leaf_spans(self, build):
+        with ForkJoinPool(parallelism=2, name="explain-window") as pool:
+            def stream():
+                return build(
+                    Stream.of_iterable(list(range(self.N)))
+                    .parallel().with_pool(pool)
+                )
+
+            plan = stream().explain().to_dict()
+            with tracing() as tracer:
+                stream().to_list()
+        leaf_spans = [s for s in tracer.spans() if s.kind == "leaf"]
+        assert len(leaf_spans) == plan["execution"]["split_tree"]["leaves"]

@@ -488,3 +488,96 @@ class TestCountedKernelEdgeCases:
         with fusion(fused):
             got = list(stream_of([3, 1, 2]).limit(2).sorted().iterator())
         assert got == [1, 3]
+
+
+class _Poisoned(Exception):
+    """Raised by a map stage on one chosen element."""
+
+
+class TestCountedWindowPlan:
+    """A parallel ``limit``/``skip`` over maps evaluates only its window,
+    and a window that fits one leaf runs in the caller — pinned with
+    call and task counts, not timings (2^13 list, ``ForkJoinPool(2)``)."""
+
+    DATA = list(range(1 << 13))
+
+    @pytest.fixture
+    def pool2(self):
+        p = ForkJoinPool(parallelism=2, name="window-test")
+        yield p
+        p.shutdown()
+
+    def _stream(self, pool2):
+        return stream_of(self.DATA).parallel().with_pool(pool2)
+
+    @pytest.mark.parametrize("build,expect,pooled,f_calls", [
+        # Pure-map prefix: the window [0, 100) is one leaf, in the caller.
+        (lambda s, f: s.map(f).map(_plus_one).limit(100),
+         [x + 2 for x in range(100)], False, 100),
+        (lambda s, f: s.map(f).skip(8000).limit(100),
+         [x + 1 for x in range(8000, 8100)], False, 100),
+        # A window wider than the leaf target still splits, but only the
+        # window is evaluated.
+        (lambda s, f: s.map(f).skip(1000).limit(3000),
+         [x + 1 for x in range(1000, 4000)], True, 3000),
+        # A filter before the limit keeps the budgeted counted-loop tree.
+        (lambda s, f: s.map(f).filter(_is_even).limit(100),
+         [x + 1 for x in range(1, 200, 2)], True, None),
+    ])
+    def test_calls_and_tasks(self, pool2, build, expect, pooled, f_calls):
+        calls = [0]
+
+        def f(x):
+            calls[0] += 1
+            return x + 1
+
+        before = pool2.stats()["tasks_executed"]
+        assert build(self._stream(pool2), f).to_list() == expect
+        executed = pool2.stats()["tasks_executed"] - before
+        assert (executed > 0) is pooled
+        if f_calls is not None:
+            assert calls[0] == f_calls
+
+    @pytest.mark.parametrize("limit,pooled", [(100, False), (8000, True)])
+    def test_expired_deadline_raises(self, pool2, limit, pooled):
+        from repro.common import TaskTimeoutError
+        from repro.faults import Deadline
+
+        deadline = Deadline.after(1e-6)
+        while not deadline.expired:
+            pass
+        before = pool2.stats()["tasks_executed"]
+        with pytest.raises(TaskTimeoutError):
+            self._stream(pool2).with_deadline(deadline).map(_plus_one).limit(
+                limit
+            ).to_list()
+        assert pool2.stats()["tasks_executed"] == before
+
+    @pytest.mark.parametrize("limit,pooled", [(100, False), (8000, True)])
+    def test_map_exception_surfaces_unchanged(self, pool2, limit, pooled):
+        def poison(x):
+            if x == 50:
+                raise _Poisoned(x)
+            return x
+
+        before = pool2.stats()["tasks_executed"]
+        with pytest.raises(_Poisoned) as excinfo:
+            self._stream(pool2).map(poison).limit(limit).to_list()
+        assert excinfo.value.args == (50,)
+        assert (pool2.stats()["tasks_executed"] > before) is pooled
+
+    def test_in_caller_leaf_keeps_its_span(self, pool2):
+        with tracing() as tracer:
+            self._stream(pool2).map(_plus_one).limit(100).to_list()
+        kinds = [s.kind for s in tracer.spans()]
+        assert kinds.count("leaf") == 1
+        assert "task" not in kinds
+
+    def test_op_free_tail_folds_in_caller(self, pool2):
+        before = pool2.stats()["tasks_executed"]
+        assert self._stream(pool2).sorted(reverse=True).to_list() == (
+            self.DATA[::-1])
+        # Only the sort's input scan runs on the pool: 8 leaves, i.e. the
+        # root plus 7 forked prefixes.  The sorted buffer is copied in the
+        # caller instead of being re-split into another 8 tasks.
+        assert pool2.stats()["tasks_executed"] - before == 8

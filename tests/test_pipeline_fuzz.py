@@ -16,16 +16,19 @@ so a sweep failure replays locally with the same generated pipelines.
 """
 
 import functools
+import itertools
 import os
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given
+from hypothesis import HealthCheck, example, given
 from hypothesis import seed as hypothesis_seed
 from hypothesis import settings
 from hypothesis import strategies as st
 
 from repro.forkjoin import ForkJoinPool
-from repro.streams import bulk_execution, bulk_stats, fusion, stream_of
+from repro.powerlist import PowerList, shm
+from repro.streams import Stream, bulk_execution, bulk_stats, fusion, stream_of
 from repro.streams.fusion import _FUSIBLE_TYPES, FusedOp, fuse_ops, maybe_fuse
 from repro.streams.ops import LimitOp, SkipOp, select_mode
 
@@ -396,6 +399,81 @@ class TestPipelineFuzz:
                     assert not isinstance(neighbour, FusedOp)
                     assert type(neighbour) not in _FUSIBLE_TYPES
                     assert neighbour.stateful or neighbour.short_circuit
+
+
+# --------------------------------------------------------------------------- #
+# Counted windows: map…map.skip(a).limit(b) over contiguous sources
+# --------------------------------------------------------------------------- #
+
+WINDOW_SOURCES = ["list", "range", "shm", "powerlist"]
+
+
+def _window_source(kind, n):
+    """``(source, values)``: an ``n``-element source of ``kind`` and the
+    same elements as a plain list.  ``powerlist`` is the odd half of a
+    ``zip_split`` (a stride-2 view), so ``n`` is a power of two there;
+    ``shm`` is a shared-memory ndarray that ships as a descriptor (the
+    caller releases it)."""
+    if kind == "range":
+        return None, list(range(5, 5 + n))
+    values = [(i * 37) % 101 - 50 for i in range(n)]
+    if kind == "list":
+        return values, values
+    if kind == "shm":
+        return shm.share_array(np.array(values, dtype=np.int64)), values
+    spread = [v for pair in zip([0] * n, values) for v in pair]
+    return PowerList(spread).zip_split()[1], values
+
+
+class TestCountedWindowFuzz:
+    """Windows cut by ``skip``/``limit`` after maps are planned against
+    the source (narrowed before splitting, one leaf in the caller): every
+    backend, fused or not, must still equal ``itertools.islice``."""
+
+    @_seeded
+    @settings(deadline=None, max_examples=30,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.sampled_from(WINDOW_SOURCES),
+        st.integers(0, 160),
+        st.lists(st.integers(0, 9), max_size=3),
+        st.integers(0, 180),
+        st.integers(0, 180),
+        st.sampled_from([None, 1, 3, 16, 64]),
+    )
+    @example("list", 100, [2], 0, 0, 16)          # limit(0)
+    @example("range", 100, [1, 3], 100, 5, 16)    # skip == size
+    @example("shm", 100, [], 140, 5, None)        # skip > size
+    @example("list", 100, [4], 90, 50, 16)        # runs past the end
+    @example("powerlist", 7, [2], 10, 100, 16)    # 2^7 source; crosses 6 leaf edges
+    @example("shm", 160, [5, 6], 15, 130, 32)     # no edge on a leaf boundary
+    def test_window_matches_islice(self, kind, n, maps, a, b, target):
+        if kind == "powerlist":
+            n = 1 << (n % 8)  # PowerLists are power-of-two sized
+        source, values = _window_source(kind, n)
+        mapped = values
+        for arg in maps:
+            mapped = [_pk_map(x, arg) for x in mapped]
+        expected = list(itertools.islice(mapped, a, a + b))
+
+        def run(backend, fuse):
+            with fusion(fuse):
+                s = Stream.range(5, 5 + n) if source is None else stream_of(source)
+                if backend is not None:
+                    s = s.parallel().with_backend(backend)
+                    if target is not None:
+                        s = s.with_target_size(target)
+                for arg in maps:
+                    s = s.map(functools.partial(_pk_map, a=arg))
+                return s.skip(a).limit(b).to_list()
+
+        try:
+            for backend in (None, "sequential", "threads", "process"):
+                for fuse in (True, False):
+                    assert run(backend, fuse) == expected, (backend, fuse)
+        finally:
+            if kind == "shm":
+                shm.release(source)
 
 
 # --------------------------------------------------------------------------- #

@@ -106,20 +106,26 @@ class TestStatsTraceAgreement:
 
     def test_invariant_survives_fail_fast_cancellation(self):
         """Cancelled tasks must inflate neither ``tasks_executed`` nor the
-        ``task`` span count — the invariant holds even for aborted runs."""
+        ``task`` span count — the invariant holds even for aborted runs.
+
+        The split is pinned so a cancellation is certain: one worker and
+        16 leaves of 256.  Each split forks its prefix onto the worker's
+        own deque and descends into the suffix, so the poisoned last leaf
+        runs first, while every forked prefix is still queued with no
+        thief to take it; the failure cancels them on the way up."""
         from repro.obs import trace_snapshot, tracing
 
         def poison(x):
-            if x >= (1 << 18) - 64:
+            if x >= (1 << 12) - 64:
                 raise ZeroDivisionError
             return x
 
-        with ForkJoinPool(parallelism=4, name="agree-cancel") as pool:
+        with ForkJoinPool(parallelism=1, name="agree-cancel") as pool:
             with tracing() as tracer:
                 with pytest.raises(ZeroDivisionError):
-                    Stream.range(0, 1 << 18).parallel().with_pool(pool).map(
-                        poison
-                    ).to_list()
+                    Stream.range(0, 1 << 12).parallel().with_pool(
+                        pool
+                    ).with_target_size(256).map(poison).to_list()
             stats = pool.stats()
         per_worker = trace_snapshot(tracer.spans())["per_worker"]
         for row in stats["per_worker"]:
