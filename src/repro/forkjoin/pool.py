@@ -163,14 +163,16 @@ class _Worker:
             while True:
                 if pool._stop:
                     break
-                # Fault-injection site: ``worker:<index>``.  A ``kill``
-                # strike raises out of the scheduling loop — exactly the
-                # crash-containment path — so the thread dies *between*
-                # tasks (no claimed task is lost) and is respawned below.
+                # Fault-injection site: ``worker:<index>:<pool name>``
+                # (the name lets a plan strike one of several live pools).
+                # A ``kill`` strike raises out of the scheduling loop —
+                # exactly the crash-containment path — so the thread dies
+                # *between* tasks (no claimed task is lost) and is
+                # respawned below.
                 plan = current_fault_plan()
                 if plan is not None:
                     action = plan.fire(
-                        "worker", (str(self.index),),
+                        "worker", (str(self.index), pool.name),
                         allowed=("kill", "delay", "raise"), index=self.index,
                     )
                     if action is not None:

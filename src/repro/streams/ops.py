@@ -502,7 +502,7 @@ class DropWhileOp(Op):
 class AccumulatorSink(TerminalSink):
     """Terminal sink folding elements into a mutable container.
 
-    Shared by sequential ``collect`` and the fork/join leaves.  When the
+    Shared by every executor's ``collect`` leaves.  When the
     collector supplies a chunk accumulator (``to_list`` → ``extend``,
     ``counting`` → ``+= len``, …) whole chunks fold in one call; otherwise
     chunks fall back to an in-sink per-element loop.
@@ -544,16 +544,18 @@ class ReducingSink(TerminalSink):
     """Terminal sink for immutable reduction (``Stream.reduce``).
 
     Keeps ``(value, seen_any)``; chunks fold through ``functools.reduce``
-    (one C-level loop) instead of one sink call per element.
+    (one C-level loop) instead of one sink call per element.  Like
+    :class:`AccumulatorSink`, it stops when the ``cancel`` token is set.
     """
 
-    __slots__ = ("value", "seen", "_op")
+    __slots__ = ("value", "seen", "_op", "_cancel")
 
     def __init__(self, op: Callable[[Any, Any], Any], identity: Any = None,
-                 has_identity: bool = False) -> None:
+                 has_identity: bool = False, cancel: Any = None) -> None:
         self.value = identity
         self.seen = has_identity
         self._op = op
+        self._cancel = cancel
 
     def accept(self, item: Any) -> None:
         if self.seen:
@@ -572,6 +574,9 @@ class ReducingSink(TerminalSink):
             else:
                 return
         self.value = functools.reduce(self._op, it, self.value)
+
+    def cancellation_requested(self) -> bool:
+        return self._cancel is not None and self._cancel.is_set()
 
     def get(self) -> Any:
         return self.value

@@ -88,6 +88,13 @@ class Optional(Generic[T]):
     def __hash__(self) -> int:
         return hash(("Optional", None if self.is_empty() else self._value))
 
+    def __reduce__(self):
+        # Rebuild by value: the ``_ABSENT`` sentinel would unpickle as a
+        # new object, turning an empty Optional into a present one.
+        if self.is_present():
+            return type(self), (self._value,)
+        return type(self), ()
+
     def __bool__(self) -> bool:
         return self.is_present()
 

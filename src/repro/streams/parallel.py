@@ -1,25 +1,30 @@
-"""Fork/join evaluation of stream pipelines.
+"""Fork/join evaluation of stream pipelines, and backend dispatch.
 
-The parallel terminal operations mirror ``java.util.stream.AbstractTask``:
-starting from the source spliterator, a task tree is grown by repeatedly
-calling ``try_split`` until a node's estimated size drops to the *target
-size* (``source size / (4 × parallelism)``, Java's heuristic) or the
-spliterator refuses to split.  Each leaf builds a fresh result container
-(the collector's ``supplier``), pushes its elements through the fused op
-chain into the ``accumulator``, and the interior nodes merge containers
-with the ``combiner`` in encounter order — prefix (the spliterator returned
-by ``try_split``) first.
+:func:`evaluate` runs any :class:`~repro.streams.terminal.Terminal` on the
+selected backend: ``process`` hands it to
+:func:`repro.streams.process_backend.evaluate`, ``sequential`` to
+:func:`~repro.streams.terminal.evaluate_sequential`, and ``threads`` (the
+default) grows a task tree the way ``java.util.stream.AbstractTask``
+does: starting from the source spliterator, ``try_split`` is called
+repeatedly until a node's estimated size drops to the *target size*
+(``source size / (4 × parallelism)``, Java's heuristic) or the
+spliterator refuses to split.  Each leaf runs the terminal's one leaf
+body (:func:`~repro.streams.terminal.run_leaf`: a fresh sink, filled
+through the fused op chain), and interior nodes merge the leaves'
+partials with the terminal's ``merge`` in encounter order — prefix (the
+spliterator returned by ``try_split``) first.
 
 Fail-fast error propagation (``docs/robustness.md``): every terminal runs
 its task tree under one :class:`_TerminalContext`.  The first exception
-raised by any leaf or combiner is recorded there and trips a shared cancel
-event — sibling subtrees stop splitting, skip their leaves, forked-but-
-unclaimed tasks are cancelled so workers never claim them, and in-flight
-collect leaves abort at the next chunk boundary.  The root then re-raises
-the *original* exception to the caller, instead of burning the remaining
+raised by any leaf or combiner is recorded there and trips the run's
+cancel token — sibling subtrees stop splitting, skip their leaves,
+forked-but-unclaimed tasks are cancelled so workers never claim them, and
+in-flight leaves of every terminal family abort at their next poll point
+(a chunk boundary on the chunked path).  The root then re-raises the
+*original* exception to the caller, instead of burning the remaining
 2^k-element workload first.
 
-Only *stateless* ops reach these functions; :mod:`repro.streams.stream`
+Only *stateless* ops reach :func:`evaluate`; :mod:`repro.streams.stream`
 segments pipelines at stateful operations first.
 """
 
@@ -30,7 +35,7 @@ import threading
 import time
 from contextlib import contextmanager
 from functools import lru_cache
-from typing import Any, Callable, NamedTuple, TypeVar
+from typing import Any, Callable, NamedTuple
 
 from repro.common import CancellationError, IllegalArgumentError
 from repro.faults.plan import current_fault_plan
@@ -45,24 +50,11 @@ from repro.obs.profile import current_profiler
 from repro.obs.tracer import EXTERNAL_WORKER, current_tracer
 from repro.streams import adaptive
 from repro.streams.adaptive import LEAF_FACTOR, compute_target_size
-from repro.streams.collector import Collector
 from repro.streams.fusion import counted_window, maybe_fuse
-from repro.streams.ops import (
-    AccumulatorSink,
-    LimitOp,
-    MapOp,
-    Op,
-    ReducingSink,
-    Sink,
-    SkipOp,
-    run_pipeline,
-)
-from repro.streams.optional import Optional
+from repro.streams.ops import LimitOp, MapOp, Op, SkipOp
 from repro.streams.spliterator import Spliterator
 from repro.streams.spliterators import ListSpliterator, RangeSpliterator
-
-T = TypeVar("T")
-A = TypeVar("A")
+from repro.streams.terminal import Terminal, evaluate_sequential, run_leaf
 
 # --------------------------------------------------------------------------- #
 # Backend selection
@@ -180,17 +172,15 @@ class _TerminalContext:
 
     Carries two distinct stop signals:
 
-    * :attr:`cancel` — the *success* short-circuit used by match/find
-      ("the answer is known, stop traversing"); leaves still run, but
-      their sinks refuse elements immediately.
+    * :attr:`cancel` — the run's cancel token, which every leaf sink
+      polls.  A witness (match, ``find_any``) or a satisfied ``limit``
+      budget sets it as a *success* short-circuit ("the answer is known,
+      stop traversing"): leaves still run, but their sinks refuse
+      elements immediately.
     * :attr:`failure` — the *error* short-circuit: the first exception
       recorded by :meth:`fail` wins, trips :attr:`cancel` too (stopping
-      in-flight polled leaves), and makes every still-unsplit subtree
-      return without touching its data.
-
-    ``is_set`` is provided so the context itself can serve as the cancel
-    token of an :class:`~repro.streams.ops.AccumulatorSink`, aborting
-    in-flight chunked leaves at the next chunk boundary.
+      in-flight leaves at their next poll point), and makes every
+      still-unsplit subtree return without touching its data.
     """
 
     __slots__ = ("cancel", "failure", "_lock", "pool", "observer")
@@ -218,10 +208,6 @@ class _TerminalContext:
             tracer.instant(
                 "cancel", worker=_worker_id(), error=type(exc).__name__
             )
-
-    def is_set(self) -> bool:
-        """Event-protocol view used by leaf sinks: stop on failure."""
-        return self.failure is not None
 
 
 class _CountedBudget:
@@ -417,20 +403,6 @@ def residual_backend(backend: str, ops: list[Op]) -> str:
     ``size // (4 × parallelism)`` rule just to copy or fold it.
     """
     return "sequential" if backend == "threads" and not ops else backend
-
-
-class _BudgetCancelToken:
-    """Leaf cancel token for budgeted collects: stops on sibling failure
-    (fail-fast) *or* on a satisfied budget (success short-circuit)."""
-
-    __slots__ = ("_ctx",)
-
-    def __init__(self, ctx: _TerminalContext) -> None:
-        self._ctx = ctx
-
-    def is_set(self) -> bool:
-        ctx = self._ctx
-        return ctx.failure is not None or ctx.cancel.is_set()
 
 
 class _ReduceTask(RecursiveTask):
@@ -635,31 +607,33 @@ def _invoke_fail_fast(
         raise
 
 
-def parallel_collect(
+def evaluate(
     spliterator: Spliterator,
     ops: list[Op],
-    collector: Collector,
+    terminal: Terminal,
     pool: ForkJoinPool,
-    target_size: int | None = None,
+    target_size=None,
     deadline: Deadline | None = None,
     backend: str | None = None,
     budget: int | None = None,
     in_caller: bool = False,
 ) -> Any:
-    """Parallel mutable reduction (``Stream.collect``) over the pool.
+    """Run ``terminal`` over the pipeline on the selected backend.
 
-    This is the paper's template method: the supplier creates the leaves of
-    the divide-and-conquer tree, the accumulator fills them, the combiner
-    computes interior nodes.  Runs fail-fast: the first leaf or combiner
-    exception cancels the remaining tree and re-raises promptly.
+    On threads this is the paper's template method: each leaf of the
+    divide-and-conquer tree builds a fresh sink (the supplier), fills it
+    (the accumulator), and interior nodes merge partials (the combiner).
+    Runs fail-fast: the first leaf or combiner exception cancels the
+    remaining tree and re-raises promptly.
 
     ``budget`` is set by ``Stream._barrier_stateful`` when the stateful
-    cut is a ``limit(n)``: each leaf gets a per-leaf ``LimitOp(n)``
-    appended (sound — the global first n outputs never need more than the
-    first n of any leaf, and the counted fused kernel stops that leaf's
-    scan at its cut), and a :class:`_CountedBudget` cancels still-running
-    sibling leaves once the contiguous prefix of completed leaves has
-    produced ``n`` outputs.  The caller truncates the merged buffer.
+    cut is a ``limit(n)`` (the terminal is then ``Collect(to_list)``):
+    each leaf gets a per-leaf ``LimitOp(n)`` appended (sound — the global
+    first n outputs never need more than the first n of any leaf, and the
+    counted fused kernel stops that leaf's scan at its cut), and a
+    :class:`_CountedBudget` cancels still-running sibling leaves once the
+    contiguous prefix of completed leaves has produced ``n`` outputs.  The
+    caller truncates the merged buffer.
 
     ``in_caller`` (threads only) runs a one-leaf plan in the calling
     thread; ``Stream._barrier_stateful`` sets it for a counted window
@@ -672,24 +646,18 @@ def parallel_collect(
     if backend == "process":
         from repro.streams import process_backend as _pb
 
-        return _pb.process_collect(
-            spliterator, ops, collector,
+        return _pb.evaluate(
+            spliterator, ops, terminal,
             target_size=target_size, deadline=deadline, budget=budget,
         )
     if backend == "sequential":
         if deadline is not None:
-            deadline.check("sequential collect")
+            deadline.check(f"sequential {terminal.label}")
         if budget is not None:
             ops = list(ops) + [LimitOp(budget)]
-        sink = AccumulatorSink(
-            collector.supplier()(),
-            collector.accumulator(),
-            collector.chunk_accumulator(),
-        )
-        run_pipeline(spliterator, ops, sink)
-        return collector.finisher()(sink.container)
+        return evaluate_sequential(terminal, spliterator, ops)
     target_size, chunk_size, observer = _resolve_threshold(
-        spliterator, ops, pool, target_size
+        spliterator, ops, pool, target_size, observe=terminal.observe
     )
     counted_budget = None
     if budget is not None:
@@ -698,341 +666,33 @@ def parallel_collect(
             counted_budget = _CountedBudget(budget, root_origin)
         ops = list(ops) + [LimitOp(budget)]
     ops = maybe_fuse(ops)
-    supplier = collector.supplier()
-    accumulate = collector.accumulator()
-    accumulate_chunk = collector.chunk_accumulator()
-    combine = collector.combiner()
-    finish = collector.finisher()
-    ctx = _TerminalContext(pool)
-    ctx.observer = observer
-    _attach_profiler(pool)
-
-    if counted_budget is None and budget is None:
-        cancel_token: Any = ctx
-    else:
-        # Budgeted leaves must also stop when the budget short-circuit
-        # trips ``ctx.cancel`` (not just on failure).
-        cancel_token = _BudgetCancelToken(ctx)
-
-    def leaf(leaf_spliterator: Spliterator) -> Any:
-        # Each fork/join leaf traverses its sub-spliterator through the
-        # shared entry point, so the chunked fast path engages per leaf:
-        # O(stages) Python calls instead of O(elements × stages).  The
-        # context rides along as the sink's cancel token, so an in-flight
-        # leaf aborts at the next chunk boundary once a sibling fails.
-        origin = None
-        span = 0
-        if counted_budget is not None:
-            origin = _leaf_origin(leaf_spliterator)
-            span = leaf_spliterator.estimate_size()
-        sink = AccumulatorSink(
-            supplier(), accumulate, accumulate_chunk, cancel=cancel_token
-        )
-        run_pipeline(leaf_spliterator, ops, sink, chunk_size=chunk_size)
-        if ctx.failure is not None:
-            raise CancellationError("leaf aborted by sibling failure")
-        if (
-            counted_budget is not None
-            and origin is not None
-            and not ctx.cancel.is_set()
-        ):
-            # Only completed leaves may report: a partial (aborted) leaf's
-            # interval would break the contiguous-prefix soundness rule.
-            container = sink.container
-            if isinstance(container, list) and counted_budget.note(
-                origin, origin + span, len(container)
-            ):
-                ctx.cancel.set()
-        return sink.container
-
-    root = _ReduceTask(spliterator, target_size, leaf, combine, ctx)
-    result = finish(_invoke_fail_fast(pool, root, ctx, deadline, in_caller))
-    if observer is not None:
-        observer.complete(pool)
-    return result
-
-
-def parallel_reduce(
-    spliterator: Spliterator,
-    ops: list[Op],
-    op: Callable[[T, T], T],
-    pool: ForkJoinPool,
-    identity: T | None = None,
-    has_identity: bool = False,
-    target_size: int | None = None,
-    deadline: Deadline | None = None,
-    backend: str | None = None,
-):
-    """Parallel immutable reduction (``Stream.reduce``).
-
-    With an identity the result is the bare value; without one it is an
-    :class:`Optional` (empty for an empty stream).
-    """
-    backend = resolve_backend(backend)
-    if backend == "process":
-        from repro.streams import process_backend as _pb
-
-        return _pb.process_reduce(
-            spliterator, ops, op, identity, has_identity,
-            target_size=target_size, deadline=deadline,
-        )
-    if backend == "sequential":
-        if deadline is not None:
-            deadline.check("sequential reduce")
-        sink = run_pipeline(
-            spliterator, ops, ReducingSink(op, identity, has_identity)
-        )
-        if has_identity:
-            return sink.value
-        return Optional.of(sink.value) if sink.seen else Optional.empty()
-    target_size, chunk_size, observer = _resolve_threshold(
-        spliterator, ops, pool, target_size
-    )
-    ops = maybe_fuse(ops)
-    ctx = _TerminalContext(pool)
-    ctx.observer = observer
-    _attach_profiler(pool)
-
-    def leaf(leaf_spliterator: Spliterator) -> ReducingSink:
-        return run_pipeline(
-            leaf_spliterator, ops, ReducingSink(op, identity, has_identity),
-            chunk_size=chunk_size,
-        )
-
-    def merge(a: ReducingSink, b: ReducingSink) -> ReducingSink:
-        if not b.seen:
-            return a
-        if not a.seen:
-            return b
-        a.value = op(a.value, b.value)
-        return a
-
-    result = _invoke_fail_fast(
-        pool, _ReduceTask(spliterator, target_size, leaf, merge, ctx), ctx,
-        deadline,
-    )
-    if observer is not None:
-        observer.complete(pool)
-    if has_identity:
-        return result.value
-    return Optional.of(result.value) if result.seen else Optional.empty()
-
-
-def parallel_for_each(
-    spliterator: Spliterator,
-    ops: list[Op],
-    action: Callable[[T], None],
-    pool: ForkJoinPool,
-    target_size: int | None = None,
-    deadline: Deadline | None = None,
-    backend: str | None = None,
-) -> None:
-    """Parallel ``for_each`` (unordered, like Java's)."""
-    backend = resolve_backend(backend)
-    if backend == "process":
-        from repro.streams import process_backend as _pb
-
-        return _pb.process_for_each(
-            spliterator, ops, action,
-            target_size=target_size, deadline=deadline,
-        )
-    if backend == "sequential":
-        if deadline is not None:
-            deadline.check("sequential for_each")
-
-        class _ForEachSeq(Sink):
-            def accept(self, item):
-                action(item)
-
-        run_pipeline(spliterator, ops, _ForEachSeq())
-        return None
-    target_size, chunk_size, observer = _resolve_threshold(
-        spliterator, ops, pool, target_size
-    )
-    ops = maybe_fuse(ops)
-    ctx = _TerminalContext(pool)
-    ctx.observer = observer
-    _attach_profiler(pool)
-
-    def leaf(leaf_spliterator: Spliterator) -> None:
-        class _ForEach(Sink):
-            def accept(self, item):
-                action(item)
-
-        run_pipeline(leaf_spliterator, ops, _ForEach(), chunk_size=chunk_size)
-
-    _invoke_fail_fast(
-        pool,
-        _ReduceTask(spliterator, target_size, leaf, lambda a, b: None, ctx),
-        ctx,
-        deadline,
-    )
-    if observer is not None:
-        observer.complete(pool)
-
-
-def parallel_match(
-    spliterator: Spliterator,
-    ops: list[Op],
-    predicate: Callable[[T], bool],
-    pool: ForkJoinPool,
-    kind: str,
-    target_size: int | None = None,
-    deadline: Deadline | None = None,
-    backend: str | None = None,
-) -> bool:
-    """Parallel short-circuiting match (``any``/``all``/``none``).
-
-    A shared cancellation event stops all branches as soon as the answer is
-    determined (a witness for ``any``, a counterexample for ``all``/``none``).
-    """
-    if kind not in ("any", "all", "none"):
-        raise ValueError(f"unknown match kind: {kind}")
-    backend = resolve_backend(backend)
-    if backend == "process":
-        from repro.streams import process_backend as _pb
-
-        return _pb.process_match(
-            spliterator, ops, predicate, kind,
-            target_size=target_size, deadline=deadline,
-        )
-    if backend == "sequential":
-        if deadline is not None:
-            deadline.check("sequential match")
-        seq_trigger = (
-            (lambda item: not predicate(item)) if kind == "all" else predicate
-        )
-        found = [False]
-
-        class _MatchSeq(Sink):
-            def accept(self, item):
-                if not found[0] and seq_trigger(item):
-                    found[0] = True
-
-            def cancellation_requested(self):
-                return found[0]
-
-        run_pipeline(spliterator, ops, _MatchSeq(), force_short_circuit=True)
-        return found[0] if kind == "any" else not found[0]
-    target_size, _, observer = _resolve_threshold(
-        spliterator, ops, pool, target_size
-    )
-    ops = maybe_fuse(ops)
     ctx = _TerminalContext(pool)
     ctx.observer = observer
     _attach_profiler(pool)
     cancel = ctx.cancel
-    # For "any": looking for an element satisfying predicate → result True.
-    # For "all": looking for a counterexample (not predicate) → result False.
-    # For "none": looking for a witness (predicate) → result False.
-    if kind == "any":
-        trigger = predicate
-    elif kind == "all":
-        trigger = lambda item: not predicate(item)
-    else:
-        trigger = predicate
 
-    def leaf(leaf_spliterator: Spliterator) -> bool:
-        found = [False]
+    def leaf(leaf_spliterator: Spliterator) -> Any:
+        # Each fork/join leaf traverses its sub-spliterator through the
+        # shared entry point, so the chunked fast path engages per leaf:
+        # O(stages) Python calls instead of O(elements × stages).
+        origin = None
+        if counted_budget is not None:
+            origin = _leaf_origin(leaf_spliterator)
+            span = leaf_spliterator.estimate_size()
+        partial = run_leaf(terminal, leaf_spliterator, ops, cancel, chunk_size)
+        if ctx.failure is not None:
+            raise CancellationError("leaf aborted by sibling failure")
+        if origin is not None and not cancel.is_set():
+            # Only completed leaves may report: a partial (aborted) leaf's
+            # interval would break the contiguous-prefix soundness rule.
+            if counted_budget.note(origin, origin + span, len(partial)):
+                cancel.set()
+        return partial
 
-        class _MatchSink(Sink):
-            def accept(self, item):
-                if not found[0] and trigger(item):
-                    found[0] = True
-                    cancel.set()
-
-            def cancellation_requested(self):
-                return found[0] or cancel.is_set()
-
-        # Through run_pipeline (not a bare copy_into) so leaves share the
-        # memoized fusion rewrite and profiler instrumentation.
-        run_pipeline(leaf_spliterator, ops, _MatchSink(), force_short_circuit=True)
-        return found[0]
-
-    triggered = _invoke_fail_fast(
-        pool,
-        _ReduceTask(spliterator, target_size, leaf, lambda a, b: a or b, ctx),
-        ctx,
-        deadline,
-    )
-    if observer is not None and not cancel.is_set():
-        # Only full traversals feed the memo: a triggered match aborted
-        # its leaves early, which would skew the per-element cost.
+    root = _ReduceTask(spliterator, target_size, leaf, terminal.merge, ctx)
+    merged = _invoke_fail_fast(pool, root, ctx, deadline, in_caller)
+    if observer is not None and not (terminal.broadcast and terminal.hit(merged)):
+        # A decided broadcast run aborted its leaves early, which would
+        # skew the per-element cost: only full traversals feed the memo.
         observer.complete(pool)
-    return triggered if kind == "any" else not triggered
-
-
-def parallel_find(
-    spliterator: Spliterator,
-    ops: list[Op],
-    pool: ForkJoinPool,
-    first: bool,
-    target_size: int | None = None,
-    deadline: Deadline | None = None,
-    backend: str | None = None,
-) -> Optional:
-    """Parallel ``find_first``/``find_any``.
-
-    ``find_any`` cancels globally on the first hit anywhere; ``find_first``
-    must honor encounter order, so each leaf stops at its own first element
-    and the ordered merge keeps the leftmost.
-    """
-    backend = resolve_backend(backend)
-    if backend == "process":
-        from repro.streams import process_backend as _pb
-
-        return _pb.process_find(
-            spliterator, ops, first,
-            target_size=target_size, deadline=deadline,
-        )
-    if backend == "sequential":
-        if deadline is not None:
-            deadline.check("sequential find")
-        result: list = []
-
-        class _FindSeq(Sink):
-            def accept(self, item):
-                if not result:
-                    result.append(item)
-
-            def cancellation_requested(self):
-                return bool(result)
-
-        run_pipeline(spliterator, ops, _FindSeq(), force_short_circuit=True)
-        return Optional.of(result[0]) if result else Optional.empty()
-    # find leaves stop at their own first element by design, so their span
-    # samples would poison the cost memo — observe=False keeps the auto
-    # decision without the feedback.
-    target_size, _, _ = _resolve_threshold(
-        spliterator, ops, pool, target_size, observe=False
-    )
-    ops = maybe_fuse(ops)
-    ctx = _TerminalContext(pool)
-    _attach_profiler(pool)
-    # find_first must not globally cancel on a hit (a leftmost element may
-    # still be discovered later); its leaves stop only on their own hit.
-    cancel = ctx.cancel if not first else None
-
-    def leaf(leaf_spliterator: Spliterator) -> Optional:
-        result: list = []
-
-        class _FindSink(Sink):
-            def accept(self, item):
-                if not result:
-                    result.append(item)
-                    if cancel is not None:
-                        cancel.set()
-
-            def cancellation_requested(self):
-                return bool(result) or (cancel is not None and cancel.is_set())
-
-        run_pipeline(leaf_spliterator, ops, _FindSink(), force_short_circuit=True)
-        return Optional.of(result[0]) if result else Optional.empty()
-
-    def merge(a: Optional, b: Optional) -> Optional:
-        return a if a.is_present() else b
-
-    return _invoke_fail_fast(
-        pool, _ReduceTask(spliterator, target_size, leaf, merge, ctx), ctx,
-        deadline,
-    )
+    return terminal.finish(merged)

@@ -1,11 +1,11 @@
-"""Process-backend evaluation of the parallel terminal families.
+"""Process-backend evaluation of stream terminals.
 
-The threaded fork/join terminals (:mod:`repro.streams.parallel`) serialize
-pure-Python leaf work on the GIL; this module runs the same five terminal
-families — collect, reduce, for_each, match, find — across OS processes,
-where Python-heavy leaves scale with cores.  Selected per-stream with
-``Stream.with_backend('process')`` or globally via
-``set_parallel_backend`` / ``REPRO_PARALLEL_BACKEND``.
+The threaded fork/join executor (:mod:`repro.streams.parallel`) serializes
+pure-Python leaf work on the GIL; :func:`evaluate` runs any
+:class:`~repro.streams.terminal.Terminal` — collect, reduce, for_each,
+match, find — across OS processes, where Python-heavy leaves scale with
+cores.  Selected per-stream with ``Stream.with_backend('process')`` or
+globally via ``set_parallel_backend`` / ``REPRO_PARALLEL_BACKEND``.
 
 Execution model (scatter/compute/combine, mirroring the thread path):
 
@@ -13,18 +13,21 @@ Execution model (scatter/compute/combine, mirroring the thread path):
    ``_ReduceTask`` (prefix first, so leaf order == encounter order) down
    to the same target size, computed against the worker-process count;
 2. each leaf becomes a picklable payload: a **source spec** + the raw
-   (unfused) op chain + a terminal spec + the parent's bulk/fusion flags.
-   Fused kernels are ``exec``-compiled and cannot pickle — the child
-   re-fuses the shipped op chain itself, so fusion and the chunked bulk
-   path both engage inside workers;
+   (unfused) op chain + the terminal itself + the parent's bulk/fusion
+   flags.  Fused kernels are ``exec``-compiled and cannot pickle — the
+   child re-fuses the shipped op chain itself, so fusion and the chunked
+   bulk path both engage inside workers;
 3. payloads ship in contiguous batches through
    :meth:`repro.jplf.process_executor.ProcessExecutor.run_leaves`, which
    carries the lifecycle contract: first-failure cancellation of
    outstanding batches (the process-side ``_TerminalContext`` fail-fast),
    deadline-bounded waits that cancel pending child work, broken-pool
    containment after a worker death, and retry / sequential-degradation
-   policies;
-4. partial results merge in the parent, in encounter order.
+   policies.  In the child, :func:`_run_leaf` is one call of the same
+   :func:`~repro.streams.terminal.run_leaf` the thread leaves run, with
+   the batch's shared cancel flag as the sink's cancel token;
+4. partials merge in the parent with the terminal's ``merge``, in
+   encounter order.
 
 Shipping modes (reported by ``Stream.explain()``):
 
@@ -48,10 +51,11 @@ use ``backend='threads'`` for those.
 
 from __future__ import annotations
 
+import functools
 import os
 import pickle
 import threading
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -66,23 +70,14 @@ from repro.streams import adaptive
 from repro.streams.fusion import fusion as _fusion_scope
 from repro.streams.fusion import fusion_enabled as _fusion_enabled
 from repro.streams import ops as _ops
-from repro.streams.collector import Collector
-from repro.streams.ops import (
-    AccumulatorSink,
-    CHUNK_SIZE,
-    LimitOp,
-    Op,
-    ReducingSink,
-    Sink,
-    run_pipeline,
-)
-from repro.streams.optional import Optional
+from repro.streams.ops import CHUNK_SIZE, LimitOp, Op
 from repro.streams.spliterator import Spliterator, UNKNOWN_SIZE
 from repro.streams.spliterators import (
     ListSpliterator,
     RangeSpliterator,
     slice_source,
 )
+from repro.streams.terminal import ELEMENTS, Collect, Terminal, run_leaf
 
 # --------------------------------------------------------------------------- #
 # The shared executor (lazy: forking workers is expensive, reuse them)
@@ -209,9 +204,9 @@ def shipping_mode(spliterator: Spliterator) -> str:
     return "pickle"
 
 
-def _check_picklable(what: str, *objects: Any) -> bool:
+def _check_picklable(obj: Any) -> bool:
     try:
-        pickle.dumps(objects)
+        pickle.dumps(obj)
         return True
     except Exception:
         return False
@@ -234,33 +229,6 @@ def _require_picklable(what: str, *objects: Any) -> None:
 # --------------------------------------------------------------------------- #
 
 
-def _append(container: list, item: Any) -> None:
-    container.append(item)
-
-
-def _extend(container: list, chunk) -> None:
-    container.extend(chunk)
-
-
-class _CancellableReducingSink(ReducingSink):
-    """A ReducingSink that also honors the batch's shared cancel flag.
-
-    ``copy_into_chunked`` polls ``cancellation_requested`` once per chunk,
-    so a running reduce leaf aborts at the next chunk boundary after the
-    parent (or a sibling worker) sets the flag.  An aborted leaf's partial
-    value is never merged — the parent discards results of cancelled runs.
-    """
-
-    __slots__ = ("_cancel",)
-
-    def __init__(self, op, identity=None, has_identity=False, cancel=None):
-        super().__init__(op, identity, has_identity)
-        self._cancel = cancel
-
-    def cancellation_requested(self):
-        return self._cancel is not None and self._cancel.is_set()
-
-
 def _run_leaf(payload: tuple) -> Any:
     """Top-level worker entry point (module-level so it pickles).
 
@@ -269,100 +237,19 @@ def _run_leaf(payload: tuple) -> Any:
     the parent would have — a long-lived worker forked before a flag
     changed must not keep the stale inherited value.
 
-    Every sink built here wires in the batch's shared cancellation flag
+    The leaf's sink polls the batch's shared cancellation flag
     (:func:`repro.jplf.process_executor.current_leaf_cancel`): when the
-    parent aborts the run or another worker's match/find leaf hits a
-    witness, this leaf stops at its next poll point — a chunk boundary
-    for the bulk terminals, the next element for short-circuit ones —
-    instead of scanning to completion.
+    parent aborts the run or another worker's leaf finds a witness, this
+    leaf stops at its next poll point — a chunk boundary on the chunked
+    path, the next element for short-circuit terminals — instead of
+    scanning to completion.
     """
     source_spec, ops, terminal, bulk_enabled, fusion_on, chunk_size = payload
-    spliterator = _rebuild_source(source_spec)
-    cancel = current_leaf_cancel()
     with _ops.bulk_execution(bulk_enabled), _fusion_scope(fusion_on):
-        kind = terminal[0]
-        if kind == "collect":
-            collector = terminal[1]
-            sink = AccumulatorSink(
-                collector.supplier()(),
-                collector.accumulator(),
-                collector.chunk_accumulator(),
-                cancel=cancel,
-            )
-            run_pipeline(spliterator, ops, sink, chunk_size=chunk_size)
-            return sink.container
-        if kind == "elements":
-            sink = AccumulatorSink([], _append, _extend, cancel=cancel)
-            run_pipeline(spliterator, ops, sink, chunk_size=chunk_size)
-            return sink.container
-        if kind == "reduce":
-            _, op, identity, has_identity = terminal
-            sink = run_pipeline(
-                spliterator, ops,
-                _CancellableReducingSink(op, identity, has_identity, cancel),
-                chunk_size=chunk_size,
-            )
-            return (sink.value, sink.seen)
-        if kind == "for_each":
-            action = terminal[1]
-
-            class _ForEach(Sink):
-                def accept(self, item):
-                    action(item)
-
-                def cancellation_requested(self):
-                    return cancel is not None and cancel.is_set()
-
-            run_pipeline(spliterator, ops, _ForEach(), chunk_size=chunk_size)
-            return None
-        if kind == "match":
-            _, predicate, match_kind = terminal
-            if match_kind == "all":
-                trigger = lambda item: not predicate(item)  # noqa: E731
-            else:
-                trigger = predicate
-            found = [False]
-
-            class _MatchSink(Sink):
-                def accept(self, item):
-                    if not found[0] and trigger(item):
-                        found[0] = True
-                        if cancel is not None:
-                            # A witness anywhere decides the whole match
-                            # (any → True, all/none → False): broadcast so
-                            # RUNNING sibling leaves abort mid-scan.
-                            cancel.set()
-
-                def cancellation_requested(self):
-                    return found[0] or (
-                        cancel is not None and cancel.is_set()
-                    )
-
-            run_pipeline(spliterator, ops, _MatchSink(), force_short_circuit=True)
-            return found[0]
-        if kind == "find":
-            first = terminal[1] if len(terminal) > 1 else True
-            result: list = []
-
-            class _FindSink(Sink):
-                def accept(self, item):
-                    if not result:
-                        result.append(item)
-                        if not first and cancel is not None:
-                            # find_any: any hit is the answer — broadcast.
-                            # find_first must NOT: every leaf reports its
-                            # own first so the ordered merge keeps the
-                            # leftmost.
-                            cancel.set()
-
-                def cancellation_requested(self):
-                    return bool(result) or (
-                        cancel is not None and cancel.is_set()
-                    )
-
-            run_pipeline(spliterator, ops, _FindSink(), force_short_circuit=True)
-            return (True, result[0]) if result else (False, None)
-        raise IllegalArgumentError(f"unknown process terminal {kind!r}")
+        return run_leaf(
+            terminal, _rebuild_source(source_spec), ops,
+            current_leaf_cancel(), chunk_size,
+        )
 
 
 # --------------------------------------------------------------------------- #
@@ -373,7 +260,7 @@ def _run_leaf(payload: tuple) -> Any:
 def _build_payloads(
     spliterator: Spliterator,
     ops: list[Op],
-    terminal: tuple,
+    terminal: Terminal,
     executor: ProcessExecutor,
     target_size: int | None,
     observe: bool = True,
@@ -451,32 +338,35 @@ def _budget_stop(budget: int):
     return early_stop_slots
 
 
-def process_collect(
+def evaluate(
     spliterator: Spliterator,
     ops: list[Op],
-    collector: Collector,
-    target_size: int | None = None,
+    terminal: Terminal,
+    target_size=None,
     deadline=None,
     executor: ProcessExecutor | None = None,
     budget: int | None = None,
 ) -> Any:
-    """Mutable reduction across worker processes.
+    """Run ``terminal`` across worker processes.
 
-    With a picklable collector each leaf builds its own container in the
-    child and the parent folds containers with the combiner, exactly like
-    the thread path.  Collectors built from lambdas (the stock library)
-    fall back to leaves returning element lists, folded through the
-    accumulator in the parent — same result, elements cross the boundary
-    instead of containers.
+    Each leaf payload carries the terminal itself: the child builds the
+    leaf's sink and returns its partial, and the parent merges partials
+    in encounter order.  A collector that does not pickle (the stock
+    library builds collectors from lambdas) ships as ``Collect(ELEMENTS)``
+    instead: leaves return their element lists, folded through the real
+    collector in the parent — same result, elements cross the boundary
+    instead of containers.  Every other terminal's functions must pickle.
 
-    ``budget`` is the counted short-circuit hook: when the caller's
-    pipeline ends in ``limit(n)``, each leaf gets its own ``LimitOp(n)``
-    (the global first ``n`` never needs more than the first ``n`` of any
-    leaf) and a contiguous-prefix element count stops the scatter — and
-    sets the run's :class:`~repro.powerlist.shm.SharedFlag` so RUNNING
-    sibling leaves abort at their next chunk boundary — as soon as the
-    answer is complete.  Cancelled slots come back ``None`` and merge as
-    empty; the caller re-applies ``limit`` over the concatenation.
+    A broadcast terminal (match, ``find_any``) stops the scatter at the
+    first deciding partial.  ``budget`` is the counted short-circuit hook:
+    when the caller's pipeline ends in ``limit(n)``, each leaf gets its
+    own ``LimitOp(n)`` (the global first ``n`` never needs more than the
+    first ``n`` of any leaf) and a contiguous-prefix element count stops
+    the scatter as soon as the answer is complete.  Either stop sets the
+    run's :class:`~repro.powerlist.shm.SharedFlag`, so RUNNING sibling
+    leaves abort at their next poll point; cancelled slots come back
+    ``None`` and are skipped (for a budget the caller re-applies
+    ``limit`` over the concatenation).
     """
     executor = executor if executor is not None else shared_executor()
     early_stop_slots = None
@@ -484,173 +374,35 @@ def process_collect(
         ops = list(ops) + [LimitOp(budget)]
         early_stop_slots = _budget_stop(budget)
     _require_picklable("pipeline stage functions", ops)
-    combine = collector.combiner()
-    finish = collector.finisher()
-    if _check_picklable("collector", collector, combine):
-        payloads, observer = _build_payloads(
-            spliterator, ops, ("collect", collector), executor, target_size
-        )
-        partials = executor.run_leaves(
-            _run_leaf, payloads, deadline=deadline, label="process collect",
-            observer=observer, early_stop_slots=early_stop_slots,
-        )
-        if observer is not None:
-            observer.complete()
-        container = None
-        seen = False
-        for partial in partials:
-            if partial is None:
-                continue  # slot cancelled by a satisfied budget
-            container = combine(container, partial) if seen else partial
-            seen = True
-        if not seen:
-            container = collector.supplier()()
-        return finish(container)
+    shipped = terminal
+    if not _check_picklable(terminal):
+        if not isinstance(terminal, Collect):
+            _require_picklable(f"{terminal.label} functions", terminal)
+        shipped = Collect(ELEMENTS)
     payloads, observer = _build_payloads(
-        spliterator, ops, ("elements",), executor, target_size
+        spliterator, ops, shipped, executor, target_size, terminal.observe
     )
-    partials = executor.run_leaves(
-        _run_leaf, payloads, deadline=deadline, label="process collect",
-        observer=observer, early_stop_slots=early_stop_slots,
-    )
-    if observer is not None:
-        observer.complete()
-    container = collector.supplier()()
-    accumulate = collector.accumulator()
-    accumulate_chunk = collector.chunk_accumulator()
-    for elements in partials:
-        if elements is None:
-            continue  # slot cancelled by a satisfied budget
-        if accumulate_chunk is not None:
-            accumulate_chunk(container, elements)
-        else:
-            for item in elements:
-                accumulate(container, item)
-    return finish(container)
-
-
-def process_reduce(
-    spliterator: Spliterator,
-    ops: list[Op],
-    op: Callable,
-    identity=None,
-    has_identity: bool = False,
-    target_size: int | None = None,
-    deadline=None,
-    executor: ProcessExecutor | None = None,
-):
-    """Immutable reduction across worker processes (``Stream.reduce``)."""
-    executor = executor if executor is not None else shared_executor()
-    _require_picklable("pipeline stage functions and reduce operator", ops, op)
-    payloads, observer = _build_payloads(
-        spliterator, ops, ("reduce", op, identity, has_identity),
-        executor, target_size,
-    )
-    partials = executor.run_leaves(
-        _run_leaf, payloads, deadline=deadline, label="process reduce",
-        observer=observer,
-    )
-    if observer is not None:
-        observer.complete()
-    value, seen = None, False
-    for leaf_value, leaf_seen in partials:
-        if not leaf_seen:
-            continue
-        value = op(value, leaf_value) if seen else leaf_value
-        seen = True
-    if has_identity:
-        return value if seen else identity
-    return Optional.of(value) if seen else Optional.empty()
-
-
-def process_for_each(
-    spliterator: Spliterator,
-    ops: list[Op],
-    action: Callable,
-    target_size: int | None = None,
-    deadline=None,
-    executor: ProcessExecutor | None = None,
-) -> None:
-    """``for_each`` with the action running *in the worker process*.
-
-    Side effects land in the child: mutating parent-process state from the
-    action will silently do nothing here — use ``backend='threads'`` when
-    the action closes over shared state.
-    """
-    executor = executor if executor is not None else shared_executor()
-    _require_picklable("pipeline stage functions and action", ops, action)
-    payloads, observer = _build_payloads(
-        spliterator, ops, ("for_each", action), executor, target_size
-    )
-    executor.run_leaves(
-        _run_leaf, payloads, deadline=deadline, label="process for_each",
-        observer=observer,
-    )
-    if observer is not None:
-        observer.complete()
-
-
-def process_match(
-    spliterator: Spliterator,
-    ops: list[Op],
-    predicate: Callable,
-    kind: str,
-    target_size: int | None = None,
-    deadline=None,
-    executor: ProcessExecutor | None = None,
-) -> bool:
-    """Short-circuiting match: each leaf stops at its own witness, and the
-    first triggered batch cancels the still-pending ones."""
-    if kind not in ("any", "all", "none"):
-        raise ValueError(f"unknown match kind: {kind}")
-    executor = executor if executor is not None else shared_executor()
-    _require_picklable("pipeline stage functions and predicate", ops, predicate)
-    payloads, observer = _build_payloads(
-        spliterator, ops, ("match", predicate, kind), executor, target_size
-    )
-    results = executor.run_leaves(
-        _run_leaf, payloads, deadline=deadline,
-        early_stop=lambda triggered: triggered is True,
-        label="process match",
-        observer=observer,
-    )
-    triggered = any(result is True for result in results)
-    # A triggered run aborted leaves mid-scan — those timings would teach
-    # the memo that elements are cheaper than they are.  Only full
-    # traversals feed the cost model (same rule as the thread path).
-    if observer is not None and not triggered:
-        observer.complete()
-    return triggered if kind == "any" else not triggered
-
-
-def process_find(
-    spliterator: Spliterator,
-    ops: list[Op],
-    first: bool,
-    target_size: int | None = None,
-    deadline=None,
-    executor: ProcessExecutor | None = None,
-) -> Optional:
-    """``find_first`` / ``find_any`` across worker processes.
-
-    ``find_any`` cancels pending batches on the first hit anywhere;
-    ``find_first`` must honor encounter order, so every leaf reports its
-    own first element (each stops after one) and the ordered merge keeps
-    the leftmost.
-    """
-    executor = executor if executor is not None else shared_executor()
-    _require_picklable("pipeline stage functions", ops)
-    # find leaves stop at their own first element by design — their spans
-    # measure almost nothing, so find never feeds the adaptive memo.
-    payloads, _ = _build_payloads(
-        spliterator, ops, ("find", first), executor, target_size, observe=False
-    )
-    early_stop = None if first else (lambda result: bool(result) and result[0])
+    early_stop = None
+    if shipped.broadcast:
+        early_stop = lambda p: p is not None and shipped.hit(p)  # noqa: E731
     results = executor.run_leaves(
         _run_leaf, payloads, deadline=deadline, early_stop=early_stop,
-        label="process find",
+        label=f"process {terminal.label}", observer=observer,
+        early_stop_slots=early_stop_slots,
     )
-    for result in results:
-        if result is not None and result[0]:
-            return Optional.of(result[1])
-    return Optional.empty()
+    partials = [p for p in results if p is not None]
+    if shipped is terminal:
+        merged = (
+            functools.reduce(terminal.merge, partials) if partials
+            else terminal.empty()
+        )
+    else:
+        sink = terminal.sink(None)
+        for elements in partials:
+            sink.accept_chunk(elements)
+        merged = terminal.partial(sink)
+    if observer is not None and not (terminal.broadcast and terminal.hit(merged)):
+        # A decided run aborted leaves mid-scan — those timings would
+        # teach the memo that elements are cheaper than they are.
+        observer.complete()
+    return terminal.finish(merged)

@@ -32,7 +32,6 @@ from repro.forkjoin.pool import ForkJoinPool, common_pool
 from repro.streams import parallel as _parallel
 from repro.streams.collector import Collector, CollectorCharacteristics
 from repro.streams.ops import (
-    AccumulatorSink,
     DistinctOp,
     DropWhileOp,
     FilterOp,
@@ -41,13 +40,11 @@ from repro.streams.ops import (
     MapOp,
     Op,
     PeekOp,
-    ReducingSink,
     SkipOp,
     SortedOp,
     TakeWhileOp,
     TerminalSink,
     pull_iterator,
-    run_pipeline,
     wrap_ops,
 )
 from repro.streams.optional import Optional
@@ -58,6 +55,15 @@ from repro.streams.spliterators import (
     ListSpliterator,
     RangeSpliterator,
     spliterator_of,
+)
+from repro.streams.terminal import (
+    Collect,
+    Find,
+    ForEach,
+    Match,
+    Reduce,
+    Terminal,
+    evaluate_sequential,
 )
 
 T = TypeVar("T")
@@ -427,20 +433,7 @@ class Stream:
                 None,
                 CollectorCharacteristics.IDENTITY_FINISH,
             )
-        spliterator, ops = self._terminal()
-        if self._parallel:
-            spliterator, ops, backend = self._barrier_stateful(spliterator, ops)
-            return _parallel.parallel_collect(
-                spliterator, ops, collector, self._effective_pool(),
-                self._target_size, self._deadline, backend,
-            )
-        sink = AccumulatorSink(
-            collector.supplier()(),
-            collector.accumulator(),
-            collector.chunk_accumulator(),
-        )
-        run_pipeline(spliterator, ops, sink)
-        return collector.finisher()(sink.container)
+        return self._evaluate(Collect(collector))
 
     def reduce(self, *args):
         """Immutable reduction.
@@ -452,69 +445,18 @@ class Stream:
           parallel runs).
         """
         if len(args) == 1:
-            (op,) = args
-            identity, has_identity, combiner = None, False, op
-            accumulator = op
+            terminal = Reduce(args[0])
         elif len(args) == 2:
-            identity, accumulator = args
-            has_identity, combiner = True, accumulator
+            terminal = Reduce(args[1], identity=args[0], has_identity=True)
         elif len(args) == 3:
-            identity, accumulator, combiner = args
-            has_identity = True
+            terminal = Reduce(args[1], args[2], args[0], has_identity=True)
         else:
             raise IllegalArgumentError("reduce takes 1, 2 or 3 arguments")
-
-        spliterator, ops = self._terminal()
-        if self._parallel:
-            spliterator, ops, backend = self._barrier_stateful(spliterator, ops)
-            if len(args) == 3:
-                # Distinct accumulator/combiner: leaf-fold with accumulator,
-                # merge partials with combiner via a collector.
-                collector = Collector.of(
-                    lambda: [identity],
-                    lambda acc, t: acc.__setitem__(0, accumulator(acc[0], t)),
-                    lambda a, b: ([a.__setitem__(0, combiner(a[0], b[0]))], a)[1],
-                    lambda acc: acc[0],
-                    CollectorCharacteristics.NONE,
-                )
-                return _parallel.parallel_collect(
-                    spliterator, ops, collector, self._effective_pool(),
-                    self._target_size, self._deadline, backend,
-                )
-            return _parallel.parallel_reduce(
-                spliterator,
-                ops,
-                combiner,
-                self._effective_pool(),
-                identity,
-                has_identity,
-                self._target_size,
-                self._deadline,
-                backend,
-            )
-        # Sequential fold.
-        sink = ReducingSink(accumulator, identity, has_identity)
-        run_pipeline(spliterator, ops, sink)
-        if has_identity:
-            return sink.value
-        return Optional.of(sink.value) if sink.seen else Optional.empty()
+        return self._evaluate(terminal)
 
     def for_each(self, action: Callable[[T], None]) -> None:
         """Apply ``action`` to each element (unordered when parallel)."""
-        spliterator, ops = self._terminal()
-        if self._parallel:
-            spliterator, ops, backend = self._barrier_stateful(spliterator, ops)
-            _parallel.parallel_for_each(
-                spliterator, ops, action, self._effective_pool(),
-                self._target_size, self._deadline, backend,
-            )
-            return
-
-        class _ForEach(TerminalSink):
-            def accept(self, item):
-                action(item)
-
-        run_pipeline(spliterator, ops, _ForEach())
+        self._evaluate(ForEach(action))
 
     def for_each_ordered(self, action: Callable[[T], None]) -> None:
         """Apply ``action`` in encounter order even on parallel streams."""
@@ -561,23 +503,23 @@ class Stream:
 
     def any_match(self, predicate: Callable[[T], bool]) -> bool:
         """True if any element satisfies ``predicate`` (short-circuits)."""
-        return self._match(predicate, "any")
+        return self._evaluate(Match(predicate, "any"))
 
     def all_match(self, predicate: Callable[[T], bool]) -> bool:
         """True if every element satisfies ``predicate`` (short-circuits)."""
-        return self._match(predicate, "all")
+        return self._evaluate(Match(predicate, "all"))
 
     def none_match(self, predicate: Callable[[T], bool]) -> bool:
         """True if no element satisfies ``predicate`` (short-circuits)."""
-        return self._match(predicate, "none")
+        return self._evaluate(Match(predicate, "none"))
 
     def find_first(self) -> Optional:
         """The first element, honoring encounter order."""
-        return self._find(first=True)
+        return self._evaluate(Find(first=True))
 
     def find_any(self) -> Optional:
         """Any element (parallel-friendly)."""
-        return self._find(first=False)
+        return self._evaluate(Find(first=False))
 
     def explain(self) -> "Any":
         """The execution plan, predicted without executing (non-terminal).
@@ -680,6 +622,19 @@ class Stream:
     def _effective_pool(self) -> ForkJoinPool:
         return self._pool if self._pool is not None else common_pool()
 
+    def _evaluate(self, terminal: Terminal) -> Any:
+        """Run ``terminal`` over this pipeline: in the caller when
+        sequential, else through the stateful barriers and on the
+        selected backend (:func:`repro.streams.parallel.evaluate`)."""
+        spliterator, ops = self._terminal()
+        if not self._parallel:
+            return evaluate_sequential(terminal, spliterator, ops)
+        spliterator, ops, backend = self._barrier_stateful(spliterator, ops)
+        return _parallel.evaluate(
+            spliterator, ops, terminal, self._effective_pool(),
+            self._target_size, self._deadline, backend,
+        )
+
     def _barrier_stateful(
         self, spliterator: Spliterator, ops: list[Op]
     ) -> tuple[Spliterator, list[Op], str]:
@@ -718,18 +673,18 @@ class Stream:
                 self._target_size, backend,
             )
             if window is not None:
-                buffer = _parallel.parallel_collect(
-                    window.spliterator, window.maps, collectors.to_list(),
-                    pool, window.target_size, self._deadline, backend,
-                    in_caller=window.in_caller,
+                buffer = _parallel.evaluate(
+                    window.spliterator, window.maps,
+                    Collect(collectors.to_list()), pool, window.target_size,
+                    self._deadline, backend, in_caller=window.in_caller,
                 )
                 ops = window.rest
             else:
                 cut = next(i for i, op in enumerate(ops) if op.stateful)
                 prefix, stateful, ops = ops[:cut], ops[cut], ops[cut + 1 :]
                 budget = stateful.n if isinstance(stateful, LimitOp) else None
-                buffer = _parallel.parallel_collect(
-                    spliterator, prefix, collectors.to_list(), pool,
+                buffer = _parallel.evaluate(
+                    spliterator, prefix, Collect(collectors.to_list()), pool,
                     self._target_size, self._deadline, backend, budget=budget,
                 )
                 buffer = stateful.apply_to_buffer(buffer)
@@ -738,49 +693,6 @@ class Stream:
         if barriered:
             backend = _parallel.residual_backend(backend, ops)
         return spliterator, ops, backend
-
-    def _match(self, predicate: Callable[[T], bool], kind: str) -> bool:
-        spliterator, ops = self._terminal()
-        if self._parallel:
-            spliterator, ops, backend = self._barrier_stateful(spliterator, ops)
-            return _parallel.parallel_match(
-                spliterator, ops, predicate, self._effective_pool(), kind,
-                self._target_size, self._deadline, backend,
-            )
-        found = [False]
-        trigger = predicate if kind in ("any", "none") else (lambda t: not predicate(t))
-
-        class _Match(TerminalSink):
-            def accept(self, item):
-                if not found[0] and trigger(item):
-                    found[0] = True
-
-            def cancellation_requested(self):
-                return found[0]
-
-        run_pipeline(spliterator, ops, _Match(), force_short_circuit=True)
-        return found[0] if kind == "any" else not found[0]
-
-    def _find(self, first: bool) -> Optional:
-        spliterator, ops = self._terminal()
-        if self._parallel:
-            spliterator, ops, backend = self._barrier_stateful(spliterator, ops)
-            return _parallel.parallel_find(
-                spliterator, ops, self._effective_pool(), first,
-                self._target_size, self._deadline, backend,
-            )
-        result: list = []
-
-        class _Find(TerminalSink):
-            def accept(self, item):
-                if not result:
-                    result.append(item)
-
-            def cancellation_requested(self):
-                return bool(result)
-
-        run_pipeline(spliterator, ops, _Find(), force_short_circuit=True)
-        return Optional.of(result[0]) if result else Optional.empty()
 
     def _materialize(self) -> list:
         """Consume into a list, preserving mode flags for ``concat``."""

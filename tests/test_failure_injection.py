@@ -343,6 +343,46 @@ class TestFailFastCancellation:
         with pytest.raises(ArithmeticError):
             Stream.range(0, 1 << 15).parallel().with_pool(pool).reduce(op)
 
+    @pytest.mark.parametrize("terminal", ["to_list", "reduce", "for_each"])
+    def test_running_sibling_leaf_stops_at_next_chunk(self, terminal):
+        """Every terminal family polls the run's cancel token at chunk
+        boundaries: once leaf 0 fails, leaf 1 — mid-scan over four chunks —
+        stops at its next boundary instead of scanning to its end."""
+        chunk = 1 << 16
+        span = 4 * chunk
+        leaf1_started = threading.Event()
+        leaf0_failing = threading.Event()
+        leaf1_calls = [0]
+
+        def f(x):
+            if x == 0:
+                assert leaf1_started.wait(10), "leaf 1 never started"
+                leaf0_failing.set()
+                raise ZeroDivisionError("leaf 0")
+            if x >= span:
+                leaf1_calls[0] += 1
+                if x == span:
+                    leaf1_started.set()
+                    assert leaf0_failing.wait(10), "leaf 0 never failed"
+            return x
+
+        with ForkJoinPool(parallelism=2, name="ff-family") as p:
+            stream = (
+                Stream.range(0, 2 * span)
+                .parallel()
+                .with_pool(p)
+                .with_target_size(span)
+                .map(f)
+            )
+            with pytest.raises(ZeroDivisionError):
+                if terminal == "to_list":
+                    stream.to_list()
+                elif terminal == "reduce":
+                    stream.reduce(0, lambda a, b: a + b)
+                else:
+                    stream.for_each(lambda x: None)
+        assert leaf1_calls[0] <= span - chunk
+
     def test_power_collect_counts_cancellation(self):
         with ForkJoinPool(parallelism=4, name="pc-ff") as p:
             with pytest.raises(ArithmeticError):
@@ -539,9 +579,13 @@ class TestChaosMatrix:
     @pytest.mark.parametrize("seed", CHAOS_SEEDS)
     def test_worker_kill_contained_without_policies(self, seed):
         # A kill between tasks is absorbed by crash containment: the
-        # computation still completes, the worker respawns.
+        # computation still completes, the worker respawns.  The kill is
+        # scoped to this pool so it cannot land on another live pool's
+        # idle worker instead.
         coeffs = _coeffs(self.N)
-        plan = _SCENARIOS["worker-kill"](seed)
+        plan = FaultPlan(seed, name="worker-kill").inject(
+            f"worker:*:chaos-kill-{seed}", "kill", times=1
+        )
         with ForkJoinPool(parallelism=4, name=f"chaos-kill-{seed}") as p:
             with fault_injection(plan):
                 out = polynomial_value(coeffs, -1.0, pool=p)

@@ -69,6 +69,9 @@ class TestSitePattern:
             ("mpi", "mpi", ("send", "1->0"), {}, True),
             ("*:depth=0", "leaf", (), {"depth": 0}, True),
             ("*:depth=0", "combine", (), {"depth": 0}, True),
+            ("worker:2", "worker", ("2", "pool-a"), {}, True),  # prefix
+            ("worker:*:pool-a", "worker", ("2", "pool-a"), {}, True),
+            ("worker:*:pool-a", "worker", ("2", "pool-b"), {}, False),
         ],
     )
     def test_matrix(self, pattern, kind, qualifiers, attrs, expected):
@@ -419,6 +422,26 @@ class TestStreamInjection:
             stats = p.stats()
         assert plan.stats()["injected"] == 1
         assert stats["worker_crashes"] >= 1
+
+    def test_worker_kill_scoped_to_one_pool(self):
+        plan = FaultPlan(seed=9).inject("worker:*:kill-target", "kill", times=1)
+        with (
+            ForkJoinPool(parallelism=2, name="kill-bystander") as bystander,
+            ForkJoinPool(parallelism=2, name="kill-target") as target,
+        ):
+            with fault_injection(plan):
+                for p in (bystander, target):
+                    out = (
+                        Stream.range(0, 10_000)
+                        .parallel()
+                        .with_pool(p)
+                        .map(lambda x: x + 1)
+                        .sum()
+                    )
+                    assert out == sum(range(1, 10_001))
+            assert plan.stats()["injected"] == 1
+            assert target.stats()["worker_crashes"] == 1
+            assert bystander.stats()["worker_crashes"] == 0
 
     def test_injection_disabled_is_free_of_side_effects(self, pool):
         assert current_fault_plan() is None

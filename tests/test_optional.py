@@ -1,5 +1,7 @@
 """Tests for the Optional container."""
 
+import pickle
+
 import pytest
 
 from repro.common import IllegalStateError
@@ -20,6 +22,14 @@ class TestOptional:
         assert not o.is_present()
         with pytest.raises(IllegalStateError):
             o.get()
+
+    def test_pickle_round_trip_by_value(self):
+        empty = pickle.loads(pickle.dumps(Optional.empty()))
+        assert empty.is_empty()
+        assert empty == Optional.empty()
+        none = pickle.loads(pickle.dumps(Optional.of(None)))
+        assert none.is_present() and none.get() is None
+        assert pickle.loads(pickle.dumps(Optional.of([1, 2]))).get() == [1, 2]
 
     def test_or_else(self):
         assert Optional.of(1).or_else(9) == 1

@@ -17,7 +17,9 @@ so a sweep failure replays locally with the same generated pipelines.
 
 import functools
 import itertools
+import operator
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from repro.powerlist import PowerList, shm
 from repro.streams import Stream, bulk_execution, bulk_stats, fusion, stream_of
 from repro.streams.fusion import _FUSIBLE_TYPES, FusedOp, fuse_ops, maybe_fuse
 from repro.streams.ops import LimitOp, SkipOp, select_mode
+from repro.streams.optional import Optional
 
 _FUZZ_SEED = os.environ.get("FUSION_FUZZ_SEED")
 
@@ -175,6 +178,87 @@ def _apply_stream_picklable(stream, op):
     return _apply_stream(stream, op)
 
 
+def _pk_square_add(acc, x):
+    return acc + x * x
+
+
+def _pk_over(x, t):
+    return x > t
+
+
+# Terminals drawn by the backend sweep: (name, threshold).  ``sum`` and
+# ``min`` close over lambdas, which the process backend cannot ship, so
+# its leg runs their picklable equivalents.
+TERMINALS = [
+    "to_list", "count", "sum", "reduce3", "min", "any_match", "all_match",
+    "none_match", "find_first", "find_any", "for_each",
+]
+
+
+def _run_terminal(stream, name, t, process):
+    """Run terminal ``name`` on ``stream``; ``for_each`` returns the
+    elements it saw, gathered under a lock (nothing on process, where
+    the action runs in the worker)."""
+    predicate = functools.partial(_pk_over, t=t)
+    if name == "to_list":
+        return stream.to_list()
+    if name == "count":
+        return stream.count()
+    if name == "sum":
+        return stream.reduce(0, operator.add) if process else stream.sum()
+    if name == "reduce3":
+        return stream.reduce(0, _pk_square_add, operator.add)
+    if name == "min":
+        return stream.reduce(min) if process else stream.min()
+    if name in ("any_match", "all_match", "none_match"):
+        return getattr(stream, name)(predicate)
+    if name == "find_first":
+        return stream.find_first()
+    if name == "find_any":
+        return stream.find_any()
+    if name == "for_each":
+        if process:
+            return stream.for_each(_pk_peek)
+        seen, lock = [], threading.Lock()
+
+        def record(x):
+            with lock:
+                seen.append(x)
+
+        stream.for_each(record)
+        return sorted(seen)
+    raise AssertionError(name)
+
+
+def _reference_terminal(values, name, t):
+    """What terminal ``name`` returns over the reference list ``values``
+    (``find_any`` and process ``for_each`` are checked separately)."""
+    if name == "to_list":
+        return values
+    if name == "count":
+        return len(values)
+    if name == "sum":
+        return sum(values)
+    if name == "reduce3":
+        return sum(x * x for x in values)
+    if name == "min":
+        return Optional.of(min(values)) if values else Optional.empty()
+    if name == "any_match":
+        return any(x > t for x in values)
+    if name == "all_match":
+        return all(x > t for x in values)
+    if name == "none_match":
+        return not any(x > t for x in values)
+    if name == "find_first":
+        return Optional.of(values[0]) if values else Optional.empty()
+    if name == "for_each":
+        return sorted(values)
+    raise AssertionError(name)
+
+
+terminals = st.tuples(st.sampled_from(TERMINALS), st.integers(-40, 40))
+
+
 STATELESS = ["map", "filter", "flat_map", "peek", "map_multi"]
 STATEFUL = ["distinct", "sorted", "limit", "skip", "take_while", "drop_while"]
 
@@ -299,14 +383,17 @@ class TestPipelineFuzz:
                 assert fused == unfused == expected
 
     @_seeded
-    @settings(deadline=None, max_examples=15,
+    @settings(deadline=None, max_examples=40,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(inputs, pipelines)
-    def test_backend_sweep_matches_reference(self, xs, ops):
-        """Six-way parity: {sequential, threads, process} backends ×
-        {chunked, per-element} traversal, exact results against the
-        reference interpreter.  Process-backend runs ship their op chains
-        to worker children, so this leg uses the picklable op appliers."""
+    @given(inputs, pipelines, terminals)
+    def test_backend_sweep_matches_reference(self, xs, ops, terminal):
+        """Six-way terminal parity: {sequential, threads, process}
+        backends × {chunked, per-element} traversal, each drawn terminal
+        exact against the reference interpreter (``find_any`` by
+        membership; a process ``for_each`` must only raise nothing).
+        Process-backend runs ship their op chains to worker children, so
+        this leg uses the picklable op appliers."""
+        name, t = terminal
         expected = list(xs)
         for op in ops:
             expected = _apply_reference(expected, op)
@@ -316,11 +403,19 @@ class TestPipelineFuzz:
                 s = stream_of(xs, parallel=True, backend=backend)
                 for op in ops:
                     s = _apply_stream_picklable(s, op)
-                return s.to_list()
+                return _run_terminal(s, name, t, backend == "process")
 
         for backend in ("sequential", "threads", "process"):
             for chunked in (True, False):
-                assert run(backend, chunked) == expected, (backend, chunked)
+                got = run(backend, chunked)
+                where = (name, backend, chunked)
+                if name == "find_any":
+                    assert got.is_present() == bool(expected), where
+                    assert got.is_empty() or got.get() in expected, where
+                elif name == "for_each" and backend == "process":
+                    assert got is None, where
+                else:
+                    assert got == _reference_terminal(expected, name, t), where
 
     @_seeded
     @settings(deadline=None, max_examples=12,

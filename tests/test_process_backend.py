@@ -31,8 +31,10 @@ from repro.streams import (
 )
 from repro.streams import process_backend as pb
 from repro.streams.ops import FilterOp, MapOp
+from repro.streams.optional import Optional
 from repro.streams.parallel import _backend_from_env
 from repro.streams.spliterators import ListSpliterator, RangeSpliterator
+from repro.streams.terminal import Collect, ForEach, Match, Reduce
 
 
 # --------------------------------------------------------------------------- #
@@ -49,6 +51,10 @@ def _is_even(x):
 
 def _over(x, threshold):
     return x > threshold
+
+
+def _odd_or_empty(x):
+    return Optional.of(x) if x % 2 else Optional.empty()
 
 
 def _slow_identity(x):
@@ -229,8 +235,8 @@ class TestTerminalParity:
             _new_list, _acc_append, _combine_extend, None,
             CollectorCharacteristics.IDENTITY_FINISH,
         )
-        got = pb.process_collect(
-            RangeSpliterator(0, 256), [], collector,
+        got = pb.evaluate(
+            RangeSpliterator(0, 256), [], Collect(collector),
             target_size=32, executor=executor,
         )
         assert got == list(range(256))
@@ -258,6 +264,18 @@ class TestTerminalParity:
         assert make().all_match(functools.partial(_over, threshold=-1))
         assert make().none_match(functools.partial(_over, threshold=1 << 13))
 
+    def test_empty_optionals_cross_the_process_boundary(self):
+        got = (
+            Stream.range(0, 8)
+            .parallel()
+            .with_backend("process")
+            .with_target_size(2)
+            .map(_odd_or_empty)
+            .to_list()
+        )
+        assert [o.is_present() for o in got] == [False, True] * 4
+        assert [o.get() for o in got if o.is_present()] == [1, 3, 5, 7]
+
     def test_find_first_keeps_encounter_order(self):
         got = (
             Stream.range(0, 1 << 12)
@@ -281,8 +299,8 @@ class TestTerminalParity:
     def test_for_each_runs_in_workers(self, executor):
         # Side effects land in the child; the parent only observes
         # completion without error.
-        pb.process_for_each(
-            RangeSpliterator(0, 128), [], _double,
+        pb.evaluate(
+            RangeSpliterator(0, 128), [], ForEach(_double),
             target_size=16, executor=executor,
         )
 
@@ -320,10 +338,10 @@ class TestDeadlinePropagation:
         with ProcessExecutor(processes=1) as ex:
             started = time.perf_counter()
             with pytest.raises(TaskTimeoutError):
-                pb.process_collect(
+                pb.evaluate(
                     RangeSpliterator(0, 4),
                     [MapOp(_slow_identity)],
-                    _list_collector(),
+                    Collect(_list_collector()),
                     target_size=1,
                     deadline=_deadline_after(0.25),
                     executor=ex,
@@ -376,8 +394,8 @@ class TestWorkerChaos:
         plan = FaultPlan(seed=11).inject("proc:worker-0", "kill", times=1)
         with ProcessExecutor(processes=2, retry=RetryPolicy(max_attempts=3)) as ex:
             with fault_injection(plan):
-                got = pb.process_collect(
-                    RangeSpliterator(0, 512), [], _list_collector(),
+                got = pb.evaluate(
+                    RangeSpliterator(0, 512), [], Collect(_list_collector()),
                     target_size=64, executor=ex,
                 )
             assert got == list(range(512))
@@ -393,8 +411,8 @@ class TestWorkerChaos:
             processes=2, retry=RetryPolicy(max_attempts=2), fallback=True
         ) as ex:
             with fault_injection(plan):
-                got = pb.process_collect(
-                    RangeSpliterator(0, 256), [], _list_collector(),
+                got = pb.evaluate(
+                    RangeSpliterator(0, 256), [], Collect(_list_collector()),
                     target_size=64, executor=ex,
                 )
             assert got == list(range(256))
@@ -407,14 +425,14 @@ class TestWorkerChaos:
         with ProcessExecutor(processes=2) as ex:
             with fault_injection(plan):
                 with pytest.raises(BrokenProcessPool):
-                    pb.process_collect(
-                        RangeSpliterator(0, 256), [], _list_collector(),
+                    pb.evaluate(
+                        RangeSpliterator(0, 256), [], Collect(_list_collector()),
                         target_size=64, executor=ex,
                     )
             # The broken pool was discarded; the next run forks a fresh
             # one and succeeds.
-            got = pb.process_collect(
-                RangeSpliterator(0, 256), [], _list_collector(),
+            got = pb.evaluate(
+                RangeSpliterator(0, 256), [], Collect(_list_collector()),
                 target_size=64, executor=ex,
             )
             assert got == list(range(256))
@@ -435,15 +453,15 @@ class TestWorkerChaos:
                 )
                 with fault_injection(plan):
                     with pytest.raises(BrokenProcessPool):
-                        pb.process_collect(
-                            RangeSpliterator(0, 256), [], _list_collector(),
+                        pb.evaluate(
+                            RangeSpliterator(0, 256), [], Collect(_list_collector()),
                             target_size=64, executor=ex,
                         )
                 # Exactly one containment per trial, and the next run
                 # always gets a fresh pool.
                 assert ex.stats()["broken_pools"] == trial + 1
-                got = pb.process_collect(
-                    RangeSpliterator(0, 256), [], _list_collector(),
+                got = pb.evaluate(
+                    RangeSpliterator(0, 256), [], Collect(_list_collector()),
                     target_size=64, executor=ex,
                 )
                 assert got == list(range(256))
@@ -513,8 +531,8 @@ class TestExplainAndMetrics:
     def test_prom_metrics_cover_process_runs(self, executor):
         from repro.obs.prom import render
 
-        pb.process_collect(
-            RangeSpliterator(0, 256), [], _list_collector(),
+        pb.evaluate(
+            RangeSpliterator(0, 256), [], Collect(_list_collector()),
             target_size=64, executor=executor,
         )
         text = render(executor.metrics)
@@ -658,8 +676,8 @@ class TestRunningLeafAbort:
             predicate = functools.partial(
                 _coordinated_probe, shm.describe(counters), boundary
             )
-            result = pb.process_match(
-                RangeSpliterator(0, n), [], predicate, "any",
+            result = pb.evaluate(
+                RangeSpliterator(0, n), [], Match(predicate, "any"),
                 target_size=boundary, executor=executor,
             )
             assert result is True
@@ -677,8 +695,8 @@ class TestRunningLeafAbort:
 
     def test_no_segments_leak_after_match(self, executor):
         before = shm.active_segments()
-        assert pb.process_match(
-            RangeSpliterator(0, 1 << 12), [], _is_even, "any",
+        assert pb.evaluate(
+            RangeSpliterator(0, 1 << 12), [], Match(_is_even, "any"),
             executor=executor,
         )
         assert shm.active_segments() == before
@@ -692,9 +710,9 @@ class TestAdaptiveProcessBackend:
         try:
             expected = sum(range(1 << 12))
             for _ in range(2):
-                total = pb.process_reduce(
-                    RangeSpliterator(0, 1 << 12), [], operator.add,
-                    identity=0, has_identity=True,
+                total = pb.evaluate(
+                    RangeSpliterator(0, 1 << 12), [],
+                    Reduce(operator.add, identity=0, has_identity=True),
                     target_size="auto", executor=executor,
                 )
                 assert total == expected
@@ -792,11 +810,11 @@ class TestCountedLimitAbort:
                 _new_list, _acc_append, _combine_extend, None,
                 CollectorCharacteristics.IDENTITY_FINISH,
             )
-            got = pb.process_collect(
+            got = pb.evaluate(
                 RangeSpliterator(0, 2 * boundary),
                 [MapOp(probe),
                  FilterOp(functools.partial(_under, threshold=boundary))],
-                collector,
+                Collect(collector),
                 target_size=boundary, executor=executor, budget=budget,
             )
             assert got == list(range(budget))
@@ -819,8 +837,8 @@ class TestCountedLimitAbort:
             _new_list, _acc_append, _combine_extend, None,
             CollectorCharacteristics.IDENTITY_FINISH,
         )
-        got = pb.process_collect(
-            RangeSpliterator(0, 1 << 12), [MapOp(_double)], collector,
+        got = pb.evaluate(
+            RangeSpliterator(0, 1 << 12), [MapOp(_double)], Collect(collector),
             target_size=1 << 10, executor=executor, budget=100,
         )
         # Each completed leaf contributes at most ``budget`` elements and
@@ -835,8 +853,8 @@ class TestCountedLimitAbort:
             _new_list, _acc_append, _combine_extend, None,
             CollectorCharacteristics.IDENTITY_FINISH,
         )
-        got = pb.process_collect(
-            RangeSpliterator(0, 256), [MapOp(_double)], collector,
+        got = pb.evaluate(
+            RangeSpliterator(0, 256), [MapOp(_double)], Collect(collector),
             target_size=32, executor=executor, budget=budget,
         )
         # Per-leaf truncation bounds the overshoot; the prefix is exact.
