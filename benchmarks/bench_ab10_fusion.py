@@ -35,7 +35,7 @@ import pytest
 from repro.bench.harness import repeat_average
 from repro.bench.workloads import random_integers
 from repro.forkjoin import ForkJoinPool
-from repro.streams import fusion, fusion_stats, stream_of
+from repro.streams import engine, fusion_stats, stream_of
 
 N_BENCH = 2**18
 
@@ -223,13 +223,13 @@ def pool():
 
 @pytest.mark.parametrize("name,fn", WORKLOADS, ids=[w[0] for w in WORKLOADS])
 def bench_ab10_unfused(benchmark, data, pool, name, fn):
-    with fusion(False):
+    with engine(fusion=False):
         benchmark(lambda: fn(data, pool))
 
 
 @pytest.mark.parametrize("name,fn", WORKLOADS, ids=[w[0] for w in WORKLOADS])
 def bench_ab10_fused(benchmark, data, pool, name, fn):
-    with fusion(True):
+    with engine(fusion=True):
         benchmark(lambda: fn(data, pool))
 
 
@@ -252,21 +252,21 @@ def run_sweep(sizes, runs, pool):
     for size in sizes:
         data = random_integers(size, seed=1234)
         for name, fn in WORKLOADS:
-            with fusion(True):
+            with engine(fusion=True):
                 fusion_stats(reset=True)
                 fused_result = fn(data, pool)
                 engaged = fusion_stats()["pipelines_fused"] > 0
                 fused = repeat_average(lambda: fn(data, pool), runs=runs)
-            with fusion(False):
+            with engine(fusion=False):
                 unfused_result = fn(data, pool)
                 unfused = repeat_average(lambda: fn(data, pool), runs=runs)
             parity = _results_equal(fused_result, unfused_result)
             if name in PARALLEL_WORKLOADS:
                 par_parity = parity  # the timed leg is the parallel leg
             else:
-                with fusion(True):
+                with engine(fusion=True):
                     par_fused = fn(data, pool, parallel=True)
-                with fusion(False):
+                with engine(fusion=False):
                     par_unfused = fn(data, pool, parallel=True)
                 par_parity = (_results_equal(par_fused, par_unfused)
                               and _results_equal(par_fused, fused_result))
@@ -274,10 +274,10 @@ def run_sweep(sizes, runs, pool):
                 # Three-backend gate: sequential result == threads ==
                 # process, fused and unfused alike.
                 for backend in ("threads", "process"):
-                    with fusion(True):
+                    with engine(fusion=True):
                         backend_fused = fn(
                             data, pool, parallel=True, backend=backend)
-                    with fusion(False):
+                    with engine(fusion=False):
                         backend_unfused = fn(
                             data, pool, parallel=True, backend=backend)
                     par_parity = (

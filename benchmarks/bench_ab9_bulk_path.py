@@ -31,7 +31,7 @@ import pytest
 from repro.bench.harness import repeat_average
 from repro.bench.workloads import random_integers
 from repro.forkjoin import ForkJoinPool
-from repro.streams import Stream, bulk_execution, stream_of
+from repro.streams import Stream, engine, stream_of
 
 N_BENCH = 2**18
 
@@ -97,13 +97,13 @@ def pool():
 
 @pytest.mark.parametrize("name,fn", WORKLOADS, ids=[w[0] for w in WORKLOADS])
 def bench_ab9_element(benchmark, data, pool, name, fn):
-    with bulk_execution(False):
+    with engine(bulk=False):
         benchmark(lambda: fn(data, pool))
 
 
 @pytest.mark.parametrize("name,fn", WORKLOADS, ids=[w[0] for w in WORKLOADS])
 def bench_ab9_chunked(benchmark, data, pool, name, fn):
-    with bulk_execution(True):
+    with engine(bulk=True):
         benchmark(lambda: fn(data, pool))
 
 
@@ -122,10 +122,10 @@ def run_sweep(sizes, runs, pool):
     for size in sizes:
         data = random_integers(size, seed=99)
         for name, fn in WORKLOADS:
-            with bulk_execution(True):
+            with engine(bulk=True):
                 chunked_result = fn(data, pool)
                 chunked = repeat_average(lambda: fn(data, pool), runs=runs)
-            with bulk_execution(False):
+            with engine(bulk=False):
                 element_result = fn(data, pool)
                 element = repeat_average(lambda: fn(data, pool), runs=runs)
             parity = _results_equal(chunked_result, element_result)

@@ -17,6 +17,8 @@ This package reproduces the machinery that the paper builds on:
 * :mod:`repro.streams.adaptive` — the metrics-driven ``auto`` split
   policy: leaf thresholds and chunk sizes chosen from observed
   per-element cost and scheduler feedback;
+* :mod:`repro.streams.config` — the per-run :class:`EngineConfig` (bulk
+  path, fusion, split policy, backend), scoped with :func:`engine`;
 * :mod:`repro.streams.stream_support` — ``StreamSupport``-style factory.
 
 Naming follows Python conventions (``try_split`` for ``trySplit``), with the
@@ -37,35 +39,17 @@ from repro.streams.spliterators import (
 from repro.streams.optional import Optional
 from repro.streams.collector import Collector, CollectorCharacteristics
 from repro.streams import collectors as Collectors
-from repro.streams.ops import (
-    CHUNK_SIZE,
-    bulk_execution,
-    bulk_execution_enabled,
-    bulk_stats,
-    set_bulk_execution,
-)
-from repro.streams.fusion import (
-    FusedOp,
-    fusion,
-    fusion_enabled,
-    fusion_stats,
-    set_fusion,
-)
-from repro.streams.explain import ExplainPlan
-from repro.streams.adaptive import (
-    VALID_POLICIES,
-    reset_split_policy,
-    set_split_policy,
-    split_policy,
-    split_policy_mode,
-    split_policy_stats,
-)
-from repro.streams.parallel import (
+from repro.streams.config import (
     VALID_BACKENDS,
-    parallel_backend,
-    parallel_backend_name,
-    set_parallel_backend,
+    VALID_POLICIES,
+    EngineConfig,
+    current_config,
+    engine,
 )
+from repro.streams.ops import CHUNK_SIZE, bulk_stats
+from repro.streams.fusion import FusedOp, fusion_stats
+from repro.streams.explain import ExplainPlan
+from repro.streams.adaptive import reset_split_policy, split_policy_stats
 from repro.streams.stream import Stream
 from repro.streams.stream_support import StreamSupport, stream_of
 
@@ -77,6 +61,7 @@ __all__ = [
     "CollectorCharacteristics",
     "Collectors",
     "EmptySpliterator",
+    "EngineConfig",
     "ExplainPlan",
     "IteratorSpliterator",
     "ListSpliterator",
@@ -88,21 +73,11 @@ __all__ = [
     "FusedOp",
     "VALID_BACKENDS",
     "VALID_POLICIES",
-    "bulk_execution",
-    "bulk_execution_enabled",
     "bulk_stats",
-    "fusion",
-    "fusion_enabled",
+    "current_config",
+    "engine",
     "fusion_stats",
-    "parallel_backend",
-    "parallel_backend_name",
     "reset_split_policy",
-    "set_bulk_execution",
-    "set_fusion",
-    "set_parallel_backend",
-    "set_split_policy",
-    "split_policy",
-    "split_policy_mode",
     "split_policy_stats",
     "spliterator_of",
     "stream_of",

@@ -29,14 +29,15 @@ same operators but different functions learn independently, which keeps
 the policy honest about fused-kernel per-element cost instead of assuming
 uniform ops.
 
-Selection mirrors the fusion/bulk controls: per-stream with
-``Stream.with_target_size("auto")``, globally with
-:func:`set_split_policy` / :func:`split_policy` or the
-``REPRO_SPLIT_POLICY`` environment variable.  An explicit integer
-``with_target_size(n)`` always wins.  ``Stream.explain()`` reports the
-decision (``threshold_source="auto"``) together with the inputs that
-drove it, through the *same* :func:`decide_threshold` the terminals call,
-so plans cannot drift from execution.
+Selection: per-stream with ``Stream.with_target_size("auto")``, or for
+every stream without an explicit threshold through the run's
+:class:`~repro.streams.config.EngineConfig` (``with
+engine(split_policy="auto"):`` or the ``REPRO_SPLIT_POLICY`` environment
+variable).  An explicit integer ``with_target_size(n)`` always wins.
+``Stream.explain()`` reports the decision (``threshold_source="auto"``)
+together with the inputs that drove it, through the *same*
+:func:`decide_threshold` the terminals call, so plans cannot drift from
+execution.
 """
 
 from __future__ import annotations
@@ -45,11 +46,10 @@ import functools
 import os
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any
 
-from repro.common import IllegalArgumentError
+from repro.streams.config import EngineConfig, current_config
 from repro.streams.spliterator import UNKNOWN_SIZE
 
 #: Number of leaves per worker Java aims for (AbstractTask.LEAF_TARGET).
@@ -122,8 +122,6 @@ SOURCE_EXPLICIT = "with_target_size"
 SOURCE_SIZED = "size // (4 × parallelism)"
 SOURCE_UNKNOWN = "unknown size → default // parallelism"
 SOURCE_AUTO = "auto"
-
-VALID_POLICIES = ("fixed", AUTO)
 
 
 def compute_target_size(size: int, parallelism: int) -> int:
@@ -549,61 +547,15 @@ _policy = SplitPolicy()
 
 
 # --------------------------------------------------------------------------- #
-# Mode controls (mirroring the fusion/bulk controls)
+# Stats and the threshold decision
 # --------------------------------------------------------------------------- #
-
-
-def _validate_policy(mode: str) -> str:
-    if mode not in VALID_POLICIES:
-        raise IllegalArgumentError(
-            f"unknown split policy {mode!r}: valid policies are "
-            + ", ".join(repr(m) for m in VALID_POLICIES)
-        )
-    return mode
-
-
-def _policy_from_env() -> str:
-    mode = os.environ.get("REPRO_SPLIT_POLICY", "").strip()
-    return _validate_policy(mode) if mode else "fixed"
-
-
-_mode = _policy_from_env()
-
-
-def split_policy_mode() -> str:
-    """The session-wide default threshold policy: ``'fixed'`` or ``'auto'``."""
-    return _mode
-
-
-def set_split_policy(mode: str) -> str:
-    """Select the default threshold policy; returns the previous one.
-
-    ``'auto'`` makes every parallel terminal without an explicit
-    ``with_target_size(n)`` consult the adaptive policy;
-    ``with_target_size("auto")`` opts a single stream in regardless.  The
-    ``REPRO_SPLIT_POLICY`` environment variable sets the initial value.
-    """
-    global _mode
-    previous = _mode
-    _mode = _validate_policy(mode)
-    return previous
-
-
-@contextmanager
-def split_policy(mode: str):
-    """Context manager scoping :func:`set_split_policy`."""
-    previous = set_split_policy(mode)
-    try:
-        yield
-    finally:
-        set_split_policy(previous)
 
 
 def split_policy_stats(reset: bool = False) -> dict:
     """Decision/feedback counters plus the memo size (advisory; lets tests
     and benches prove the adaptive path engaged and which way it moved)."""
     snapshot = _policy.stats(reset=reset)
-    snapshot["mode"] = _mode
+    snapshot["mode"] = current_config().split_policy
     return snapshot
 
 
@@ -612,14 +564,15 @@ def reset_split_policy() -> None:
     _policy.reset()
 
 
-def wants_auto(explicit: Any) -> bool:
+def wants_auto(explicit: Any, config: EngineConfig) -> bool:
     """True when this terminal should route through the adaptive policy."""
-    return explicit == AUTO or (explicit is None and _mode == AUTO)
+    return explicit == AUTO or (explicit is None and config.split_policy == AUTO)
 
 
 def decide_threshold(
     size: int,
     parallelism: int,
+    config: EngineConfig,
     explicit: Any = None,
     key: tuple | None = None,
     record: bool = True,
@@ -629,12 +582,12 @@ def decide_threshold(
     Every parallel terminal (both backends) and ``Stream.explain()``
     resolve the split threshold here, so the plan and the execution can
     never disagree.  ``explicit`` is an integer from ``with_target_size``,
-    the string ``"auto"``, or None (use the session policy).  ``record``
+    the string ``"auto"``, or None (use ``config.split_policy``).  ``record``
     is False for explain calls so plans don't pollute the stats.
     """
     if isinstance(explicit, int):
         return ThresholdDecision(explicit, None, SOURCE_EXPLICIT, None, False, key)
-    if not wants_auto(explicit):
+    if not wants_auto(explicit, config):
         source = SOURCE_UNKNOWN if size == UNKNOWN_SIZE else SOURCE_SIZED
         return ThresholdDecision(
             compute_target_size(size, parallelism), None, source, None, False, key,

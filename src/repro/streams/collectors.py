@@ -39,16 +39,23 @@ _IDENTITY_UNORDERED = (
 )
 
 
+def _append(acc: list, item: Any) -> None:
+    acc.append(item)
+
+
+def _extend(acc: list, items: Iterable) -> list:
+    acc.extend(items)
+    return acc
+
+
 def to_list() -> Collector[T, list[T], list[T]]:
-    """Collect elements into a list, in encounter order."""
+    """Collect elements into a list, in encounter order.
 
-    def combine(a: list[T], b: list[T]) -> list[T]:
-        a.extend(b)
-        return a
-
+    Built from module-level functions, so it pickles and the process
+    backend ships it to worker processes as it is.
+    """
     return Collector.of(
-        list, lambda acc, t: acc.append(t), combine, None, _IDENTITY,
-        chunk_accumulator=lambda acc, chunk: acc.extend(chunk),
+        list, _append, _extend, None, _IDENTITY, chunk_accumulator=_extend
     )
 
 
@@ -103,17 +110,13 @@ def joining(
     joins once in the finisher.
     """
 
-    def combine(a: list[str], b: list[str]) -> list[str]:
-        a.extend(b)
-        return a
-
     return Collector.of(
         list,
-        lambda acc, s: acc.append(s),
-        combine,
+        _append,
+        _extend,
         lambda acc: prefix + separator.join(acc) + suffix,
         CollectorCharacteristics.NONE,
-        chunk_accumulator=lambda acc, chunk: acc.extend(chunk),
+        chunk_accumulator=_extend,
     )
 
 

@@ -11,9 +11,8 @@ that can drift:
 * fusion goes through the pure :func:`~repro.streams.fusion.fuse_ops`
   (not ``maybe_fuse`` — explaining must not pollute the stats/memo that
   tests and benchmarks pin);
-* mode selection reuses :func:`pipeline_is_short_circuit` /
-  :func:`pipeline_supports_chunks` / :func:`bulk_execution_enabled`, the
-  exact predicates ``run_pipeline`` branches on;
+* mode selection goes through :func:`~repro.streams.ops.select_mode`,
+  the decision ``run_pipeline`` branches on;
 * the leaf threshold goes through the real
   :func:`~repro.streams.adaptive.decide_threshold` — the same function
   the terminals call, including the ``auto`` split-policy path (read-only
@@ -21,7 +20,9 @@ that can drift:
   split tree is walked with the real halving rule (prefix gets
   ``size - size // 2``).
 
-Everything is returned as a plain dict (pinned by tests) with a pretty
+Every decision reads the :class:`~repro.streams.config.EngineConfig`
+the stream's terminal would resolve (``Stream._config``).  Everything is
+returned as a plain dict (pinned by tests) with a pretty
 text rendering via :meth:`ExplainPlan.render`.
 """
 
@@ -29,7 +30,8 @@ from __future__ import annotations
 
 import copy
 
-from repro.streams.fusion import FusedOp, fuse_ops, fusion_enabled
+from repro.streams.config import EngineConfig
+from repro.streams.fusion import FusedOp, fuse_ops
 from repro.streams.ops import (
     LimitOp,
     Op,
@@ -75,7 +77,9 @@ _MODE_NAMES = {
 }
 
 
-def _predict_mode(ops: list[Op], force_short_circuit: bool = False) -> str:
+def _predict_mode(
+    ops: list[Op], config: EngineConfig, force_short_circuit: bool = False
+) -> str:
     """The branch ``run_pipeline`` would take for this (fused) chain.
 
     Delegates to :func:`repro.streams.ops.select_mode` — the *same*
@@ -83,16 +87,18 @@ def _predict_mode(ops: list[Op], force_short_circuit: bool = False) -> str:
     absorb their short-circuit report ``chunked`` here exactly when the
     traversal takes the chunked path.
     """
-    return _MODE_NAMES[select_mode(ops, force_short_circuit)]
+    return _MODE_NAMES[select_mode(ops, config, force_short_circuit)]
 
 
-def _fusion_section(ops: list[Op]) -> tuple[dict, list[Op]]:
+def _fusion_section(
+    ops: list[Op], config: EngineConfig
+) -> tuple[dict, list[Op]]:
     """The fusion rewrite report and the rewritten chain.
 
     Uses the pure :func:`fuse_ops` so explaining never touches the
     ``fusion_stats`` counters or the identity memo.
     """
-    enabled = fusion_enabled()
+    enabled = config.fusion
     if enabled:
         rewritten, stages_fused = fuse_ops(ops)
     else:
@@ -123,8 +129,8 @@ def _fusion_section(ops: list[Op]) -> tuple[dict, list[Op]]:
     return section, rewritten
 
 
-def _sequential_execution(fused_ops: list[Op]) -> dict:
-    return {"parallel": False, "mode": _predict_mode(fused_ops)}
+def _sequential_execution(fused_ops: list[Op], config: EngineConfig) -> dict:
+    return {"parallel": False, "mode": _predict_mode(fused_ops, config)}
 
 
 def _parallel_execution(
@@ -132,7 +138,7 @@ def _parallel_execution(
     size: int | None,
     pool,
     explicit_target: int | None,
-    backend: str = "threads",
+    config: EngineConfig,
     spliterator: Spliterator | None = None,
 ) -> dict:
     """Predict segments, target size, and the split tree for parallel runs.
@@ -152,6 +158,7 @@ def _parallel_execution(
     pickled element copies.
     """
     shipping = None
+    backend = config.backend
     parallelism = backend_parallelism(backend, pool)
     if backend == "process":
         from repro.streams import process_backend as _pb
@@ -163,8 +170,8 @@ def _parallel_execution(
         pool_name = pool.name if pool is not None else "common"
 
     def fused_labels(chain):
-        fused, _ = fuse_ops(chain) if fusion_enabled() else (chain, 0)
-        return [_op_label(op) for op in fused], _predict_mode(fused)
+        fused, _ = fuse_ops(chain) if config.fusion else (chain, 0)
+        return [_op_label(op) for op in fused], _predict_mode(fused, config)
 
     segments = []
     first_window = None
@@ -175,7 +182,7 @@ def _parallel_execution(
         if not segments and spliterator is not None:
             window = plan_window(
                 spliterator, remaining, parallelism, explicit_target,
-                backend, record=False,
+                config, record=False,
             )
             first_window = window
         else:
@@ -253,6 +260,7 @@ def _parallel_execution(
     decision = decide_threshold(
         size if size is not None else UNKNOWN_SIZE,
         parallelism,
+        config,
         explicit=explicit_target,
         key=key,
         record=False,
@@ -418,24 +426,22 @@ def explain_stream(stream) -> ExplainPlan:
     if isinstance(spliterator, ZipSpliterator):
         source["zip"] = spliterator.describe()
 
-    fusion_section, fused_ops = _fusion_section(ops)
+    config = stream._config()
+    fusion_section, fused_ops = _fusion_section(ops, config)
 
     if stream._parallel:
-        from repro.streams.parallel import resolve_backend
-
-        backend = resolve_backend(stream._backend)
-        if backend == "sequential":
+        if config.backend == "sequential":
             # The backend switch downgrades parallel terminals to an
             # in-thread run; the plan reports the downgrade explicitly.
-            execution = _sequential_execution(fused_ops)
+            execution = _sequential_execution(fused_ops, config)
             execution["backend"] = "sequential"
         else:
             execution = _parallel_execution(
                 ops, size, stream._pool, stream._target_size,
-                backend, spliterator,
+                config, spliterator,
             )
     else:
-        execution = _sequential_execution(fused_ops)
+        execution = _sequential_execution(fused_ops, config)
 
     return ExplainPlan(
         {

@@ -47,8 +47,8 @@ Fusion is semantics-preserving by construction:
   sink's ``begin``, so one compiled ``FusedOp`` is shared safely across
   fork/join leaves.
 
-Controls mirror the bulk-execution ones: :func:`set_fusion` /
-:func:`fusion_enabled` / the :func:`fusion` context manager, and
+The rewrite runs when the run's :class:`~repro.streams.config.EngineConfig`
+has ``fusion`` set (``with engine(fusion=False):`` turns it off), and
 :func:`fusion_stats` counts rewritten pipelines and collapsed stages.
 Each rewrite emits a ``fuse`` span through :mod:`repro.obs`.
 """
@@ -57,11 +57,11 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
 from functools import lru_cache
 from typing import Callable, Sequence
 
 from repro.obs.tracer import EXTERNAL_WORKER, current_tracer
+from repro.streams.config import EngineConfig
 from repro.streams.ops import (
     ChainedSink,
     DistinctOp,
@@ -751,10 +751,9 @@ def fuse_ops(ops: list[Op]) -> tuple[list[Op], int]:
 
 
 # --------------------------------------------------------------------------- #
-# Controls, stats, memo
+# Stats, memo
 # --------------------------------------------------------------------------- #
 
-_fusion_enabled = True
 _fusion_stats = {
     "pipelines_fused": 0,   # pipelines rewritten (>= one run collapsed)
     "stages_fused": 0,      # source stages collapsed into FusedOps
@@ -772,33 +771,6 @@ _memo: dict[tuple[int, ...], tuple[tuple[Op, ...], list[Op]]] = {}
 _memo_lock = threading.Lock()
 
 
-def fusion_enabled() -> bool:
-    """True when terminal evaluation rewrites op chains through the fuser."""
-    return _fusion_enabled
-
-
-def set_fusion(enabled: bool) -> bool:
-    """Globally enable/disable stage fusion; returns the previous setting.
-
-    Mirrors :func:`repro.streams.ops.set_bulk_execution` — exists for
-    benchmarks and parity tests; fusion is otherwise automatic.
-    """
-    global _fusion_enabled
-    previous = _fusion_enabled
-    _fusion_enabled = bool(enabled)
-    return previous
-
-
-@contextmanager
-def fusion(enabled: bool):
-    """Context manager scoping :func:`set_fusion`."""
-    previous = set_fusion(enabled)
-    try:
-        yield
-    finally:
-        set_fusion(previous)
-
-
 def fusion_stats(reset: bool = False) -> dict[str, int]:
     """Counts of fusion activity (advisory; pinned by tests and benches)."""
     snapshot = dict(_fusion_stats)
@@ -808,15 +780,15 @@ def fusion_stats(reset: bool = False) -> dict[str, int]:
     return snapshot
 
 
-def maybe_fuse(ops: list[Op]) -> list[Op]:
-    """The terminal-time entry point: rewrite ``ops`` if fusion is enabled.
+def maybe_fuse(ops: list[Op], config: EngineConfig) -> list[Op]:
+    """The terminal-time entry point: rewrite ``ops`` if ``config.fusion``.
 
     Memoized by the identity of the op objects; a rewritten list is also
     memoized to itself, so fork/join leaves re-entering
     ``run_pipeline`` with an already-fused chain resolve in one lookup.
     Emits a ``fuse`` span per actual rewrite when tracing is enabled.
     """
-    if not _fusion_enabled or not ops:
+    if not config.fusion or not ops:
         return ops
     key = tuple(map(id, ops))
     entry = _memo.get(key)

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import abc
 import functools
-from contextlib import contextmanager
 from typing import Any, Callable, Generic, Iterable, Sequence, TypeVar
 
 from repro.common import IllegalArgumentError
 from repro.obs.profile import current_profiler
+from repro.streams.config import EngineConfig
 from repro.streams.spliterator import Spliterator
 
 try:  # numpy is a hard dependency of the repo, but keep ops importable without it
@@ -590,33 +590,7 @@ class ReducingSink(TerminalSink):
 #: the transient per-stage buffers while amortizing per-chunk dispatch.
 CHUNK_SIZE = 1 << 16
 
-_bulk_enabled = True
 _bulk_stats = {"chunked": 0, "element": 0}
-
-
-def bulk_execution_enabled() -> bool:
-    """True when eligible traversals take the chunked fast path."""
-    return _bulk_enabled
-
-
-def set_bulk_execution(enabled: bool) -> bool:
-    """Globally enable/disable the chunked fast path; returns the previous
-    setting.  Exists for benchmarks and parity tests — the fallback is
-    otherwise automatic."""
-    global _bulk_enabled
-    previous = _bulk_enabled
-    _bulk_enabled = bool(enabled)
-    return previous
-
-
-@contextmanager
-def bulk_execution(enabled: bool):
-    """Context manager scoping :func:`set_bulk_execution`."""
-    previous = set_bulk_execution(enabled)
-    try:
-        yield
-    finally:
-        set_bulk_execution(previous)
 
 
 def bulk_stats(reset: bool = False) -> dict[str, int]:
@@ -703,25 +677,27 @@ def pipeline_absorbs_short_circuit(ops: list[Op]) -> bool:
     )
 
 
-def select_mode(ops: list[Op], force_short_circuit: bool = False) -> str:
+def select_mode(
+    ops: list[Op], config: EngineConfig, force_short_circuit: bool = False
+) -> str:
     """The single mode-selection decision for a (fused) op chain.
 
     Returns ``"short_circuit"`` (per-element with polling), ``"chunked"``
-    (bulk path), or ``"element"``.  Shared verbatim by
-    :func:`run_pipeline`, its profiled twin, and ``Stream.explain()`` so
-    plans can never drift from execution.
+    (bulk path, only while ``config.bulk``), or ``"element"``.  Shared
+    verbatim by :func:`run_pipeline`, its profiled twin, and
+    ``Stream.explain()`` so plans can never drift from execution.
     """
     if force_short_circuit:
         return "short_circuit"
     if pipeline_is_short_circuit(ops):
         if (
-            _bulk_enabled
+            config.bulk
             and pipeline_supports_chunks(ops)
             and pipeline_absorbs_short_circuit(ops)
         ):
             return "chunked"
         return "short_circuit"
-    if _bulk_enabled and pipeline_supports_chunks(ops):
+    if config.bulk and pipeline_supports_chunks(ops):
         return "chunked"
     return "element"
 
@@ -730,11 +706,12 @@ def run_pipeline(
     spliterator: Spliterator,
     ops: list[Op],
     terminal: Sink,
+    config: EngineConfig,
     force_short_circuit: bool = False,
     chunk_size: int | None = None,
 ) -> Sink:
     """The single traversal entry point for sequential terminals and
-    fork/join leaves.
+    fork/join leaves, under the run's ``config``.
 
     First rewrites ``ops`` through the stage-fusion optimizer (runs of
     adjacent stateless ops collapse into single compiled stages — see
@@ -743,7 +720,7 @@ def run_pipeline(
 
     * short-circuiting pipeline (or a cancelling terminal, signalled by
       ``force_short_circuit``) → per-element traversal with polling;
-    * all stages chunkable and bulk execution enabled → chunked traversal;
+    * all stages chunkable and ``config.bulk`` → chunked traversal;
     * otherwise (stateful stages in the chain) → per-element bulk
       ``for_each_remaining``.
 
@@ -753,15 +730,15 @@ def run_pipeline(
 
     Returns ``terminal`` so callers can read its result.
     """
-    ops = _fusion.maybe_fuse(ops)
+    ops = _fusion.maybe_fuse(ops, config)
     profiler = current_profiler()
     if profiler is not None:
         return _run_pipeline_profiled(
-            spliterator, ops, terminal, force_short_circuit, profiler,
+            spliterator, ops, terminal, config, force_short_circuit, profiler,
             chunk_size,
         )
     sink = wrap_ops(ops, terminal)
-    mode = select_mode(ops, force_short_circuit)
+    mode = select_mode(ops, config, force_short_circuit)
     if mode == "chunked":
         _bulk_stats["chunked"] += 1
         copy_into_chunked(spliterator, sink, chunk_size or CHUNK_SIZE)
@@ -775,6 +752,7 @@ def _run_pipeline_profiled(
     spliterator: Spliterator,
     ops: list[Op],
     terminal: Sink,
+    config: EngineConfig,
     force_short_circuit: bool,
     profiler,
     chunk_size: int | None = None,
@@ -785,7 +763,7 @@ def _run_pipeline_profiled(
     Kept separate so the unprofiled hot path above pays exactly one
     ``is None`` check for the profiler — no extra branches, no wrappers.
     """
-    mode = select_mode(ops, force_short_circuit)
+    mode = select_mode(ops, config, force_short_circuit)
     _bulk_stats["chunked" if mode == "chunked" else "element"] += 1
     if profiler.sample():
         sink, probes, labels = profiler.instrument(ops, terminal)

@@ -1,12 +1,13 @@
 """Fork/join evaluation of stream pipelines, and backend dispatch.
 
 :func:`evaluate` runs any :class:`~repro.streams.terminal.Terminal` on the
-selected backend: ``process`` hands it to
-:func:`repro.streams.process_backend.evaluate`, ``sequential`` to
-:func:`~repro.streams.terminal.evaluate_sequential`, and ``threads`` (the
-default) grows a task tree the way ``java.util.stream.AbstractTask``
-does: starting from the source spliterator, ``try_split`` is called
-repeatedly until a node's estimated size drops to the *target size*
+backend the run's :class:`~repro.streams.config.EngineConfig` names:
+``process`` hands it to :func:`repro.streams.process_backend.evaluate`,
+``sequential`` to :func:`~repro.streams.terminal.evaluate_sequential`,
+and ``threads`` (the default) grows a task tree the way
+``java.util.stream.AbstractTask`` does: starting from the source
+spliterator, ``try_split`` is called repeatedly until a node's
+estimated size drops to the *target size*
 (``source size / (4 × parallelism)``, Java's heuristic) or the
 spliterator refuses to split.  Each leaf runs the terminal's one leaf
 body (:func:`~repro.streams.terminal.run_leaf`: a fresh sink, filled
@@ -30,14 +31,12 @@ segments pipelines at stateful operations first.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
-from contextlib import contextmanager
 from functools import lru_cache
 from typing import Any, Callable, NamedTuple
 
-from repro.common import CancellationError, IllegalArgumentError
+from repro.common import CancellationError
 from repro.faults.plan import current_fault_plan
 from repro.faults.policy import Deadline
 from repro.forkjoin.pool import (
@@ -50,76 +49,12 @@ from repro.obs.profile import current_profiler
 from repro.obs.tracer import EXTERNAL_WORKER, current_tracer
 from repro.streams import adaptive
 from repro.streams.adaptive import LEAF_FACTOR, compute_target_size
+from repro.streams.config import EngineConfig
 from repro.streams.fusion import counted_window, maybe_fuse
 from repro.streams.ops import LimitOp, MapOp, Op, SkipOp
 from repro.streams.spliterator import Spliterator
 from repro.streams.spliterators import ListSpliterator, RangeSpliterator
 from repro.streams.terminal import Terminal, evaluate_sequential, run_leaf
-
-# --------------------------------------------------------------------------- #
-# Backend selection
-# --------------------------------------------------------------------------- #
-
-#: The recognized execution backends for parallel terminals:
-#:
-#: * ``threads``    — the fork/join thread pool (default; zero shipping
-#:   cost, but pure-Python leaves serialize on the GIL);
-#: * ``process``    — worker processes via
-#:   :mod:`repro.streams.process_backend` (Python-heavy leaves scale with
-#:   cores; crossing functions must pickle);
-#: * ``sequential`` — run the terminal in the calling thread (baseline for
-#:   benchmarks and a degraded mode for constrained environments).
-VALID_BACKENDS = ("threads", "process", "sequential")
-
-
-def _validate_backend(name: str) -> str:
-    if name not in VALID_BACKENDS:
-        raise IllegalArgumentError(
-            f"unknown parallel backend {name!r}: valid backends are "
-            + ", ".join(repr(b) for b in VALID_BACKENDS)
-        )
-    return name
-
-
-def _backend_from_env() -> str:
-    name = os.environ.get("REPRO_PARALLEL_BACKEND", "").strip()
-    return _validate_backend(name) if name else "threads"
-
-
-_backend = _backend_from_env()
-
-
-def parallel_backend_name() -> str:
-    """The currently selected default backend for parallel terminals."""
-    return _backend
-
-
-def set_parallel_backend(name: str) -> str:
-    """Select the default backend for parallel terminals; returns the
-    previous one.  Validates the name (:data:`VALID_BACKENDS`).  Per-stream
-    ``Stream.with_backend`` and the ``backend=`` terminal kwarg override
-    this; the ``REPRO_PARALLEL_BACKEND`` environment variable sets the
-    initial value at import."""
-    global _backend
-    previous = _backend
-    _backend = _validate_backend(name)
-    return previous
-
-
-@contextmanager
-def parallel_backend(name: str):
-    """Context manager scoping :func:`set_parallel_backend`."""
-    previous = set_parallel_backend(name)
-    try:
-        yield
-    finally:
-        set_parallel_backend(previous)
-
-
-def resolve_backend(backend: str | None) -> str:
-    """An explicit backend (validated) or the session default."""
-    return _validate_backend(backend) if backend is not None else _backend
-
 
 def _worker_id() -> int:
     """Index of the calling pool worker, or EXTERNAL_WORKER outside one."""
@@ -139,6 +74,7 @@ def _resolve_threshold(
     ops: list[Op],
     pool: ForkJoinPool,
     requested,
+    config: EngineConfig,
     observe: bool = True,
 ) -> tuple[int, int | None, "adaptive.RunObservation | None"]:
     """Resolve one terminal's split threshold through the shared decision
@@ -151,12 +87,12 @@ def _resolve_threshold(
     design and would poison the per-element cost estimate).
     """
     size = spliterator.estimate_size()
-    if not adaptive.wants_auto(requested):
+    if not adaptive.wants_auto(requested, config):
         # Fixed-policy fast path: skip shape fingerprinting entirely.
         return adaptive.fixed_target(size, pool.parallelism, requested), None, None
     key = adaptive.shape_key(ops, spliterator, pool.parallelism, backend="threads")
     decision = adaptive.decide_threshold(
-        size, pool.parallelism, explicit=requested, key=key
+        size, pool.parallelism, config, explicit=requested, key=key
     )
     observer = None
     if observe:
@@ -348,7 +284,7 @@ def plan_window(
     ops: list[Op],
     parallelism: int,
     requested,
-    backend: str,
+    config: EngineConfig,
     record: bool = True,
 ) -> WindowPlan | None:
     """Plan a parallel ``limit``/``skip`` over maps to evaluate only its
@@ -378,20 +314,23 @@ def plan_window(
         narrowed = ListSpliterator(
             spliterator._source, origin + lo, origin + hi, spliterator._extra
         )
-    if adaptive.wants_auto(requested):
+    if adaptive.wants_auto(requested, config):
         # Keyed like the first segment explain() reports: the maps
         # before the first counted op.
         cut = next(i for i, op in enumerate(ops) if op.stateful)
-        key = adaptive.shape_key(ops[:cut], spliterator, parallelism, backend)
+        key = adaptive.shape_key(
+            ops[:cut], spliterator, parallelism, config.backend
+        )
         target = adaptive.decide_threshold(
-            size, parallelism, explicit=requested, key=key, record=record
+            size, parallelism, config, explicit=requested, key=key,
+            record=record,
         ).target_size
     else:
         target = adaptive.fixed_target(size, parallelism, requested)
     return plan._replace(
         lo=lo, hi=hi, size=size, spliterator=narrowed, target_size=target,
         split_tree=_walk_split_tree(hi - lo, target),
-        in_caller=backend == "threads" and hi - lo <= target,
+        in_caller=config.backend == "threads" and hi - lo <= target,
     )
 
 
@@ -612,13 +551,14 @@ def evaluate(
     ops: list[Op],
     terminal: Terminal,
     pool: ForkJoinPool,
+    config: EngineConfig,
     target_size=None,
     deadline: Deadline | None = None,
-    backend: str | None = None,
     budget: int | None = None,
     in_caller: bool = False,
 ) -> Any:
-    """Run ``terminal`` over the pipeline on the selected backend.
+    """Run ``terminal`` over the pipeline on ``config.backend``, with
+    ``config`` carried into every leaf.
 
     On threads this is the paper's template method: each leaf of the
     divide-and-conquer tree builds a fresh sink (the supplier), fills it
@@ -642,22 +582,21 @@ def evaluate(
     # Backend dispatch happens on the *raw* op chain: fused kernels are
     # exec-compiled and unpicklable, so the process backend ships unfused
     # ops and lets each worker re-fuse locally.
-    backend = resolve_backend(backend)
-    if backend == "process":
+    if config.backend == "process":
         from repro.streams import process_backend as _pb
 
         return _pb.evaluate(
-            spliterator, ops, terminal,
+            spliterator, ops, terminal, config,
             target_size=target_size, deadline=deadline, budget=budget,
         )
-    if backend == "sequential":
+    if config.backend == "sequential":
         if deadline is not None:
             deadline.check(f"sequential {terminal.label}")
         if budget is not None:
             ops = list(ops) + [LimitOp(budget)]
-        return evaluate_sequential(terminal, spliterator, ops)
+        return evaluate_sequential(terminal, spliterator, ops, config)
     target_size, chunk_size, observer = _resolve_threshold(
-        spliterator, ops, pool, target_size, observe=terminal.observe
+        spliterator, ops, pool, target_size, config, observe=terminal.observe
     )
     counted_budget = None
     if budget is not None:
@@ -665,7 +604,7 @@ def evaluate(
         if root_origin is not None:
             counted_budget = _CountedBudget(budget, root_origin)
         ops = list(ops) + [LimitOp(budget)]
-    ops = maybe_fuse(ops)
+    ops = maybe_fuse(ops, config)
     ctx = _TerminalContext(pool)
     ctx.observer = observer
     _attach_profiler(pool)
@@ -679,7 +618,9 @@ def evaluate(
         if counted_budget is not None:
             origin = _leaf_origin(leaf_spliterator)
             span = leaf_spliterator.estimate_size()
-        partial = run_leaf(terminal, leaf_spliterator, ops, cancel, chunk_size)
+        partial = run_leaf(
+            terminal, leaf_spliterator, ops, config, cancel, chunk_size
+        )
         if ctx.failure is not None:
             raise CancellationError("leaf aborted by sibling failure")
         if origin is not None and not cancel.is_set():

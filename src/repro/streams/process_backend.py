@@ -4,8 +4,9 @@ The threaded fork/join executor (:mod:`repro.streams.parallel`) serializes
 pure-Python leaf work on the GIL; :func:`evaluate` runs any
 :class:`~repro.streams.terminal.Terminal` — collect, reduce, for_each,
 match, find — across OS processes, where Python-heavy leaves scale with
-cores.  Selected per-stream with ``Stream.with_backend('process')`` or
-globally via ``set_parallel_backend`` / ``REPRO_PARALLEL_BACKEND``.
+cores.  Selected per-stream with ``Stream.with_backend('process')``, for
+a block with ``with engine(backend="process"):``, or for the process via
+``REPRO_PARALLEL_BACKEND``.
 
 Execution model (scatter/compute/combine, mirroring the thread path):
 
@@ -13,10 +14,11 @@ Execution model (scatter/compute/combine, mirroring the thread path):
    ``_ReduceTask`` (prefix first, so leaf order == encounter order) down
    to the same target size, computed against the worker-process count;
 2. each leaf becomes a picklable payload: a **source spec** + the raw
-   (unfused) op chain + the terminal itself + the parent's bulk/fusion
-   flags.  Fused kernels are ``exec``-compiled and cannot pickle — the
-   child re-fuses the shipped op chain itself, so fusion and the chunked
-   bulk path both engage inside workers;
+   (unfused) op chain + the terminal itself + the run's
+   :class:`~repro.streams.config.EngineConfig`.  Fused kernels are
+   ``exec``-compiled and cannot pickle — the child re-fuses the shipped
+   op chain itself under the shipped config, so fusion and the chunked
+   bulk path engage inside workers exactly as the caller chose;
 3. payloads ship in contiguous batches through
    :meth:`repro.jplf.process_executor.ProcessExecutor.run_leaves`, which
    carries the lifecycle contract: first-failure cancellation of
@@ -26,8 +28,10 @@ Execution model (scatter/compute/combine, mirroring the thread path):
    policies.  In the child, :func:`_run_leaf` is one call of the same
    :func:`~repro.streams.terminal.run_leaf` the thread leaves run, with
    the batch's shared cancel flag as the sink's cancel token;
-4. partials merge in the parent with the terminal's ``merge``, in
-   encounter order.
+4. partials merge in the parent with the terminal's ``merge``, bottom-up
+   in the shape of the split tree — the same pairs the thread path
+   merges, which order-sensitive collectors such as ``PolynomialValue``
+   (whose combiner halves ``x_degree`` at every level) depend on.
 
 Shipping modes (reported by ``Stream.explain()``):
 
@@ -42,16 +46,15 @@ Shipping modes (reported by ``Stream.explain()``):
 
 Constraints: every user function crossing the boundary (ops, predicates,
 reduce operators, collectors) must pickle — module-level functions,
-``functools.partial``, ``operator.*``.  Stock collectors built from
-lambdas are handled by an automatic fallback where leaves return their
-element lists and the parent folds them in order.  ``for_each`` actions
-run *in the worker process*: side effects on parent state are invisible —
-use ``backend='threads'`` for those.
+``functools.partial``, ``operator.*``.  Collectors built from lambdas
+or closures are handled by an automatic fallback where leaves return
+their element lists and the parent folds each into its own container.
+``for_each`` actions run *in the worker process*: side effects on parent
+state are invisible — use ``backend='threads'`` for those.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 import pickle
 import threading
@@ -64,12 +67,8 @@ from repro.jplf.process_executor import ProcessExecutor, current_leaf_cancel
 from repro.powerlist import shm as _shm
 from repro.powerlist.powerlist import PowerList
 from repro.streams import adaptive
-# Imported by name: the package re-exports a ``fusion()`` function that
-# shadows the ``repro.streams.fusion`` submodule attribute, so module-alias
-# imports would bind the function instead.
-from repro.streams.fusion import fusion as _fusion_scope
-from repro.streams.fusion import fusion_enabled as _fusion_enabled
-from repro.streams import ops as _ops
+from repro.streams.collectors import to_list
+from repro.streams.config import EngineConfig
 from repro.streams.ops import CHUNK_SIZE, LimitOp, Op
 from repro.streams.spliterator import Spliterator, UNKNOWN_SIZE
 from repro.streams.spliterators import (
@@ -77,7 +76,7 @@ from repro.streams.spliterators import (
     RangeSpliterator,
     slice_source,
 )
-from repro.streams.terminal import ELEMENTS, Collect, Terminal, run_leaf
+from repro.streams.terminal import Collect, Terminal, run_leaf
 
 # --------------------------------------------------------------------------- #
 # The shared executor (lazy: forking workers is expensive, reuse them)
@@ -129,25 +128,55 @@ def shutdown_shared_executor() -> None:
 # --------------------------------------------------------------------------- #
 
 
+class _Leaves(list):
+    """Leaf spliterators in encounter order; ``depths[i]`` is leaf ``i``'s
+    depth in the split tree (the root is 0)."""
+
+    __slots__ = ("depths",)
+
+
 def split_to_leaves(spliterator: Spliterator, target_size: int) -> list[Spliterator]:
     """Split down to the target size, leaves in encounter order.
 
     The same recursion as the thread path's ``_ReduceTask`` — prefix
-    (the spliterator returned by ``try_split``) first — so merging leaf
-    results left-to-right reproduces encounter order.
+    (the spliterator returned by ``try_split``) first, both halves one
+    level deeper — and the returned list records each leaf's depth, so
+    :func:`_merge_tree` can rebuild the tree the thread path merges.
     """
-    leaves: list[Spliterator] = []
+    leaves = _Leaves()
+    leaves.depths = []
 
-    def descend(node: Spliterator) -> None:
+    def descend(node: Spliterator, depth: int) -> None:
         while node.estimate_size() > target_size:
             prefix = node.try_split()
             if prefix is None:
                 break
-            descend(prefix)
+            depth += 1
+            descend(prefix, depth)
         leaves.append(node)
+        leaves.depths.append(depth)
 
-    descend(spliterator)
+    descend(spliterator, 0)
     return leaves
+
+
+def _merge_tree(terminal: Terminal, partials: list, depths: list[int]) -> Any:
+    """Merge leaf partials bottom-up in the shape of the split tree.
+
+    The two children of a node sit at the same depth, prefix first, so a
+    stack that merges its top entry with the incoming one while their
+    depths match rebuilds every interior node.  A cancelled (None) slot
+    counts as a leaf that saw nothing.
+    """
+    stack: list[tuple[Any, int]] = []
+    for partial, depth in zip(partials, depths):
+        if partial is None:
+            partial = terminal.empty()
+        while stack and stack[-1][1] == depth:
+            partial = terminal.merge(stack.pop()[0], partial)
+            depth -= 1
+        stack.append((partial, depth))
+    return stack[0][0]
 
 
 def _leaf_source_spec(leaf: Spliterator) -> tuple:
@@ -232,10 +261,9 @@ def _require_picklable(what: str, *objects: Any) -> None:
 def _run_leaf(payload: tuple) -> Any:
     """Top-level worker entry point (module-level so it pickles).
 
-    Re-fuses the shipped op chain and re-applies the parent's bulk/fusion
-    flags, so the child's ``run_pipeline`` makes the same mode decisions
-    the parent would have — a long-lived worker forked before a flag
-    changed must not keep the stale inherited value.
+    Runs the leaf under the payload's config — the caller's, resolved
+    once at the terminal — so the child's ``run_pipeline`` fuses and
+    picks its traversal mode exactly as the parent would have.
 
     The leaf's sink polls the batch's shared cancellation flag
     (:func:`repro.jplf.process_executor.current_leaf_cancel`): when the
@@ -244,12 +272,11 @@ def _run_leaf(payload: tuple) -> Any:
     path, the next element for short-circuit terminals — instead of
     scanning to completion.
     """
-    source_spec, ops, terminal, bulk_enabled, fusion_on, chunk_size = payload
-    with _ops.bulk_execution(bulk_enabled), _fusion_scope(fusion_on):
-        return run_leaf(
-            terminal, _rebuild_source(source_spec), ops,
-            current_leaf_cancel(), chunk_size,
-        )
+    source_spec, ops, terminal, config, chunk_size = payload
+    return run_leaf(
+        terminal, _rebuild_source(source_spec), ops, config,
+        current_leaf_cancel(), chunk_size,
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -261,29 +288,31 @@ def _build_payloads(
     spliterator: Spliterator,
     ops: list[Op],
     terminal: Terminal,
+    config: EngineConfig,
     executor: ProcessExecutor,
     target_size: int | None,
     observe: bool = True,
-) -> tuple[list[tuple], "adaptive.RunObservation | None"]:
+) -> tuple[list[tuple], list[int], "adaptive.RunObservation | None"]:
     """Split to leaves and build picklable payloads.
 
     The leaf threshold (and, under the ``auto`` split policy, the child's
     ``run_pipeline`` chunk size) comes from :mod:`repro.streams.adaptive`,
     keyed by the pipeline shape with ``backend="process"`` so the memo
     never mixes process-side costs with thread-side ones.  Returns the
-    payload list plus the run's observation handle (None outside auto or
-    when ``observe`` is False) — the caller feeds it to ``run_leaves`` and
-    completes it on success so measured batch durations update the memo.
+    payload list, the leaves' split-tree depths, and the run's observation
+    handle (None outside auto or when ``observe`` is False) — the caller
+    feeds it to ``run_leaves`` and completes it on success so measured
+    batch durations update the memo.
     """
     size = spliterator.estimate_size()
     chunk: int | None = None
     key = None
-    if adaptive.wants_auto(target_size):
+    if adaptive.wants_auto(target_size, config):
         key = adaptive.shape_key(
             ops, spliterator, executor.processes, backend="process"
         )
         decision = adaptive.decide_threshold(
-            size, executor.processes, explicit=target_size, key=key
+            size, executor.processes, config, explicit=target_size, key=key
         )
         target, chunk = decision.target_size, decision.chunk_size
     else:
@@ -300,12 +329,11 @@ def _build_payloads(
         observer = adaptive.RunObservation(
             key, executor.processes, target, leaf_sizes=sizes
         )
-    flags = (_ops.bulk_execution_enabled(), _fusion_enabled())
     payloads = [
-        (_leaf_source_spec(leaf), ops, terminal) + flags + (chunk,)
+        (_leaf_source_spec(leaf), ops, terminal, config, chunk)
         for leaf in leaves
     ]
-    return payloads, observer
+    return payloads, leaves.depths, observer
 
 
 def _budget_stop(budget: int):
@@ -338,24 +366,34 @@ def _budget_stop(budget: int):
     return early_stop_slots
 
 
+def _fold(terminal: Collect, elements: list) -> Any:
+    """One leaf's container, filled in the parent from its element list."""
+    sink = terminal.sink(None)
+    sink.accept_chunk(elements)
+    return terminal.partial(sink)
+
+
 def evaluate(
     spliterator: Spliterator,
     ops: list[Op],
     terminal: Terminal,
+    config: EngineConfig,
     target_size=None,
     deadline=None,
     executor: ProcessExecutor | None = None,
     budget: int | None = None,
 ) -> Any:
-    """Run ``terminal`` across worker processes.
+    """Run ``terminal`` across worker processes under ``config``.
 
-    Each leaf payload carries the terminal itself: the child builds the
-    leaf's sink and returns its partial, and the parent merges partials
-    in encounter order.  A collector that does not pickle (the stock
-    library builds collectors from lambdas) ships as ``Collect(ELEMENTS)``
-    instead: leaves return their element lists, folded through the real
-    collector in the parent — same result, elements cross the boundary
-    instead of containers.  Every other terminal's functions must pickle.
+    Each leaf payload carries the terminal and ``config``: the child
+    builds the leaf's sink and returns its partial, and the parent merges
+    partials in the shape of the split tree (:func:`_merge_tree`).  A
+    collector that does not pickle (built from lambdas or closures, like
+    the paper's ``PowerCollector`` functions) ships as
+    ``Collect(to_list())`` instead: leaves return their element lists,
+    and the parent folds each into that leaf's own container before the
+    same tree merge — elements cross the boundary instead of containers.
+    Every other terminal's functions must pickle.
 
     A broadcast terminal (match, ``find_any``) stops the scatter at the
     first deciding partial.  ``budget`` is the counted short-circuit hook:
@@ -365,8 +403,9 @@ def evaluate(
     the scatter as soon as the answer is complete.  Either stop sets the
     run's :class:`~repro.powerlist.shm.SharedFlag`, so RUNNING sibling
     leaves abort at their next poll point; cancelled slots come back
-    ``None`` and are skipped (for a budget the caller re-applies
-    ``limit`` over the concatenation).
+    ``None`` and merge as :meth:`~repro.streams.terminal.Terminal.empty`
+    (for a budget the caller re-applies ``limit`` over the
+    concatenation).
     """
     executor = executor if executor is not None else shared_executor()
     early_stop_slots = None
@@ -378,9 +417,10 @@ def evaluate(
     if not _check_picklable(terminal):
         if not isinstance(terminal, Collect):
             _require_picklable(f"{terminal.label} functions", terminal)
-        shipped = Collect(ELEMENTS)
-    payloads, observer = _build_payloads(
-        spliterator, ops, shipped, executor, target_size, terminal.observe
+        shipped = Collect(to_list())
+    payloads, depths, observer = _build_payloads(
+        spliterator, ops, shipped, config, executor, target_size,
+        terminal.observe,
     )
     early_stop = None
     if shipped.broadcast:
@@ -390,17 +430,12 @@ def evaluate(
         label=f"process {terminal.label}", observer=observer,
         early_stop_slots=early_stop_slots,
     )
-    partials = [p for p in results if p is not None]
-    if shipped is terminal:
-        merged = (
-            functools.reduce(terminal.merge, partials) if partials
-            else terminal.empty()
-        )
-    else:
-        sink = terminal.sink(None)
-        for elements in partials:
-            sink.accept_chunk(elements)
-        merged = terminal.partial(sink)
+    if shipped is not terminal:
+        results = [
+            None if elements is None else _fold(terminal, elements)
+            for elements in results
+        ]
+    merged = _merge_tree(terminal, results, depths)
     if observer is not None and not (terminal.broadcast and terminal.hit(merged)):
         # A decided run aborted leaves mid-scan — those timings would
         # teach the memo that elements are cheaper than they are.

@@ -25,12 +25,14 @@ subtrees burn through the rest of the workload first.  See
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from repro.common import IllegalArgumentError, IllegalStateError
 from repro.forkjoin.pool import ForkJoinPool, common_pool
 from repro.streams import parallel as _parallel
 from repro.streams.collector import Collector, CollectorCharacteristics
+from repro.streams.config import EngineConfig, _validate_backend, current_config
 from repro.streams.ops import (
     DistinctOp,
     DropWhileOp,
@@ -250,7 +252,7 @@ class Stream:
         Pass the string ``"auto"`` to let the adaptive split policy pick
         the threshold from observed per-element cost and scheduler
         feedback (see :mod:`repro.streams.adaptive`) for this stream only,
-        regardless of the global ``set_split_policy`` mode.
+        whatever the run's ``split_policy`` (:func:`repro.streams.engine`).
         """
         if isinstance(target_size, str):
             if target_size != "auto":
@@ -294,11 +296,11 @@ class Stream:
         processes — Python-heavy stages scale with cores, but every
         function crossing the boundary must pickle; ndarray sources shared
         via :func:`repro.powerlist.shm.share_array` ship as zero-copy
-        descriptors), or ``'sequential'``.  Overrides the session default
-        set by :func:`repro.streams.set_parallel_backend` /
+        descriptors), or ``'sequential'``.  Overrides the backend of the
+        caller's :func:`repro.streams.engine` scope and of
         ``REPRO_PARALLEL_BACKEND``.  No effect on sequential streams.
         """
-        _parallel._validate_backend(backend)
+        _validate_backend(backend)
         self._check_linked()
         out = self._derive(self._spliterator, self._ops, parallel=self._parallel)
         out._backend = backend
@@ -369,9 +371,10 @@ class Stream:
         other._check_linked()
         left_spliterator, left_ops = self._terminal()
         right_spliterator, right_ops = other._terminal()
+        config = self._config()
         zipped = ZipSpliterator(
-            _ZipCursor(left_spliterator, left_ops),
-            _ZipCursor(right_spliterator, right_ops),
+            _ZipCursor(left_spliterator, left_ops, config),
+            _ZipCursor(right_spliterator, right_ops, config),
             combine,
         )
         derived = Stream(
@@ -576,7 +579,7 @@ class Stream:
         from repro.streams.fusion import maybe_fuse
 
         spliterator, ops = self._terminal()
-        ops = maybe_fuse(ops)
+        ops = maybe_fuse(ops, self._config())
 
         buffer: deque = deque()
 
@@ -622,22 +625,36 @@ class Stream:
     def _effective_pool(self) -> ForkJoinPool:
         return self._pool if self._pool is not None else common_pool()
 
+    def _config(self) -> EngineConfig:
+        """The config this stream's terminal runs under: the caller's
+        (:func:`~repro.streams.config.current_config`) with the
+        ``with_backend`` override applied.  Resolved once per terminal
+        and passed down explicitly, so pool workers and process children
+        see the caller's choice."""
+        config = current_config()
+        if self._backend is not None:
+            config = replace(config, backend=self._backend)
+        return config
+
     def _evaluate(self, terminal: Terminal) -> Any:
         """Run ``terminal`` over this pipeline: in the caller when
         sequential, else through the stateful barriers and on the
-        selected backend (:func:`repro.streams.parallel.evaluate`)."""
+        configured backend (:func:`repro.streams.parallel.evaluate`)."""
+        config = self._config()
         spliterator, ops = self._terminal()
         if not self._parallel:
-            return evaluate_sequential(terminal, spliterator, ops)
-        spliterator, ops, backend = self._barrier_stateful(spliterator, ops)
+            return evaluate_sequential(terminal, spliterator, ops, config)
+        spliterator, ops, config = self._barrier_stateful(
+            spliterator, ops, config
+        )
         return _parallel.evaluate(
-            spliterator, ops, terminal, self._effective_pool(),
-            self._target_size, self._deadline, backend,
+            spliterator, ops, terminal, self._effective_pool(), config,
+            self._target_size, self._deadline,
         )
 
     def _barrier_stateful(
-        self, spliterator: Spliterator, ops: list[Op]
-    ) -> tuple[Spliterator, list[Op], str]:
+        self, spliterator: Spliterator, ops: list[Op], config: EngineConfig
+    ) -> tuple[Spliterator, list[Op], EngineConfig]:
         """Evaluate stateful ops as barriers, returning the residual tail.
 
         Splits ``ops`` at each stateful stage: the stateless run before it
@@ -657,26 +674,26 @@ class Stream:
         source.  ``apply_to_buffer`` below still truncates the merged
         buffer, keeping semantics exact.
 
-        Returns ``(spliterator, ops, backend)``: the backend is the one
-        the terminal runs the residual on — ``sequential`` for an op-free
+        Returns ``(spliterator, ops, config)``: the config the terminal
+        runs the residual under — backend ``sequential`` for an op-free
         tail on threads (:func:`~repro.streams.parallel.residual_backend`).
         """
         from repro.streams import collectors
 
-        backend = _parallel.resolve_backend(self._backend)
         pool = self._effective_pool()
         barriered = False
         while any(op.stateful for op in ops):
             window = _parallel.plan_window(
                 spliterator, ops,
-                _parallel.backend_parallelism(backend, pool),
-                self._target_size, backend,
+                _parallel.backend_parallelism(config.backend, pool),
+                self._target_size, config,
             )
             if window is not None:
                 buffer = _parallel.evaluate(
                     window.spliterator, window.maps,
-                    Collect(collectors.to_list()), pool, window.target_size,
-                    self._deadline, backend, in_caller=window.in_caller,
+                    Collect(collectors.to_list()), pool, config,
+                    window.target_size, self._deadline,
+                    in_caller=window.in_caller,
                 )
                 ops = window.rest
             else:
@@ -685,14 +702,16 @@ class Stream:
                 budget = stateful.n if isinstance(stateful, LimitOp) else None
                 buffer = _parallel.evaluate(
                     spliterator, prefix, Collect(collectors.to_list()), pool,
-                    self._target_size, self._deadline, backend, budget=budget,
+                    config, self._target_size, self._deadline, budget=budget,
                 )
                 buffer = stateful.apply_to_buffer(buffer)
             spliterator = ListSpliterator(buffer)
             barriered = True
         if barriered:
-            backend = _parallel.residual_backend(backend, ops)
-        return spliterator, ops, backend
+            config = replace(
+                config, backend=_parallel.residual_backend(config.backend, ops)
+            )
+        return spliterator, ops, config
 
     def _materialize(self) -> list:
         """Consume into a list, preserving mode flags for ``concat``."""

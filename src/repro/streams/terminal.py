@@ -36,7 +36,8 @@ from __future__ import annotations
 import functools
 from typing import Any, Callable
 
-from repro.streams.collector import Collector, CollectorCharacteristics
+from repro.streams.collector import Collector
+from repro.streams.config import EngineConfig
 from repro.streams.ops import (
     AccumulatorSink,
     Op,
@@ -296,40 +297,29 @@ class Find(Terminal):
         return partial.is_present()
 
 
-def _append(container: list, item: Any) -> None:
-    container.append(item)
-
-
-def _extend(container: list, chunk) -> list:
-    container.extend(chunk)
-    return container
-
-
-#: A picklable ``to_list`` collector.  The process backend ships
-#: ``Collect(ELEMENTS)`` in place of a collector that does not pickle and
-#: folds the returned element lists through the real one in the parent.
-ELEMENTS = Collector.of(
-    list, _append, _extend, None, CollectorCharacteristics.IDENTITY_FINISH,
-    chunk_accumulator=_extend,
-)
-
-
 def run_leaf(
     terminal: Terminal,
     spliterator: Spliterator,
     ops: list[Op],
+    config: EngineConfig,
     cancel: Any = None,
     chunk_size: int | None = None,
 ) -> Any:
-    """Run one leaf of ``terminal`` and return its partial — the single
-    leaf body of every executor (sequential, fork/join, process child)."""
+    """Run one leaf of ``terminal`` under ``config`` and return its
+    partial — the single leaf body of every executor (sequential,
+    fork/join, process child)."""
     sink = terminal.sink(cancel)
-    run_pipeline(spliterator, ops, sink, terminal.short_circuit, chunk_size)
+    run_pipeline(
+        spliterator, ops, sink, config, terminal.short_circuit, chunk_size
+    )
     return terminal.partial(sink)
 
 
 def evaluate_sequential(
-    terminal: Terminal, spliterator: Spliterator, ops: list[Op]
+    terminal: Terminal,
+    spliterator: Spliterator,
+    ops: list[Op],
+    config: EngineConfig,
 ) -> Any:
     """Run ``terminal`` as one leaf over the whole source, in the caller."""
-    return terminal.finish(run_leaf(terminal, spliterator, ops))
+    return terminal.finish(run_leaf(terminal, spliterator, ops, config))

@@ -46,6 +46,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from repro.streams.config import EngineConfig
 from repro.streams.ops import (
     CHUNK_SIZE,
     MapOp,
@@ -115,12 +116,15 @@ class _ZipCursor:
         self,
         spliterator: Spliterator,
         ops: list[Op] | None = None,
+        config: EngineConfig | None = None,
         chunk_size: int = CHUNK_SIZE,
     ) -> None:
+        """``config`` — the zipping stream's — fuses ``ops`` and picks
+        the fill mode; an op-free side needs none."""
         from repro.streams.fusion import maybe_fuse
 
         self._spliterator = spliterator
-        self.ops = maybe_fuse(list(ops) if ops else [])
+        self.ops = maybe_fuse(list(ops), config) if ops else []
         self._pending: deque = deque()
         self._buffered = 0
         self._exhausted = False
@@ -129,7 +133,7 @@ class _ZipCursor:
         self._chunk_size = chunk_size
         if not self.ops:
             self.mode = "direct"
-        elif select_mode(self.ops) == "chunked":
+        elif select_mode(self.ops, config) == "chunked":
             self.mode = "chunked"
             self._sink = wrap_ops(self.ops, _PendingSink(self))
             self._sink.begin(spliterator.get_exact_size_if_known())

@@ -13,7 +13,7 @@ import pytest
 from repro.common import IllegalArgumentError
 from repro.forkjoin import ForkJoinPool
 from repro.obs import tracing
-from repro.streams import Stream
+from repro.streams import EngineConfig, Stream, current_config, engine
 from repro.streams import adaptive
 from repro.streams.adaptive import (
     AUTO,
@@ -41,11 +41,10 @@ def _other(x):
 
 @pytest.fixture(autouse=True)
 def _clean_policy():
-    """Each test starts from an empty memo and the 'fixed' session mode."""
+    """Each test starts from an empty memo and the 'fixed' split policy."""
     adaptive.reset_split_policy()
-    previous = adaptive.set_split_policy("fixed")
-    yield
-    adaptive.set_split_policy(previous)
+    with engine(split_policy="fixed"):
+        yield
     adaptive.reset_split_policy()
     adaptive.split_policy_stats(reset=True)
 
@@ -63,18 +62,18 @@ def _observe(policy, key, *, leaf_ns, leaf_elements, parallelism=4,
 
 class TestFixedRules:
     def test_explicit_integer_always_wins(self):
-        decision = decide_threshold(4096, 4, explicit=128)
+        decision = decide_threshold(4096, 4, EngineConfig(), explicit=128)
         assert decision.target_size == 128
         assert decision.source == "with_target_size"
         assert decision.adaptive is False
 
     def test_sized_java_rule(self):
-        decision = decide_threshold(4096, 4)
+        decision = decide_threshold(4096, 4, EngineConfig())
         assert decision.target_size == 4096 // 16
         assert decision.source == "size // (4 × parallelism)"
 
     def test_unknown_size_scales_with_parallelism(self):
-        decision = decide_threshold(UNKNOWN_SIZE, 8)
+        decision = decide_threshold(UNKNOWN_SIZE, 8, EngineConfig())
         assert decision.target_size == UNKNOWN_SIZE_BASE // 8
         assert decision.source == "unknown size → default // parallelism"
 
@@ -252,35 +251,36 @@ class TestFeedback:
 
 class TestControls:
     def test_default_mode_is_fixed(self):
-        assert adaptive.split_policy_mode() == "fixed"
-        assert not wants_auto(None)
-        assert wants_auto(AUTO)
+        assert current_config().split_policy == "fixed"
+        assert not wants_auto(None, current_config())
+        assert wants_auto(AUTO, current_config())
 
     def test_set_and_restore(self):
-        assert adaptive.set_split_policy("auto") == "fixed"
-        assert adaptive.split_policy_mode() == "auto"
-        assert wants_auto(None)
-        assert adaptive.set_split_policy("fixed") == "auto"
+        with engine(split_policy="auto") as config:
+            assert config.split_policy == "auto"
+            assert wants_auto(None, config)
+        assert current_config().split_policy == "fixed"
 
     def test_context_manager(self):
-        with adaptive.split_policy("auto"):
-            assert adaptive.split_policy_mode() == "auto"
-        assert adaptive.split_policy_mode() == "fixed"
+        with engine(split_policy="auto"):
+            assert current_config().split_policy == "auto"
+        assert current_config().split_policy == "fixed"
 
     def test_rejects_unknown_policy(self):
         with pytest.raises(IllegalArgumentError):
-            adaptive.set_split_policy("dynamic")
+            with engine(split_policy="dynamic"):
+                pass
 
     def test_explicit_integer_beats_auto_mode(self):
-        with adaptive.split_policy("auto"):
-            assert not wants_auto(64)
-            decision = decide_threshold(4096, 4, explicit=64)
+        with engine(split_policy="auto") as config:
+            assert not wants_auto(64, config)
+            decision = decide_threshold(4096, 4, config, explicit=64)
             assert decision.target_size == 64
             assert decision.adaptive is False
 
     def test_stats_report_mode(self):
         assert adaptive.split_policy_stats()["mode"] == "fixed"
-        with adaptive.split_policy("auto"):
+        with engine(split_policy="auto"):
             assert adaptive.split_policy_stats()["mode"] == "auto"
 
 
@@ -306,7 +306,7 @@ class TestAutoEndToEnd:
 
     def test_global_auto_mode_engages(self):
         with ForkJoinPool(parallelism=2, name="adaptive-test") as pool:
-            with adaptive.split_policy("auto"):
+            with engine(split_policy="auto"):
                 total = (
                     Stream.range(0, 1 << 12)
                     .parallel()
@@ -464,8 +464,9 @@ class TestDispatchCostSpan:
         assert adaptive._measure_pool_dispatch(pool) == 0.0
 
     def test_threads_auto_run_populates_dispatch_cost(self):
-        adaptive.set_split_policy("auto")
-        with ForkJoinPool(parallelism=2, name="dispatch-e2e") as pool:
+        with engine(split_policy="auto"), ForkJoinPool(
+            parallelism=2, name="dispatch-e2e"
+        ) as pool:
             result = (
                 Stream.of_iterable(range(20_000))
                 .parallel()

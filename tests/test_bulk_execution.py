@@ -26,10 +26,9 @@ from repro.streams import (
     ListSpliterator,
     RangeSpliterator,
     Stream,
-    bulk_execution,
-    bulk_execution_enabled,
     bulk_stats,
-    set_bulk_execution,
+    current_config,
+    engine,
     stream_of,
 )
 from repro.core.power_spliterators import TieSpliterator, ZipSpliterator
@@ -160,9 +159,9 @@ class TestChunkedSemantics:
     DATA = list(range(-20, 20))
 
     def both(self, build):
-        with bulk_execution(True):
+        with engine(bulk=True):
             chunked = build()
-        with bulk_execution(False):
+        with engine(bulk=False):
             element = build()
         return chunked, element
 
@@ -210,7 +209,7 @@ class TestChunkedSemantics:
 
     def test_non_ufunc_map_on_ndarray_source(self):
         arr = np.arange(8, dtype=np.int64)
-        with bulk_execution(True):
+        with engine(bulk=True):
             assert stream_of(arr).map(str).to_list() == [str(x) for x in arr]
 
     @pytest.mark.parametrize("collector,expected", [
@@ -223,7 +222,7 @@ class TestChunkedSemantics:
     ])
     def test_collector_chunk_accumulators(self, collector, expected):
         source = range(12) if not isinstance(expected, str) else map(str, range(12))
-        with bulk_execution(True):
+        with engine(bulk=True):
             bulk_stats(reset=True)
             result = stream_of(list(source)).collect(collector)
             assert bulk_stats()["chunked"] == 1
@@ -296,15 +295,13 @@ class TestEngagement:
         assert stats["chunked"] == 0
 
     def test_disabled_globally(self):
-        prev = set_bulk_execution(False)
-        try:
-            assert not bulk_execution_enabled()
+        prev = current_config().bulk
+        with engine(bulk=False):
+            assert not current_config().bulk
             stats = self.stats_after(
                 lambda: stream_of(range(100)).map(lambda x: x + 1).to_list())
             assert stats["chunked"] == 0 and stats["element"] >= 1
-        finally:
-            set_bulk_execution(prev)
-        assert bulk_execution_enabled() == prev
+        assert current_config().bulk == prev
 
     def test_parallel_leaves_chunk(self, pool):
         stats = self.stats_after(

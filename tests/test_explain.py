@@ -10,7 +10,7 @@ import pytest
 
 from repro.forkjoin import ForkJoinPool
 from repro.obs import tracing
-from repro.streams import ExplainPlan, Stream, bulk_stats, fusion, fusion_stats
+from repro.streams import ExplainPlan, Stream, bulk_stats, engine, fusion_stats
 from repro.streams.explain import _walk_split_tree
 
 
@@ -82,7 +82,7 @@ class TestFusedStatelessChain:
         assert stats["kernels"] == plan["fusion"]["kernels"]
 
     def test_fusion_disabled_plan(self):
-        with fusion(False):
+        with engine(fusion=False):
             plan = self._stream().explain().to_dict()
         assert plan["fusion"]["enabled"] is False
         assert plan["fusion"]["chain"] == ["map", "filter"]

@@ -15,12 +15,10 @@ from repro.obs.export import trace_snapshot
 from repro.streams import (
     FusedOp,
     ListSpliterator,
-    bulk_execution,
     bulk_stats,
-    fusion,
-    fusion_enabled,
+    current_config,
+    engine,
     fusion_stats,
-    set_fusion,
     stream_of,
 )
 from repro.streams.fusion import fuse_ops, maybe_fuse
@@ -103,10 +101,10 @@ class TestSemantics:
     DATA = list(range(-30, 30))
 
     def _both(self, build, chunked):
-        with bulk_execution(chunked):
-            with fusion(True):
+        with engine(bulk=chunked):
+            with engine(fusion=True):
                 fused = build(stream_of(self.DATA)).to_list()
-            with fusion(False):
+            with engine(fusion=False):
                 unfused = build(stream_of(self.DATA)).to_list()
         return fused, unfused
 
@@ -130,10 +128,10 @@ class TestSemantics:
                     .map_multi(lambda x, emit: (emit(x), emit(x * 10))[0])
                     .map(lambda x: x + 1))
 
-        with bulk_execution(chunked):
-            with fusion(True):
+        with engine(bulk=chunked):
+            with engine(fusion=True):
                 fused = build(stream_of(self.DATA), fused_seen).to_list()
-            with fusion(False):
+            with engine(fusion=False):
                 unfused = build(stream_of(self.DATA), unfused_seen).to_list()
         assert fused == unfused
         assert fused_seen == unfused_seen == self.DATA
@@ -161,7 +159,7 @@ class TestSemantics:
         # The fused kernel must poll downstream cancellation between an
         # expander's outputs, exactly like the unfused FlatMapSink —
         # otherwise this loops forever.
-        with fusion(True):
+        with engine(fusion=True):
             out = (stream_of([1, 2, 3])
                    .flat_map(lambda x: iter(int, 1))
                    .map(lambda z: z + 1)
@@ -197,17 +195,17 @@ class TestSemantics:
                     .map(lambda x: x * 2)
                     .map(lambda x: x - 5))
 
-        with fusion(True):
+        with engine(fusion=True):
             par = build(
                 stream_of(self.DATA).parallel().with_pool(pool)
             ).to_list()
             seq = build(stream_of(self.DATA)).to_list()
-        with fusion(False):
+        with engine(fusion=False):
             reference = build(stream_of(self.DATA)).to_list()
         assert par == seq == reference
 
     def test_parallel_match_and_find_with_fusion(self, pool):
-        with fusion(True):
+        with engine(fusion=True):
             s = (stream_of(self.DATA).parallel().with_pool(pool)
                  .map(lambda x: x * 2).map(lambda x: x + 1))
             assert s.any_match(lambda x: x > 50)
@@ -223,9 +221,9 @@ class TestSemantics:
         def build(s):
             return s.map(np.square).map(np.abs).map(np.sqrt)
 
-        with fusion(True):
+        with engine(fusion=True):
             fused = build(stream_of(data)).to_list()
-        with fusion(False):
+        with engine(fusion=False):
             unfused = build(stream_of(data)).to_list()
         assert fused == unfused
 
@@ -237,14 +235,14 @@ class TestSemantics:
                     .map(lambda x: int(x) % 11)
                     .filter(lambda x: x != 4))
 
-        with fusion(True):
+        with engine(fusion=True):
             fused = build(stream_of(data)).to_list()
-        with fusion(False):
+        with engine(fusion=False):
             unfused = build(stream_of(data)).to_list()
         assert fused == unfused
 
     def test_lazy_iterator_path_fuses(self):
-        with fusion(True):
+        with engine(fusion=True):
             fusion_stats(reset=True)
             it = iter(stream_of(self.DATA).map(lambda x: x + 1).map(abs))
             first = next(it)
@@ -279,17 +277,15 @@ class TestSemantics:
 
 class TestControlsAndStats:
     def test_set_fusion_roundtrip(self):
-        previous = set_fusion(False)
-        try:
-            assert not fusion_enabled()
+        previous = current_config().fusion
+        with engine(fusion=False):
+            assert not current_config().fusion
             ops = [MapOp(abs), MapOp(abs)]
-            assert maybe_fuse(ops) is ops
-        finally:
-            set_fusion(previous)
-        assert fusion_enabled() == previous
+            assert maybe_fuse(ops, current_config()) is ops
+        assert current_config().fusion == previous
 
     def test_stats_pin_fused_stage_counts(self):
-        with fusion(True):
+        with engine(fusion=True):
             fusion_stats(reset=True)
             (stream_of(range(50))
              .map(lambda x: x + 1)
@@ -305,7 +301,7 @@ class TestControlsAndStats:
         assert stats["kernels"] == 2
 
     def test_stats_count_unfusible_scans(self):
-        with fusion(True):
+        with engine(fusion=True):
             fusion_stats(reset=True)
             stream_of(range(10)).map(lambda x: x + 1).to_list()
         stats = fusion_stats()
@@ -313,7 +309,7 @@ class TestControlsAndStats:
         assert stats["unfused"] == 1
 
     def test_parallel_terminal_fuses_once_via_memo(self, pool):
-        with fusion(True):
+        with engine(fusion=True):
             fusion_stats(reset=True)
             (stream_of(list(range(1 << 12))).parallel().with_pool(pool)
              .map(lambda x: x + 1)
@@ -326,7 +322,7 @@ class TestControlsAndStats:
         assert stats["memo_hits"] >= 1
 
     def test_disabled_fusion_still_correct(self):
-        with fusion(False):
+        with engine(fusion=False):
             out = (stream_of(range(20))
                    .map(lambda x: x + 1)
                    .map(lambda x: x * 2)
@@ -334,7 +330,7 @@ class TestControlsAndStats:
         assert out == [(x + 1) * 2 for x in range(20)]
 
     def test_chunked_path_still_engages_with_fusion(self):
-        with fusion(True):
+        with engine(fusion=True):
             bulk_stats(reset=True)
             (stream_of(list(range(100)))
              .map(lambda x: x + 1)
@@ -347,7 +343,7 @@ class TestControlsAndStats:
 class TestObservability:
     def test_traced_run_emits_fuse_span(self):
         with tracing() as tracer:
-            with fusion(True):
+            with engine(fusion=True):
                 (stream_of(list(range(100)))
                  .map(lambda x: x + 1)
                  .map(lambda x: x * 2)
@@ -361,13 +357,13 @@ class TestObservability:
     def test_untraced_rewrite_emits_nothing(self):
         with tracing() as tracer:
             pass
-        with fusion(True):
+        with engine(fusion=True):
             stream_of(range(10)).map(abs).map(abs).to_list()
         assert [s for s in tracer.spans() if s.kind == "fuse"] == []
 
     def test_parallel_traced_run_has_fuse_and_leaf_spans(self, pool):
         with tracing() as tracer:
-            with fusion(True):
+            with engine(fusion=True):
                 (stream_of(list(range(1 << 12))).parallel().with_pool(pool)
                  .map(lambda x: x + 1)
                  .map(lambda x: x * 2)
@@ -409,7 +405,7 @@ class TestCountedKernelEdgeCases:
     DATA = list(range(257))
 
     def _run(self, build, *, fused, chunked):
-        with fusion(fused), bulk_execution(chunked):
+        with engine(fusion=fused, bulk=chunked):
             return build(stream_of(self.DATA)).to_list()
 
     @pytest.mark.parametrize("chunked", [True, False])
@@ -438,7 +434,7 @@ class TestCountedKernelEdgeCases:
     def test_edges_across_backends(self, backend, edge, expect):
         if backend == "process":
             pytest.importorskip("multiprocessing.shared_memory")
-        with fusion(True):
+        with engine(fusion=True):
             got = edge(
                 stream_of(self.DATA).parallel().with_backend(backend)
             ).to_list()
@@ -449,7 +445,7 @@ class TestCountedKernelEdgeCases:
         sp = _CountingListSpliterator(self.DATA, fetches)
         from repro.streams import StreamSupport
 
-        with fusion(True), bulk_execution(True):
+        with engine(fusion=True, bulk=True):
             got = StreamSupport.stream(sp).map(_plus_one).limit(0).to_list()
         assert got == []
         assert fetches[0] == 0
@@ -472,7 +468,7 @@ class TestCountedKernelEdgeCases:
         # the stream to nothing used to spin forever in the budget's
         # contiguous-interval walk (zero-width leaf intervals can never
         # advance the frontier).
-        with fusion(True):
+        with engine(fusion=True):
             got = (
                 stream_of(self.DATA).parallel().with_backend(backend)
                 .take_while(_is_negative)
@@ -485,7 +481,7 @@ class TestCountedKernelEdgeCases:
         # Regression (found by the zip fuzz): the lazy pull path broke
         # out on a satisfied limit without end()-flushing a downstream
         # barrier, so ``limit(n).sorted()`` lost its elements.
-        with fusion(fused):
+        with engine(fusion=fused):
             got = list(stream_of([3, 1, 2]).limit(2).sorted().iterator())
         assert got == [1, 3]
 

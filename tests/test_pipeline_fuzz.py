@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from repro.forkjoin import ForkJoinPool
 from repro.powerlist import PowerList, shm
-from repro.streams import Stream, bulk_execution, bulk_stats, fusion, stream_of
+from repro.streams import Stream, bulk_stats, current_config, engine, stream_of
 from repro.streams.fusion import _FUSIBLE_TYPES, FusedOp, fuse_ops, maybe_fuse
 from repro.streams.ops import LimitOp, SkipOp, select_mode
 from repro.streams.optional import Optional
@@ -321,7 +321,7 @@ class TestPipelineFuzz:
             expected = _apply_reference(expected, op)
 
         def run(parallel, chunked):
-            with bulk_execution(chunked):
+            with engine(bulk=chunked):
                 s = stream_of(xs).parallel() if parallel else stream_of(xs)
                 for op in ops:
                     s = _apply_stream(s, op)
@@ -348,7 +348,8 @@ class TestPipelineFuzz:
         for op in ops:
             stream = _apply_stream(stream, op)
             expected = _apply_reference(expected, op)
-        mode = select_mode(maybe_fuse(stream._ops))
+        config = current_config()
+        mode = select_mode(maybe_fuse(stream._ops, config), config)
         bulk_stats(reset=True)
         assert stream.to_list() == expected
         stats = bulk_stats(reset=True)
@@ -370,7 +371,7 @@ class TestPipelineFuzz:
             expected = _apply_reference(expected, op)
 
         def run(parallel, chunked, fuse):
-            with bulk_execution(chunked), fusion(fuse):
+            with engine(bulk=chunked, fusion=fuse):
                 s = stream_of(xs).parallel() if parallel else stream_of(xs)
                 for op in ops:
                     s = _apply_stream(s, op)
@@ -399,7 +400,7 @@ class TestPipelineFuzz:
             expected = _apply_reference(expected, op)
 
         def run(backend, chunked):
-            with bulk_execution(chunked):
+            with engine(bulk=chunked):
                 s = stream_of(xs, parallel=True, backend=backend)
                 for op in ops:
                     s = _apply_stream_picklable(s, op)
@@ -552,7 +553,7 @@ class TestCountedWindowFuzz:
         expected = list(itertools.islice(mapped, a, a + b))
 
         def run(backend, fuse):
-            with fusion(fuse):
+            with engine(fusion=fuse):
                 s = Stream.range(5, 5 + n) if source is None else stream_of(source)
                 if backend is not None:
                     s = s.parallel().with_backend(backend)
@@ -618,7 +619,7 @@ class TestZipFuzz:
         combine = _pk_zip_combine if combined else None
         for chunked in (True, False):
             for fuse in (True, False):
-                with bulk_execution(chunked), fusion(fuse):
+                with engine(bulk=chunked, fusion=fuse):
                     left = stream_of(xs)
                     for op in left_ops:
                         left = _apply_stream(left, op)

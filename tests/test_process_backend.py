@@ -23,16 +23,15 @@ from repro.powerlist import PowerList, shm
 from repro.streams import (
     Collector,
     CollectorCharacteristics,
+    EngineConfig,
     Stream,
-    parallel_backend,
-    parallel_backend_name,
-    set_parallel_backend,
+    current_config,
+    engine,
     stream_of,
 )
 from repro.streams import process_backend as pb
 from repro.streams.ops import FilterOp, MapOp
 from repro.streams.optional import Optional
-from repro.streams.parallel import _backend_from_env
 from repro.streams.spliterators import ListSpliterator, RangeSpliterator
 from repro.streams.terminal import Collect, ForEach, Match, Reduce
 
@@ -158,35 +157,26 @@ class TestPowerListDescriptorPickling:
 
 class TestBackendControls:
     def test_default_is_threads(self):
-        assert parallel_backend_name() == "threads"
+        assert current_config().backend == "threads"
 
     def test_set_and_restore(self):
-        previous = set_parallel_backend("sequential")
-        try:
+        previous = current_config().backend
+        with engine(backend="sequential"):
             assert previous == "threads"
-            assert parallel_backend_name() == "sequential"
-        finally:
-            set_parallel_backend(previous)
+            assert current_config().backend == "sequential"
+        assert current_config().backend == previous
 
     def test_context_manager_scopes(self):
-        with parallel_backend("process"):
-            assert parallel_backend_name() == "process"
-        assert parallel_backend_name() == "threads"
+        with engine(backend="process"):
+            assert current_config().backend == "process"
+        assert current_config().backend == "threads"
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(IllegalArgumentError, match="unknown parallel backend"):
-            set_parallel_backend("gpu")
+            with engine(backend="gpu"):
+                pass
         with pytest.raises(IllegalArgumentError):
             Stream.range(0, 4).parallel().with_backend("nope")
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "process")
-        assert _backend_from_env() == "process"
-        monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "")
-        assert _backend_from_env() == "threads"
-        monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "bogus")
-        with pytest.raises(IllegalArgumentError):
-            _backend_from_env()
 
     def test_stream_of_backend_kwarg(self):
         out = stream_of(range(64), parallel=True, backend="sequential").to_list()
@@ -237,7 +227,7 @@ class TestTerminalParity:
         )
         got = pb.evaluate(
             RangeSpliterator(0, 256), [], Collect(collector),
-            target_size=32, executor=executor,
+            EngineConfig(), target_size=32, executor=executor,
         )
         assert got == list(range(256))
 
@@ -301,7 +291,7 @@ class TestTerminalParity:
         # completion without error.
         pb.evaluate(
             RangeSpliterator(0, 128), [], ForEach(_double),
-            target_size=16, executor=executor,
+            EngineConfig(), target_size=16, executor=executor,
         )
 
     def test_stateful_barrier_pipeline(self):
@@ -342,7 +332,7 @@ class TestDeadlinePropagation:
                     RangeSpliterator(0, 4),
                     [MapOp(_slow_identity)],
                     Collect(_list_collector()),
-                    target_size=1,
+                    EngineConfig(), target_size=1,
                     deadline=_deadline_after(0.25),
                     executor=ex,
                 )
@@ -396,7 +386,7 @@ class TestWorkerChaos:
             with fault_injection(plan):
                 got = pb.evaluate(
                     RangeSpliterator(0, 512), [], Collect(_list_collector()),
-                    target_size=64, executor=ex,
+                    EngineConfig(), target_size=64, executor=ex,
                 )
             assert got == list(range(512))
             stats = ex.stats()
@@ -413,7 +403,7 @@ class TestWorkerChaos:
             with fault_injection(plan):
                 got = pb.evaluate(
                     RangeSpliterator(0, 256), [], Collect(_list_collector()),
-                    target_size=64, executor=ex,
+                    EngineConfig(), target_size=64, executor=ex,
                 )
             assert got == list(range(256))
             assert ex.stats()["degraded_runs"] == 1
@@ -427,13 +417,13 @@ class TestWorkerChaos:
                 with pytest.raises(BrokenProcessPool):
                     pb.evaluate(
                         RangeSpliterator(0, 256), [], Collect(_list_collector()),
-                        target_size=64, executor=ex,
+                        EngineConfig(), target_size=64, executor=ex,
                     )
             # The broken pool was discarded; the next run forks a fresh
             # one and succeeds.
             got = pb.evaluate(
                 RangeSpliterator(0, 256), [], Collect(_list_collector()),
-                target_size=64, executor=ex,
+                EngineConfig(), target_size=64, executor=ex,
             )
             assert got == list(range(256))
             assert ex.stats()["broken_pools"] == 1
@@ -455,14 +445,14 @@ class TestWorkerChaos:
                     with pytest.raises(BrokenProcessPool):
                         pb.evaluate(
                             RangeSpliterator(0, 256), [], Collect(_list_collector()),
-                            target_size=64, executor=ex,
+                            EngineConfig(), target_size=64, executor=ex,
                         )
                 # Exactly one containment per trial, and the next run
                 # always gets a fresh pool.
                 assert ex.stats()["broken_pools"] == trial + 1
                 got = pb.evaluate(
                     RangeSpliterator(0, 256), [], Collect(_list_collector()),
-                    target_size=64, executor=ex,
+                    EngineConfig(), target_size=64, executor=ex,
                 )
                 assert got == list(range(256))
 
@@ -533,7 +523,7 @@ class TestExplainAndMetrics:
 
         pb.evaluate(
             RangeSpliterator(0, 256), [], Collect(_list_collector()),
-            target_size=64, executor=executor,
+            EngineConfig(), target_size=64, executor=executor,
         )
         text = render(executor.metrics)
         assert 'runs_total{pool="process",processes="2"} 1' in text
@@ -678,7 +668,7 @@ class TestRunningLeafAbort:
             )
             result = pb.evaluate(
                 RangeSpliterator(0, n), [], Match(predicate, "any"),
-                target_size=boundary, executor=executor,
+                EngineConfig(), target_size=boundary, executor=executor,
             )
             assert result is True
             if counters[3] == 1:
@@ -697,7 +687,7 @@ class TestRunningLeafAbort:
         before = shm.active_segments()
         assert pb.evaluate(
             RangeSpliterator(0, 1 << 12), [], Match(_is_even, "any"),
-            executor=executor,
+            EngineConfig(), executor=executor,
         )
         assert shm.active_segments() == before
 
@@ -713,7 +703,7 @@ class TestAdaptiveProcessBackend:
                 total = pb.evaluate(
                     RangeSpliterator(0, 1 << 12), [],
                     Reduce(operator.add, identity=0, has_identity=True),
-                    target_size="auto", executor=executor,
+                    EngineConfig(), target_size="auto", executor=executor,
                 )
                 assert total == expected
             stats = adaptive.split_policy_stats()
@@ -814,7 +804,7 @@ class TestCountedLimitAbort:
                 RangeSpliterator(0, 2 * boundary),
                 [MapOp(probe),
                  FilterOp(functools.partial(_under, threshold=boundary))],
-                Collect(collector),
+                Collect(collector), EngineConfig(),
                 target_size=boundary, executor=executor, budget=budget,
             )
             assert got == list(range(budget))
@@ -839,7 +829,7 @@ class TestCountedLimitAbort:
         )
         got = pb.evaluate(
             RangeSpliterator(0, 1 << 12), [MapOp(_double)], Collect(collector),
-            target_size=1 << 10, executor=executor, budget=100,
+            EngineConfig(), target_size=1 << 10, executor=executor, budget=100,
         )
         # Each completed leaf contributes at most ``budget`` elements and
         # the caller truncates; the global first-``budget`` prefix must be
@@ -855,7 +845,7 @@ class TestCountedLimitAbort:
         )
         got = pb.evaluate(
             RangeSpliterator(0, 256), [MapOp(_double)], Collect(collector),
-            target_size=32, executor=executor, budget=budget,
+            EngineConfig(), target_size=32, executor=executor, budget=budget,
         )
         # Per-leaf truncation bounds the overshoot; the prefix is exact.
         assert got[:budget] == [x * 2 for x in range(budget)]
