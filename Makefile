@@ -9,14 +9,20 @@ CHAOS_SEED_FILE := .github/chaos-seeds.json
 # Likewise for the fusion fuzz sweep (CI fusion-fuzz job).
 FUSION_FUZZ_SEED_FILE := .github/fusion-fuzz-seeds.json
 
-.PHONY: install test chaos fusion-fuzz bench bench-smoke bench-regression \
-        serve-load e2e-smoke figures examples clean
+.PHONY: install test test-reverse chaos fusion-fuzz bench bench-smoke \
+        bench-regression serve-load e2e-smoke figures examples clean
 
 install:
 	pip install -e .[test] || pip install -e . --no-build-isolation
 
 test:
 	$(PYTHON) -m pytest tests/
+
+# Mirrors the CI test-reverse job: tier-1 with the test files in reverse
+# order, so a test that passes only after another one has run (state
+# leaking between tests) fails here.
+test-reverse:
+	PYTHONPATH=src $(PYTHON) -m pytest -x -q $$(ls tests/test_*.py | sort -r)
 
 test-output:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt

@@ -142,7 +142,8 @@ def pool():
 
 @pytest.mark.parametrize("name,fn", WORKLOADS, ids=[w[0] for w in WORKLOADS])
 def bench_ab12_fixed(benchmark, data, pool, name, fn):
-    benchmark(lambda: fn(data, pool, None))
+    java = adaptive.compute_target_size(len(data), pool.parallelism)
+    benchmark(lambda: fn(data, pool, java))
 
 
 @pytest.mark.parametrize("name,fn", WORKLOADS, ids=[w[0] for w in WORKLOADS])

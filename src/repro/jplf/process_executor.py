@@ -419,10 +419,8 @@ class ProcessExecutor(Executor):
                         )
                     )
 
-            scatter_ns = time.perf_counter_ns()
             slot_of = {future: bounds[i] for i, future in enumerate(futures)}
             not_done = set(futures)
-            first_round = True
             while not_done:
                 # Bounded wait: Future.cancel() on a pending process-pool
                 # work item never notifies wait() waiters (the manager
@@ -467,7 +465,6 @@ class ProcessExecutor(Executor):
                         "outstanding"
                     )
                 stop = False
-                round_ns = time.perf_counter_ns()
                 for future in done:
                     if future.cancelled():
                         continue
@@ -477,16 +474,6 @@ class ProcessExecutor(Executor):
                     self._observe_batch(pid, hi - lo, duration_ns)
                     if observer is not None:
                         observer.record_batch(lo, hi, duration_ns)
-                        if first_round:
-                            # Round-trip minus child compute = dispatch
-                            # overhead (pickling, queueing, IPC) — the
-                            # sample the adaptive policy derives its
-                            # leaf-span target from.  Only the first
-                            # completion round: later rounds conflate
-                            # overhead with waiting behind siblings.
-                            overhead = round_ns - scatter_ns - duration_ns
-                            if overhead > 0:
-                                observer.record_dispatch(overhead)
                     if early_stop is not None and any(
                         early_stop(r) for r in batch_results
                     ):
@@ -495,7 +482,6 @@ class ProcessExecutor(Executor):
                         lo, hi, batch_results
                     ):
                         stop = True
-                first_round = False
                 if stop:
                     # Tell RUNNING leaves in other workers to abort at
                     # their next chunk boundary, then stop collecting.
@@ -577,6 +563,15 @@ class ProcessExecutor(Executor):
             on_retry=lambda attempt, exc: self._retries.inc(),
             on_degrade=lambda exc: self._degraded.inc(),
         )
+
+    def ping(self) -> None:
+        """One no-op round trip through a worker process: the dispatch
+        cost :mod:`repro.streams.adaptive` sizes leaves by.  Never forks
+        workers; raises :class:`~repro.common.RejectedExecutionError`
+        when none are running."""
+        if self._shutdown or self._pool is None:
+            raise RejectedExecutionError("ProcessExecutor has no running workers")
+        self._pool.submit(int).result()  # int() is a picklable no-op
 
     def stats(self) -> dict:
         """Counters for this executor: runs, retries, degraded runs, broken

@@ -41,7 +41,6 @@ from repro.streams.collector import Collector, CollectorCharacteristics
 from repro.streams import collectors as Collectors
 from repro.streams.config import (
     VALID_BACKENDS,
-    VALID_POLICIES,
     EngineConfig,
     current_config,
     engine,
@@ -72,7 +71,6 @@ __all__ = [
     "StreamSupport",
     "FusedOp",
     "VALID_BACKENDS",
-    "VALID_POLICIES",
     "bulk_stats",
     "current_config",
     "engine",

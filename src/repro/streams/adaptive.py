@@ -1,20 +1,29 @@
-"""Metrics-driven split thresholds and chunk sizing (``target_size='auto'``).
+"""The split policy: metrics-driven split thresholds and chunk sizing.
 
-The split threshold has so far been Java's static heuristic —
-``max(size // (parallelism * 4), 1)`` — and AB4 showed how sensitive the
-speedup curves are to that knob.  This module closes the feedback loop
-that the observability layer opened: during an ``auto`` run the engine
-samples per-leaf span durations and the pool's steal/idle counters, folds
-them into a small per-pipeline-shape memo, and the *next* run of the same
-shape sizes its leaves from the **observed per-element cost** instead of
-the element count:
+Java splits every parallel stream by the static heuristic
+``max(size // (parallelism * 4), 1)``, whatever the work costs, and AB4
+showed how sensitive the speedup curves are to that knob.  This module
+is the engine's only default split policy.  Every parallel terminal
+samples its per-leaf span durations and the pool's steal/idle counters,
+folds them into a small per-pipeline-shape memo, and the *next* run of
+the same shape sizes its leaves from the **observed per-element cost**
+instead of the element count:
 
-* the policy aims each leaf at :data:`TARGET_LEAF_SPAN_NS` of wall time
+* the first run of a shape has no observed cost and **bootstraps** with
+  Java's rule;
+* the **work rule**: once a cost is known, a run whose whole work
+  (``size × cost``) fits one leaf span is **one leaf**, run in the
+  caller — no split, no pool round trip.  Anything larger gets at most
+  ``ceil(size / parallelism)`` elements per leaf, so every worker has a
+  leaf;
+* between those bounds the policy aims each leaf at the leaf-span target
   (``target = span_target / cost_per_element``), never splitting deeper
   than Java's ``size // (4 × parallelism)`` at neutral bias — more than
-  four leaves per worker buys no parallelism, only task overhead — so
-  observed cost *coarsens* cheap shapes while expensive shapes keep
-  Java's tree;
+  four leaves per worker buys no parallelism, only task overhead;
+* the leaf-span target is :data:`DISPATCH_SPAN_FACTOR` × the backend's
+  **measured dispatch cost**: the median round trip of a no-op through
+  the fork/join pool or the worker processes, re-probed every
+  :data:`_DISPATCH_REFRESH_RUNS` observed runs;
 * when the median leaf span collapses below a quarter of the target, task
   overhead dominates — the shape's bias **coarsens** (doubles);
 * when leaves run long while workers report idle wake-ups (or too few
@@ -29,11 +38,8 @@ same operators but different functions learn independently, which keeps
 the policy honest about fused-kernel per-element cost instead of assuming
 uniform ops.
 
-Selection: per-stream with ``Stream.with_target_size("auto")``, or for
-every stream without an explicit threshold through the run's
-:class:`~repro.streams.config.EngineConfig` (``with
-engine(split_policy="auto"):`` or the ``REPRO_SPLIT_POLICY`` environment
-variable).  An explicit integer ``with_target_size(n)`` always wins.
+An explicit integer ``Stream.with_target_size(n)`` always wins (AB4 and
+FIG3 sweep it); ``with_target_size("auto")`` names the default.
 ``Stream.explain()`` reports the decision (``threshold_source="auto"``)
 together with the inputs that drove it, through the *same*
 :func:`decide_threshold` the terminals call, so plans cannot drift from
@@ -49,7 +55,6 @@ import time
 from dataclasses import dataclass
 from typing import Any
 
-from repro.streams.config import EngineConfig, current_config
 from repro.streams.spliterator import UNKNOWN_SIZE
 
 #: Number of leaves per worker Java aims for (AbstractTask.LEAF_TARGET).
@@ -89,12 +94,11 @@ DISPATCH_SPAN_FACTOR = 64
 _MIN_LEAF_SPAN_NS = 2_000_000
 _MAX_LEAF_SPAN_NS = 512_000_000
 
-#: Thread-pool dispatch cost is re-probed every this many observed runs
-#: per backend (it drifts with host load); the process backend refreshes
-#: for free from every scatter's round-trip sample.
+#: A backend's dispatch cost is re-probed every this many observed runs
+#: (it drifts with host load).
 _DISPATCH_REFRESH_RUNS = 64
 
-#: No-op tasks per thread-pool dispatch probe.
+#: No-op round trips per dispatch probe.
 _DISPATCH_PROBE_TASKS = 8
 
 #: Wall time one ``next_chunk`` batch should cost on the chunked path —
@@ -119,8 +123,6 @@ _MEMO_LIMIT = 256
 
 #: ``threshold_source`` labels shared with ``Stream.explain()``.
 SOURCE_EXPLICIT = "with_target_size"
-SOURCE_SIZED = "size // (4 × parallelism)"
-SOURCE_UNKNOWN = "unknown size → default // parallelism"
 SOURCE_AUTO = "auto"
 
 
@@ -134,13 +136,6 @@ def compute_target_size(size: int, parallelism: int) -> int:
     if size == UNKNOWN_SIZE:
         return max(UNKNOWN_SIZE_BASE // parallelism, 1)
     return max(size // (parallelism * LEAF_FACTOR), 1)
-
-
-def fixed_target(size: int, parallelism: int, explicit: Any) -> int:
-    """The non-adaptive threshold: an explicit integer or Java's rule."""
-    if isinstance(explicit, int):
-        return explicit
-    return compute_target_size(size, parallelism)
 
 
 # --------------------------------------------------------------------------- #
@@ -210,18 +205,19 @@ class ThresholdDecision:
 class RunObservation:
     """Per-run sample sheet an ``auto`` terminal fills in while it runs.
 
-    Thread-backend leaves call :meth:`record_leaf` (list appends — safe
-    under the GIL from concurrent workers); the process backend calls
-    :meth:`record_batch` with child-reported batch durations.  On success
-    the terminal calls :meth:`complete`, which folds steal/idle deltas in
-    and feeds the policy memo.  Cancelled short-circuit runs are simply
-    never completed — a leaf that aborted early would poison the
-    per-element cost estimate.
+    Leaves run by the fork/join template (pool workers or the caller)
+    call :meth:`record_leaf` (list appends — safe under the GIL from
+    concurrent workers); the process backend calls :meth:`record_batch`
+    with child-reported batch durations.  On success the terminal calls
+    :meth:`complete`, which folds steal/idle deltas in, feeds the policy
+    memo and, on the refresh cadence, re-probes the dispatch cost.
+    Cancelled short-circuit runs are simply never completed — a leaf that
+    aborted early would poison the per-element cost estimate.
     """
 
     __slots__ = (
         "key", "parallelism", "target_size", "leaf_ns", "leaf_elements",
-        "leaf_sizes", "steals", "idle_wakeups", "dispatch_ns", "_pool_before",
+        "leaf_sizes", "steals", "idle_wakeups", "_pool_before",
     )
 
     def __init__(
@@ -238,10 +234,10 @@ class RunObservation:
         self.leaf_ns: list[int] = []
         self.leaf_elements: list[int] = []
         self.leaf_sizes = leaf_sizes
-        self.steals = 0
+        #: None where no pool counts steals (process workers, where a
+        #: steal-free run says nothing about idle workers).
+        self.steals = 0 if pool_snapshot is not None else None
         self.idle_wakeups = 0
-        #: Per-scatter dispatch-overhead samples (process backend).
-        self.dispatch_ns: list[int] = []
         self._pool_before = pool_snapshot
 
     def record_leaf(self, duration_ns: int, elements: int) -> None:
@@ -259,13 +255,10 @@ class RunObservation:
             self.leaf_ns.append(per_leaf)
             self.leaf_elements.append(sizes[i] if sizes is not None else 0)
 
-    def record_dispatch(self, overhead_ns: int) -> None:
-        """One measured scatter-to-result overhead sample (batch round trip
-        minus the child's own compute time)."""
-        if overhead_ns > 0:
-            self.dispatch_ns.append(overhead_ns)
-
     def complete(self, pool: Any = None) -> None:
+        """Feed the finished run to the policy.  ``pool`` is the fork/join
+        pool or process executor the shape dispatches to (None: none is
+        running); its dispatch cost is probed on the refresh cadence."""
         if pool is not None and self._pool_before is not None:
             after = pool.scheduling_snapshot()
             before = self._pool_before
@@ -274,17 +267,8 @@ class RunObservation:
                 after["idle_wakeups"] - before["idle_wakeups"]
             )
         _policy.observe_run(self)
-        backend = self.key[0] if self.key else None
-        if backend is None:
-            return
-        if self.dispatch_ns:
-            # The process backend measured its own dispatch overhead; the
-            # minimum sample is the least-contended (truest) one.
-            _policy.note_dispatch_cost(backend, min(self.dispatch_ns))
-        elif pool is not None:
-            # Thread backend: probe the pool's submit→join round trip
-            # directly (cheap, and refreshed only every few dozen runs).
-            _policy.maybe_measure_dispatch(backend, pool)
+        if pool is not None and self.key:
+            _policy.maybe_measure_dispatch(self.key[0], pool)
 
 
 class _ShapeEntry:
@@ -309,8 +293,8 @@ class SplitPolicy:
     """The adaptive threshold policy: a shape-keyed cost memo + feedback.
 
     Deciding is read-only with respect to the memo (``explain()`` may call
-    it freely); only :meth:`observe_run` — fed by completed ``auto``
-    terminals — mutates state.  All state is process-local; worker
+    it freely); only :meth:`observe_run` — fed by completed terminals —
+    mutates state.  All state is process-local; worker
     children never consult it (they receive resolved sizes in payloads).
     """
 
@@ -370,8 +354,9 @@ class SplitPolicy:
             )
 
     def maybe_measure_dispatch(self, backend: str, pool: Any) -> None:
-        """Probe ``pool``'s per-task dispatch cost if this backend's
-        estimate is due for a refresh (first run, then every
+        """Probe the no-op round trip through ``pool`` (a fork/join pool
+        or a process executor) if this backend's estimate is due for a
+        refresh (first run, then every
         :data:`_DISPATCH_REFRESH_RUNS` observed runs)."""
         with self._lock:
             if self._span_pinned:
@@ -416,6 +401,16 @@ class SplitPolicy:
                 compute_target_size(size, parallelism), None,
                 SOURCE_AUTO, inputs, True, key,
             )
+        chunk = _pow2_at_most(
+            self.target_chunk_span_ns / cost, _MIN_CHUNK, _MAX_CHUNK
+        )
+        if size != UNKNOWN_SIZE and size * cost <= span_target:
+            # The work rule: the whole run fits one leaf span, so any
+            # split would cost more in dispatch than it could win back.
+            inputs["basis"] = "size × cost ≤ target leaf span: one leaf"
+            return ThresholdDecision(
+                max(size, 1), chunk, SOURCE_AUTO, inputs, True, key
+            )
         target = max(int(span_target / cost * bias), 1)
         inputs["basis"] = "target leaf span ÷ observed cost × bias"
         if size != UNKNOWN_SIZE:
@@ -429,10 +424,12 @@ class SplitPolicy:
             if floor > target:
                 target = max(floor, 1)
                 inputs["basis"] = "size // (4 × parallelism) floor × bias"
-            target = min(target, max(size, 1))
-        chunk = _pow2_at_most(
-            self.target_chunk_span_ns / cost, _MIN_CHUNK, _MAX_CHUNK
-        )
+            # The other half of the work rule: work that does not fit one
+            # leaf gets at least one leaf per worker.
+            per_worker = -(-size // parallelism)
+            if target > per_worker:
+                target = max(per_worker, 1)
+                inputs["basis"] = "ceil(size / parallelism): a leaf per worker"
         return ThresholdDecision(target, chunk, SOURCE_AUTO, inputs, True, key)
 
     # -- learning ----------------------------------------------------------- #
@@ -514,28 +511,39 @@ _nop_task_cls = None
 
 
 def _measure_pool_dispatch(pool: Any, probes: int = _DISPATCH_PROBE_TASKS) -> float:
-    """Median submit→join round trip of a no-op task on ``pool``, in ns.
+    """Median round trip of a no-op through ``pool``'s workers, in ns: a
+    fork/join task, or one :meth:`ProcessExecutor.ping
+    <repro.jplf.process_executor.ProcessExecutor.ping>`.
 
-    Returns 0.0 when the pool is unusable (shut down, mid-teardown) — the
-    caller just keeps its previous estimate.  The task class is defined
-    lazily because ``repro.forkjoin`` imports are cyclic at module load.
+    Returns 0.0 when the pool is unusable (shut down, mid-teardown, no
+    worker processes started yet) — the caller just keeps its previous
+    estimate.  The task class is defined lazily because
+    ``repro.forkjoin`` imports are cyclic at module load.
     """
     global _nop_task_cls
-    if pool is None or getattr(pool, "is_shutdown", lambda: True)():
+    if pool is None:
         return 0.0
     try:
-        if _nop_task_cls is None:
-            from repro.forkjoin.task import RecursiveTask
+        ping = getattr(pool, "ping", None)
+        if ping is None:
+            if pool.is_shutdown():
+                return 0.0
+            if _nop_task_cls is None:
+                from repro.forkjoin.task import RecursiveTask
 
-            class _NopTask(RecursiveTask):
-                def compute(self):
-                    return None
+                class _NopTask(RecursiveTask):
+                    def compute(self):
+                        return None
 
-            _nop_task_cls = _NopTask
+                _nop_task_cls = _NopTask
+
+            def ping():
+                pool.invoke(_nop_task_cls())
+
         samples = []
         for _ in range(probes):
             start = time.perf_counter_ns()
-            pool.invoke(_nop_task_cls())
+            ping()
             samples.append(time.perf_counter_ns() - start)
         samples.sort()
         return float(samples[len(samples) // 2])
@@ -552,27 +560,21 @@ _policy = SplitPolicy()
 
 
 def split_policy_stats(reset: bool = False) -> dict:
-    """Decision/feedback counters plus the memo size (advisory; lets tests
-    and benches prove the adaptive path engaged and which way it moved)."""
-    snapshot = _policy.stats(reset=reset)
-    snapshot["mode"] = current_config().split_policy
-    return snapshot
+    """Decision/feedback counters plus the memo size and the measured
+    per-backend dispatch costs (advisory; lets tests and benches prove
+    which way the policy moved)."""
+    return _policy.stats(reset=reset)
 
 
 def reset_split_policy() -> None:
-    """Forget every learned shape (benchmarks isolate workloads with this)."""
+    """Forget every learned shape (benchmarks and tests isolate runs with
+    this)."""
     _policy.reset()
-
-
-def wants_auto(explicit: Any, config: EngineConfig) -> bool:
-    """True when this terminal should route through the adaptive policy."""
-    return explicit == AUTO or (explicit is None and config.split_policy == AUTO)
 
 
 def decide_threshold(
     size: int,
     parallelism: int,
-    config: EngineConfig,
     explicit: Any = None,
     key: tuple | None = None,
     record: bool = True,
@@ -581,15 +583,10 @@ def decide_threshold(
 
     Every parallel terminal (both backends) and ``Stream.explain()``
     resolve the split threshold here, so the plan and the execution can
-    never disagree.  ``explicit`` is an integer from ``with_target_size``,
-    the string ``"auto"``, or None (use ``config.split_policy``).  ``record``
-    is False for explain calls so plans don't pollute the stats.
+    never disagree.  ``explicit`` is an integer from ``with_target_size``
+    (it wins), or None / ``"auto"`` for the policy.  ``record`` is False
+    for explain calls so plans don't pollute the stats.
     """
     if isinstance(explicit, int):
         return ThresholdDecision(explicit, None, SOURCE_EXPLICIT, None, False, key)
-    if not wants_auto(explicit, config):
-        source = SOURCE_UNKNOWN if size == UNKNOWN_SIZE else SOURCE_SIZED
-        return ThresholdDecision(
-            compute_target_size(size, parallelism), None, source, None, False, key,
-        )
     return _policy.decide(size, parallelism, key, record=record)

@@ -1,14 +1,16 @@
 """The per-run engine configuration.
 
-Four switches steer how a terminal runs: the chunked bulk path, stage
-fusion, the split policy and the parallel backend.  They live in one
-frozen :class:`EngineConfig` that a terminal resolves once and hands to
+Three switches steer how a terminal runs: the chunked bulk path, stage
+fusion and the parallel backend.  They live in one frozen
+:class:`EngineConfig` that a terminal resolves once and hands to
 everything it runs — fork/join leaves and process-backend children
 included — so no process-global toggle exists for a concurrent pipeline
 to observe.  Precedence, highest first: the stream builder
 (``Stream.with_backend``), the caller's :func:`engine` scope, the
-``REPRO_PARALLEL_BACKEND`` / ``REPRO_SPLIT_POLICY`` environment
-variables (read once, at import), the field defaults.
+``REPRO_PARALLEL_BACKEND`` environment variable (read once, at import),
+the field defaults.  The split threshold is not a switch: it is the
+adaptive policy of :mod:`repro.streams.adaptive`, or an explicit
+``Stream.with_target_size(n)``.
 """
 
 from __future__ import annotations
@@ -26,10 +28,6 @@ from repro.common import IllegalArgumentError
 #: must pickle); ``sequential`` — the calling thread.
 VALID_BACKENDS = ("threads", "process", "sequential")
 
-#: ``fixed`` — Java's ``size // (4 × parallelism)``; ``auto`` — the
-#: metrics-driven thresholds of :mod:`repro.streams.adaptive`.
-VALID_POLICIES = ("fixed", "auto")
-
 
 def _validate_backend(name: str) -> None:
     if name not in VALID_BACKENDS:
@@ -39,33 +37,22 @@ def _validate_backend(name: str) -> None:
         )
 
 
-def _validate_policy(mode: str) -> None:
-    if mode not in VALID_POLICIES:
-        raise IllegalArgumentError(
-            f"unknown split policy {mode!r}: valid policies are "
-            + ", ".join(repr(m) for m in VALID_POLICIES)
-        )
-
-
 @dataclass(frozen=True, slots=True)
 class EngineConfig:
     """How one terminal runs; picklable, so it ships in process payloads."""
 
     bulk: bool = True
     fusion: bool = True
-    split_policy: str = "fixed"
     backend: str = "threads"
 
     def __post_init__(self) -> None:
-        _validate_policy(self.split_policy)
         _validate_backend(self.backend)
 
 
 def _from_env() -> EngineConfig:
-    """The default config: the two environment variables over defaults."""
+    """The default config: the environment variable over the defaults."""
     backend = os.environ.get("REPRO_PARALLEL_BACKEND", "").strip()
-    policy = os.environ.get("REPRO_SPLIT_POLICY", "").strip()
-    return EngineConfig(split_policy=policy or "fixed", backend=backend or "threads")
+    return EngineConfig(backend=backend or "threads")
 
 
 _current: ContextVar[EngineConfig] = ContextVar("engine_config", default=_from_env())

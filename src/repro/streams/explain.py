@@ -149,8 +149,9 @@ def _parallel_execution(
     stateful op applied as a sequential barrier between segments.  A
     ``limit``/``skip`` cut over maps is reported from the planner itself
     (:func:`~repro.streams.parallel.plan_window`): its window, leaf count
-    and whether it runs in the caller — as is an op-free tail folded in
-    the caller (:func:`~repro.streams.parallel.residual_backend`).
+    and whether it runs in the caller — as is a first segment the
+    threshold makes one leaf, and an op-free tail folded in the caller
+    (:func:`~repro.streams.parallel.residual_backend`).
 
     With ``backend='process'`` the pool is the worker-process pool and the
     plan additionally predicts the *shipping* mode — whether leaves travel
@@ -197,7 +198,7 @@ def _parallel_execution(
             }
             if window.split_tree is not None:
                 segment["leaves"] = window.split_tree[0]
-                segment["in_caller"] = window.in_caller
+                segment["in_caller"] = segment["leaves"] == 1
             segments.append(segment)
             remaining = window.rest
             continue
@@ -260,7 +261,6 @@ def _parallel_execution(
     decision = decide_threshold(
         size if size is not None else UNKNOWN_SIZE,
         parallelism,
-        config,
         explicit=explicit_target,
         key=key,
         record=False,
@@ -281,6 +281,9 @@ def _parallel_execution(
     elif size is not None:
         leaves, depth = _walk_split_tree(size, target)
         execution["split_tree"] = {"leaves": leaves, "depth": depth}
+        if leaves == 1:
+            # ``parallel.evaluate`` runs a one-leaf plan in the caller.
+            segments[0].update(leaves=1, in_caller=True)
     else:
         execution["split_tree"] = None
     return execution
@@ -390,7 +393,8 @@ class ExplainPlan:
             if "leaves" in seg:
                 tail += f", {_leaves(seg['leaves'])}"
             if seg.get("in_caller"):
-                tail += ", in caller" if seg["barrier"] else "  folded in caller"
+                folded = "leaves" not in seg and not seg["barrier"]
+                tail += "  folded in caller" if folded else ", in caller"
             lines.append(f"     segment[{i}]: {chain}  mode={seg['mode']}{tail}")
         tree = ex["split_tree"]
         if tree is not None:

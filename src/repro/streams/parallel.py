@@ -2,15 +2,16 @@
 
 :func:`evaluate` runs any :class:`~repro.streams.terminal.Terminal` on the
 backend the run's :class:`~repro.streams.config.EngineConfig` names:
-``process`` hands it to :func:`repro.streams.process_backend.evaluate`,
-``sequential`` to :func:`~repro.streams.terminal.evaluate_sequential`,
-and ``threads`` (the default) grows a task tree the way
+``sequential`` to :func:`~repro.streams.terminal.evaluate_sequential`;
+``threads`` (the default) grows a task tree the way
 ``java.util.stream.AbstractTask`` does: starting from the source
 spliterator, ``try_split`` is called repeatedly until a node's
-estimated size drops to the *target size*
-(``source size / (4 × parallelism)``, Java's heuristic) or the
-spliterator refuses to split.  Each leaf runs the terminal's one leaf
-body (:func:`~repro.streams.terminal.run_leaf`: a fresh sink, filled
+estimated size drops to the *target size* the split policy decides
+(:mod:`repro.streams.adaptive`) or the spliterator refuses to split.  A
+plan of one leaf runs in the caller, on ``threads`` and ``process``
+alike; a wider ``process`` plan goes to
+:func:`repro.streams.process_backend.evaluate`.  Each leaf runs the
+terminal's one leaf body (:func:`~repro.streams.terminal.run_leaf`: a fresh sink, filled
 through the fused op chain), and interior nodes merge the leaves'
 partials with the terminal's ``merge`` in encounter order — prefix (the
 spliterator returned by ``try_split``) first.
@@ -48,7 +49,7 @@ from repro.forkjoin.task import RecursiveTask
 from repro.obs.profile import current_profiler
 from repro.obs.tracer import EXTERNAL_WORKER, current_tracer
 from repro.streams import adaptive
-from repro.streams.adaptive import LEAF_FACTOR, compute_target_size
+from repro.streams.adaptive import compute_target_size
 from repro.streams.config import EngineConfig
 from repro.streams.fusion import counted_window, maybe_fuse
 from repro.streams.ops import LimitOp, MapOp, Op, SkipOp
@@ -67,40 +68,6 @@ def _attach_profiler(pool: ForkJoinPool) -> None:
     profiler = current_profiler()
     if profiler is not None:
         profiler.profile.attach_pool(pool)
-
-
-def _resolve_threshold(
-    spliterator: Spliterator,
-    ops: list[Op],
-    pool: ForkJoinPool,
-    requested,
-    config: EngineConfig,
-    observe: bool = True,
-) -> tuple[int, int | None, "adaptive.RunObservation | None"]:
-    """Resolve one terminal's split threshold through the shared decision
-    function (:func:`repro.streams.adaptive.decide_threshold` — the same
-    one ``Stream.explain()`` consults, so plans cannot drift).
-
-    Returns ``(target_size, chunk_size, observer)``; the observer is
-    non-None only for ``auto`` decisions that should feed the policy memo
-    (``observe=False`` for find terminals, whose leaves stop early by
-    design and would poison the per-element cost estimate).
-    """
-    size = spliterator.estimate_size()
-    if not adaptive.wants_auto(requested, config):
-        # Fixed-policy fast path: skip shape fingerprinting entirely.
-        return adaptive.fixed_target(size, pool.parallelism, requested), None, None
-    key = adaptive.shape_key(ops, spliterator, pool.parallelism, backend="threads")
-    decision = adaptive.decide_threshold(
-        size, pool.parallelism, config, explicit=requested, key=key
-    )
-    observer = None
-    if observe:
-        observer = adaptive.RunObservation(
-            key, pool.parallelism, decision.target_size,
-            pool_snapshot=pool.scheduling_snapshot(),
-        )
-    return decision.target_size, decision.chunk_size, observer
 
 
 class _TerminalContext:
@@ -258,7 +225,6 @@ class WindowPlan(NamedTuple):
     spliterator: Spliterator | None = None
     target_size: int | None = None
     split_tree: tuple[int, int] | None = None
-    in_caller: bool = False
 
 
 def window_run(ops: list[Op]) -> WindowPlan | None:
@@ -298,7 +264,7 @@ def plan_window(
     the un-narrowed source gets: narrowing changes how many elements run,
     not what one costs, and Java's rule applied to the window's size
     would split a 100-element window into ``4 × parallelism`` slivers.
-    On the threads backend a window within that target is one leaf, run
+    A window within that target is one leaf, which :func:`evaluate` runs
     in the caller.  Returns None where the rule does not apply.
     """
     plan = window_run(ops)
@@ -314,23 +280,16 @@ def plan_window(
         narrowed = ListSpliterator(
             spliterator._source, origin + lo, origin + hi, spliterator._extra
         )
-    if adaptive.wants_auto(requested, config):
-        # Keyed like the first segment explain() reports: the maps
-        # before the first counted op.
-        cut = next(i for i, op in enumerate(ops) if op.stateful)
-        key = adaptive.shape_key(
-            ops[:cut], spliterator, parallelism, config.backend
-        )
-        target = adaptive.decide_threshold(
-            size, parallelism, config, explicit=requested, key=key,
-            record=record,
-        ).target_size
-    else:
-        target = adaptive.fixed_target(size, parallelism, requested)
+    # Keyed like the first segment explain() reports: the maps before
+    # the first counted op.
+    cut = next(i for i, op in enumerate(ops) if op.stateful)
+    key = adaptive.shape_key(ops[:cut], spliterator, parallelism, config.backend)
+    target = adaptive.decide_threshold(
+        size, parallelism, explicit=requested, key=key, record=record,
+    ).target_size
     return plan._replace(
         lo=lo, hi=hi, size=size, spliterator=narrowed, target_size=target,
         split_tree=_walk_split_tree(hi - lo, target),
-        in_caller=config.backend == "threads" and hi - lo <= target,
     )
 
 
@@ -523,10 +482,9 @@ def _invoke_fail_fast(
     ``pool.invoke``'s timeout, so an overrunning terminal surfaces as
     :class:`~repro.common.TaskTimeoutError` instead of blocking forever.
 
-    ``in_caller`` runs a one-leaf root in the calling thread (a planned
-    counted window, :func:`plan_window`): the same leaf — fused kernel,
-    ``leaf`` span, fault points — with the deadline checked on both sides
-    and no pool round trip.
+    ``in_caller`` runs a one-leaf root in the calling thread: the same
+    leaf — fused kernel, ``leaf`` span, fault points, observer — with the
+    deadline checked on both sides and no pool round trip.
     """
     timeout = None
     if deadline is not None:
@@ -555,7 +513,6 @@ def evaluate(
     target_size=None,
     deadline: Deadline | None = None,
     budget: int | None = None,
-    in_caller: bool = False,
 ) -> Any:
     """Run ``terminal`` over the pipeline on ``config.backend``, with
     ``config`` carried into every leaf.
@@ -566,6 +523,12 @@ def evaluate(
     Runs fail-fast: the first leaf or combiner exception cancels the
     remaining tree and re-raises promptly.
 
+    A plan of one leaf (root size ≤ the decided target) runs in the
+    caller on threads and process alike, through the same task
+    (:func:`_invoke_fail_fast` with ``in_caller``): no pool round trip,
+    no shipping.  The process backend checks that the pipeline pickles
+    first, so an unpicklable one fails the same way at every size.
+
     ``budget`` is set by ``Stream._barrier_stateful`` when the stateful
     cut is a ``limit(n)`` (the terminal is then ``Collect(to_list)``):
     each leaf gets a per-leaf ``LimitOp(n)`` appended (sound — the global
@@ -574,30 +537,47 @@ def evaluate(
     :class:`_CountedBudget` cancels still-running sibling leaves once the
     contiguous prefix of completed leaves has produced ``n`` outputs.  The
     caller truncates the merged buffer.
-
-    ``in_caller`` (threads only) runs a one-leaf plan in the calling
-    thread; ``Stream._barrier_stateful`` sets it for a counted window
-    that :func:`plan_window` found to fit one leaf.
     """
-    # Backend dispatch happens on the *raw* op chain: fused kernels are
-    # exec-compiled and unpicklable, so the process backend ships unfused
-    # ops and lets each worker re-fuse locally.
-    if config.backend == "process":
-        from repro.streams import process_backend as _pb
-
-        return _pb.evaluate(
-            spliterator, ops, terminal, config,
-            target_size=target_size, deadline=deadline, budget=budget,
-        )
-    if config.backend == "sequential":
+    backend = config.backend
+    if backend == "sequential":
         if deadline is not None:
             deadline.check(f"sequential {terminal.label}")
         if budget is not None:
             ops = list(ops) + [LimitOp(budget)]
         return evaluate_sequential(terminal, spliterator, ops, config)
-    target_size, chunk_size, observer = _resolve_threshold(
-        spliterator, ops, pool, target_size, config, observe=terminal.observe
+    # The same decision function Stream.explain() consults, so plans
+    # cannot drift from execution.
+    parallelism = backend_parallelism(backend, pool)
+    size = spliterator.estimate_size()
+    decision = adaptive.decide_threshold(
+        size, parallelism, explicit=target_size,
+        key=adaptive.shape_key(ops, spliterator, parallelism, backend),
     )
+    in_caller = size <= decision.target_size
+    if backend == "process":
+        from repro.streams import process_backend as _pb
+
+        if not in_caller:
+            # Backend dispatch happens on the *raw* op chain: fused
+            # kernels are exec-compiled and unpicklable, so the process
+            # backend ships unfused ops and each worker re-fuses locally.
+            return _pb.evaluate(
+                spliterator, ops, terminal, config, deadline=deadline,
+                budget=budget, decision=decision,
+            )
+        _pb.shipped_terminal(terminal, ops)
+        # The probe target for the dispatch cost, if workers are running.
+        dispatcher, pool = _pb._shared_executor, None
+    else:
+        dispatcher = pool
+    observer = None
+    if decision.adaptive and terminal.observe:
+        # Find leaves stop early by design and would poison the
+        # per-element cost estimate, so find terminals are not observed.
+        snapshot = pool.scheduling_snapshot() if pool is not None else None
+        observer = adaptive.RunObservation(
+            decision.key, parallelism, decision.target_size, snapshot
+        )
     counted_budget = None
     if budget is not None:
         root_origin = _leaf_origin(spliterator)
@@ -607,7 +587,8 @@ def evaluate(
     ops = maybe_fuse(ops, config)
     ctx = _TerminalContext(pool)
     ctx.observer = observer
-    _attach_profiler(pool)
+    if pool is not None:
+        _attach_profiler(pool)
     cancel = ctx.cancel
 
     def leaf(leaf_spliterator: Spliterator) -> Any:
@@ -619,7 +600,8 @@ def evaluate(
             origin = _leaf_origin(leaf_spliterator)
             span = leaf_spliterator.estimate_size()
         partial = run_leaf(
-            terminal, leaf_spliterator, ops, config, cancel, chunk_size
+            terminal, leaf_spliterator, ops, config, cancel,
+            decision.chunk_size,
         )
         if ctx.failure is not None:
             raise CancellationError("leaf aborted by sibling failure")
@@ -630,10 +612,12 @@ def evaluate(
                 cancel.set()
         return partial
 
-    root = _ReduceTask(spliterator, target_size, leaf, terminal.merge, ctx)
+    root = _ReduceTask(
+        spliterator, decision.target_size, leaf, terminal.merge, ctx
+    )
     merged = _invoke_fail_fast(pool, root, ctx, deadline, in_caller)
     if observer is not None and not (terminal.broadcast and terminal.hit(merged)):
         # A decided broadcast run aborted its leaves early, which would
         # skew the per-element cost: only full traversals feed the memo.
-        observer.complete(pool)
+        observer.complete(dispatcher)
     return terminal.finish(merged)

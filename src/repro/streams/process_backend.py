@@ -46,11 +46,17 @@ Shipping modes (reported by ``Stream.explain()``):
 
 Constraints: every user function crossing the boundary (ops, predicates,
 reduce operators, collectors) must pickle — module-level functions,
-``functools.partial``, ``operator.*``.  Collectors built from lambdas
-or closures are handled by an automatic fallback where leaves return
-their element lists and the parent folds each into its own container.
-``for_each`` actions run *in the worker process*: side effects on parent
-state are invisible — use ``backend='threads'`` for those.
+``functools.partial``, ``operator.*`` — and is checked at every size,
+including runs that never ship.  Collectors built from lambdas or
+closures are handled by an automatic fallback where leaves return their
+element lists and the parent folds each into its own container.
+
+A plan the split policy makes one leaf (:mod:`repro.streams.adaptive`'s
+work rule) never ships: :func:`repro.streams.parallel.evaluate` runs it
+in the caller, as the thread backend does.  Otherwise ``for_each``
+actions run *in the worker processes*, so whether their side effects on
+parent state are visible depends on the plan — use
+``backend='threads'`` for those.
 """
 
 from __future__ import annotations
@@ -241,6 +247,19 @@ def _check_picklable(obj: Any) -> bool:
         return False
 
 
+def shipped_terminal(terminal: Terminal, ops: list[Op]) -> Terminal:
+    """The terminal a leaf ships: ``terminal`` itself, or
+    ``Collect(to_list())`` for a collector that does not pickle.  Raises
+    :class:`~repro.common.IllegalArgumentError` when the op chain or any
+    other terminal's functions do not pickle."""
+    _require_picklable("pipeline stage functions", ops)
+    if _check_picklable(terminal):
+        return terminal
+    if not isinstance(terminal, Collect):
+        _require_picklable(f"{terminal.label} functions", terminal)
+    return Collect(to_list())
+
+
 def _require_picklable(what: str, *objects: Any) -> None:
     try:
         pickle.dumps(objects)
@@ -290,36 +309,23 @@ def _build_payloads(
     terminal: Terminal,
     config: EngineConfig,
     executor: ProcessExecutor,
-    target_size: int | None,
+    decision: "adaptive.ThresholdDecision",
     observe: bool = True,
 ) -> tuple[list[tuple], list[int], "adaptive.RunObservation | None"]:
     """Split to leaves and build picklable payloads.
 
-    The leaf threshold (and, under the ``auto`` split policy, the child's
-    ``run_pipeline`` chunk size) comes from :mod:`repro.streams.adaptive`,
-    keyed by the pipeline shape with ``backend="process"`` so the memo
-    never mixes process-side costs with thread-side ones.  Returns the
-    payload list, the leaves' split-tree depths, and the run's observation
-    handle (None outside auto or when ``observe`` is False) — the caller
-    feeds it to ``run_leaves`` and completes it on success so measured
-    batch durations update the memo.
+    ``decision`` carries the leaf threshold and the child's
+    ``run_pipeline`` chunk size from :mod:`repro.streams.adaptive`, keyed
+    by the pipeline shape with ``backend="process"`` so the memo never
+    mixes process-side costs with thread-side ones.  Returns the payload
+    list, the leaves' split-tree depths, and the run's observation handle
+    (None for an explicit threshold or when ``observe`` is False) — the
+    caller feeds it to ``run_leaves`` and completes it on success so
+    measured batch durations update the memo.
     """
-    size = spliterator.estimate_size()
-    chunk: int | None = None
-    key = None
-    if adaptive.wants_auto(target_size, config):
-        key = adaptive.shape_key(
-            ops, spliterator, executor.processes, backend="process"
-        )
-        decision = adaptive.decide_threshold(
-            size, executor.processes, config, explicit=target_size, key=key
-        )
-        target, chunk = decision.target_size, decision.chunk_size
-    else:
-        target = adaptive.fixed_target(size, executor.processes, target_size)
-    leaves = split_to_leaves(spliterator, target)
+    leaves = split_to_leaves(spliterator, decision.target_size)
     observer = None
-    if observe and key is not None:
+    if observe and decision.adaptive:
         # Sizes must be read before spec-building: unrecognized leaves are
         # drained into element lists by ``_leaf_source_spec``.
         sizes = [
@@ -327,10 +333,11 @@ def _build_payloads(
             for leaf in leaves
         ]
         observer = adaptive.RunObservation(
-            key, executor.processes, target, leaf_sizes=sizes
+            decision.key, executor.processes, decision.target_size,
+            leaf_sizes=sizes,
         )
     payloads = [
-        (_leaf_source_spec(leaf), ops, terminal, config, chunk)
+        (_leaf_source_spec(leaf), ops, terminal, config, decision.chunk_size)
         for leaf in leaves
     ]
     return payloads, leaves.depths, observer
@@ -382,8 +389,12 @@ def evaluate(
     deadline=None,
     executor: ProcessExecutor | None = None,
     budget: int | None = None,
+    decision: "adaptive.ThresholdDecision | None" = None,
 ) -> Any:
     """Run ``terminal`` across worker processes under ``config``.
+
+    ``decision`` is the split threshold :func:`repro.streams.parallel.evaluate`
+    already resolved for ``ops``; None resolves ``target_size`` here.
 
     Each leaf payload carries the terminal and ``config``: the child
     builds the leaf's sink and returns its partial, and the parent merges
@@ -408,18 +419,21 @@ def evaluate(
     concatenation).
     """
     executor = executor if executor is not None else shared_executor()
+    shipped = shipped_terminal(terminal, ops)
+    if decision is None:
+        key = adaptive.shape_key(
+            ops, spliterator, executor.processes, backend="process"
+        )
+        decision = adaptive.decide_threshold(
+            spliterator.estimate_size(), executor.processes,
+            explicit=target_size, key=key,
+        )
     early_stop_slots = None
     if budget is not None:
         ops = list(ops) + [LimitOp(budget)]
         early_stop_slots = _budget_stop(budget)
-    _require_picklable("pipeline stage functions", ops)
-    shipped = terminal
-    if not _check_picklable(terminal):
-        if not isinstance(terminal, Collect):
-            _require_picklable(f"{terminal.label} functions", terminal)
-        shipped = Collect(to_list())
     payloads, depths, observer = _build_payloads(
-        spliterator, ops, shipped, config, executor, target_size,
+        spliterator, ops, shipped, config, executor, decision,
         terminal.observe,
     )
     early_stop = None
@@ -439,5 +453,5 @@ def evaluate(
     if observer is not None and not (terminal.broadcast and terminal.hit(merged)):
         # A decided run aborted leaves mid-scan — those timings would
         # teach the memo that elements are cheaper than they are.
-        observer.complete()
+        observer.complete(executor)
     return terminal.finish(merged)

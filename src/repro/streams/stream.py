@@ -249,10 +249,9 @@ class Stream:
         Java computes ``size / (4 × parallelism)``; the paper's analysis of
         where decomposition "automatically stops" corresponds to this knob.
 
-        Pass the string ``"auto"`` to let the adaptive split policy pick
-        the threshold from observed per-element cost and scheduler
-        feedback (see :mod:`repro.streams.adaptive`) for this stream only,
-        whatever the run's ``split_policy`` (:func:`repro.streams.engine`).
+        Without it — or with the string ``"auto"`` — the adaptive split
+        policy picks the threshold from observed per-element cost and
+        scheduler feedback (see :mod:`repro.streams.adaptive`).
         """
         if isinstance(target_size, str):
             if target_size != "auto":
@@ -664,8 +663,8 @@ class Stream:
 
         A ``limit``/``skip`` cut that follows only maps is planned by
         :func:`~repro.streams.parallel.plan_window`: over a contiguous
-        sized source only its window is evaluated, and on threads a
-        window that fits one leaf runs in the caller.  Any other ``limit(n)``
+        sized source only its window is evaluated, and a window that
+        fits one leaf runs in the caller.  Any other ``limit(n)``
         cut passes its count as the collect's *budget*: leaves truncate
         locally through counted fused kernels and a satisfied contiguous
         prefix of leaves cancels still-running siblings (threads:
@@ -693,7 +692,6 @@ class Stream:
                     window.spliterator, window.maps,
                     Collect(collectors.to_list()), pool, config,
                     window.target_size, self._deadline,
-                    in_caller=window.in_caller,
                 )
                 ops = window.rest
             else:

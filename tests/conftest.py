@@ -1,16 +1,26 @@
-"""Session-wide guards for the test suite.
+"""Guards for the test suite.
 
 The shared-memory backing store (``repro.powerlist.shm``) creates named
 OS-level segments that outlive the process if not unlinked — a leak that
-survives the interpreter.  The guard below asserts every segment created
-during the run was released by the code under test before the session
-ends, then tears down the shared worker-process pool so no child outlives
-pytest.
+survives the interpreter.  The session guard below asserts every segment
+created during the run was released by the code under test before the
+session ends, then tears down the shared worker-process pool so no child
+outlives pytest.
+
+The split policy learns per pipeline shape, so a shape one test ran
+would change the plans of later tests; every test starts from an empty
+memo instead, whatever order the tests run in.
 """
 
 import pytest
 
 from repro.powerlist import shm
+from repro.streams import adaptive
+
+
+@pytest.fixture(autouse=True)
+def _fresh_split_policy():
+    adaptive.reset_split_policy()
 
 
 @pytest.fixture(scope="session", autouse=True)

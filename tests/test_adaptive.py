@@ -8,12 +8,15 @@ the traced leaf count even when the adaptive policy overrides the
 threshold, because both sides call the same decision function.
 """
 
+import operator
+import time
+
 import pytest
 
 from repro.common import IllegalArgumentError
 from repro.forkjoin import ForkJoinPool
 from repro.obs import tracing
-from repro.streams import EngineConfig, Stream, current_config, engine
+from repro.streams import Stream, current_config, engine
 from repro.streams import adaptive
 from repro.streams.adaptive import (
     AUTO,
@@ -25,8 +28,9 @@ from repro.streams.adaptive import (
     compute_target_size,
     decide_threshold,
     shape_key,
-    wants_auto,
 )
+from repro.streams import process_backend as pb
+from repro.streams.parallel import _walk_split_tree
 from repro.streams.spliterator import UNKNOWN_SIZE
 from repro.streams.spliterators import ListSpliterator, RangeSpliterator
 
@@ -39,14 +43,16 @@ def _other(x):
     return x + 1
 
 
+def _slow(x):
+    time.sleep(0.01)
+    return x
+
+
 @pytest.fixture(autouse=True)
 def _clean_policy():
-    """Each test starts from an empty memo and the 'fixed' split policy."""
+    """Each test leaves an empty memo behind (conftest starts it empty)."""
+    yield
     adaptive.reset_split_policy()
-    with engine(split_policy="fixed"):
-        yield
-    adaptive.reset_split_policy()
-    adaptive.split_policy_stats(reset=True)
 
 
 def _observe(policy, key, *, leaf_ns, leaf_elements, parallelism=4,
@@ -61,21 +67,24 @@ def _observe(policy, key, *, leaf_ns, leaf_elements, parallelism=4,
 
 
 class TestFixedRules:
+    """The explicit integer, and Java's rule as the bootstrap of a shape
+    with no observed cost."""
+
     def test_explicit_integer_always_wins(self):
-        decision = decide_threshold(4096, 4, EngineConfig(), explicit=128)
+        decision = decide_threshold(4096, 4, explicit=128)
         assert decision.target_size == 128
         assert decision.source == "with_target_size"
         assert decision.adaptive is False
 
     def test_sized_java_rule(self):
-        decision = decide_threshold(4096, 4, EngineConfig())
+        decision = decide_threshold(4096, 4)
         assert decision.target_size == 4096 // 16
-        assert decision.source == "size // (4 × parallelism)"
+        assert decision.inputs["basis"] == "bootstrap (no observed cost)"
 
     def test_unknown_size_scales_with_parallelism(self):
-        decision = decide_threshold(UNKNOWN_SIZE, 8, EngineConfig())
+        decision = decide_threshold(UNKNOWN_SIZE, 8)
         assert decision.target_size == UNKNOWN_SIZE_BASE // 8
-        assert decision.source == "unknown size → default // parallelism"
+        assert decision.inputs["basis"] == "bootstrap (no observed cost)"
 
 
 class TestShapeKey:
@@ -250,38 +259,22 @@ class TestFeedback:
 
 
 class TestControls:
-    def test_default_mode_is_fixed(self):
-        assert current_config().split_policy == "fixed"
-        assert not wants_auto(None, current_config())
-        assert wants_auto(AUTO, current_config())
-
-    def test_set_and_restore(self):
-        with engine(split_policy="auto") as config:
-            assert config.split_policy == "auto"
-            assert wants_auto(None, config)
-        assert current_config().split_policy == "fixed"
-
-    def test_context_manager(self):
-        with engine(split_policy="auto"):
-            assert current_config().split_policy == "auto"
-        assert current_config().split_policy == "fixed"
+    def test_default_is_auto(self):
+        assert decide_threshold(4096, 4).adaptive
+        assert decide_threshold(4096, 4, explicit=AUTO).adaptive
 
     def test_rejects_unknown_policy(self):
-        with pytest.raises(IllegalArgumentError):
-            with engine(split_policy="dynamic"):
+        # The split policy is not an engine switch: there is nothing to
+        # select, so the keyword is unknown.
+        assert not hasattr(current_config(), "split_policy")
+        with pytest.raises(TypeError):
+            with engine(split_policy="auto"):
                 pass
 
     def test_explicit_integer_beats_auto_mode(self):
-        with engine(split_policy="auto") as config:
-            assert not wants_auto(64, config)
-            decision = decide_threshold(4096, 4, config, explicit=64)
-            assert decision.target_size == 64
-            assert decision.adaptive is False
-
-    def test_stats_report_mode(self):
-        assert adaptive.split_policy_stats()["mode"] == "fixed"
-        with engine(split_policy="auto"):
-            assert adaptive.split_policy_stats()["mode"] == "auto"
+        decision = decide_threshold(4096, 4, explicit=64)
+        assert decision.target_size == 64
+        assert decision.adaptive is False
 
 
 class TestAutoEndToEnd:
@@ -306,14 +299,13 @@ class TestAutoEndToEnd:
 
     def test_global_auto_mode_engages(self):
         with ForkJoinPool(parallelism=2, name="adaptive-test") as pool:
-            with engine(split_policy="auto"):
-                total = (
-                    Stream.range(0, 1 << 12)
-                    .parallel()
-                    .with_pool(pool)
-                    .map(_work)
-                    .reduce(0, lambda a, b: a + b)
-                )
+            total = (
+                Stream.range(0, 1 << 12)
+                .parallel()
+                .with_pool(pool)
+                .map(_work)
+                .reduce(0, lambda a, b: a + b)
+            )
         assert total == sum(x * 3 for x in range(1 << 12))
         assert adaptive.split_policy_stats()["decisions"] == 1
 
@@ -449,9 +441,10 @@ class TestDispatchCostSpan:
             policy, key,
             leaf_ns=[40_000_000] * 4, leaf_elements=[40_000] * 4,
         )
-        # size 65536 → Java floor 4096, below both cost-derived targets.
+        # size 65536 → Java floor 4096, below both cost-derived targets;
+        # a leaf per worker caps the static one at 65536 / 4.
         static = policy.decide(1 << 16, 4, key, record=False)
-        assert static.target_size == 32_000  # 32ms span ÷ 1000ns/element
+        assert static.target_size == 16_384  # 32ms ÷ 1000ns, capped
         policy.note_dispatch_cost("threads", 100_000)  # → 6.4ms span
         derived = policy.decide(1 << 16, 4, key, record=False)
         assert derived.inputs["target_leaf_span_ns"] == 6_400_000
@@ -464,9 +457,7 @@ class TestDispatchCostSpan:
         assert adaptive._measure_pool_dispatch(pool) == 0.0
 
     def test_threads_auto_run_populates_dispatch_cost(self):
-        with engine(split_policy="auto"), ForkJoinPool(
-            parallelism=2, name="dispatch-e2e"
-        ) as pool:
+        with ForkJoinPool(parallelism=2, name="dispatch-e2e") as pool:
             result = (
                 Stream.of_iterable(range(20_000))
                 .parallel()
@@ -477,3 +468,128 @@ class TestDispatchCostSpan:
         assert result == sum(x * 3 for x in range(20_000))
         costs = adaptive.split_policy_stats()["dispatch_cost_ns"]
         assert costs.get("threads", 0) > 0
+
+
+class TestWorkRule:
+    """Once a shape has an observed cost: work within one leaf span is one
+    leaf; more work gets at least one leaf per worker."""
+
+    def _policy(self, key, parallelism):
+        policy = SplitPolicy(target_leaf_span_ns=1_000_000, pin_leaf_span=True)
+        # 100 ns per element: 10_000 elements fill the 1ms span exactly.
+        _observe(policy, key, leaf_ns=[100_000], leaf_elements=[1_000],
+                 parallelism=parallelism)
+        return policy
+
+    @pytest.mark.parametrize("size", [1, 256, 9_999, 10_000])
+    def test_work_within_one_span_is_one_leaf(self, size):
+        key = ("threads", "RangeSpliterator", 4, ())
+        decision = self._policy(key, 4).decide(size, 4, key)
+        assert decision.target_size == size
+        assert _walk_split_tree(size, decision.target_size) == (1, 0)
+
+    @pytest.mark.parametrize("size", [10_001, 12_345, 1 << 14, 1 << 20])
+    @pytest.mark.parametrize("parallelism", [2, 3, 4, 8])
+    def test_more_work_gets_a_leaf_per_worker(self, size, parallelism):
+        key = ("threads", "RangeSpliterator", parallelism, ())
+        decision = self._policy(key, parallelism).decide(size, parallelism, key)
+        assert decision.target_size <= -(-size // parallelism)
+        leaves, _ = _walk_split_tree(size, decision.target_size)
+        assert leaves >= parallelism
+
+
+def _process_batches() -> int:
+    workers = pb.shared_executor().stats()["workers"]
+    return sum(w.get("worker_batches", 0) for w in workers.values())
+
+
+@pytest.fixture
+def pinned_span(monkeypatch):
+    """The policy with its leaf span pinned at 1 s, so a cheap pipeline's
+    whole work fits one leaf whatever this host's dispatch cost."""
+    policy = SplitPolicy(target_leaf_span_ns=1_000_000_000, pin_leaf_span=True)
+    monkeypatch.setattr(adaptive, "_policy", policy)
+    return policy
+
+
+class TestInCallerPlans:
+    """A one-leaf plan runs in the caller on threads and process: the pool
+    runs no task, no batch ships, and the leaf keeps its span."""
+
+    N = 4096
+    EXPECTED = sum(x * 3 for x in range(N))
+
+    def _stream(self, pool, backend):
+        return (
+            Stream.range(0, self.N).parallel().with_pool(pool)
+            .with_backend(backend).map(_work)
+        )
+
+    def _sum(self, pool, backend):
+        return self._stream(pool, backend).reduce(0, operator.add)
+
+    @staticmethod
+    def _activity(pool, backend):
+        if backend == "threads":
+            return pool.stats()["tasks_executed"]
+        return _process_batches()
+
+    @pytest.mark.parametrize("backend", ["threads", "process"])
+    def test_cheap_pipeline_once_warm_uses_no_executor(self, pinned_span, backend):
+        with ForkJoinPool(parallelism=2, name="in-caller") as pool:
+            busy = []
+            for _ in range(3):
+                before = self._activity(pool, backend)
+                assert self._sum(pool, backend) == self.EXPECTED
+                busy.append(self._activity(pool, backend) - before)
+        # Cold: Java's tree on the executor; warm: one leaf, in the caller.
+        assert busy[0] > 0
+        assert busy[1:] == [0, 0]
+
+    @pytest.mark.parametrize("backend", ["threads", "process"])
+    def test_explain_in_caller_matches_executor_activity(self, pinned_span, backend):
+        reported = []
+        with ForkJoinPool(parallelism=2, name="in-caller") as pool:
+            for _ in range(2):
+                plan = self._stream(pool, backend).explain().to_dict()
+                first = plan["execution"]["segments"][0]
+                before = self._activity(pool, backend)
+                assert self._sum(pool, backend) == self.EXPECTED
+                idle = self._activity(pool, backend) == before
+                assert first.get("in_caller", False) is idle
+                if idle:
+                    assert first["leaves"] == 1
+                    assert plan["execution"]["split_tree"]["leaves"] == 1
+                reported.append(first.get("in_caller", False))
+        assert reported == [False, True]
+
+    @pytest.mark.parametrize("backend", ["threads", "process"])
+    def test_in_caller_leaf_keeps_its_span(self, pinned_span, backend):
+        with ForkJoinPool(parallelism=2, name="in-caller") as pool:
+            self._sum(pool, backend)  # seed the memo
+            with tracing() as tracer:
+                assert self._sum(pool, backend) == self.EXPECTED
+        kinds = [s.kind for s in tracer.spans()]
+        assert kinds.count("leaf") == 1
+        assert "task" not in kinds
+
+    def test_unpicklable_pipeline_fails_at_every_size(self, pinned_span):
+        for n in (1, 1 << 12):
+            with pytest.raises(IllegalArgumentError, match="picklable"):
+                Stream.range(0, n).parallel().with_backend("process").map(
+                    lambda x: x
+                ).to_list()
+
+
+class TestProcessDispatchProbe:
+    def test_dispatch_cost_is_a_round_trip_not_a_poll_tick(self):
+        # The process dispatch cost is a no-op round trip through a worker
+        # (well under a millisecond), not the scatter loop's 50 ms poll
+        # tick, which slow leaves used to leak into it.
+        for _ in range(3):
+            assert (
+                Stream.range(0, 64).parallel().with_backend("process")
+                .with_target_size("auto").map(_slow).to_list()
+            ) == list(range(64))
+        cost = adaptive.split_policy_stats()["dispatch_cost_ns"]["process"]
+        assert 0 < cost < 10_000_000

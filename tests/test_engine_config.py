@@ -4,9 +4,9 @@
   running in one thread never sees another thread's scope;
 * the config a terminal resolves travels explicitly into fork/join
   leaves (pool worker threads) and process-backend children;
-* the default is parsed from ``REPRO_PARALLEL_BACKEND`` and
-  ``REPRO_SPLIT_POLICY`` with the same accept and reject rules as
-  before.
+* the default is parsed from ``REPRO_PARALLEL_BACKEND`` with the same
+  accept and reject rules as before; the split policy is not a switch,
+  so ``REPRO_SPLIT_POLICY`` is not read.
 """
 
 import dataclasses
@@ -255,22 +255,20 @@ class TestConfigReachesLeaves:
 
 
 class TestEngineConfig:
-    def test_four_frozen_fields(self):
+    def test_three_frozen_fields(self):
         assert [f.name for f in dataclasses.fields(EngineConfig)] == [
-            "bulk", "fusion", "split_policy", "backend",
+            "bulk", "fusion", "backend",
         ]
         with pytest.raises(dataclasses.FrozenInstanceError):
             EngineConfig().bulk = False
 
     def test_pickles_by_value(self):
-        config = EngineConfig(bulk=False, split_policy="auto", backend="process")
+        config = EngineConfig(bulk=False, fusion=False, backend="process")
         assert pickle.loads(pickle.dumps(config)) == config
 
     def test_unknown_values_rejected(self):
         with pytest.raises(IllegalArgumentError, match="unknown parallel backend"):
             EngineConfig(backend="gpu")
-        with pytest.raises(IllegalArgumentError, match="unknown split policy"):
-            EngineConfig(split_policy="dynamic")
 
 
 class TestEnvDefault:
@@ -284,15 +282,11 @@ class TestEnvDefault:
             _from_env()
 
     def test_split_policy_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPLIT_POLICY", " auto ")
-        assert _from_env().split_policy == "auto"
-        monkeypatch.setenv("REPRO_SPLIT_POLICY", "")
-        assert _from_env().split_policy == "fixed"
+        # The split policy is no longer a switch: the variable it was
+        # read from overrides nothing, and no value is rejected.
         monkeypatch.setenv("REPRO_SPLIT_POLICY", "dynamic")
-        with pytest.raises(IllegalArgumentError):
-            _from_env()
+        assert _from_env() == EngineConfig()
 
     def test_unset_env_gives_defaults(self, monkeypatch):
         monkeypatch.delenv("REPRO_PARALLEL_BACKEND", raising=False)
-        monkeypatch.delenv("REPRO_SPLIT_POLICY", raising=False)
         assert _from_env() == EngineConfig()

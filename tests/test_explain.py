@@ -258,8 +258,10 @@ class TestExplainPlanObject:
         )
         assert plan["source"]["size"] is None
         assert plan["execution"]["split_tree"] is None
-        assert plan["execution"]["threshold_source"] == (
-            "unknown size → default // parallelism"
+        # A shape with no observed cost bootstraps with Java's rule.
+        assert plan["execution"]["threshold_source"] == "auto"
+        assert plan["execution"]["threshold_inputs"]["basis"] == (
+            "bootstrap (no observed cost)"
         )
         # The reported target is what execution actually uses.
         from repro.streams.parallel import compute_target_size
@@ -329,8 +331,9 @@ class TestCountedWindowPlan:
         assert "(passthrough)  mode=chunked  folded in caller" in text
 
     def test_process_backend_ships_the_narrowed_window(self):
-        # Fewer, smaller leaves — still in worker processes, and the
-        # op-free tail is not folded in the caller.
+        # Fewer, smaller leaves: one leaf runs in the caller, as on
+        # threads; more ship to worker processes.  The op-free tail is
+        # not folded in the caller.
         for target, leaves in ((2048, 1), (256, 4)):
             plan = (
                 Stream.range(0, self.N).parallel().with_backend("process")
@@ -340,7 +343,7 @@ class TestCountedWindowPlan:
             first, tail = plan.to_dict()["execution"]["segments"]
             assert first["window"] == {"lo": 1000, "hi": 2000, "of": self.N}
             assert first["leaves"] == leaves
-            assert first["in_caller"] is False
+            assert first["in_caller"] is (leaves == 1)
             assert "in_caller" not in tail
 
     def test_filter_before_limit_keeps_the_budget(self):

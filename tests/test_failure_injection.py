@@ -573,7 +573,8 @@ class TestChaosMatrix:
         plan = _SCENARIOS[scenario](seed)
         with fault_injection(plan):
             with pytest.raises(FaultInjected):
-                polynomial_value(coeffs, -1.0, pool=pool)
+                # Java's 2^14 // (4 × 4): leaves and combines to strike.
+                polynomial_value(coeffs, -1.0, pool=pool, target_size=1024)
         assert plan.stats()["injected"] >= 1
 
     @pytest.mark.parametrize("seed", CHAOS_SEEDS)
@@ -588,7 +589,8 @@ class TestChaosMatrix:
         )
         with ForkJoinPool(parallelism=4, name=f"chaos-kill-{seed}") as p:
             with fault_injection(plan):
-                out = polynomial_value(coeffs, -1.0, pool=p)
+                # Java's 2^14 // (4 × 4): workers run tasks to kill.
+                out = polynomial_value(coeffs, -1.0, pool=p, target_size=1024)
             assert out == horner(coeffs, -1.0)
             assert p.stats()["worker_crashes"] >= 1
 

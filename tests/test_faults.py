@@ -358,7 +358,8 @@ class TestStreamInjection:
         plan = FaultPlan(seed=2).inject("combine:depth<1", "raise", times=1)
         with fault_injection(plan):
             with pytest.raises(FaultInjected):
-                polynomial_value(COEFFS, -1.0, pool=pool)
+                # Java's 256 // (4 × 4): a tree with combines to strike.
+                polynomial_value(COEFFS, -1.0, pool=pool, target_size=16)
         by_site = plan.stats()["by_site"]
         assert by_site.get("combine") == 1
 
@@ -431,10 +432,12 @@ class TestStreamInjection:
         ):
             with fault_injection(plan):
                 for p in (bystander, target):
+                    # Java's 10_000 // (4 × 2): both runs fork tasks.
                     out = (
                         Stream.range(0, 10_000)
                         .parallel()
                         .with_pool(p)
+                        .with_target_size(1250)
                         .map(lambda x: x + 1)
                         .sum()
                     )

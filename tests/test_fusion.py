@@ -571,8 +571,9 @@ class TestCountedWindowPlan:
 
     def test_op_free_tail_folds_in_caller(self, pool2):
         before = pool2.stats()["tasks_executed"]
-        assert self._stream(pool2).sorted(reverse=True).to_list() == (
-            self.DATA[::-1])
+        # Java's 2^13 // (4 × 2) states the 8-leaf scan explicitly.
+        assert self._stream(pool2).with_target_size(1024).sorted(
+            reverse=True).to_list() == self.DATA[::-1]
         # Only the sort's input scan runs on the pool: 8 leaves, i.e. the
         # root plus 7 forked prefixes.  The sorted buffer is copied in the
         # caller instead of being re-split into another 8 tasks.
