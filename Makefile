@@ -10,7 +10,7 @@ CHAOS_SEED_FILE := .github/chaos-seeds.json
 FUSION_FUZZ_SEED_FILE := .github/fusion-fuzz-seeds.json
 
 .PHONY: install test test-reverse chaos fusion-fuzz bench bench-smoke \
-        bench-regression serve-load e2e-smoke figures examples clean
+        bench-regression serve-load e2e-smoke gates figures examples clean
 
 install:
 	pip install -e .[test] || pip install -e . --no-build-isolation
@@ -99,6 +99,14 @@ e2e-smoke:
 	$(PYTHON) e2ebench/run.py --workload serve_mix --seed 1 --seconds 4 --trace 0
 	$(PYTHON) e2ebench/run.py --workload serve_mix --seed 1 --seconds 4 --trace 1
 	$(PYTHON) e2ebench/run.py --workload etl_process --seed 1 --seconds 30 --trace 0
+
+# Every gate the CI jobs run, one after another, stopping at the first
+# failure: tier-1, then the targets above.
+gates: export PYTHONPATH := src
+gates:
+	$(PYTHON) -m pytest -x -q
+	$(MAKE) test-reverse fusion-fuzz chaos bench-regression serve-load \
+	    examples e2e-smoke
 
 bench-output:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt

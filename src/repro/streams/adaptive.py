@@ -23,7 +23,7 @@ instead of the element count:
 * the leaf-span target is :data:`DISPATCH_SPAN_FACTOR` × the backend's
   **measured dispatch cost**: the median round trip of a no-op through
   the fork/join pool or the worker processes, re-probed every
-  :data:`_DISPATCH_REFRESH_RUNS` observed runs;
+  :data:`_DISPATCH_REFRESH_RUNS` observed runs that dispatched to it;
 * when the median leaf span collapses below a quarter of the target, task
   overhead dominates — the shape's bias **coarsens** (doubles);
 * when leaves run long while workers report idle wake-ups (or too few
@@ -41,9 +41,9 @@ uniform ops.
 An explicit integer ``Stream.with_target_size(n)`` always wins (AB4 and
 FIG3 sweep it); ``with_target_size("auto")`` names the default.
 ``Stream.explain()`` reports the decision (``threshold_source="auto"``)
-together with the inputs that drove it, through the *same*
-:func:`decide_threshold` the terminals call, so plans cannot drift from
-execution.
+together with the inputs that drove it: the segment planner
+(``parallel.plan_segment``) makes it once per segment through
+:func:`decide_threshold`, and explaining walks the same planner.
 """
 
 from __future__ import annotations
@@ -257,8 +257,8 @@ class RunObservation:
 
     def complete(self, pool: Any = None) -> None:
         """Feed the finished run to the policy.  ``pool`` is the fork/join
-        pool or process executor the shape dispatches to (None: none is
-        running); its dispatch cost is probed on the refresh cadence."""
+        pool or process executor the run dispatched to (None: it ran in
+        the caller); its dispatch cost is probed on the refresh cadence."""
         if pool is not None and self._pool_before is not None:
             after = pool.scheduling_snapshot()
             before = self._pool_before
@@ -581,11 +581,11 @@ def decide_threshold(
 ) -> ThresholdDecision:
     """The single threshold decision function.
 
-    Every parallel terminal (both backends) and ``Stream.explain()``
-    resolve the split threshold here, so the plan and the execution can
-    never disagree.  ``explicit`` is an integer from ``with_target_size``
-    (it wins), or None / ``"auto"`` for the policy.  ``record`` is False
-    for explain calls so plans don't pollute the stats.
+    The segment planner (``parallel.plan_segment``) calls it once per
+    segment, for execution and ``Stream.explain()`` alike.
+    ``explicit`` is an integer from ``with_target_size`` (it wins), or
+    None / ``"auto"`` for the policy.  ``record`` is False for explain
+    calls so plans don't pollute the stats.
     """
     if isinstance(explicit, int):
         return ThresholdDecision(explicit, None, SOURCE_EXPLICIT, None, False, key)

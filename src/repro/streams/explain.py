@@ -1,24 +1,22 @@
-"""``Stream.explain()``: the execution plan, predicted without executing.
+"""``Stream.explain()``: the execution plan, without executing it.
 
-The engine now makes four layered decisions per terminal — the fusion
+The engine makes four layered decisions per terminal — the fusion
 rewrite, the bulk-vs-per-element mode selection, the parallel segmenting
 at stateful barriers, and the split-tree shape from the target size.
-This module re-runs exactly those decision functions against the *plan*
-(op list + source metadata) instead of the data, so the report it builds
-is the same decision the engine will take, not a parallel reimplementation
-that can drift:
+This module makes none of them itself; it reports the engine's own:
 
+* a parallel stream's segments, each one's leaf chain, barrier, window,
+  budget, backend, threshold decision and split tree come from
+  :func:`~repro.streams.parallel.plan_segment` — the planner
+  ``Stream._evaluate`` runs — walked with ``record=False`` so
+  explaining never records a decision;
 * fusion goes through the pure :func:`~repro.streams.fusion.fuse_ops`
   (not ``maybe_fuse`` — explaining must not pollute the stats/memo that
-  tests and benchmarks pin);
+  tests and benchmarks pin), over the chain each traversal fuses: the
+  whole chain of a sequential stream, each segment's leaf chain of a
+  parallel one;
 * mode selection goes through :func:`~repro.streams.ops.select_mode`,
-  the decision ``run_pipeline`` branches on;
-* the leaf threshold goes through the real
-  :func:`~repro.streams.adaptive.decide_threshold` — the same function
-  the terminals call, including the ``auto`` split-policy path (read-only
-  against the memo, so explaining never records a decision) — and the
-  split tree is walked with the real halving rule (prefix gets
-  ``size - size // 2``).
+  the decision ``run_pipeline`` branches on.
 
 Every decision reads the :class:`~repro.streams.config.EngineConfig`
 the stream's terminal would resolve (``Stream._config``).  Everything is
@@ -32,20 +30,10 @@ import copy
 
 from repro.streams.config import EngineConfig
 from repro.streams.fusion import FusedOp, fuse_ops
-from repro.streams.ops import (
-    LimitOp,
-    Op,
-    select_mode,
-)
-from repro.streams.adaptive import decide_threshold, shape_key
-from repro.streams.parallel import (
-    _walk_split_tree,
-    backend_parallelism,
-    plan_window,
-    residual_backend,
-    window_run,
-)
-from repro.streams.spliterator import UNKNOWN_SIZE, Characteristics, Spliterator
+from repro.streams.ops import Op, select_mode
+from repro.streams.parallel import backend_parallelism, plan_segment
+from repro.streams.spliterator import Characteristics, Spliterator
+from repro.streams.zipper import ZipSpliterator
 
 #: Mode names reported under ``execution.mode`` / ``segments[].mode`` —
 #: the three branches of ``run_pipeline``.
@@ -90,19 +78,20 @@ def _predict_mode(
     return _MODE_NAMES[select_mode(ops, config, force_short_circuit)]
 
 
-def _fusion_section(
-    ops: list[Op], config: EngineConfig
-) -> tuple[dict, list[Op]]:
-    """The fusion rewrite report and the rewritten chain.
+def _fuse(chain: list[Op], config: EngineConfig) -> tuple[list[Op], int]:
+    """``chain`` as the run fuses it, through the pure :func:`fuse_ops`
+    (explaining never touches the ``fusion_stats`` counters or memo)."""
+    return fuse_ops(chain) if config.fusion else (chain, 0)
 
-    Uses the pure :func:`fuse_ops` so explaining never touches the
-    ``fusion_stats`` counters or the identity memo.
-    """
-    enabled = config.fusion
-    if enabled:
-        rewritten, stages_fused = fuse_ops(ops)
-    else:
-        rewritten, stages_fused = ops, 0
+
+def _fusion_section(pieces: list, config: EngineConfig) -> dict:
+    """The fusion rewrite report over ``(fused chain, stages, barrier)``
+    pieces: the whole chain of a sequential stream, or each segment's
+    leaf chain followed by its barrier ops."""
+    rewritten, stages_fused = [], 0
+    for fused, stages, barrier in pieces:
+        rewritten += [*fused, *barrier]
+        stages_fused += stages
     runs = [
         op.describe() for op in rewritten if isinstance(op, FusedOp)
     ]
@@ -118,179 +107,131 @@ def _fusion_section(
         for op in rewritten
         if not isinstance(op, FusedOp) and (op.stateful or op.short_circuit)
     ]
-    section = {
-        "enabled": enabled,
+    return {
+        "enabled": config.fusion,
         "chain": [_op_label(op) for op in rewritten],
         "stages_fused": stages_fused,
         "kernels": len(runs),
         "runs": runs,
         "barriers": barriers,
     }
-    return section, rewritten
 
 
-def _sequential_execution(fused_ops: list[Op], config: EngineConfig) -> dict:
-    return {"parallel": False, "mode": _predict_mode(fused_ops, config)}
+def _plan_segments(stream, config: EngineConfig) -> list:
+    """The segments :func:`~repro.streams.parallel.plan_segment` plans
+    for ``stream``, without recording a decision.  Only the first reads
+    the real source; later ones read a barrier buffer, unknown until the
+    run fills it."""
+    parallelism = backend_parallelism(config.backend, stream._pool)
+    segments = []
+    source, ops = stream._spliterator, list(stream._ops)
+    while True:
+        segment = plan_segment(
+            source, ops, parallelism, stream._target_size, config,
+            record=False, after_barrier=bool(segments),
+        )
+        segments.append(segment)
+        if not segment.barrier:
+            return segments
+        source, ops = None, segment.rest
+
+
+def _segment_entry(segment, fused: list[Op], backend: str, config) -> dict:
+    """One ``segments[]`` entry: the leaf chain, its mode and the cut."""
+    entry = {
+        "ops": [_op_label(op) for op in fused],
+        # Leaves of a parallel reduction run the chain through
+        # run_pipeline; match/find leaves poll (short-circuit).
+        "mode": _predict_mode(fused, config),
+        "barrier": "|".join(_op_label(op) for op in segment.barrier) or None,
+    }
+    if segment.budget is not None:
+        entry["budget"] = segment.budget
+    if segment.window is not None:
+        lo, hi, of = segment.window
+        entry["window"] = {"lo": lo, "hi": hi, "of": of}
+    tree = segment.split_tree
+    if tree is not None and (segment.window is not None or tree[0] == 1):
+        # A window reports its narrowed tree; any segment reports a
+        # one-leaf plan, which ``parallel.evaluate`` runs in the caller.
+        entry.update(leaves=tree[0], in_caller=tree[0] == 1)
+    elif segment.backend != backend:
+        entry["in_caller"] = True  # an op-free tail folded in the caller
+    return entry
 
 
 def _parallel_execution(
-    ops: list[Op],
-    size: int | None,
-    pool,
-    explicit_target: int | None,
-    config: EngineConfig,
-    spliterator: Spliterator | None = None,
+    segments: list, fused: list, pool, config: EngineConfig, spliterator
 ) -> dict:
-    """Predict segments, target size, and the split tree for parallel runs.
-
-    Mirrors ``Stream._barrier_stateful``: the chain is cut at each
-    stateful op; every stateless segment runs as its own fork/join
-    reduction (each re-fused and mode-selected independently), with the
-    stateful op applied as a sequential barrier between segments.  A
-    ``limit``/``skip`` cut over maps is reported from the planner itself
-    (:func:`~repro.streams.parallel.plan_window`): its window, leaf count
-    and whether it runs in the caller — as is a first segment the
-    threshold makes one leaf, and an op-free tail folded in the caller
-    (:func:`~repro.streams.parallel.residual_backend`).
+    """Report the planned segments, the first segment's threshold
+    decision and its split tree.
 
     With ``backend='process'`` the pool is the worker-process pool and the
     plan additionally predicts the *shipping* mode — whether leaves travel
     as zero-copy shared-memory descriptors, compact range bounds, or
-    pickled element copies.
+    pickled element copies.  The ``sequential`` backend runs the same
+    segments in the caller, one traversal each, without splitting.
     """
-    shipping = None
     backend = config.backend
-    parallelism = backend_parallelism(backend, pool)
-    if backend == "process":
-        from repro.streams import process_backend as _pb
-
-        pool_name = "process"
-        if spliterator is not None:
-            shipping = _pb.shipping_mode(spliterator)
-    else:
-        pool_name = pool.name if pool is not None else "common"
-
-    def fused_labels(chain):
-        fused, _ = fuse_ops(chain) if config.fusion else (chain, 0)
-        return [_op_label(op) for op in fused], _predict_mode(fused, config)
-
-    segments = []
-    first_window = None
-    remaining = list(ops)
-    while True:
-        # Only the first segment reads the real source; later ones read a
-        # barrier buffer whose size is unknown until it runs.
-        if not segments and spliterator is not None:
-            window = plan_window(
-                spliterator, remaining, parallelism, explicit_target,
-                config, record=False,
-            )
-            first_window = window
-        else:
-            window = window_run(remaining)
-        if window is not None:
-            labels, mode = fused_labels(window.maps)
-            segment = {
-                "ops": labels,
-                "mode": mode,
-                "barrier": "|".join(_op_label(op) for op in window.counted),
-                "window": {"lo": window.lo, "hi": window.hi, "of": window.size},
-            }
-            if window.split_tree is not None:
-                segment["leaves"] = window.split_tree[0]
-                segment["in_caller"] = segment["leaves"] == 1
-            segments.append(segment)
-            remaining = window.rest
-            continue
-        cut = next(
-            (i for i, op in enumerate(remaining) if op.stateful), None
-        )
-        if cut is None:
-            prefix, barrier, remaining = remaining, None, []
-        else:
-            prefix, barrier = remaining[:cut], remaining[cut]
-            remaining = remaining[cut + 1 :]
-        # A limit barrier passes its count to the collect as the *budget*:
-        # each leaf actually runs ``prefix + [LimitOp(n)]`` (re-fused into
-        # a counted kernel), so the plan predicts the mode of exactly that
-        # chain — mirroring ``Stream._barrier_stateful``.
-        budget = None
-        leaf_chain = prefix
-        if barrier is not None and isinstance(barrier, LimitOp):
-            budget = barrier.n
-            leaf_chain = prefix + [barrier]
-        labels, mode = fused_labels(leaf_chain)
-        segment = {
-            "ops": labels,
-            # Leaves of a parallel reduction run the chain through
-            # run_pipeline; match/find leaves poll (short-circuit).
-            "mode": mode,
-            "barrier": _op_label(barrier) if barrier is not None else None,
+    entries = [
+        _segment_entry(segment, chain, backend, config)
+        for segment, chain in zip(segments, fused)
+    ]
+    if backend == "sequential":
+        return {
+            "parallel": False, "mode": entries[-1]["mode"],
+            "backend": backend, "segments": entries,
         }
-        if budget is not None:
-            segment["budget"] = budget
-        if (
-            barrier is None and segments
-            and residual_backend(backend, prefix) != backend
-        ):
-            segment["in_caller"] = True
-        segments.append(segment)
-        if barrier is None:
-            break
-
     execution: dict = {
         "parallel": True,
         "backend": backend,
-        "pool": pool_name,
-        "parallelism": parallelism,
-        "segments": segments,
+        "pool": pool.name if pool is not None else "common",
+        "parallelism": backend_parallelism(backend, pool),
+        "segments": entries,
     }
-    if shipping is not None:
-        execution["shipping"] = shipping
+    if backend == "process":
+        from repro.streams import process_backend as _pb
 
-    # The threshold comes from the SAME decision function the terminals
-    # call (repro.streams.adaptive.decide_threshold), keyed by the first
-    # stateless segment's shape — so a policy override (e.g. the ``auto``
-    # split policy) can never make the plan drift from execution.
-    # ``record=False``: explaining must not bump the policy's stats.
-    first_cut = next((i for i, op in enumerate(ops) if op.stateful), None)
-    first_segment = ops if first_cut is None else ops[:first_cut]
-    key = None
-    if spliterator is not None:
-        key = shape_key(first_segment, spliterator, parallelism, backend=backend)
-    decision = decide_threshold(
-        size if size is not None else UNKNOWN_SIZE,
-        parallelism,
-        explicit=explicit_target,
-        key=key,
-        record=False,
-    )
-    target = decision.target_size
+        execution["pool"] = "process"
+        execution["shipping"] = _pb.shipping_mode(spliterator)
+    decision = segments[0].decision
     execution["threshold_source"] = decision.source
     if decision.inputs is not None:
         execution["threshold_inputs"] = decision.inputs
-    execution["target_size"] = target
-
-    # The split tree is only predictable for a sized source; the shape of
-    # later segments depends on barrier output sizes (e.g. after filter),
-    # so the prediction covers the first segment — for a counted window,
-    # the narrowed tree the planner splits.
-    if first_window is not None:
-        leaves, depth = first_window.split_tree
-        execution["split_tree"] = {"leaves": leaves, "depth": depth}
-    elif size is not None:
-        leaves, depth = _walk_split_tree(size, target)
-        execution["split_tree"] = {"leaves": leaves, "depth": depth}
-        if leaves == 1:
-            # ``parallel.evaluate`` runs a one-leaf plan in the caller.
-            segments[0].update(leaves=1, in_caller=True)
-    else:
-        execution["split_tree"] = None
+    execution["target_size"] = decision.target_size
+    # Later segments split barrier buffers whose sizes are unknown until
+    # the run, so the tree reported is the first segment's — for a
+    # counted window, the narrowed tree it splits.
+    tree = segments[0].split_tree
+    execution["split_tree"] = (
+        None if tree is None else {"leaves": tree[0], "depth": tree[1]}
+    )
     return execution
 
 
 def _leaves(count: int) -> str:
     return f"{count} leaf" if count == 1 else f"{count} leaves"
+
+
+def _segment_lines(segments) -> list[str]:
+    lines = []
+    for i, seg in enumerate(segments):
+        chain = " → ".join(seg["ops"]) if seg["ops"] else "(passthrough)"
+        tail = f" ⊣ barrier {seg['barrier']}" if seg["barrier"] else ""
+        if "budget" in seg:
+            tail += f" (budget={seg['budget']})"
+        if "window" in seg:
+            w = seg["window"]
+            hi = "" if w["hi"] is None else w["hi"]
+            of = "?" if w["of"] is None else w["of"]
+            tail += f", window [{w['lo']}:{hi}) of {of}"
+        if "leaves" in seg:
+            tail += f", {_leaves(seg['leaves'])}"
+        if seg.get("in_caller"):
+            folded = "leaves" not in seg and not seg["barrier"]
+            tail += "  folded in caller" if folded else ", in caller"
+        lines.append(f"     segment[{i}]: {chain}  mode={seg['mode']}{tail}")
+    return lines
 
 
 class ExplainPlan:
@@ -360,6 +301,7 @@ class ExplainPlan:
                 f" [backend={ex['backend']}]" if "backend" in ex else ""
             )
             lines.append(f"└─ execution: sequential, mode={ex['mode']}{suffix}")
+            lines += _segment_lines(ex.get("segments", ()))
             return "\n".join(lines)
         lines.append(
             f"└─ execution: parallel on {ex['pool']!r} "
@@ -380,22 +322,7 @@ class ExplainPlan:
                 f"bias={inputs['bias']}, "
                 f"observed_runs={inputs['observed_runs']}"
             )
-        for i, seg in enumerate(ex["segments"]):
-            chain = " → ".join(seg["ops"]) if seg["ops"] else "(passthrough)"
-            tail = f" ⊣ barrier {seg['barrier']}" if seg["barrier"] else ""
-            if "budget" in seg:
-                tail += f" (budget={seg['budget']})"
-            if "window" in seg:
-                w = seg["window"]
-                hi = "" if w["hi"] is None else w["hi"]
-                of = "?" if w["of"] is None else w["of"]
-                tail += f", window [{w['lo']}:{hi}) of {of}"
-            if "leaves" in seg:
-                tail += f", {_leaves(seg['leaves'])}"
-            if seg.get("in_caller"):
-                folded = "leaves" not in seg and not seg["barrier"]
-                tail += "  folded in caller" if folded else ", in caller"
-            lines.append(f"     segment[{i}]: {chain}  mode={seg['mode']}{tail}")
+        lines += _segment_lines(ex["segments"])
         tree = ex["split_tree"]
         if tree is not None:
             lines.append(
@@ -425,33 +352,28 @@ def explain_stream(stream) -> ExplainPlan:
         "sized": spliterator.has_characteristics(Characteristics.SIZED),
         "power2": spliterator.has_characteristics(Characteristics.POWER2),
     }
-    from repro.streams.zipper import ZipSpliterator
-
     if isinstance(spliterator, ZipSpliterator):
         source["zip"] = spliterator.describe()
 
     config = stream._config()
-    fusion_section, fused_ops = _fusion_section(ops, config)
-
     if stream._parallel:
-        if config.backend == "sequential":
-            # The backend switch downgrades parallel terminals to an
-            # in-thread run; the plan reports the downgrade explicitly.
-            execution = _sequential_execution(fused_ops, config)
-            execution["backend"] = "sequential"
-        else:
-            execution = _parallel_execution(
-                ops, size, stream._pool, stream._target_size,
-                config, spliterator,
-            )
+        segments = _plan_segments(stream, config)
+        pieces = [(*_fuse(seg.ops, config), seg.barrier) for seg in segments]
+        execution = _parallel_execution(
+            segments, [piece[0] for piece in pieces], stream._pool, config,
+            spliterator,
+        )
     else:
-        execution = _sequential_execution(fused_ops, config)
+        pieces = [(*_fuse(ops, config), ())]
+        execution = {
+            "parallel": False, "mode": _predict_mode(pieces[0][0], config),
+        }
 
     return ExplainPlan(
         {
             "source": source,
             "ops": [_op_label(op) for op in ops],
-            "fusion": fusion_section,
+            "fusion": _fusion_section(pieces, config),
             "execution": execution,
         }
     )

@@ -401,8 +401,7 @@ def counted_window(ops: Sequence[Op]) -> tuple[int, int | None] | None:
     positions: ``skip(n)`` advances ``lo``, ``limit(n)`` clamps ``hi``
     (None = unbounded).  Returns None for any other run, including one
     without a counted op.  The single window computation behind the fused
-    kernel, the parallel planner (``parallel.plan_window``) and
-    ``Stream.explain()``.
+    kernel and the parallel planner (``parallel.plan_segment``).
     """
     lo, hi = 0, None
     counted = False

@@ -684,8 +684,7 @@ def select_mode(
 
     Returns ``"short_circuit"`` (per-element with polling), ``"chunked"``
     (bulk path, only while ``config.bulk``), or ``"element"``.  Shared
-    verbatim by :func:`run_pipeline`, its profiled twin, and
-    ``Stream.explain()`` so plans can never drift from execution.
+    verbatim by :func:`run_pipeline` and ``Stream.explain()``.
     """
     if force_short_circuit:
         return "short_circuit"
@@ -731,50 +730,21 @@ def run_pipeline(
     Returns ``terminal`` so callers can read its result.
     """
     ops = _fusion.maybe_fuse(ops, config)
-    profiler = current_profiler()
-    if profiler is not None:
-        return _run_pipeline_profiled(
-            spliterator, ops, terminal, config, force_short_circuit, profiler,
-            chunk_size,
-        )
-    sink = wrap_ops(ops, terminal)
-    mode = select_mode(ops, config, force_short_circuit)
-    if mode == "chunked":
-        _bulk_stats["chunked"] += 1
-        copy_into_chunked(spliterator, sink, chunk_size or CHUNK_SIZE)
-    else:
-        _bulk_stats["element"] += 1
-        copy_into(spliterator, sink, mode == "short_circuit")
-    return terminal
-
-
-def _run_pipeline_profiled(
-    spliterator: Spliterator,
-    ops: list[Op],
-    terminal: Sink,
-    config: EngineConfig,
-    force_short_circuit: bool,
-    profiler,
-    chunk_size: int | None = None,
-) -> Sink:
-    """The profiled twin of :func:`run_pipeline` (same mode selection and
-    ``_bulk_stats`` accounting, already-fused ``ops``).
-
-    Kept separate so the unprofiled hot path above pays exactly one
-    ``is None`` check for the profiler — no extra branches, no wrappers.
-    """
     mode = select_mode(ops, config, force_short_circuit)
     _bulk_stats["chunked" if mode == "chunked" else "element"] += 1
-    if profiler.sample():
+    profiler = current_profiler()
+    probes = labels = None
+    if profiler is not None and profiler.sample():
         sink, probes, labels = profiler.instrument(ops, terminal)
     else:
-        sink, probes, labels = wrap_ops(ops, terminal), None, None
+        sink = wrap_ops(ops, terminal)
     if mode == "chunked":
         copy_into_chunked(spliterator, sink, chunk_size or CHUNK_SIZE)
     else:
         copy_into(spliterator, sink, mode == "short_circuit")
-    fused = sum(1 for op in ops if type(op) is _fusion.FusedOp)
-    profiler.profile.record_traversal(mode, probes, labels, fused)
+    if profiler is not None:
+        fused = sum(1 for op in ops if type(op) is _fusion.FusedOp)
+        profiler.profile.record_traversal(mode, probes, labels, fused)
     return terminal
 
 

@@ -1,7 +1,11 @@
 """Fork/join evaluation of stream pipelines, and backend dispatch.
 
-:func:`evaluate` runs any :class:`~repro.streams.terminal.Terminal` on the
-backend the run's :class:`~repro.streams.config.EngineConfig` names:
+:func:`plan_segment` cuts a parallel terminal's pipeline into segments
+at its stateful ops; ``Stream._evaluate`` runs them one by one and
+``Stream.explain()`` reports them.  :func:`evaluate` runs any
+:class:`~repro.streams.terminal.Terminal` over one segment, on the
+backend the planner chose from the run's
+:class:`~repro.streams.config.EngineConfig`:
 ``sequential`` to :func:`~repro.streams.terminal.evaluate_sequential`;
 ``threads`` (the default) grows a task tree the way
 ``java.util.stream.AbstractTask`` does: starting from the source
@@ -10,7 +14,7 @@ estimated size drops to the *target size* the split policy decides
 (:mod:`repro.streams.adaptive`) or the spliterator refuses to split.  A
 plan of one leaf runs in the caller, on ``threads`` and ``process``
 alike; a wider ``process`` plan goes to
-:func:`repro.streams.process_backend.evaluate`.  Each leaf runs the
+:func:`repro.streams.process_backend.run_segment`.  Each leaf runs the
 terminal's one leaf body (:func:`~repro.streams.terminal.run_leaf`: a fresh sink, filled
 through the fused op chain), and interior nodes merge the leaves'
 partials with the terminal's ``merge`` in encounter order — prefix (the
@@ -25,9 +29,6 @@ in-flight leaves of every terminal family abort at their next poll point
 (a chunk boundary on the chunked path).  The root then re-raises the
 *original* exception to the caller, instead of burning the remaining
 2^k-element workload first.
-
-Only *stateless* ops reach :func:`evaluate`; :mod:`repro.streams.stream`
-segments pipelines at stateful operations first.
 """
 
 from __future__ import annotations
@@ -53,9 +54,10 @@ from repro.streams.adaptive import compute_target_size
 from repro.streams.config import EngineConfig
 from repro.streams.fusion import counted_window, maybe_fuse
 from repro.streams.ops import LimitOp, MapOp, Op, SkipOp
-from repro.streams.spliterator import Spliterator
+from repro.streams.spliterator import UNKNOWN_SIZE, Spliterator
 from repro.streams.spliterators import ListSpliterator, RangeSpliterator
 from repro.streams.terminal import Terminal, evaluate_sequential, run_leaf
+from repro.streams.zipper import ZipSpliterator
 
 def _worker_id() -> int:
     """Index of the calling pool worker, or EXTERNAL_WORKER outside one."""
@@ -171,7 +173,7 @@ def _leaf_origin(spliterator: Spliterator) -> int | None:
 
 
 # --------------------------------------------------------------------------- #
-# Plan: counted windows and in-caller runs
+# Plan: segments, counted windows and in-caller runs
 # --------------------------------------------------------------------------- #
 
 
@@ -207,100 +209,117 @@ def backend_parallelism(backend: str, pool: ForkJoinPool | None) -> int:
     return pool.parallelism if pool is not None else common_pool_parallelism()
 
 
-class WindowPlan(NamedTuple):
-    """A ``limit``/``skip`` cut that follows only ``map`` stages.
+class Segment(NamedTuple):
+    """One stateless stretch of a parallel terminal, as :func:`plan_segment`
+    plans it: ``Stream._evaluate`` runs it and ``Stream.explain()``
+    reports it.
 
-    ``maps``/``counted``/``rest`` split the op chain; ``[lo, hi)`` is the
-    source-index window (``hi`` None = unbounded).  :func:`plan_window`
-    fills in the rest against a contiguous sized source; they stay None
-    for a barrier buffer whose size ``Stream.explain()`` cannot know.
+    ``ops`` is the leaf op chain; ``barrier`` the ops that end the
+    segment (none for the last one, a counted window's ``limit``/``skip``
+    ops, or one stateful op) and ``rest`` the ops after them.  ``window``
+    is a counted window's ``(lo, hi, of)`` source positions, ``budget`` a
+    ``limit`` cut's count.  ``source`` is what the leaves split (a
+    window's narrowed source), ``decision`` the split threshold and
+    ``split_tree`` its ``(leaves, depth)``; all three are None for a
+    barrier buffer that is not filled yet, and the last two for the
+    ``sequential`` backend, which does not split.
     """
 
-    maps: list
-    counted: list
+    ops: list
+    barrier: tuple
     rest: list
-    lo: int
-    hi: int | None
-    size: int | None = None
-    spliterator: Spliterator | None = None
-    target_size: int | None = None
+    backend: str
+    window: tuple | None = None
+    budget: int | None = None
+    source: Spliterator | None = None
+    decision: adaptive.ThresholdDecision | None = None
     split_tree: tuple[int, int] | None = None
 
 
-def window_run(ops: list[Op]) -> WindowPlan | None:
-    """The leading ``map``/``limit``/``skip`` run of ``ops`` as a window
-    plan, or None when it holds no counted op (the run the fuser labels
-    ``counted-window``; see :func:`repro.streams.fusion.counted_window`)."""
-    run = 0
-    while run < len(ops) and type(ops[run]) in (MapOp, LimitOp, SkipOp):
-        run += 1
-    window = counted_window(ops[:run])
-    if window is None:
-        return None
-    head = ops[:run]
-    return WindowPlan(
-        [op for op in head if type(op) is MapOp],
-        [op for op in head if type(op) is not MapOp],
-        ops[run:], window[0], window[1],
-    )
-
-
-def plan_window(
-    spliterator: Spliterator,
+def plan_segment(
+    source: Spliterator | None,
     ops: list[Op],
     parallelism: int,
     requested,
     config: EngineConfig,
     record: bool = True,
-) -> WindowPlan | None:
-    """Plan a parallel ``limit``/``skip`` over maps to evaluate only its
-    window — the decision ``Stream._barrier_stateful`` executes and
-    ``Stream.explain()`` reports.
+    after_barrier: bool = False,
+) -> Segment:
+    """Plan the next segment of a parallel terminal over ``source`` (None:
+    a barrier buffer, not yet filled) — the one planner execution runs
+    and ``Stream.explain()`` walks with ``record=False``.
 
-    Over a contiguous sized source (:func:`_leaf_origin`) the window is
-    sliced off the source before splitting, as the JDK's ``SliceOps``
-    does for SUBSIZED sources, so no element outside it is evaluated and
-    no budget or per-leaf limit is needed.  The leaf target is the one
-    the un-narrowed source gets: narrowing changes how many elements run,
-    not what one costs, and Java's rule applied to the window's size
-    would split a 100-element window into ``4 × parallelism`` slivers.
-    A window within that target is one leaf, which :func:`evaluate` runs
-    in the caller.  Returns None where the rule does not apply.
+    A leading run of ``map``/``limit``/``skip`` with a counted op over a
+    contiguous source (:func:`_leaf_origin`; a barrier buffer is one) is
+    a *window*: the window is sliced off the source before splitting, as
+    the JDK's ``SliceOps`` does for SUBSIZED sources, and only the maps
+    run.  Otherwise the segment runs the ops before the first stateful
+    one, and a ``limit(n)`` cut appends its ``LimitOp`` to each leaf as
+    the *budget* (see :func:`evaluate`).  An op-free tail after a barrier
+    on threads is folded in the caller (backend ``sequential``) instead
+    of being split just to copy or fold it.
+
+    For a known source the threshold is decided once here, keyed by the
+    segment's shape.  A window's leaf target is the one the un-narrowed
+    source gets: narrowing changes how many elements run, not what one
+    costs.  A zip that cannot split is one leaf.
     """
-    plan = window_run(ops)
-    origin = _leaf_origin(spliterator)
-    if plan is None or origin is None:
-        return None
-    size = spliterator.estimate_size()
-    lo = min(plan.lo, size)
-    hi = size if plan.hi is None else max(lo, min(plan.hi, size))
-    if isinstance(spliterator, RangeSpliterator):
-        narrowed = RangeSpliterator(origin + lo, origin + hi)
+    backend = config.backend
+    if after_barrier and backend == "threads" and not ops:
+        backend = "sequential"
+    run = 0
+    while run < len(ops) and type(ops[run]) in (MapOp, LimitOp, SkipOp):
+        run += 1
+    window = counted_window(ops[:run])
+    origin = None if source is None else _leaf_origin(source)
+    budget = None
+    if window is not None and (source is None or origin is not None):
+        shape = [op for op in ops[:run] if type(op) is MapOp]
+        barrier = tuple(op for op in ops[:run] if type(op) is not MapOp)
+        leaf_ops, rest = shape, ops[run:]
     else:
-        narrowed = ListSpliterator(
-            spliterator._source, origin + lo, origin + hi, spliterator._extra
+        window = None
+        cut = next((i for i, op in enumerate(ops) if op.stateful), len(ops))
+        shape, barrier = ops[:cut], tuple(ops[cut:cut + 1])
+        leaf_ops, rest = shape, ops[cut + 1:]
+        if barrier and isinstance(barrier[0], LimitOp):
+            budget = barrier[0].n
+            leaf_ops = shape + [barrier[0]]
+    if source is None:
+        if window is not None:
+            window = (*window, None)
+        return Segment(leaf_ops, barrier, rest, backend, window, budget)
+    size = source.estimate_size()
+    narrowed = source
+    if window is not None:
+        lo = min(window[0], size)
+        hi = size if window[1] is None else max(lo, min(window[1], size))
+        window = (lo, hi, size)
+        if isinstance(source, RangeSpliterator):
+            narrowed = RangeSpliterator(origin + lo, origin + hi)
+        else:
+            narrowed = ListSpliterator(
+                source._source, origin + lo, origin + hi, source._extra
+            )
+    if backend == "sequential":
+        return Segment(
+            leaf_ops, barrier, rest, backend, window, budget, narrowed
         )
-    # Keyed like the first segment explain() reports: the maps before
-    # the first counted op.
-    cut = next(i for i, op in enumerate(ops) if op.stateful)
-    key = adaptive.shape_key(ops[:cut], spliterator, parallelism, config.backend)
-    target = adaptive.decide_threshold(
-        size, parallelism, explicit=requested, key=key, record=record,
-    ).target_size
-    return plan._replace(
-        lo=lo, hi=hi, size=size, spliterator=narrowed, target_size=target,
-        split_tree=_walk_split_tree(hi - lo, target),
+    decision = adaptive.decide_threshold(
+        size, parallelism, explicit=requested, record=record,
+        key=adaptive.shape_key(shape, source, parallelism, backend),
     )
-
-
-def residual_backend(backend: str, ops: list[Op]) -> str:
-    """The backend for the tail after a pipeline's last barrier.
-
-    An op-free tail on threads folds its buffer in the caller (the
-    ``sequential`` path) instead of re-splitting it by Java's
-    ``size // (4 × parallelism)`` rule just to copy or fold it.
-    """
-    return "sequential" if backend == "threads" and not ops else backend
+    leaf_size = narrowed.estimate_size()
+    if leaf_size == UNKNOWN_SIZE:
+        tree = None
+    elif isinstance(narrowed, ZipSpliterator) and not narrowed.splittable():
+        tree = (1, 0)
+    else:
+        tree = _walk_split_tree(leaf_size, decision.target_size)
+    return Segment(
+        leaf_ops, barrier, rest, backend, window, budget, narrowed, decision,
+        tree,
+    )
 
 
 class _ReduceTask(RecursiveTask):
@@ -491,7 +510,7 @@ def _invoke_fail_fast(
         deadline.check("parallel terminal")
         timeout = deadline.remaining()
     if in_caller:
-        result = root.compute()
+        result = root._leaf(root.spliterator, current_tracer())
         if deadline is not None:
             deadline.check("parallel terminal")
         return result
@@ -505,17 +524,14 @@ def _invoke_fail_fast(
 
 
 def evaluate(
-    spliterator: Spliterator,
-    ops: list[Op],
+    segment: Segment,
     terminal: Terminal,
     pool: ForkJoinPool,
     config: EngineConfig,
-    target_size=None,
     deadline: Deadline | None = None,
-    budget: int | None = None,
 ) -> Any:
-    """Run ``terminal`` over the pipeline on ``config.backend``, with
-    ``config`` carried into every leaf.
+    """Run ``terminal`` over one planned segment (:func:`plan_segment`) on
+    the segment's backend, with ``config`` carried into every leaf.
 
     On threads this is the paper's template method: each leaf of the
     divide-and-conquer tree builds a fresh sink (the supplier), fills it
@@ -523,67 +539,55 @@ def evaluate(
     Runs fail-fast: the first leaf or combiner exception cancels the
     remaining tree and re-raises promptly.
 
-    A plan of one leaf (root size ≤ the decided target) runs in the
-    caller on threads and process alike, through the same task
-    (:func:`_invoke_fail_fast` with ``in_caller``): no pool round trip,
-    no shipping.  The process backend checks that the pipeline pickles
-    first, so an unpicklable one fails the same way at every size.
+    A plan of one leaf runs in the caller on threads and process alike,
+    through the same task (:func:`_invoke_fail_fast` with ``in_caller``):
+    no pool round trip, no shipping.  The process backend checks that the
+    pipeline pickles first, so an unpicklable one fails the same way at
+    every size.
 
-    ``budget`` is set by ``Stream._barrier_stateful`` when the stateful
-    cut is a ``limit(n)`` (the terminal is then ``Collect(to_list)``):
-    each leaf gets a per-leaf ``LimitOp(n)`` appended (sound — the global
-    first n outputs never need more than the first n of any leaf, and the
-    counted fused kernel stops that leaf's scan at its cut), and a
-    :class:`_CountedBudget` cancels still-running sibling leaves once the
-    contiguous prefix of completed leaves has produced ``n`` outputs.  The
-    caller truncates the merged buffer.
+    A segment with a ``budget`` (its stateful cut is a ``limit(n)``; the
+    terminal is then ``Collect(to_list)``) runs the ``LimitOp(n)`` in
+    every leaf (sound — the global first n outputs never need more than
+    the first n of any leaf, and the counted fused kernel stops that
+    leaf's scan at its cut), and a :class:`_CountedBudget` cancels
+    still-running sibling leaves once the contiguous prefix of completed
+    leaves has produced ``n`` outputs.  The caller truncates the merged
+    buffer.
     """
-    backend = config.backend
-    if backend == "sequential":
+    spliterator, ops, budget = segment.source, segment.ops, segment.budget
+    if segment.backend == "sequential":
         if deadline is not None:
             deadline.check(f"sequential {terminal.label}")
-        if budget is not None:
-            ops = list(ops) + [LimitOp(budget)]
         return evaluate_sequential(terminal, spliterator, ops, config)
-    # The same decision function Stream.explain() consults, so plans
-    # cannot drift from execution.
-    parallelism = backend_parallelism(backend, pool)
-    size = spliterator.estimate_size()
-    decision = adaptive.decide_threshold(
-        size, parallelism, explicit=target_size,
-        key=adaptive.shape_key(ops, spliterator, parallelism, backend),
-    )
-    in_caller = size <= decision.target_size
-    if backend == "process":
+    decision = segment.decision
+    in_caller = segment.split_tree is not None and segment.split_tree[0] == 1
+    if segment.backend == "process":
         from repro.streams import process_backend as _pb
 
         if not in_caller:
             # Backend dispatch happens on the *raw* op chain: fused
             # kernels are exec-compiled and unpicklable, so the process
             # backend ships unfused ops and each worker re-fuses locally.
-            return _pb.evaluate(
-                spliterator, ops, terminal, config, deadline=deadline,
-                budget=budget, decision=decision,
+            return _pb.run_segment(
+                spliterator, ops, terminal, config, decision, deadline,
+                budget=budget,
             )
         _pb.shipped_terminal(terminal, ops)
-        # The probe target for the dispatch cost, if workers are running.
-        dispatcher, pool = _pb._shared_executor, None
-    else:
-        dispatcher = pool
+        pool = None
     observer = None
     if decision.adaptive and terminal.observe:
         # Find leaves stop early by design and would poison the
         # per-element cost estimate, so find terminals are not observed.
         snapshot = pool.scheduling_snapshot() if pool is not None else None
         observer = adaptive.RunObservation(
-            decision.key, parallelism, decision.target_size, snapshot
+            decision.key, backend_parallelism(segment.backend, pool),
+            decision.target_size, snapshot,
         )
     counted_budget = None
     if budget is not None:
         root_origin = _leaf_origin(spliterator)
         if root_origin is not None:
             counted_budget = _CountedBudget(budget, root_origin)
-        ops = list(ops) + [LimitOp(budget)]
     ops = maybe_fuse(ops, config)
     ctx = _TerminalContext(pool)
     ctx.observer = observer
@@ -619,5 +623,6 @@ def evaluate(
     if observer is not None and not (terminal.broadcast and terminal.hit(merged)):
         # A decided broadcast run aborted its leaves early, which would
         # skew the per-element cost: only full traversals feed the memo.
-        observer.complete(dispatcher)
+        # A run in the caller dispatched nothing, so it probes nothing.
+        observer.complete(None if in_caller else pool)
     return terminal.finish(merged)

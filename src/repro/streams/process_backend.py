@@ -389,12 +389,43 @@ def evaluate(
     deadline=None,
     executor: ProcessExecutor | None = None,
     budget: int | None = None,
-    decision: "adaptive.ThresholdDecision | None" = None,
 ) -> Any:
-    """Run ``terminal`` across worker processes under ``config``.
+    """Run ``terminal`` across worker processes under ``config``,
+    resolving the split threshold for ``target_size`` here.
 
-    ``decision`` is the split threshold :func:`repro.streams.parallel.evaluate`
-    already resolved for ``ops``; None resolves ``target_size`` here.
+    Streams reach :func:`run_segment` through the parallel planner
+    (:func:`repro.streams.parallel.plan_segment`) instead; this entry
+    point drives the executor directly.  ``budget`` appends its
+    ``LimitOp`` to ``ops`` and stops the scatter at it.
+    """
+    executor = executor if executor is not None else shared_executor()
+    key = adaptive.shape_key(
+        ops, spliterator, executor.processes, backend="process"
+    )
+    decision = adaptive.decide_threshold(
+        spliterator.estimate_size(), executor.processes,
+        explicit=target_size, key=key,
+    )
+    if budget is not None:
+        ops = list(ops) + [LimitOp(budget)]
+    return run_segment(
+        spliterator, ops, terminal, config, decision, deadline, executor,
+        budget,
+    )
+
+
+def run_segment(
+    spliterator: Spliterator,
+    ops: list[Op],
+    terminal: Terminal,
+    config: EngineConfig,
+    decision: "adaptive.ThresholdDecision",
+    deadline=None,
+    executor: ProcessExecutor | None = None,
+    budget: int | None = None,
+) -> Any:
+    """Run ``terminal`` over ``ops`` across worker processes, split by
+    ``decision``.
 
     Each leaf payload carries the terminal and ``config``: the child
     builds the leaf's sink and returns its partial, and the parent merges
@@ -408,30 +439,18 @@ def evaluate(
 
     A broadcast terminal (match, ``find_any``) stops the scatter at the
     first deciding partial.  ``budget`` is the counted short-circuit hook:
-    when the caller's pipeline ends in ``limit(n)``, each leaf gets its
-    own ``LimitOp(n)`` (the global first ``n`` never needs more than the
-    first ``n`` of any leaf) and a contiguous-prefix element count stops
-    the scatter as soon as the answer is complete.  Either stop sets the
-    run's :class:`~repro.powerlist.shm.SharedFlag`, so RUNNING sibling
-    leaves abort at their next poll point; cancelled slots come back
-    ``None`` and merge as :meth:`~repro.streams.terminal.Terminal.empty`
-    (for a budget the caller re-applies ``limit`` over the
-    concatenation).
+    ``ops`` then end in the ``limit(n)`` every leaf runs (the global
+    first ``n`` never needs more than the first ``n`` of any leaf), and a
+    contiguous-prefix element count stops the scatter as soon as the
+    answer is complete.  Either stop sets the run's
+    :class:`~repro.powerlist.shm.SharedFlag`, so RUNNING sibling leaves
+    abort at their next poll point; cancelled slots come back ``None``
+    and merge as :meth:`~repro.streams.terminal.Terminal.empty` (for a
+    budget the caller re-applies ``limit`` over the concatenation).
     """
     executor = executor if executor is not None else shared_executor()
     shipped = shipped_terminal(terminal, ops)
-    if decision is None:
-        key = adaptive.shape_key(
-            ops, spliterator, executor.processes, backend="process"
-        )
-        decision = adaptive.decide_threshold(
-            spliterator.estimate_size(), executor.processes,
-            explicit=target_size, key=key,
-        )
-    early_stop_slots = None
-    if budget is not None:
-        ops = list(ops) + [LimitOp(budget)]
-        early_stop_slots = _budget_stop(budget)
+    early_stop_slots = None if budget is None else _budget_stop(budget)
     payloads, depths, observer = _build_payloads(
         spliterator, ops, shipped, config, executor, decision,
         terminal.observe,

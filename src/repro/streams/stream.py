@@ -637,79 +637,41 @@ class Stream:
 
     def _evaluate(self, terminal: Terminal) -> Any:
         """Run ``terminal`` over this pipeline: in the caller when
-        sequential, else through the stateful barriers and on the
-        configured backend (:func:`repro.streams.parallel.evaluate`)."""
+        sequential, else segment by segment as
+        :func:`~repro.streams.parallel.plan_segment` plans it.
+
+        Each segment but the last runs as a parallel ``to_list``
+        reduction; its barrier (a stateful op, or a counted window the
+        segment already sliced) turns the buffer into the next segment's
+        source.  The last segment runs ``terminal``
+        (:func:`~repro.streams.parallel.evaluate`).
+        """
         config = self._config()
         spliterator, ops = self._terminal()
         if not self._parallel:
             return evaluate_sequential(terminal, spliterator, ops, config)
-        spliterator, ops, config = self._barrier_stateful(
-            spliterator, ops, config
-        )
-        return _parallel.evaluate(
-            spliterator, ops, terminal, self._effective_pool(), config,
-            self._target_size, self._deadline,
-        )
-
-    def _barrier_stateful(
-        self, spliterator: Spliterator, ops: list[Op], config: EngineConfig
-    ) -> tuple[Spliterator, list[Op], EngineConfig]:
-        """Evaluate stateful ops as barriers, returning the residual tail.
-
-        Splits ``ops`` at each stateful stage: the stateless run before it
-        executes as a parallel ``to_list`` reduction, the stateful op is
-        applied to the buffer sequentially, and the buffer becomes the new
-        (splittable) source.
-
-        A ``limit``/``skip`` cut that follows only maps is planned by
-        :func:`~repro.streams.parallel.plan_window`: over a contiguous
-        sized source only its window is evaluated, and a window that
-        fits one leaf runs in the caller.  Any other ``limit(n)``
-        cut passes its count as the collect's *budget*: leaves truncate
-        locally through counted fused kernels and a satisfied contiguous
-        prefix of leaves cancels still-running siblings (threads:
-        ``_TerminalContext.cancel``; process: ``SharedFlag``), so the
-        barrier scan stops near the cut instead of draining the whole
-        source.  ``apply_to_buffer`` below still truncates the merged
-        buffer, keeping semantics exact.
-
-        Returns ``(spliterator, ops, config)``: the config the terminal
-        runs the residual under — backend ``sequential`` for an op-free
-        tail on threads (:func:`~repro.streams.parallel.residual_backend`).
-        """
         from repro.streams import collectors
 
         pool = self._effective_pool()
+        parallelism = _parallel.backend_parallelism(config.backend, pool)
         barriered = False
-        while any(op.stateful for op in ops):
-            window = _parallel.plan_window(
-                spliterator, ops,
-                _parallel.backend_parallelism(config.backend, pool),
-                self._target_size, config,
+        while True:
+            segment = _parallel.plan_segment(
+                spliterator, ops, parallelism, self._target_size, config,
+                after_barrier=barriered,
             )
-            if window is not None:
-                buffer = _parallel.evaluate(
-                    window.spliterator, window.maps,
-                    Collect(collectors.to_list()), pool, config,
-                    window.target_size, self._deadline,
+            if not segment.barrier:
+                return _parallel.evaluate(
+                    segment, terminal, pool, config, self._deadline
                 )
-                ops = window.rest
-            else:
-                cut = next(i for i, op in enumerate(ops) if op.stateful)
-                prefix, stateful, ops = ops[:cut], ops[cut], ops[cut + 1 :]
-                budget = stateful.n if isinstance(stateful, LimitOp) else None
-                buffer = _parallel.evaluate(
-                    spliterator, prefix, Collect(collectors.to_list()), pool,
-                    config, self._target_size, self._deadline, budget=budget,
-                )
-                buffer = stateful.apply_to_buffer(buffer)
+            buffer = _parallel.evaluate(
+                segment, Collect(collectors.to_list()), pool, config,
+                self._deadline,
+            )
+            if segment.window is None:  # a window is cut off the source
+                buffer = segment.barrier[0].apply_to_buffer(buffer)
             spliterator = ListSpliterator(buffer)
-            barriered = True
-        if barriered:
-            config = replace(
-                config, backend=_parallel.residual_backend(config.backend, ops)
-            )
-        return spliterator, ops, config
+            ops, barriered = segment.rest, True
 
     def _materialize(self) -> list:
         """Consume into a list, preserving mode flags for ``concat``."""

@@ -10,7 +10,7 @@ terminal:
 * :func:`evaluate_sequential` (here) — one leaf over the whole source;
 * :func:`repro.streams.parallel.evaluate` — fork/join threads, and the
   dispatch to the other backends;
-* :func:`repro.streams.process_backend.evaluate` — worker processes; the
+* :func:`repro.streams.process_backend.run_segment` — worker processes; the
   terminal itself ships in each leaf payload.
 
 The protocol:

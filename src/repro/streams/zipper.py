@@ -309,15 +309,22 @@ class ZipSpliterator(Spliterator):
             for item in chunk:
                 action(item)
 
-    def try_split(self) -> "ZipSpliterator | None":
+    def splittable(self) -> bool:
+        """Whether :meth:`try_split` splits: two op-free midpoint cursors
+        of one size (≥ 2).  The parallel planner makes any other zip one
+        leaf."""
         left, right = self._left, self._right
         if not left.splittable() or not right.splittable():
-            return None
+            return False
         size = left._spliterator.estimate_size()
-        if size != right._spliterator.estimate_size() or size < 2:
+        return size == right._spliterator.estimate_size() and size >= 2
+
+    def try_split(self) -> "ZipSpliterator | None":
+        if not self.splittable():
             return None
         # Equal sizes + midpoint splitters → both prefixes are exactly
         # floor(size/2) elements, so the pairing stays aligned.
+        left, right = self._left, self._right
         ls = left._spliterator.try_split()
         rs = right._spliterator.try_split()
         if ls is None or rs is None:

@@ -374,6 +374,25 @@ class TestExplainConsistency:
         assert predicted == len(leaf_spans)
         assert plan["execution"]["threshold_source"] == "auto"
 
+    def test_window_segments_feed_the_policy(self):
+        # A counted window decides its threshold once, in the planner,
+        # so its runs are observed like any other segment's.
+        data = list(range(1 << 16))
+        with ForkJoinPool(parallelism=2, name="adaptive-window") as pool:
+            def stream():
+                return (
+                    Stream.of_iterable(data).parallel().with_pool(pool)
+                    .map(_work).limit(40_000)
+                )
+
+            for _ in range(3):
+                assert stream().to_list() == [x * 3 for x in range(40_000)]
+            plan = stream().explain().to_dict()
+        assert adaptive.split_policy_stats()["observed_runs"] == 3
+        assert plan["execution"]["threshold_inputs"]["basis"] != (
+            "bootstrap (no observed cost)"
+        )
+
 
 class ExplainText:
     """Tiny helper: render a plan dict the way ExplainPlan.render does."""

@@ -1,17 +1,20 @@
 """``Stream.explain()``: pinned plans, cross-checked against real runs.
 
-The explain report re-runs the engine's own decision functions against
-the plan instead of the data, so every pinned dict here is also
+A parallel plan's segments come from the planner execution runs
+(``parallel.plan_segment``), and the fusion and mode sections from the
+engine's own decision functions, so every pinned dict here is also
 re-verified against what the engine *actually did* — ``fusion_stats``
 and ``bulk_stats`` deltas, and traced leaf counts for the split tree.
 """
+
+import operator
 
 import pytest
 
 from repro.forkjoin import ForkJoinPool
 from repro.obs import tracing
 from repro.streams import ExplainPlan, Stream, bulk_stats, engine, fusion_stats
-from repro.streams.explain import _walk_split_tree
+from repro.streams.parallel import _walk_split_tree
 
 
 def _triple(x):
@@ -369,13 +372,21 @@ class TestCountedWindowPlan:
         assert "leaves" not in second
         assert "window [3:) of ?" in plan.render()
 
-    @pytest.mark.parametrize("build", [
-        lambda s: s.map(_triple).map(_plus_one).limit(100),
-        lambda s: s.map(_triple).skip(1000).limit(3000),
-        lambda s: s.sorted(),
-    ], ids=["counted-one-leaf", "counted-narrowed", "sorted"])
-    def test_predicted_leaves_match_traced_leaf_spans(self, build):
-        with ForkJoinPool(parallelism=2, name="explain-window") as pool:
+    @pytest.mark.parametrize("build,workers", [
+        (lambda s: s.map(_triple).map(_plus_one).limit(100), 2),
+        (lambda s: s.map(_triple).skip(1000).limit(3000), 2),
+        (lambda s: s.sorted(), 2),
+        # A zip with a mapped side refuses to split: one leaf.
+        (lambda s: s.map(_plus_one).zip_with(
+            Stream.of_iterable(list(range(1 << 13))), operator.add), 2),
+        # The budgeted tree.  A satisfied budget stops splitting, so on
+        # two workers a subtree still unsplit by then runs as one leaf;
+        # one worker splits everything before the leftmost leaf runs.
+        (lambda s: s.map(_triple).filter(_even).limit(100), 1),
+    ], ids=["counted-one-leaf", "counted-narrowed", "sorted",
+            "zip-mapped-side", "budgeted"])
+    def test_predicted_leaves_match_traced_leaf_spans(self, build, workers):
+        with ForkJoinPool(parallelism=workers, name="explain-window") as pool:
             def stream():
                 return build(
                     Stream.of_iterable(list(range(self.N)))
@@ -387,3 +398,112 @@ class TestCountedWindowPlan:
                 stream().to_list()
         leaf_spans = [s for s in tracer.spans() if s.kind == "leaf"]
         assert len(leaf_spans) == plan["execution"]["split_tree"]["leaves"]
+
+
+def _bucket(x):
+    return x % 4093
+
+
+def _predicted_traversals(execution):
+    """The ``bulk_stats`` delta of a plan whose later segments run in the
+    caller: one traversal per leaf of the first segment, one per later
+    segment, each in its segment's mode."""
+    counts = {"chunked": 0, "element": 0}
+    tree = execution.get("split_tree")
+    for i, seg in enumerate(execution["segments"]):
+        if "leaves" in seg:
+            runs = seg["leaves"]
+        elif i == 0 and tree is not None:
+            runs = tree["leaves"]
+        else:
+            runs = 1
+        counts["chunked" if seg["mode"] == "chunked" else "element"] += runs
+    return counts
+
+
+class TestPlanMatchesRun:
+    """The plan reports the segments the run executes: the kernels they
+    build (``fusion_stats``) and their traversals (``bulk_stats``)."""
+
+    N = 1 << 14
+
+    def _agree(self, stream, run, expected):
+        plan = stream().explain().to_dict()
+        fusion_stats(reset=True)
+        before = bulk_stats()
+        assert run(stream()) == expected
+        delta = {k: v - before[k] for k, v in bulk_stats().items()}
+        stats = fusion_stats()
+        assert stats["stages_fused"] == plan["fusion"]["stages_fused"]
+        assert stats["kernels"] == plan["fusion"]["kernels"]
+        assert delta == _predicted_traversals(plan["execution"])
+        return plan
+
+    def test_stateful_cut_fuses_only_its_segment(self):
+        data = list(range(self.N))
+        with ForkJoinPool(parallelism=2, name="explain-agree") as pool:
+            plan = self._agree(
+                lambda: Stream.of_iterable(data).parallel().with_pool(pool)
+                .map(_triple).map(_plus_one).distinct(),
+                Stream.to_list,
+                [x * 3 + 1 for x in data],
+            )
+        assert plan["fusion"]["chain"] == ["fused(map|map)", "distinct"]
+        assert [run["kernel"] for run in plan["fusion"]["runs"]] == [
+            "comprehension"
+        ]
+
+    def test_window_builds_no_counted_kernel(self):
+        data = list(range(self.N))
+        with ForkJoinPool(parallelism=2, name="explain-agree") as pool:
+            plan = self._agree(
+                lambda: Stream.of_iterable(data).parallel().with_pool(pool)
+                .map(_triple).map(_plus_one).limit(100),
+                Stream.to_list,
+                [x * 3 + 1 for x in range(100)],
+            )
+        # The window is sliced off the source: the leaves run the maps.
+        assert plan["fusion"]["chain"] == ["fused(map|map)", "limit"]
+        assert plan["fusion"]["stages_fused"] == 2
+
+    def test_sequential_backend_reports_its_segments(self):
+        # serve_mix's ``distinct`` tenant, and every degraded serve job.
+        data = [(x * 7919) % 100_003 for x in range(1 << 13)]
+        plan = self._agree(
+            lambda: Stream.of_iterable(data).parallel()
+            .with_backend("sequential").map(_bucket).distinct(),
+            Stream.count,
+            len({_bucket(x) for x in data}),
+        )
+        assert plan["fusion"]["kernels"] == 0
+        assert plan["execution"] == {
+            "parallel": False,
+            "mode": "chunked",
+            "backend": "sequential",
+            "segments": [
+                {"ops": ["map"], "mode": "chunked", "barrier": "distinct"},
+                {"ops": [], "mode": "chunked", "barrier": None},
+            ],
+        }
+        text = (
+            Stream.of_iterable(data).parallel().with_backend("sequential")
+            .map(_bucket).distinct().explain().render()
+        )
+        assert "segment[0]: map  mode=chunked ⊣ barrier distinct" in text
+
+    def test_unsplittable_zip_runs_in_the_caller(self):
+        n = 1 << 13
+        with ForkJoinPool(parallelism=2, name="explain-agree") as pool:
+            def stream():
+                return (
+                    Stream.of_iterable(list(range(n))).parallel()
+                    .with_pool(pool).map(_plus_one)
+                    .zip_with(Stream.of_iterable(list(range(n))), operator.add)
+                )
+
+            first = stream().explain().to_dict()["execution"]["segments"][0]
+            before = pool.stats()["tasks_executed"]
+            assert stream().to_list() == [2 * x + 1 for x in range(n)]
+            assert pool.stats()["tasks_executed"] == before
+        assert first["leaves"] == 1
+        assert first["in_caller"] is True

@@ -852,7 +852,7 @@ class TestCountedLimitAbort:
         assert len(got) <= max(budget, 1) * 8  # 8 leaves of 32
 
     def test_stream_level_limit_on_process_backend(self):
-        # End to end through Stream._barrier_stateful: the limit barrier
+        # End to end through Stream._evaluate: the limit barrier
         # ships its count as the collect budget and truncates exactly.
         got = (
             Stream.range(0, 1 << 12)
