@@ -9,7 +9,7 @@ CHAOS_SEED_FILE := .github/chaos-seeds.json
 # Likewise for the fusion fuzz sweep (CI fusion-fuzz job).
 FUSION_FUZZ_SEED_FILE := .github/fusion-fuzz-seeds.json
 
-.PHONY: install test test-reverse chaos fusion-fuzz bench bench-smoke \
+.PHONY: install test test-reverse lint chaos fusion-fuzz bench bench-smoke \
         bench-regression serve-load e2e-smoke gates figures examples clean
 
 install:
@@ -23,6 +23,11 @@ test:
 # leaking between tests) fails here.
 test-reverse:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q $$(ls tests/test_*.py | sort -r)
+
+# Mirrors the CI lint job (ruff from requirements-lint.txt).
+lint:
+	ruff check src tests
+	ruff format --check src tests
 
 test-output:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt

@@ -145,7 +145,7 @@ def _wl_counted_window(data, pool, parallel=False, backend=None):
 
 
 def _wl_counted_loop_sum(data, pool, parallel=False, backend=None):
-    # filter under limit -> counted-loop kernel (statement loop with an
+    # filter under limit -> loop kernel (statement loop with an
     # exact budget cut); on ``backend='process'`` a satisfied budget also
     # aborts sibling leaves through the shared cancel flag.  Reduce with
     # ``operator.add`` (not ``sum()``) so the terminal stays picklable.

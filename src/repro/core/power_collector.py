@@ -61,22 +61,15 @@ class PowerCollector(Collector[T, A, R], Generic[T, A, R]):
         # Protects descending-phase shared state (paper's synchronized
         # block on ``PolynomialValue.this``).
         self._state_lock = threading.Lock()
-        # A declared leaf kernel serves both execution paths: the
-        # per-element path reaches it through ``for_each_remaining`` and
-        # the chunked path through ``Spliterator.next_chunk`` — both via
-        # the ``basic_case`` channel, so one declaration covers both.
-        if self.basic_case is None and self.leaf_kernel is not None:
-            self.basic_case = self.leaf_kernel
 
     # -- the spliterator ↔ collector channel ----------------------------- #
 
     #: Optional hooks; a None value lets the spliterator take fast paths.
     on_split: Callable[[int], None] | None = None
+    #: Bulk leaf computation ``(sub_view, incr) -> outputs``; one
+    #: declaration serves the per-element path (``for_each_remaining``)
+    #: and the chunked path (``next_chunk``) alike.
     basic_case: Callable[[list, int], list] | None = None
-    #: Bulk leaf computation ``(sub_view, incr) -> outputs``; subclasses
-    #: declare it once and get it on the per-element *and* chunked paths
-    #: (it is installed as ``basic_case`` unless one is already set).
-    leaf_kernel: Callable[[list, int], list] | None = None
 
     def create_spliterator(self, data: Sequence[T]) -> SpliteratorPower2[T]:
         """Step 4: the initial spliterator, connected to this object."""

@@ -125,10 +125,10 @@ class SpliteratorPower2(Spliterator[T]):
     def next_chunk(self, max_size: int) -> Sequence[T]:
         """Bulk pull over the strided view.
 
-        A leaf governed by a ``basic_case``/``leaf_kernel`` is semantically
-        indivisible — the kernel must see the whole sub-view at once — so
-        the entire remainder is returned as one chunk regardless of
-        ``max_size`` (mirroring :meth:`for_each_remaining` exactly).
+        A leaf governed by a ``basic_case`` is semantically indivisible —
+        the kernel must see the whole sub-view at once — so the entire
+        remainder is returned as one chunk regardless of ``max_size``
+        (mirroring :meth:`for_each_remaining` exactly).
         Otherwise a single strided slice of the source is returned: a
         zero-copy view for numpy arrays, one C-level copy for lists.
         """

@@ -288,9 +288,7 @@ class ExplainPlan:
                 )
                 lines.append(
                     f"│    kernel[{'|'.join(run['stages'])}] "
-                    f"{run['kernel']}"
-                    f"{', ufunc×' + str(run['ufunc_prefix']) if run['ufunc_prefix'] else ''}"
-                    f"{window}"
+                    f"{run['kernel']}{window}"
                 )
         for barrier in fusion["barriers"]:
             why = "stateful" if barrier["stateful"] else "short-circuit"

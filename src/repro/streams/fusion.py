@@ -12,24 +12,24 @@ selection in :func:`repro.streams.ops.run_pipeline`): every maximal run of
 adjacent *fusible* ops (``map`` / ``filter`` / ``peek`` / ``flat_map`` /
 ``map_multi`` / ``limit`` / ``skip`` / ``distinct``) collapses into a
 single :class:`FusedOp` whose kernels are **generated and compiled** from
-the run (see :func:`_kernel_class` for the kernel taxonomy):
+the run (see :func:`_kernel_class` for the four kernel classes):
 
 * the per-element kernel emits straight-line code — nested calls, an
   early-out per filter, a loop per expander, budget guards per counted
   stage — so one sink dispatch covers the whole run;
-* the chunk kernel emits one comprehension (or one statement loop when the
-  run contains ``peek`` / ``map_multi`` / stateful stages) that crosses
-  the run in a single pass, with **zero** intermediate per-stage lists —
-  stacking with the bulk-execution path of PR 2 instead of bypassing it;
-* counted ops (``limit``/``skip``) compile to *counted kernels*:
-  over a pure-map run they hoist to one source-index window sliced off
-  each chunk (``counted-window``); in a general run a statement loop cuts
-  at the exact element (``counted-loop``).  Either way the fused sink
-  reports exhaustion via ``cancellation_requested``, so short-circuit
-  chains ride the chunked path end to end;
-* a prefix of numpy-ufunc maps applied to an ndarray chunk stays
-  vectorized; when the run is ufunc-only end to end it compiles to a
-  single whole-array numpy expression (``whole-array``).
+* the chunk kernel crosses the run in a single pass with **zero**
+  intermediate per-stage lists: one comprehension (``comprehension``),
+  or the per-element kernel's statement loop when the run contains
+  ``peek`` / ``map_multi`` / stateful stages (``loop``) — stacking with
+  the bulk-execution path instead of bypassing it;
+* ``limit``/``skip`` over a pure-map run hoist to one source-index window
+  sliced off each chunk (``counted-window``); in any other run the loop
+  cuts at the exact element.  Either way the fused sink reports
+  exhaustion via ``cancellation_requested``, so short-circuit chains ride
+  the chunked path end to end;
+* a run's maps are all numpy ufuncs or none (the rewrite splits runs
+  where that changes); an all-ufunc run compiles to one whole-array
+  numpy expression per ndarray chunk (``whole-array``).
 
 Fusion is semantics-preserving by construction:
 
@@ -82,18 +82,25 @@ try:  # numpy is a hard dependency of the repo, but keep fusion importable
 except ImportError:  # pragma: no cover
     _np = None
 
-#: Stage kinds a fused run may contain, in dispatch order.  Counted ops
-#: (``limit``/``skip``) and ``distinct`` join runs since PR 10: their
-#: per-traversal state lives in a kernel state vector created per sink, so
-#: the compiled kernels stay shareable across fork/join leaves.
-_FUSIBLE_TYPES = (
-    MapOp, FilterOp, PeekOp, FlatMapOp, MapMultiOp,
-    LimitOp, SkipOp, DistinctOp,
-)
+#: The stage kind of each op type a fused run may contain.  Counted ops
+#: (``limit``/``skip``) and ``distinct`` keep their per-traversal state in
+#: a kernel state vector created per sink, so the compiled kernels stay
+#: shareable across fork/join leaves.
+_FUSIBLE_TYPES = {
+    MapOp: "map",
+    FilterOp: "filter",
+    PeekOp: "peek",
+    FlatMapOp: "flat_map",
+    MapMultiOp: "map_multi",
+    LimitOp: "limit",
+    SkipOp: "skip",
+    DistinctOp: "distinct",
+}
 
 #: Counted ops force emission of a FusedOp even for a length-1 run: a lone
 #: compiled ``limit`` rides the chunked path (window slicing + per-chunk
-#: cancellation), which a raw ``LimitOp`` cannot.
+#: cancellation), which a raw ``LimitOp`` cannot.  They join runs of
+#: either ufunc-ness.
 _COUNTED_TYPES = (LimitOp, SkipOp)
 
 #: Stage kinds that carry per-traversal kernel state.
@@ -108,35 +115,15 @@ MIN_RUN = 2
 # Kernel code generation
 # --------------------------------------------------------------------------- #
 #
-# A fused run compiles to at most three functions:
+# A fused run compiles to two functions, both named ``_kernel``:
 #
-#   element kernel   k(item, _accept, _cancelled)   — per-element path
-#   chunk kernel     k(chunk) -> list               — bulk path
-#   ufunc prefix     applied before the chunk kernel on ndarray chunks
+#   element kernel   (_v0, _accept, _cancelled, _state)   — per-element path
+#   chunk kernel     (_chunk, _state) -> chunk            — bulk path
 #
+# ``_state`` is the per-traversal state vector (empty for stateless runs).
 # Sources depend only on the *shape* of the run (the sequence of stage
 # kinds), so compiled code objects are cached by source; the stage
 # callables are bound per-``FusedOp`` through the exec namespace.
-
-
-def _stage_kind(op: Op) -> str:
-    if type(op) is MapOp:
-        return "map"
-    if type(op) is FilterOp:
-        return "filter"
-    if type(op) is PeekOp:
-        return "peek"
-    if type(op) is FlatMapOp:
-        return "flat_map"
-    if type(op) is MapMultiOp:
-        return "map_multi"
-    if type(op) is LimitOp:
-        return "limit"
-    if type(op) is SkipOp:
-        return "skip"
-    if type(op) is DistinctOp:
-        return "distinct"
-    raise AssertionError(f"not a fusible op: {type(op).__name__}")
 
 
 def _stage_fn(op: Op) -> Callable | None:
@@ -151,6 +138,10 @@ def _stage_fn(op: Op) -> Callable | None:
     return op.f
 
 
+def _all_ufuncs(fns: Sequence[Callable | None]) -> bool:
+    return _np is not None and all(isinstance(f, _np.ufunc) for f in fns)
+
+
 def _state_slots(kinds: Sequence[str]) -> dict[int, int]:
     """Map stage index -> state-vector slot for the stateful kinds."""
     slots: dict[int, int] = {}
@@ -161,42 +152,65 @@ def _state_slots(kinds: Sequence[str]) -> dict[int, int]:
 
 
 @lru_cache(maxsize=256)
-def _compiled(source: str, name: str):
+def _compiled(source: str):
     """Compile generated kernel source once per run shape."""
-    return compile(source, f"<fused:{name}>", "exec")
+    return compile(source, "<fused>", "exec")
 
 
-def _bind(source: str, name: str, fns: Sequence[Callable | None]) -> Callable:
+def _bind(source: str, fns: Sequence[Callable | None]) -> Callable:
     """Exec a cached code object with this run's stage callables bound."""
     namespace = {
         f"_f{i}": fn for i, fn in enumerate(fns) if fn is not None
     }
-    exec(_compiled(source, name), namespace)
-    return namespace[name]
+    if _np is not None:
+        namespace["_ndarray"] = _np.ndarray
+    exec(_compiled(source), namespace)
+    return namespace["_kernel"]
 
 
-def _gen_element_kernel(kinds: Sequence[str]) -> str:
-    """Straight-line per-element kernel for the run.
+def _gen_loop(kinds: Sequence[str], element: bool) -> str:
+    """Statement-loop kernel for the run, in element or chunk form.
 
     ``map``/``peek``/``filter`` compile to assignments and early-outs; an
-    expander (``flat_map`` / ``map_multi``) opens a loop over its outputs,
-    polling ``_cancelled()`` before each downstream emission exactly as
-    the unfused ``FlatMapSink`` does.  Stateful stages read/write the
-    per-traversal ``_state`` vector: ``limit`` decrements its budget,
-    ``skip`` drops while its counter lasts, ``distinct`` keeps a seen-set.
-    A limit exhausted before the element enters drops it (as
-    ``_LimitSink.accept`` would); a limit downstream of an expander cuts
-    the expansion at the exact output the unfused chain would, via the
-    per-output budget guard.
+    expander (``flat_map`` / ``map_multi``) opens a loop over its outputs.
+    Stateful stages read/write the per-traversal ``_state`` vector:
+    ``limit`` decrements its budget, ``skip`` drops while its counter
+    lasts, ``distinct`` keeps a seen-set.  A limit exhausted before the
+    element enters stops the kernel (as ``_LimitSink`` would stop the
+    traversal); a limit downstream of an expander cuts the expansion at
+    the exact output the unfused chain would, via a per-output guard.
+
+    The two forms differ only in their tokens:
+
+    * element ``(_v0, _accept, _cancelled, _state)``: a dropped element
+      does ``return`` (``continue`` inside an expander), a stop does
+      ``return``, and each expander output first polls ``_cancelled()``
+      exactly where the unfused ``FlatMapSink`` does;
+    * chunk ``(_chunk, _state) -> list``: a dropped element does
+      ``continue``, a stop does ``return _out`` — so the emitted prefix
+      matches the per-element path element for element.
     """
     slots = _state_slots(kinds)
-    limit_slots = [slots[i] for i, k in enumerate(kinds) if k == "limit"]
-    lines = ["def _element(_v0, _accept, _cancelled, _state):"]
-    indent = "    "
-    var, expanded = "_v0", False
-    for j in limit_slots:
+    limits = [(i, slots[i]) for i, k in enumerate(kinds) if k == "limit"]
+    if element:
+        lines = ["def _kernel(_v0, _accept, _cancelled, _state):"]
+        indent, drop, stop, emit = "    ", "return", "return", "_accept"
+    else:
+        lines = [
+            "def _kernel(_chunk, _state):",
+            "    _out = []",
+            "    _append = _out.append",
+            "    for _v0 in _chunk:",
+        ]
+        indent, drop, stop, emit = "        ", "continue", "return _out", "_append"
+
+    def guard(j: int) -> None:
         lines.append(f"{indent}if _state[{j}] <= 0:")
-        lines.append(f"{indent}    return")
+        lines.append(f"{indent}    {stop}")
+
+    for _, j in limits:
+        guard(j)
+    var = "_v0"
     for i, kind in enumerate(kinds):
         if kind == "map":
             lines.append(f"{indent}_v{i + 1} = _f{i}({var})")
@@ -205,64 +219,63 @@ def _gen_element_kernel(kinds: Sequence[str]) -> str:
             lines.append(f"{indent}_f{i}({var})")
         elif kind == "filter":
             lines.append(f"{indent}if not _f{i}({var}):")
-            lines.append(f"{indent}    return" if not expanded
-                         else f"{indent}    continue")
+            lines.append(f"{indent}    {drop}")
         elif kind == "limit":
             lines.append(f"{indent}_state[{slots[i]}] -= 1")
         elif kind == "skip":
             j = slots[i]
             lines.append(f"{indent}if _state[{j}] > 0:")
             lines.append(f"{indent}    _state[{j}] -= 1")
-            lines.append(f"{indent}    return" if not expanded
-                         else f"{indent}    continue")
+            lines.append(f"{indent}    {drop}")
         elif kind == "distinct":
             j = slots[i]
             lines.append(f"{indent}if {var} in _state[{j}]:")
-            lines.append(f"{indent}    return" if not expanded
-                         else f"{indent}    continue")
+            lines.append(f"{indent}    {drop}")
             lines.append(f"{indent}_state[{j}].add({var})")
-        elif kind == "flat_map":
-            lines.append(f"{indent}for _v{i + 1} in _f{i}({var}):")
-            lines.append(f"{indent}    if _cancelled():")
-            lines.append(f"{indent}        break")
+        else:  # expander: loop over the outputs
+            if kind == "flat_map":
+                outputs = f"_f{i}({var})"
+            else:  # map_multi: buffer the callback-driven outputs
+                lines.append(f"{indent}_b{i} = []")
+                lines.append(f"{indent}_f{i}({var}, _b{i}.append)")
+                outputs = f"_b{i}"
+            lines.append(f"{indent}for _v{i + 1} in {outputs}:")
+            indent += "    "
+            if element:
+                lines.append(f"{indent}if _cancelled():")
+                lines.append(f"{indent}    {stop}")
             # Only limits *downstream* of this expander can exhaust
             # mid-expansion; an upstream limit already admitted the
             # element and must not clip its outputs.
-            for k_i, k in enumerate(kinds):
-                if k == "limit" and k_i > i:
-                    lines.append(f"{indent}    if _state[{slots[k_i]}] <= 0:")
-                    lines.append(f"{indent}        break")
-            indent += "    "
-            var, expanded = f"_v{i + 1}", True
-        else:  # map_multi: buffer the callback-driven outputs, then loop
-            lines.append(f"{indent}_b{i} = []")
-            lines.append(f"{indent}_f{i}({var}, _b{i}.append)")
-            lines.append(f"{indent}for _v{i + 1} in _b{i}:")
-            lines.append(f"{indent}    if _cancelled():")
-            lines.append(f"{indent}        break")
-            for k_i, k in enumerate(kinds):
-                if k == "limit" and k_i > i:
-                    lines.append(f"{indent}    if _state[{slots[k_i]}] <= 0:")
-                    lines.append(f"{indent}        break")
-            indent += "    "
-            var, expanded = f"_v{i + 1}", True
-    lines.append(f"{indent}_accept({var})")
+            for k_i, j in limits:
+                if k_i > i:
+                    guard(j)
+            var, drop = f"_v{i + 1}", "continue"
+    lines.append(f"{indent}{emit}({var})")
+    if not element:
+        lines.append("    return _out")
     return "\n".join(lines)
 
 
-def _gen_chunk_comprehension(kinds: Sequence[str]) -> str:
-    """Single-pass comprehension kernel (runs without peek/map_multi).
+def _gen_comprehension(kinds: Sequence[str], whole_array: bool) -> str:
+    """Single-pass comprehension chunk kernel (map/filter/flat_map runs).
 
     ``map`` stages nest as calls inside the output expression, ``filter``
     stages become ``if`` clauses (binding the value so far via ``:=`` when
     it is not yet a bare name), ``flat_map`` stages become nested ``for``
-    clauses — one list, zero per-stage intermediates.
+    clauses — one list, zero per-stage intermediates.  ``whole_array``
+    (all-ufunc map runs) first tries the same composition as one numpy
+    expression over an ndarray chunk.  A run with no stages (a counted
+    window without maps) returns the chunk as is, so views stay views.
     """
+    if not kinds:
+        return "def _kernel(_chunk, _state):\n    return _chunk"
     clauses = ["for _v0 in _chunk"]
-    expr = "_v0"
+    expr, whole = "_v0", "_chunk"
     for i, kind in enumerate(kinds):
         if kind == "map":
             expr = f"_f{i}({expr})"
+            whole = f"_f{i}({whole})"
         elif kind == "filter":
             if expr.startswith("_v") and expr[2:].isdigit():
                 clauses.append(f"if _f{i}({expr})")
@@ -272,88 +285,12 @@ def _gen_chunk_comprehension(kinds: Sequence[str]) -> str:
         else:  # flat_map
             clauses.append(f"for _v{i + 1} in _f{i}({expr})")
             expr = f"_v{i + 1}"
-    body = f"[{expr} {' '.join(clauses)}]"
-    return f"def _chunk_kernel(_chunk):\n    return {body}"
-
-
-def _gen_chunk_loop(kinds: Sequence[str]) -> str:
-    """Statement-loop chunk kernel for runs containing peek/map_multi or
-    stateful stages.
-
-    Stateful runs take a ``_state`` vector parameter; a ``limit`` cuts the
-    chunk at the exact element via ``return _out`` — from the per-element
-    guard between source elements, or the per-output guard inside an
-    expander — so the emitted prefix matches the unfused per-element path
-    element for element.
-    """
-    slots = _state_slots(kinds)
-    limit_slots = [slots[i] for i, k in enumerate(kinds) if k == "limit"]
-    head = (
-        "def _chunk_kernel(_chunk, _state):" if slots
-        else "def _chunk_kernel(_chunk):"
-    )
-    lines = [
-        head,
-        "    _out = []",
-        "    _append = _out.append",
-        "    for _v0 in _chunk:",
-    ]
-    indent = "        "
-    var = "_v0"
-    for j in limit_slots:
-        lines.append(f"{indent}if _state[{j}] <= 0:")
-        lines.append(f"{indent}    return _out")
-    for i, kind in enumerate(kinds):
-        if kind == "map":
-            lines.append(f"{indent}_v{i + 1} = _f{i}({var})")
-            var = f"_v{i + 1}"
-        elif kind == "peek":
-            lines.append(f"{indent}_f{i}({var})")
-        elif kind == "filter":
-            lines.append(f"{indent}if not _f{i}({var}):")
-            lines.append(f"{indent}    continue")
-        elif kind == "limit":
-            lines.append(f"{indent}_state[{slots[i]}] -= 1")
-        elif kind == "skip":
-            j = slots[i]
-            lines.append(f"{indent}if _state[{j}] > 0:")
-            lines.append(f"{indent}    _state[{j}] -= 1")
-            lines.append(f"{indent}    continue")
-        elif kind == "distinct":
-            j = slots[i]
-            lines.append(f"{indent}if {var} in _state[{j}]:")
-            lines.append(f"{indent}    continue")
-            lines.append(f"{indent}_state[{j}].add({var})")
-        elif kind == "flat_map":
-            lines.append(f"{indent}for _v{i + 1} in _f{i}({var}):")
-            for k_i, k in enumerate(kinds):
-                if k == "limit" and k_i > i:
-                    lines.append(f"{indent}    if _state[{slots[k_i]}] <= 0:")
-                    lines.append(f"{indent}        return _out")
-            indent += "    "
-            var = f"_v{i + 1}"
-        else:  # map_multi
-            lines.append(f"{indent}_b{i} = []")
-            lines.append(f"{indent}_f{i}({var}, _b{i}.append)")
-            lines.append(f"{indent}for _v{i + 1} in _b{i}:")
-            for k_i, k in enumerate(kinds):
-                if k == "limit" and k_i > i:
-                    lines.append(f"{indent}    if _state[{slots[k_i]}] <= 0:")
-                    lines.append(f"{indent}        return _out")
-            indent += "    "
-            var = f"_v{i + 1}"
-    lines.append(f"{indent}_append({var})")
-    lines.append("    return _out")
+    lines = ["def _kernel(_chunk, _state):"]
+    if whole_array:
+        lines.append("    if isinstance(_chunk, _ndarray):")
+        lines.append(f"        return {whole}")
+    lines.append(f"    return [{expr} {' '.join(clauses)}]")
     return "\n".join(lines)
-
-
-def _gen_whole_array(n: int) -> str:
-    """Single-expression kernel composing ``n`` ufunc maps over one ndarray
-    chunk — the whole run is one numpy call chain, no Python tail."""
-    expr = "_chunk"
-    for i in range(n):
-        expr = f"_f{i}({expr})"
-    return f"def _whole_array(_chunk):\n    return {expr}"
 
 
 # --------------------------------------------------------------------------- #
@@ -363,34 +300,25 @@ def _gen_whole_array(n: int) -> str:
 
 def _kernel_class(kinds: Sequence[str], fns: Sequence[Callable | None]) -> str:
     """The kernel-class decision — the single function behind both
-    execution dispatch (``FusedOp.wrap_sink``) and ``describe()`` /
+    execution dispatch (``FusedOp``'s chunk kernel) and ``describe()`` /
     ``Stream.explain()``, so plans can never drift from what runs.
 
     * ``counted-window`` — limit/skip over a pure-map run: the counted ops
       hoist to one source-index window sliced off each chunk;
-    * ``counted-loop`` — limit/skip in a general run: a statement loop
-      with exact budget cuts;
-    * ``stateful-loop`` — ``distinct`` (seen-set state) without counting;
-    * ``whole-array`` — ufunc-only maps end to end: one compiled numpy
-      expression per ndarray chunk;
-    * ``loop`` / ``comprehension`` — the stateless kernels of PR 5.
+    * ``whole-array`` — ufunc maps only: one compiled numpy expression per
+      ndarray chunk (the comprehension for any other chunk);
+    * ``comprehension`` — map/filter/flat_map: one list comprehension;
+    * ``loop`` — anything else (``peek``, ``map_multi``, ``distinct``, or
+      limit/skip mixed with filters/expanders): a statement loop.
     """
-    if any(k in ("limit", "skip") for k in kinds):
-        if all(k in ("map", "limit", "skip") for k in kinds):
+    if all(k in ("map", "limit", "skip") for k in kinds):
+        if any(k != "map" for k in kinds):
             return "counted-window"
-        return "counted-loop"
-    if "distinct" in kinds:
-        return "stateful-loop"
-    if (
-        _np is not None
-        and kinds
-        and all(k == "map" for k in kinds)
-        and all(isinstance(f, _np.ufunc) for f in fns)
-    ):
-        return "whole-array"
-    if any(k in ("peek", "map_multi") for k in kinds):
-        return "loop"
-    return "comprehension"
+        if _all_ufuncs(fns):
+            return "whole-array"
+    if all(k in ("map", "filter", "flat_map") for k in kinds):
+        return "comprehension"
+    return "loop"
 
 
 def counted_window(ops: Sequence[Op]) -> tuple[int, int | None] | None:
@@ -426,7 +354,7 @@ class FusedOp(Op):
     compiled straight-line kernel (one sink dispatch for the whole run),
     and ``accept_chunk`` crosses the run in a single generated pass.  The
     kernel class (see :func:`_kernel_class`) is decided once at
-    construction; counted runs carry their limit/skip budgets in a
+    construction; limit/skip budgets and distinct seen-sets live in a
     per-traversal state vector created in ``begin``, so one ``FusedOp``
     instance is safely shared across fork/join leaves.
     """
@@ -440,101 +368,44 @@ class FusedOp(Op):
 
     __slots__ = (
         "source_ops", "kinds", "kernel_class", "short_circuit",
-        "_element_kernel", "_chunk_kernel", "_ufunc_prefix", "_tail_kernel",
-        "_whole_kernel", "_window", "_window_kernel", "_state_spec",
-        "_limit_slots", "_size_preserving",
+        "_element_kernel", "_chunk_kernel", "_window", "_state_spec",
+        "_limit_slots",
     )
 
     def __init__(self, source_ops: Sequence[Op]) -> None:
         if not source_ops:
             raise ValueError("FusedOp needs at least one source op")
         self.source_ops = tuple(source_ops)
-        self.kinds = tuple(_stage_kind(op) for op in self.source_ops)
+        self.kinds = tuple(_FUSIBLE_TYPES[type(op)] for op in self.source_ops)
         fns = [_stage_fn(op) for op in self.source_ops]
-        self.kernel_class = _kernel_class(self.kinds, fns)
+        self.kernel_class = kc = _kernel_class(self.kinds, fns)
 
-        state_spec = []
-        for op, kind in zip(self.source_ops, self.kinds):
-            if kind in ("limit", "skip"):
-                state_spec.append((kind, op.n))
-            elif kind == "distinct":
-                state_spec.append((kind, 0))
-        self._state_spec = tuple(state_spec)
+        self._state_spec = tuple(
+            (kind, 0 if kind == "distinct" else op.n)
+            for op, kind in zip(self.source_ops, self.kinds)
+            if kind in _STATEFUL_KINDS
+        )
         slots = _state_slots(self.kinds)
         self._limit_slots = tuple(
             slots[i] for i, k in enumerate(self.kinds) if k == "limit"
         )
         self.short_circuit = bool(self._limit_slots)
-        self._size_preserving = all(
-            k in ("map", "peek") for k in self.kinds
-        )
-        self._element_kernel = _bind(
-            _gen_element_kernel(self.kinds), "_element", fns
-        )
+        self._element_kernel = _bind(_gen_loop(self.kinds, True), fns)
 
-        self._chunk_kernel = None
-        self._ufunc_prefix: tuple = ()
-        self._tail_kernel = None
-        self._whole_kernel = None
         self._window = None
-        self._window_kernel = None
-
-        kc = self.kernel_class
         if kc == "counted-window":
-            # The chunk path slices the source-index window off each chunk
-            # and only then applies the map kernel.
+            # The sink slices the source-index window off each chunk; the
+            # chunk kernel then applies only the maps.
             self._window = counted_window(self.source_ops)
-            map_fns = [f for f in fns if f is not None]
-            if map_fns:
-                self._window_kernel = _bind(
-                    _gen_chunk_comprehension(("map",) * len(map_fns)),
-                    "_chunk_kernel", map_fns,
-                )
-                if _np is not None and all(
-                    isinstance(f, _np.ufunc) for f in map_fns
-                ):
-                    self._whole_kernel = _bind(
-                        _gen_whole_array(len(map_fns)),
-                        "_whole_array", map_fns,
-                    )
-                    self._ufunc_prefix = tuple(map_fns)
-        elif kc in ("counted-loop", "stateful-loop"):
-            self._chunk_kernel = _bind(
-                _gen_chunk_loop(self.kinds), "_chunk_kernel", fns
+            fns = [f for f in fns if f is not None]
+            chunk_src = _gen_comprehension(
+                ("map",) * len(fns), _all_ufuncs(fns)
             )
+        elif kc == "loop":
+            chunk_src = _gen_loop(self.kinds, False)
         else:
-            if kc == "loop":
-                chunk_src = _gen_chunk_loop(self.kinds)
-            else:
-                chunk_src = _gen_chunk_comprehension(self.kinds)
-            self._chunk_kernel = _bind(chunk_src, "_chunk_kernel", fns)
-
-            # Vectorized prefix: the longest leading run of ufunc maps.
-            # On an ndarray chunk those apply as chained array ops; the
-            # compiled kernel for the remaining tail (if any) handles the
-            # rest.  When the prefix covers the whole run the composition
-            # compiles to a single whole-array expression.
-            n_ufunc = 0
-            if _np is not None:
-                for op in self.source_ops:
-                    if type(op) is MapOp and isinstance(op.f, _np.ufunc):
-                        n_ufunc += 1
-                    else:
-                        break
-            self._ufunc_prefix = tuple(fns[:n_ufunc])
-            if kc == "whole-array":
-                self._whole_kernel = _bind(
-                    _gen_whole_array(len(fns)), "_whole_array", fns
-                )
-            elif 0 < n_ufunc < len(self.kinds):
-                tail_kinds = self.kinds[n_ufunc:]
-                if any(k in ("peek", "map_multi") for k in tail_kinds):
-                    tail_src = _gen_chunk_loop(tail_kinds)
-                else:
-                    tail_src = _gen_chunk_comprehension(tail_kinds)
-                self._tail_kernel = _bind(
-                    tail_src, "_chunk_kernel", fns[n_ufunc:]
-                )
+            chunk_src = _gen_comprehension(self.kinds, kc == "whole-array")
+        self._chunk_kernel = _bind(chunk_src, fns)
 
     def __repr__(self) -> str:
         return f"FusedOp({' | '.join(self.kinds)})"
@@ -572,8 +443,9 @@ class FusedOp(Op):
         out = {
             "stages": list(self.kinds),
             "kernel": self.kernel_class,
-            "ufunc_prefix": len(self._ufunc_prefix),
-            "size_preserving": self._size_preserving,
+            "size_preserving": all(
+                k in ("map", "peek") for k in self.kinds
+            ),
         }
         if self._window is not None:
             out["window"] = [self._window[0], self._window[1]]
@@ -581,74 +453,37 @@ class FusedOp(Op):
 
     def wrap_sink(self, downstream: Sink) -> Sink:
         element_kernel = self._element_kernel
+        chunk_kernel = self._chunk_kernel
+        make_state = self._make_state
+        project = self._project_size
+        limit_slots = self._limit_slots
+        window = self._window
+        wlo, whi = window if window is not None else (0, None)
         down_accept = downstream.accept
         down_accept_chunk = downstream.accept_chunk
         down_cancelled = downstream.cancellation_requested
 
-        if not self._state_spec:
-            chunk_kernel = self._chunk_kernel
-            ufunc_prefix = self._ufunc_prefix
-            tail_kernel = self._tail_kernel
-            whole_kernel = self._whole_kernel
-            size_preserving = self._size_preserving
+        class _FusedSink(ChainedSink):
+            def __init__(self, downstream):
+                super().__init__(downstream)
+                self._pos = 0
+                self._state = make_state()
 
-            class _FusedSink(ChainedSink):
-                def begin(self, size):
-                    self.downstream.begin(size if size_preserving else -1)
+            def begin(self, size):
+                self._pos = 0
+                self._state = make_state()
+                self.downstream.begin(project(size))
 
-                def accept(self, item):
-                    element_kernel(item, down_accept, down_cancelled, None)
+            def accept(self, item):
+                element_kernel(item, down_accept, down_cancelled, self._state)
 
-                def accept_chunk(self, chunk):
-                    if ufunc_prefix and isinstance(chunk, _np.ndarray):
-                        if whole_kernel is not None:
-                            down_accept_chunk(whole_kernel(chunk))
-                            return
-                        for ufunc in ufunc_prefix:
-                            chunk = ufunc(chunk)
-                        if tail_kernel is not None:
-                            chunk = tail_kernel(chunk)
-                        down_accept_chunk(chunk)
-                        return
-                    down_accept_chunk(chunk_kernel(chunk))
-
-            return _FusedSink(downstream)
-
-        make_state = self._make_state
-        limit_slots = self._limit_slots
-        project = self._project_size
-
-        if self._window is not None:
-            wlo, whi = self._window
-            window_kernel = self._window_kernel
-            whole_kernel = self._whole_kernel
-
-            class _CountedWindowSink(ChainedSink):
-                def __init__(self, downstream):
-                    super().__init__(downstream)
-                    self._pos = 0
-                    self._state = make_state()
-
-                def begin(self, size):
-                    self._pos = 0
-                    self._state = make_state()
-                    self.downstream.begin(project(size))
-
-                def accept(self, item):
-                    element_kernel(
-                        item, down_accept, down_cancelled, self._state
-                    )
-
-                def accept_chunk(self, chunk):
+            def accept_chunk(self, chunk):
+                if window is not None:
                     pos = self._pos
                     ln = len(chunk)
                     self._pos = pos + ln
-                    lo = wlo - pos
-                    if lo < 0:
-                        lo = 0
-                    hi = ln if whi is None else whi - pos
-                    if hi > ln:
-                        hi = ln
+                    lo = max(wlo - pos, 0)
+                    hi = ln if whi is None else min(whi - pos, ln)
                     if lo >= hi:
                         return
                     if lo > 0 or hi < ln:
@@ -656,13 +491,10 @@ class FusedOp(Op):
                         # costs O(1), and the map kernel only ever touches
                         # elements inside the window.
                         chunk = slice_source(chunk, lo, hi)
-                    if whole_kernel is not None and isinstance(
-                        chunk, _np.ndarray
-                    ):
-                        chunk = whole_kernel(chunk)
-                    elif window_kernel is not None:
-                        chunk = window_kernel(chunk)
-                    down_accept_chunk(chunk)
+                down_accept_chunk(chunk_kernel(chunk, self._state))
+
+            # A run without a limit inherits the plain downstream poll.
+            if limit_slots:
 
                 def cancellation_requested(self):
                     if whi is not None and self._pos >= whi:
@@ -673,35 +505,7 @@ class FusedOp(Op):
                             return True
                     return down_cancelled()
 
-            return _CountedWindowSink(downstream)
-
-        chunk_kernel = self._chunk_kernel
-
-        class _StatefulFusedSink(ChainedSink):
-            def __init__(self, downstream):
-                super().__init__(downstream)
-                self._state = make_state()
-
-            def begin(self, size):
-                self._state = make_state()
-                self.downstream.begin(project(size))
-
-            def accept(self, item):
-                element_kernel(
-                    item, down_accept, down_cancelled, self._state
-                )
-
-            def accept_chunk(self, chunk):
-                down_accept_chunk(chunk_kernel(chunk, self._state))
-
-            def cancellation_requested(self):
-                state = self._state
-                for j in limit_slots:
-                    if state[j] <= 0:
-                        return True
-                return down_cancelled()
-
-        return _StatefulFusedSink(downstream)
+        return _FusedSink(downstream)
 
 
 # --------------------------------------------------------------------------- #
@@ -715,19 +519,22 @@ def fuse_ops(ops: list[Op]) -> tuple[list[Op], int]:
     A run is emitted as a :class:`FusedOp` when it has >= MIN_RUN stages,
     or when it contains a counted op (``limit``/``skip``) — compiling even
     a lone ``limit`` moves the pipeline from per-element polling to the
-    chunked counted kernel.  Returns ``(rewritten_ops, stages_fused)`` —
-    the original list object is returned (with 0) when nothing fuses.
-    Remaining stateful kinds (``sorted``, ``take_while``, ``drop_while``)
-    and unknown ops are barriers and pass through unchanged;
-    already-:class:`FusedOp` stages are barriers too, making the rewrite
-    idempotent.
+    chunked counted kernel.  A run also ends where a numpy-ufunc map meets
+    any other non-counted stage, so a run's maps are all ufuncs or none
+    (``limit``/``skip`` join either kind).  Returns
+    ``(rewritten_ops, stages_fused)`` — the original list object is
+    returned (with 0) when nothing fuses.  Remaining stateful kinds
+    (``sorted``, ``take_while``, ``drop_while``) and unknown ops are
+    barriers and pass through unchanged; already-:class:`FusedOp` stages
+    are barriers too, making the rewrite idempotent.
     """
     out: list[Op] = []
     run: list[Op] = []
+    run_ufunc = None  # the run's ufunc-ness; None while only counted ops
     fused_stages = 0
 
     def flush() -> None:
-        nonlocal fused_stages
+        nonlocal fused_stages, run_ufunc
         if len(run) >= MIN_RUN or any(
             type(op) in _COUNTED_TYPES for op in run
         ):
@@ -736,13 +543,19 @@ def fuse_ops(ops: list[Op]) -> tuple[list[Op], int]:
         else:
             out.extend(run)
         run.clear()
+        run_ufunc = None
 
     for op in ops:
-        if type(op) in _FUSIBLE_TYPES:
-            run.append(op)
-        else:
+        if type(op) not in _FUSIBLE_TYPES:
             flush()
             out.append(op)
+            continue
+        if type(op) not in _COUNTED_TYPES:
+            ufunc = type(op) is MapOp and _all_ufuncs((op.f,))
+            if run_ufunc is not None and ufunc != run_ufunc:
+                flush()
+            run_ufunc = ufunc
+        run.append(op)
     flush()
     if fused_stages == 0:
         return ops, 0
@@ -767,15 +580,19 @@ _fusion_stats = {
 #: to the source ops, so a live entry's ids cannot be recycled.
 _MEMO_CAPACITY = 128
 _memo: dict[tuple[int, ...], tuple[tuple[Op, ...], list[Op]]] = {}
-_memo_lock = threading.Lock()
+#: Guards the memo and the stats counters: concurrent terminals and
+#: fork/join leaves all reach ``maybe_fuse``, and an unlocked ``+=``
+#: loses updates.
+_lock = threading.Lock()
 
 
 def fusion_stats(reset: bool = False) -> dict[str, int]:
     """Counts of fusion activity (advisory; pinned by tests and benches)."""
-    snapshot = dict(_fusion_stats)
-    if reset:
-        for key in _fusion_stats:
-            _fusion_stats[key] = 0
+    with _lock:
+        snapshot = dict(_fusion_stats)
+        if reset:
+            for key in _fusion_stats:
+                _fusion_stats[key] = 0
     return snapshot
 
 
@@ -794,20 +611,22 @@ def maybe_fuse(ops: list[Op], config: EngineConfig) -> list[Op]:
     if entry is not None and all(
         a is b for a, b in zip(entry[0], ops)
     ):
-        _fusion_stats["memo_hits"] += 1
+        with _lock:
+            _fusion_stats["memo_hits"] += 1
         return entry[1]
 
     start = time.perf_counter_ns()
     fused, stages = fuse_ops(ops)
     if stages == 0:
-        _fusion_stats["unfused"] += 1
+        with _lock:
+            _fusion_stats["unfused"] += 1
         return ops
     kernels = sum(1 for op in fused if isinstance(op, FusedOp))
-    _fusion_stats["pipelines_fused"] += 1
-    _fusion_stats["stages_fused"] += stages
-    _fusion_stats["kernels"] += kernels
 
-    with _memo_lock:
+    with _lock:
+        _fusion_stats["pipelines_fused"] += 1
+        _fusion_stats["stages_fused"] += stages
+        _fusion_stats["kernels"] += kernels
         if len(_memo) >= _MEMO_CAPACITY:
             _memo.clear()  # tiny, regenerable cache: wholesale reset is fine
         _memo[key] = (tuple(ops), fused)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import abc
 import functools
+import threading
 from typing import Any, Callable, Generic, Iterable, Sequence, TypeVar
 
 from repro.common import IllegalArgumentError
@@ -591,15 +592,19 @@ class ReducingSink(TerminalSink):
 CHUNK_SIZE = 1 << 16
 
 _bulk_stats = {"chunked": 0, "element": 0}
+#: Concurrent terminals and fork/join leaves all count here; an unlocked
+#: ``+=`` loses updates.
+_bulk_stats_lock = threading.Lock()
 
 
 def bulk_stats(reset: bool = False) -> dict[str, int]:
     """Counts of traversals taken by each path (advisory; used by tests and
     benches to prove the fast path engaged)."""
-    snapshot = dict(_bulk_stats)
-    if reset:
-        _bulk_stats["chunked"] = 0
-        _bulk_stats["element"] = 0
+    with _bulk_stats_lock:
+        snapshot = dict(_bulk_stats)
+        if reset:
+            _bulk_stats["chunked"] = 0
+            _bulk_stats["element"] = 0
     return snapshot
 
 
@@ -731,7 +736,8 @@ def run_pipeline(
     """
     ops = _fusion.maybe_fuse(ops, config)
     mode = select_mode(ops, config, force_short_circuit)
-    _bulk_stats["chunked" if mode == "chunked" else "element"] += 1
+    with _bulk_stats_lock:
+        _bulk_stats["chunked" if mode == "chunked" else "element"] += 1
     profiler = current_profiler()
     probes = labels = None
     if profiler is not None and profiler.sample():

@@ -50,7 +50,6 @@ class TestFusedStatelessChain:
                     {
                         "stages": ["map", "filter"],
                         "kernel": "comprehension",
-                        "ufunc_prefix": 0,
                         "size_preserving": False,
                     }
                 ],
@@ -196,7 +195,6 @@ class TestShortCircuitChain:
                         # All maps are 1:1, so the limit hoists to a
                         # source-index window sliced off each chunk.
                         "kernel": "counted-window",
-                        "ufunc_prefix": 0,
                         "size_preserving": False,
                         "window": [0, 5],
                     }

@@ -6,6 +6,9 @@ semantics on both traversal modes, that ``fusion_stats`` pins the
 rewrite counts, and that traced runs carry ``fuse`` spans.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -31,6 +34,7 @@ from repro.streams.ops import (
     MapMultiOp,
     MapOp,
     PeekOp,
+    Sink,
     SkipOp,
     SortedOp,
     TakeWhileOp,
@@ -235,11 +239,24 @@ class TestSemantics:
                     .map(lambda x: int(x) % 11)
                     .filter(lambda x: x != 4))
 
-        with engine(fusion=True):
-            fused = build(stream_of(data)).to_list()
-        with engine(fusion=False):
-            unfused = build(stream_of(data)).to_list()
-        assert fused == unfused
+        def build_two_ufuncs(s):
+            return (s.map(np.square)
+                    .map(np.abs)
+                    .map(lambda x: int(x) % 11)
+                    .filter(lambda x: x != 4))
+
+        for b in (build, build_two_ufuncs):
+            with engine(fusion=True):
+                fused = b(stream_of(data)).to_list()
+            with engine(fusion=False):
+                unfused = b(stream_of(data)).to_list()
+            assert fused == unfused
+        # A run ends where the maps' ufunc-ness changes: the ufunc maps
+        # stay one whole-array expression, the Python tail one
+        # comprehension.
+        plan = build_two_ufuncs(stream_of(data)).explain().to_dict()
+        assert [r["kernel"] for r in plan["fusion"]["runs"]] == [
+            "whole-array", "comprehension"]
 
     def test_lazy_iterator_path_fuses(self):
         with engine(fusion=True):
@@ -307,6 +324,39 @@ class TestControlsAndStats:
         stats = fusion_stats()
         assert stats["pipelines_fused"] == 0
         assert stats["unfused"] == 1
+
+    def test_stats_count_exactly_under_threads(self):
+        # Concurrent terminals (serve runners, fork/join leaves) update
+        # the fusion and bulk counters from many threads at once; a
+        # tiny switch interval makes an unlocked ``+=`` lose updates.
+        threads, runs = 4, 300
+        shared = [MapOp(abs), MapOp(abs)]
+
+        def work():
+            config = current_config()
+            for _ in range(runs):
+                stream_of(range(8)).map(_plus_one).map(abs).to_list()
+                maybe_fuse(shared, config)
+
+        with engine(fusion=True, bulk=True):
+            fusion_stats(reset=True)
+            bulk_stats(reset=True)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                workers = [threading.Thread(target=work) for _ in range(threads)]
+                for t in workers:
+                    t.start()
+                for t in workers:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers)
+        stats, bulk = fusion_stats(), bulk_stats()
+        total = threads * runs
+        assert bulk["chunked"] + bulk["element"] == total
+        assert stats["pipelines_fused"] + stats["memo_hits"] == 2 * total
+        assert stats["stages_fused"] == 2 * stats["pipelines_fused"]
 
     def test_parallel_terminal_fuses_once_via_memo(self, pool):
         with engine(fusion=True):
@@ -450,15 +500,37 @@ class TestCountedKernelEdgeCases:
         assert got == []
         assert fetches[0] == 0
 
+    def test_bare_window_hands_ndarray_slices_downstream(self):
+        chunks = []
+
+        class _Probe(Sink):
+            def accept_chunk(self, chunk):
+                chunks.append(chunk)
+
+        data = np.arange(100)
+        sink = FusedOp([LimitOp(10)]).wrap_sink(_Probe())
+        sink.begin(len(data))
+        sink.accept_chunk(data)
+        sink.end()
+        whole = FusedOp([LimitOp(1000)]).wrap_sink(_Probe())
+        whole.begin(len(data))
+        whole.accept_chunk(data)
+        # The cut is a view on the source and an uncut chunk passes as
+        # is: a map-free window never copies.
+        assert isinstance(chunks[0], np.ndarray)
+        assert chunks[0].base is data
+        assert chunks[0].tolist() == list(range(10))
+        assert chunks[1] is data
+
     def test_kernel_class_pins(self):
         assert FusedOp([MapOp(abs), LimitOp(3)]).kernel_class == (
             "counted-window")
         assert FusedOp([MapOp(abs), SkipOp(2), LimitOp(3)]).kernel_class == (
             "counted-window")
         assert FusedOp([FilterOp(bool), LimitOp(3)]).kernel_class == (
-            "counted-loop")
+            "loop")
         assert FusedOp([MapOp(abs), DistinctOp()]).kernel_class == (
-            "stateful-loop")
+            "loop")
         assert FusedOp([MapOp(np.negative), MapOp(np.abs)]).kernel_class == (
             "whole-array")
 
@@ -516,7 +588,7 @@ class TestCountedWindowPlan:
         # window is evaluated.
         (lambda s, f: s.map(f).skip(1000).limit(3000),
          [x + 1 for x in range(1000, 4000)], True, 3000),
-        # A filter before the limit keeps the budgeted counted-loop tree.
+        # A filter before the limit keeps the budgeted loop-kernel tree.
         (lambda s, f: s.map(f).filter(_is_even).limit(100),
          [x + 1 for x in range(1, 200, 2)], True, None),
     ])
