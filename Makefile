@@ -10,7 +10,8 @@ CHAOS_SEED_FILE := .github/chaos-seeds.json
 FUSION_FUZZ_SEED_FILE := .github/fusion-fuzz-seeds.json
 
 .PHONY: install test test-reverse lint chaos fusion-fuzz bench bench-smoke \
-        bench-regression serve-load e2e-smoke gates figures examples clean
+        bench-regression serve-load fixed-cost e2e-smoke gates figures \
+        examples clean
 
 install:
 	pip install -e .[test] || pip install -e . --no-build-isolation
@@ -93,6 +94,11 @@ serve-load:
 	    --chaos-seed $$($(PYTHON) -c "import json; \
 	        print(json.load(open('$(CHAOS_SEED_FILE)'))[0])") \
 	    --out benchmarks/results/ab13_serve_smoke.json
+
+# Per-terminal fixed cost: p50 µs of the four serve_mix tenant shapes
+# and their hand loops on 8-element inputs, alternating.  Not a gate.
+fixed-cost:
+	PYTHONPATH=src $(PYTHON) benchmarks/bench_fixed_cost.py
 
 # Mirrors the CI e2e-smoke job: one short run of each gated end-to-end
 # workload, plus a traced serve_mix run so the per-layer ledger's

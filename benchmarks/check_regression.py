@@ -17,10 +17,10 @@ timing.
 
 A second, independent leg gates **profiler overhead**: with
 ``--overhead``, the script times an AB9-shaped workload with the
-:mod:`repro.obs.profile` profiler disabled and enabled (interleaved
-runs, median ratio) and fails when the enabled/disabled ratio exceeds
-``--overhead-threshold`` (default 1.05 — the profiler must cost ≤5% at
-its default sampling rate).
+:mod:`repro.obs.profile` profiler disabled and enabled (run pairs in
+alternating order, median of the per-pair ratios) and fails when that
+ratio exceeds ``--overhead-threshold`` (default 1.05 — the profiler
+must cost ≤5% at its default sampling rate).
 
 Usage::
 
@@ -94,11 +94,14 @@ def check(baseline, fresh, threshold):
 
 
 def _profiler_overhead(runs, size):
-    """Median enabled/disabled wall-clock ratio on an AB9-shaped workload.
+    """Median of per-pair profiled/plain wall-clock ratios on an
+    AB9-shaped workload.
 
-    Plain and profiled runs are interleaved so frequency scaling and
-    noisy neighbours bias both sides equally; the ratio of medians is
-    then a clean overhead estimate even on a loaded CI runner.
+    Each pair times one plain and one profiled run back to back, in
+    alternating order (plain first in even pairs, profiled first in odd
+    ones), so neither side always runs second on a warmer cache or a
+    quieter neighbour; the median of the pair ratios then discards the
+    pairs a noisy neighbour hit.
     """
     import time
 
@@ -112,21 +115,28 @@ def _profiler_overhead(runs, size):
             lambda x: x * 3
         ).to_list()
 
-    expected = workload()  # warm-up; also pins correctness below
-    plain, profiled_samples = [], []
-    for _ in range(runs):
+    def timed(profile):
         start = time.perf_counter()
-        got = workload()
-        plain.append(time.perf_counter() - start)
-        assert got == expected
-        start = time.perf_counter()
-        with profiled():
+        if profile:
+            with profiled():
+                got = workload()
+        else:
             got = workload()
-        profiled_samples.append(time.perf_counter() - start)
+        elapsed = time.perf_counter() - start
         assert got == expected
-    base = statistics.median(plain)
-    ratio = statistics.median(profiled_samples) / base if base > 0 else 1.0
-    return ratio
+        return elapsed
+
+    expected = workload()  # warm-up; also pins correctness below
+    ratios = []
+    for pair in range(runs):
+        if pair % 2:
+            profiled_s = timed(True)
+            plain_s = timed(False)
+        else:
+            plain_s = timed(False)
+            profiled_s = timed(True)
+        ratios.append(profiled_s / plain_s if plain_s > 0 else 1.0)
+    return statistics.median(ratios)
 
 
 def check_overhead(runs, size, threshold):
@@ -134,7 +144,7 @@ def check_overhead(runs, size, threshold):
     ratio = _profiler_overhead(runs, size)
     verdict = "ok" if ratio <= threshold else "OVERHEAD"
     print(f"profiler overhead: x{ratio:.3f} "
-          f"(threshold x{threshold:.2f}, {runs} interleaved runs, "
+          f"(threshold x{threshold:.2f}, median of {runs} alternating pairs, "
           f"size 2^{size.bit_length() - 1})  {verdict}")
     if ratio > threshold:
         return [
@@ -161,7 +171,7 @@ def main(argv=None):
                         help="max enabled/disabled wall-clock ratio "
                              "(default: 1.05 = 5%% overhead)")
     parser.add_argument("--overhead-runs", type=int, default=25,
-                        help="interleaved plain/profiled run pairs "
+                        help="plain/profiled run pairs, alternating order "
                              "(default: 25)")
     parser.add_argument("--overhead-size", type=int, default=1 << 15,
                         help="workload size (default: 2^15)")

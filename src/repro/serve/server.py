@@ -62,6 +62,33 @@ from repro.serve.tenant import Tenant, TenantConfig
 from repro.streams.stream import Stream
 
 
+class _TenantMetrics:
+    """One tenant's metric handles, resolved once when it registers: a
+    labeled registry lookup sorts its labels on every call, and a job
+    would otherwise make half a dozen of them."""
+
+    __slots__ = (
+        "queue_depth", "queue_wait", "latency", "submitted", "completed",
+        "failed", "shed", "cancelled", "degraded", "breaker_trips",
+    )
+
+    def __init__(self, registry: MetricsRegistry, tenant: str) -> None:
+        self.queue_depth = registry.gauge("serve_queue_depth", tenant=tenant)
+        self.queue_wait = registry.histogram(
+            "serve_queue_wait_ns", tenant=tenant
+        )
+        self.latency = registry.histogram(
+            "serve_job_latency_ns", tenant=tenant
+        )
+        self.submitted = registry.counter("jobs_submitted", tenant=tenant)
+        self.completed = registry.counter("jobs_completed", tenant=tenant)
+        self.failed = registry.counter("jobs_failed", tenant=tenant)
+        self.shed = registry.counter("jobs_shed", tenant=tenant)
+        self.cancelled = registry.counter("jobs_cancelled", tenant=tenant)
+        self.degraded = registry.counter("jobs_degraded", tenant=tenant)
+        self.breaker_trips = registry.counter("breaker_trips", tenant=tenant)
+
+
 class ExecutionService:
     """A shared stream-execution service for many concurrent tenants.
 
@@ -104,6 +131,7 @@ class ExecutionService:
         self.default_backend = default_backend
         self._pool = pool
         self._tenants: dict[str, Tenant] = {}
+        self._tenant_metrics: dict[str, _TenantMetrics] = {}
         self._datasets: dict[str, Any] = {}
         self._queue = AdmissionQueue(global_queue_limit, max_workers)
         self._scheduler = DeficitRoundRobin(quantum=quantum)
@@ -149,7 +177,9 @@ class ExecutionService:
                 )
             self._tenants[config.name] = Tenant(config)
             self._scheduler.add(config.name)
-            self.metrics.gauge("serve_queue_depth", tenant=config.name).set(0)
+            handles = _TenantMetrics(self.metrics, config.name)
+            self._tenant_metrics[config.name] = handles
+            handles.queue_depth.set(0)
         return config
 
     # -- lifecycle --------------------------------------------------------- #
@@ -182,12 +212,10 @@ class ExecutionService:
                         cancelled.append(
                             (tenant, self._queue.take_from(tenant))
                         )
-                    self.metrics.gauge(
-                        "serve_queue_depth", tenant=tenant.name
-                    ).set(0)
+                    self._tenant_metrics[tenant.name].queue_depth.set(0)
             self._work.notify_all()
         for tenant, ticket in cancelled:
-            self.metrics.counter("jobs_cancelled", tenant=tenant.name).inc()
+            self._tenant_metrics[tenant.name].cancelled.inc()
             ticket._finish(
                 CANCELLED,
                 error=CancellationError(
@@ -265,13 +293,11 @@ class ExecutionService:
                     "jobs_rejected", tenant=tenant, reason=exc.reason
                 ).inc()
                 raise
-            self.metrics.counter("jobs_submitted", tenant=tenant).inc()
+            self._tenant_metrics[tenant].submitted.inc()
             self._set_depth(tenant_state)
             if victim is not None:
                 victim_tenant = self._tenants[victim.job.tenant]
-                self.metrics.counter(
-                    "jobs_shed", tenant=victim_tenant.name
-                ).inc()
+                self._tenant_metrics[victim_tenant.name].shed.inc()
                 self._set_depth(victim_tenant)
             self._work.notify_all()
         if victim is not None:
@@ -287,9 +313,7 @@ class ExecutionService:
         return ticket
 
     def _set_depth(self, tenant: Tenant) -> None:
-        self.metrics.gauge("serve_queue_depth", tenant=tenant.name).set(
-            len(tenant.queue)
-        )
+        self._tenant_metrics[tenant.name].queue_depth.set(len(tenant.queue))
 
     # -- dispatch ---------------------------------------------------------- #
 
@@ -326,9 +350,7 @@ class ExecutionService:
                 # job is cancelled here, at the serve layer — it never
                 # reaches the pool, so only ``jobs_cancelled`` (not the
                 # pool's ``tasks_cancelled``) accounts for it.
-                self.metrics.counter(
-                    "jobs_cancelled", tenant=tenant.name
-                ).inc()
+                self._tenant_metrics[tenant.name].cancelled.inc()
                 ticket._finish(
                     CANCELLED,
                     error=TaskTimeoutError(
@@ -400,15 +422,15 @@ class ExecutionService:
         applies through the stream)."""
         if job.deadline is not None:
             job.deadline.check(job.label)
-        self.metrics.counter("jobs_degraded", tenant=job.tenant).inc()
+        self._tenant_metrics[job.tenant].degraded.inc()
         return job.pipeline(self._build_stream(job, "sequential"))
 
     def _run_job(self, ticket: Ticket) -> None:
         tenant = self._tenants[ticket.job.tenant]
         ticket._mark_running()
-        self.metrics.histogram(
-            "serve_queue_wait_ns", tenant=tenant.name
-        ).observe(ticket.dispatched_ns - ticket.submitted_ns)
+        self._tenant_metrics[tenant.name].queue_wait.observe(
+            ticket.dispatched_ns - ticket.submitted_ns
+        )
         try:
             try:
                 result = self._execute(ticket.job)
@@ -422,10 +444,9 @@ class ExecutionService:
     def _settle_success(self, ticket: Ticket, tenant: Tenant,
                         result: Any) -> None:
         ticket._finish(DONE, result=result)
-        self.metrics.counter("jobs_completed", tenant=tenant.name).inc()
-        self.metrics.histogram(
-            "serve_job_latency_ns", tenant=tenant.name
-        ).observe(ticket.completed_ns - ticket.submitted_ns)
+        handles = self._tenant_metrics[tenant.name]
+        handles.completed.inc()
+        handles.latency.observe(ticket.completed_ns - ticket.submitted_ns)
         with self._work:
             tenant.record_success()
             if ticket.dispatched_ns is not None:
@@ -435,11 +456,12 @@ class ExecutionService:
 
     def _settle_failure(self, ticket: Ticket, tenant: Tenant,
                         exc: BaseException) -> None:
-        self.metrics.counter("jobs_failed", tenant=tenant.name).inc()
+        handles = self._tenant_metrics[tenant.name]
+        handles.failed.inc()
         with self._work:
             opened = tenant.record_failure()
         if opened:
-            self.metrics.counter("breaker_trips", tenant=tenant.name).inc()
+            handles.breaker_trips.inc()
         ticket._finish(FAILED, error=exc)
 
     # -- observability ------------------------------------------------------ #
@@ -460,33 +482,19 @@ class ExecutionService:
                     + entry["value"]
                 )
         for name in names:
-            latency = self.metrics.histogram(
-                "serve_job_latency_ns", tenant=name
-            )
+            handles = self._tenant_metrics[name]
             per_tenant[name] = {
                 "queued": queued[name],
-                "submitted": self.metrics.counter(
-                    "jobs_submitted", tenant=name
-                ).value,
-                "completed": self.metrics.counter(
-                    "jobs_completed", tenant=name
-                ).value,
-                "failed": self.metrics.counter(
-                    "jobs_failed", tenant=name
-                ).value,
+                "submitted": handles.submitted.value,
+                "completed": handles.completed.value,
+                "failed": handles.failed.value,
                 "rejected": rejected.get(name, 0),
-                "shed": self.metrics.counter("jobs_shed", tenant=name).value,
-                "cancelled": self.metrics.counter(
-                    "jobs_cancelled", tenant=name
-                ).value,
-                "degraded": self.metrics.counter(
-                    "jobs_degraded", tenant=name
-                ).value,
-                "breaker_trips": self.metrics.counter(
-                    "breaker_trips", tenant=name
-                ).value,
-                "p50_latency_ms": latency.quantile_bound(0.50) / 1e6,
-                "p99_latency_ms": latency.quantile_bound(0.99) / 1e6,
+                "shed": handles.shed.value,
+                "cancelled": handles.cancelled.value,
+                "degraded": handles.degraded.value,
+                "breaker_trips": handles.breaker_trips.value,
+                "p50_latency_ms": handles.latency.quantile_bound(0.50) / 1e6,
+                "p99_latency_ms": handles.latency.quantile_bound(0.99) / 1e6,
             }
         return {
             "in_flight": in_flight,

@@ -55,6 +55,7 @@ import time
 from dataclasses import dataclass
 from typing import Any
 
+from repro.streams.ops import chain_key, remember
 from repro.streams.spliterator import UNKNOWN_SIZE
 
 #: Number of leaves per worker Java aims for (AbstractTask.LEAF_TARGET).
@@ -154,6 +155,25 @@ def _callable_fingerprint(fn: Any) -> str:
     return f"{getattr(fn, '__module__', '?')}.{name}"
 
 
+def _stage_fingerprints(ops: list) -> tuple:
+    stages = []
+    for op in ops:
+        parts = [type(op).__name__]
+        attrs = getattr(op, "__dict__", None)
+        if attrs:
+            for name in sorted(attrs):
+                value = attrs[name]
+                if callable(value):
+                    parts.append(_callable_fingerprint(value))
+        stages.append(tuple(parts))
+    return tuple(stages)
+
+
+#: :func:`~repro.streams.ops.chain_key` → ``(ops, fingerprints)``; the
+#: held ops keep the keyed ids alive.
+_fingerprints: dict[tuple, tuple] = {}
+
+
 def shape_key(
     ops: list,
     spliterator: Any,
@@ -166,19 +186,15 @@ def shape_key(
     an op carries — ``map(parse)`` and ``map(hash)`` have very different
     per-element costs and must not share a cost estimate.  The element
     count is deliberately *excluded*: cost-per-element transfers across
-    sizes, which is the whole point of the memo.
+    sizes, which is the whole point of the memo.  The fingerprint strings
+    are built once per op chain (by its identity key), not per terminal.
     """
-    stages = []
-    for op in ops:
-        parts = [type(op).__name__]
-        attrs = getattr(op, "__dict__", None)
-        if attrs:
-            for name in sorted(attrs):
-                value = attrs[name]
-                if callable(value):
-                    parts.append(_callable_fingerprint(value))
-        stages.append(tuple(parts))
-    return (backend, type(spliterator).__name__, parallelism, tuple(stages))
+    chain = chain_key(ops)
+    entry = _fingerprints.get(chain)
+    if entry is None:
+        entry = (tuple(ops), _stage_fingerprints(ops))
+        remember(_fingerprints, chain, entry)
+    return (backend, type(spliterator).__name__, parallelism, entry[1])
 
 
 # --------------------------------------------------------------------------- #

@@ -45,12 +45,14 @@ Fusion is semantics-preserving by construction:
   past ``filter``/expanders/``distinct``), mirroring the unfused chain;
 * per-traversal kernel state (budgets, seen-sets) is created in the
   sink's ``begin``, so one compiled ``FusedOp`` is shared safely across
-  fork/join leaves.
+  fork/join leaves, terminals and threads.
 
 The rewrite runs when the run's :class:`~repro.streams.config.EngineConfig`
-has ``fusion`` set (``with engine(fusion=False):`` turns it off), and
-:func:`fusion_stats` counts rewritten pipelines and collapsed stages.
-Each rewrite emits a ``fuse`` span through :mod:`repro.obs`.
+has ``fusion`` set (``with engine(fusion=False):`` turns it off), and is
+memoized per chain shape (:data:`_memo`), so a repeated shape compiles
+once.  :func:`fusion_stats` counts rewritten pipelines and collapsed
+stages; each rewrite that compiles emits a ``fuse`` span through
+:mod:`repro.obs`.
 """
 
 from __future__ import annotations
@@ -74,6 +76,8 @@ from repro.streams.ops import (
     PeekOp,
     Sink,
     SkipOp,
+    chain_key,
+    remember,
 )
 from repro.streams.spliterators import slice_source
 
@@ -356,7 +360,9 @@ class FusedOp(Op):
     kernel class (see :func:`_kernel_class`) is decided once at
     construction; limit/skip budgets and distinct seen-sets live in a
     per-traversal state vector created in ``begin``, so one ``FusedOp``
-    instance is safely shared across fork/join leaves.
+    instance is safely shared across fork/join leaves, terminals and
+    threads.  The per-element kernel compiles on first use: chunked
+    traversals never call it.
     """
 
     chunkable = True
@@ -368,7 +374,7 @@ class FusedOp(Op):
 
     __slots__ = (
         "source_ops", "kinds", "kernel_class", "short_circuit",
-        "_element_kernel", "_chunk_kernel", "_window", "_state_spec",
+        "_fns", "_element_kernel", "_chunk_kernel", "_window", "_state_spec",
         "_limit_slots",
     )
 
@@ -377,7 +383,7 @@ class FusedOp(Op):
             raise ValueError("FusedOp needs at least one source op")
         self.source_ops = tuple(source_ops)
         self.kinds = tuple(_FUSIBLE_TYPES[type(op)] for op in self.source_ops)
-        fns = [_stage_fn(op) for op in self.source_ops]
+        self._fns = fns = [_stage_fn(op) for op in self.source_ops]
         self.kernel_class = kc = _kernel_class(self.kinds, fns)
 
         self._state_spec = tuple(
@@ -390,7 +396,7 @@ class FusedOp(Op):
             slots[i] for i, k in enumerate(self.kinds) if k == "limit"
         )
         self.short_circuit = bool(self._limit_slots)
-        self._element_kernel = _bind(_gen_loop(self.kinds, True), fns)
+        self._element_kernel = None
 
         self._window = None
         if kc == "counted-window":
@@ -409,6 +415,20 @@ class FusedOp(Op):
 
     def __repr__(self) -> str:
         return f"FusedOp({' | '.join(self.kinds)})"
+
+    def stage_key(self) -> "FusedOp":
+        # A compiled run is keyed by the object itself: a chain that
+        # already holds it resolves to the memo entry that produced it.
+        return self
+
+    def element_kernel(self) -> Callable:
+        """The per-element kernel, compiled on first use."""
+        kernel = self._element_kernel
+        if kernel is None:
+            kernel = self._element_kernel = _bind(
+                _gen_loop(self.kinds, True), self._fns
+            )
+        return kernel
 
     def _make_state(self) -> list:
         """A fresh per-traversal state vector (one slot per stateful
@@ -452,60 +472,80 @@ class FusedOp(Op):
         return out
 
     def wrap_sink(self, downstream: Sink) -> Sink:
-        element_kernel = self._element_kernel
-        chunk_kernel = self._chunk_kernel
-        make_state = self._make_state
-        project = self._project_size
-        limit_slots = self._limit_slots
+        if self._limit_slots:
+            return _LimitedFusedSink(self, downstream)
+        return _FusedSink(self, downstream)
+
+
+class _FusedSink(ChainedSink):
+    """The sink of one :class:`FusedOp` traversal: the op's kernels, the
+    downstream entry points they emit into, the per-traversal state
+    vector and, for a ``counted-window`` run, the source position."""
+
+    __slots__ = (
+        "_op", "_element", "_chunk_kernel", "_window", "_pos", "_state",
+        "_down_accept", "_down_accept_chunk", "_down_cancelled",
+    )
+
+    def __init__(self, op: FusedOp, downstream: Sink) -> None:
+        self.downstream = downstream
+        self._op = op
+        self._element = op._element_kernel
+        self._chunk_kernel = op._chunk_kernel
+        self._window = op._window
+        self._pos = 0
+        self._state = op._make_state()
+        self._down_accept = downstream.accept
+        self._down_accept_chunk = downstream.accept_chunk
+        self._down_cancelled = downstream.cancellation_requested
+
+    def begin(self, size):
+        self._pos = 0
+        self._state = self._op._make_state()
+        self.downstream.begin(self._op._project_size(size))
+
+    def accept(self, item):
+        kernel = self._element
+        if kernel is None:
+            kernel = self._element = self._op.element_kernel()
+        kernel(item, self._down_accept, self._down_cancelled, self._state)
+
+    def accept_chunk(self, chunk):
         window = self._window
-        wlo, whi = window if window is not None else (0, None)
-        down_accept = downstream.accept
-        down_accept_chunk = downstream.accept_chunk
-        down_cancelled = downstream.cancellation_requested
+        if window is not None:
+            pos = self._pos
+            ln = len(chunk)
+            self._pos = pos + ln
+            wlo, whi = window
+            lo = max(wlo - pos, 0)
+            hi = ln if whi is None else min(whi - pos, ln)
+            if lo >= hi:
+                return
+            if lo > 0 or hi < ln:
+                # ndarray/range slices are views — the window cut costs
+                # O(1), and the map kernel only ever touches elements
+                # inside the window.
+                chunk = slice_source(chunk, lo, hi)
+        self._down_accept_chunk(self._chunk_kernel(chunk, self._state))
 
-        class _FusedSink(ChainedSink):
-            def __init__(self, downstream):
-                super().__init__(downstream)
-                self._pos = 0
-                self._state = make_state()
 
-            def begin(self, size):
-                self._pos = 0
-                self._state = make_state()
-                self.downstream.begin(project(size))
+class _LimitedFusedSink(_FusedSink):
+    """A run with a ``limit`` also reports its own exhaustion; any other
+    run inherits the plain downstream poll."""
 
-            def accept(self, item):
-                element_kernel(item, down_accept, down_cancelled, self._state)
+    __slots__ = ()
 
-            def accept_chunk(self, chunk):
-                if window is not None:
-                    pos = self._pos
-                    ln = len(chunk)
-                    self._pos = pos + ln
-                    lo = max(wlo - pos, 0)
-                    hi = ln if whi is None else min(whi - pos, ln)
-                    if lo >= hi:
-                        return
-                    if lo > 0 or hi < ln:
-                        # ndarray/range slices are views — the window cut
-                        # costs O(1), and the map kernel only ever touches
-                        # elements inside the window.
-                        chunk = slice_source(chunk, lo, hi)
-                down_accept_chunk(chunk_kernel(chunk, self._state))
-
-            # A run without a limit inherits the plain downstream poll.
-            if limit_slots:
-
-                def cancellation_requested(self):
-                    if whi is not None and self._pos >= whi:
-                        return True
-                    state = self._state
-                    for j in limit_slots:
-                        if state[j] <= 0:
-                            return True
-                    return down_cancelled()
-
-        return _FusedSink(downstream)
+    def cancellation_requested(self):
+        window = self._window
+        if window is not None and window[1] is not None and (
+            self._pos >= window[1]
+        ):
+            return True
+        state = self._state
+        for j in self._op._limit_slots:
+            if state[j] <= 0:
+                return True
+        return self._down_cancelled()
 
 
 # --------------------------------------------------------------------------- #
@@ -569,17 +609,24 @@ def fuse_ops(ops: list[Op]) -> tuple[list[Op], int]:
 _fusion_stats = {
     "pipelines_fused": 0,   # pipelines rewritten (>= one run collapsed)
     "stages_fused": 0,      # source stages collapsed into FusedOps
-    "kernels": 0,           # FusedOp instances created
+    "kernels": 0,           # FusedOp stages in those rewrites
+    "compiled": 0,          # FusedOp instances created (kernels compiled)
     "unfused": 0,           # scans that found nothing to collapse
-    "memo_hits": 0,         # rewrites answered from the memo
+    "memo_hits": 0,         # chains the memo answered with no rewrite
 }
 
-#: Identity-keyed memo: parallel terminals hand the *same* ops list to
-#: every fork/join leaf, so the rewrite (and kernel compilation) happens
-#: once per terminal, not once per leaf.  Values keep strong references
-#: to the source ops, so a live entry's ids cannot be recycled.
-_MEMO_CAPACITY = 128
-_memo: dict[tuple[int, ...], tuple[tuple[Op, ...], list[Op]]] = {}
+#: Shape memo: :func:`~repro.streams.ops.chain_key` of an op chain →
+#: ``(ops, recipe, stages, kernels)``.  ``FusedOp``\ s hold no
+#: per-traversal state, so every terminal of a shape — on any thread —
+#: reuses the kernels the first one compiled.  ``recipe`` lists the
+#: rewritten chain: a ``FusedOp``, or the index of a stage the rewrite
+#: passes through (taken from the chain being rewritten, so a barrier op
+#: is always the caller's own).  A chain with nothing to fuse, and a
+#: rewritten chain (so fork/join leaves re-entering ``run_pipeline`` with
+#: it resolve in one lookup), are memoized with ``stages`` 0.  ``ops``
+#: keeps the keyed objects alive, so a live entry's ids cannot be
+#: recycled.
+_memo: dict[tuple, tuple[tuple[Op, ...], tuple, int, int]] = {}
 #: Guards the memo and the stats counters: concurrent terminals and
 #: fork/join leaves all reach ``maybe_fuse``, and an unlocked ``+=``
 #: loses updates.
@@ -596,42 +643,54 @@ def fusion_stats(reset: bool = False) -> dict[str, int]:
     return snapshot
 
 
+def _rebuild(recipe: tuple, ops: list[Op]) -> list[Op]:
+    return [ops[x] if type(x) is int else x for x in recipe]
+
+
 def maybe_fuse(ops: list[Op], config: EngineConfig) -> list[Op]:
     """The terminal-time entry point: rewrite ``ops`` if ``config.fusion``.
 
-    Memoized by the identity of the op objects; a rewritten list is also
-    memoized to itself, so fork/join leaves re-entering
-    ``run_pipeline`` with an already-fused chain resolve in one lookup.
-    Emits a ``fuse`` span per actual rewrite when tracing is enabled.
+    Memoized by the chain's identity key, so a shape fuses (and compiles
+    its kernels) once, not once per terminal.  A chain with a stage whose
+    key does not hash is rewritten without the memo.  Emits a ``fuse``
+    span per rewrite that compiled when tracing is enabled.
     """
     if not config.fusion or not ops:
         return ops
-    key = tuple(map(id, ops))
+    key = chain_key(ops)
     entry = _memo.get(key)
-    if entry is not None and all(
-        a is b for a, b in zip(entry[0], ops)
-    ):
+    if entry is not None:
+        _, recipe, stages, kernels = entry
         with _lock:
-            _fusion_stats["memo_hits"] += 1
-        return entry[1]
+            if not stages:
+                _fusion_stats["memo_hits"] += 1
+            else:
+                _fusion_stats["pipelines_fused"] += 1
+                _fusion_stats["stages_fused"] += stages
+                _fusion_stats["kernels"] += kernels
+        return ops if not stages else _rebuild(recipe, ops)
 
     start = time.perf_counter_ns()
     fused, stages = fuse_ops(ops)
     if stages == 0:
         with _lock:
             _fusion_stats["unfused"] += 1
+            remember(_memo, key, (tuple(ops), (), 0, 0))
         return ops
     kernels = sum(1 for op in fused if isinstance(op, FusedOp))
+    # The rewritten chain as stage indices into ``ops`` and the FusedOps
+    # this rewrite built.
+    position = {id(op): i for i, op in enumerate(ops)}
+    recipe = tuple(position.get(id(op), op) for op in fused)
 
     with _lock:
         _fusion_stats["pipelines_fused"] += 1
         _fusion_stats["stages_fused"] += stages
         _fusion_stats["kernels"] += kernels
-        if len(_memo) >= _MEMO_CAPACITY:
-            _memo.clear()  # tiny, regenerable cache: wholesale reset is fine
-        _memo[key] = (tuple(ops), fused)
-        # Idempotence fast path for leaves re-submitting the fused list.
-        _memo[tuple(map(id, fused))] = (tuple(fused), fused)
+        _fusion_stats["compiled"] += sum(type(x) is not int for x in recipe)
+        if key is not None:
+            remember(_memo, key, (tuple(ops), recipe, stages, kernels))
+            remember(_memo, chain_key(fused), (tuple(fused), (), 0, 0))
 
     tracer = current_tracer()
     if tracer.enabled:

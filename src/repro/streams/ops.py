@@ -129,6 +129,44 @@ class Op(abc.ABC):
         """Barrier semantics for parallel execution (stateful ops only)."""
         raise NotImplementedError(f"{type(self).__name__} is stateless")
 
+    def stage_key(self) -> Any:
+        """This stage's identity key: the op type and the ``id`` of every
+        attribute value (the callables it carries, its count).  An op that
+        keeps its state outside ``__dict__`` overrides this."""
+        return (type(self), *map(id, self.__dict__.values()))
+
+
+def chain_key(ops: Sequence[Op]) -> tuple | None:
+    """The identity key of an op chain: one :meth:`Op.stage_key` per
+    stage, or None when a stage's key does not hash.
+
+    Two chains with equal keys carry the very same callables and counts,
+    so whatever was derived from one (fused kernels, cost fingerprints, a
+    pickling verdict) holds for the other.  The key names objects by
+    ``id``, so a cache keyed by it must hold the chain it was built from:
+    then no id in a live key can be recycled.
+    """
+    key = tuple([op.stage_key() for op in ops])
+    try:
+        hash(key)
+    except TypeError:
+        return None
+    return key
+
+
+#: Entries a per-shape cache keeps before it is cleared wholesale.
+SHAPE_CACHE_CAPACITY = 128
+
+
+def remember(cache: dict, key: Any, entry: Any) -> None:
+    """Store ``entry`` in a per-shape cache under ``key`` (nothing for a
+    None key), clearing the cache first when it is full."""
+    if key is None:
+        return
+    if len(cache) >= SHAPE_CACHE_CAPACITY:
+        cache.clear()
+    cache[key] = entry
+
 
 # --------------------------------------------------------------------------- #
 # Stateless ops
@@ -144,24 +182,33 @@ class MapOp(Op):
         self.f = f
 
     def wrap_sink(self, downstream: Sink) -> Sink:
-        f = self.f
+        return _MapSink(downstream, self.f)
+
+
+class _MapSink(ChainedSink):
+    """The sink of an unfused ``map`` — a module-level class, because a
+    lone map is the leaf chain of every parallel segment that ends at a
+    stateful op, and a class statement per terminal is a fixed cost."""
+
+    __slots__ = ("_f", "_is_ufunc")
+
+    def __init__(self, downstream: Sink, f: Callable) -> None:
+        self.downstream = downstream
+        self._f = f
         # A numpy ufunc applied to an ndarray chunk is a single vectorized
         # call with per-element semantics; arbitrary callables are mapped
         # element-wise (C-level ``map``) so chunked results match the
         # per-element path exactly.
-        is_ufunc = _np is not None and isinstance(f, _np.ufunc)
+        self._is_ufunc = _np is not None and isinstance(f, _np.ufunc)
 
-        class _MapSink(ChainedSink):
-            def accept(self, item):
-                self.downstream.accept(f(item))
+    def accept(self, item):
+        self.downstream.accept(self._f(item))
 
-            def accept_chunk(self, chunk):
-                if is_ufunc and isinstance(chunk, _np.ndarray):
-                    self.downstream.accept_chunk(f(chunk))
-                else:
-                    self.downstream.accept_chunk(list(map(f, chunk)))
-
-        return _MapSink(downstream)
+    def accept_chunk(self, chunk):
+        if self._is_ufunc and isinstance(chunk, _np.ndarray):
+            self.downstream.accept_chunk(self._f(chunk))
+        else:
+            self.downstream.accept_chunk(list(map(self._f, chunk)))
 
 
 class FilterOp(Op):

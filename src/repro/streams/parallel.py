@@ -72,6 +72,23 @@ def _attach_profiler(pool: ForkJoinPool) -> None:
         profiler.profile.attach_pool(pool)
 
 
+class _CancelFlag:
+    """The run's cancel token: ``set``/``is_set`` as on a
+    ``threading.Event``, without the Event's condition and lock — leaves
+    only ever set and poll it, and storing a bool is atomic."""
+
+    __slots__ = ("_set",)
+
+    def __init__(self) -> None:
+        self._set = False
+
+    def set(self) -> None:
+        self._set = True
+
+    def is_set(self) -> bool:
+        return self._set
+
+
 class _TerminalContext:
     """Shared cancellation state for one parallel terminal's task tree.
 
@@ -91,7 +108,7 @@ class _TerminalContext:
     __slots__ = ("cancel", "failure", "_lock", "pool", "observer")
 
     def __init__(self, pool: ForkJoinPool | None = None) -> None:
-        self.cancel = threading.Event()
+        self.cancel = _CancelFlag()
         self.failure: BaseException | None = None
         self._lock = threading.Lock()
         self.pool = pool
@@ -578,7 +595,11 @@ def evaluate(
     if decision.adaptive and terminal.observe:
         # Find leaves stop early by design and would poison the
         # per-element cost estimate, so find terminals are not observed.
-        snapshot = pool.scheduling_snapshot() if pool is not None else None
+        # A run in the caller steals nothing: its pool counters need no
+        # reading (an empty snapshot still records zero steals).
+        snapshot = None
+        if pool is not None:
+            snapshot = {} if in_caller else pool.scheduling_snapshot()
         observer = adaptive.RunObservation(
             decision.key, backend_parallelism(segment.backend, pool),
             decision.target_size, snapshot,

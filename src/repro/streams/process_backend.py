@@ -75,14 +75,22 @@ from repro.powerlist.powerlist import PowerList
 from repro.streams import adaptive
 from repro.streams.collectors import to_list
 from repro.streams.config import EngineConfig
-from repro.streams.ops import CHUNK_SIZE, LimitOp, Op
+from repro.streams.ops import CHUNK_SIZE, LimitOp, Op, chain_key, remember
 from repro.streams.spliterator import Spliterator, UNKNOWN_SIZE
 from repro.streams.spliterators import (
     ListSpliterator,
     RangeSpliterator,
     slice_source,
 )
-from repro.streams.terminal import Collect, Terminal, run_leaf
+from repro.streams.terminal import (
+    Collect,
+    Find,
+    ForEach,
+    Match,
+    Reduce,
+    Terminal,
+    run_leaf,
+)
 
 # --------------------------------------------------------------------------- #
 # The shared executor (lazy: forking workers is expensive, reuse them)
@@ -247,17 +255,37 @@ def _check_picklable(obj: Any) -> bool:
         return False
 
 
+#: ``(chain key, terminal key)`` → ``(ops, terminal, ships_itself)``:
+#: one shape's pickling verdict, held with the objects whose ids key it.
+_shipped: dict[tuple, tuple] = {}
+
+
+def _terminal_key(terminal: Terminal) -> tuple | None:
+    """The identity key of a built-in terminal (its type and the ids of
+    its slot values), or None for any other terminal class."""
+    cls = type(terminal)
+    if cls not in (Collect, Reduce, ForEach, Match, Find):
+        return None
+    return (cls, *[id(getattr(terminal, name)) for name in cls.__slots__])
+
+
 def shipped_terminal(terminal: Terminal, ops: list[Op]) -> Terminal:
     """The terminal a leaf ships: ``terminal`` itself, or
     ``Collect(to_list())`` for a collector that does not pickle.  Raises
     :class:`~repro.common.IllegalArgumentError` when the op chain or any
-    other terminal's functions do not pickle."""
-    _require_picklable("pipeline stage functions", ops)
-    if _check_picklable(terminal):
-        return terminal
-    if not isinstance(terminal, Collect):
-        _require_picklable(f"{terminal.label} functions", terminal)
-    return Collect(to_list())
+    other terminal's functions do not pickle.  A verdict is pickled for
+    once per shape: the same callables and terminal values reuse it."""
+    chain, own = chain_key(ops), _terminal_key(terminal)
+    key = None if chain is None or own is None else (chain, own)
+    entry = _shipped.get(key)
+    if entry is None:
+        _require_picklable("pipeline stage functions", ops)
+        ships_itself = _check_picklable(terminal)
+        if not ships_itself and not isinstance(terminal, Collect):
+            _require_picklable(f"{terminal.label} functions", terminal)
+        entry = (tuple(ops), terminal, ships_itself)
+        remember(_shipped, key, entry)
+    return terminal if entry[2] else Collect(to_list())
 
 
 def _require_picklable(what: str, *objects: Any) -> None:

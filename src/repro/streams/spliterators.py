@@ -26,6 +26,17 @@ _SIZED_FLAGS = (
     | Characteristics.SIZED
     | Characteristics.SUBSIZED
 )
+# Each source's flag sets, OR-ed once here: ``IntFlag.__or__`` runs as
+# Python code, and ``characteristics()`` is read on every traversal.
+_LIST_FLAGS = _SIZED_FLAGS | Characteristics.IMMUTABLE
+_LIST_POWER2_FLAGS = _LIST_FLAGS | Characteristics.POWER2
+_RANGE_FLAGS = (
+    _LIST_FLAGS
+    | Characteristics.DISTINCT
+    | Characteristics.SORTED
+    | Characteristics.NONNULL
+)
+_RANGE_POWER2_FLAGS = _RANGE_FLAGS | Characteristics.POWER2
 
 
 def slice_source(source: Sequence[T], lo: int, hi: int) -> Sequence[T]:
@@ -107,11 +118,15 @@ class ListSpliterator(Spliterator[T]):
     def estimate_size(self) -> int:
         return self._fence - self._index
 
+    def get_exact_size_if_known(self) -> int:
+        return self._fence - self._index
+
     def characteristics(self) -> Characteristics:
-        flags = _SIZED_FLAGS | Characteristics.IMMUTABLE | self._extra
         if is_power_of_two(self._fence - self._index):
-            flags |= Characteristics.POWER2
-        return flags
+            flags = _LIST_POWER2_FLAGS
+        else:
+            flags = _LIST_FLAGS
+        return flags | self._extra if self._extra else flags
 
 
 class ArraySpliterator(ListSpliterator[T]):
@@ -172,17 +187,13 @@ class RangeSpliterator(Spliterator[int]):
     def estimate_size(self) -> int:
         return self._hi - self._lo
 
+    def get_exact_size_if_known(self) -> int:
+        return self._hi - self._lo
+
     def characteristics(self) -> Characteristics:
-        flags = (
-            _SIZED_FLAGS
-            | Characteristics.IMMUTABLE
-            | Characteristics.DISTINCT
-            | Characteristics.SORTED
-            | Characteristics.NONNULL
-        )
         if is_power_of_two(self._hi - self._lo):
-            flags |= Characteristics.POWER2
-        return flags
+            return _RANGE_POWER2_FLAGS
+        return _RANGE_FLAGS
 
 
 class IteratorSpliterator(Spliterator[T]):
@@ -251,11 +262,14 @@ class IteratorSpliterator(Spliterator[T]):
     def estimate_size(self) -> int:
         return self._size_estimate
 
+    def get_exact_size_if_known(self) -> int:
+        size = self._size_estimate
+        return -1 if size == UNKNOWN_SIZE else size
+
     def characteristics(self) -> Characteristics:
-        flags = Characteristics.ORDERED
         if self._size_estimate != UNKNOWN_SIZE:
-            flags |= Characteristics.SIZED | Characteristics.SUBSIZED
-        return flags
+            return _SIZED_FLAGS
+        return Characteristics.ORDERED
 
 
 class EmptySpliterator(Spliterator[T]):

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import replace
+from functools import lru_cache
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from repro.common import IllegalArgumentError, IllegalStateError
@@ -70,6 +71,13 @@ from repro.streams.terminal import (
 
 T = TypeVar("T")
 U = TypeVar("U")
+
+
+@lru_cache(maxsize=64)
+def _with_backend(config: EngineConfig, backend: str) -> EngineConfig:
+    """``config`` with its backend overridden (``dataclasses.replace`` is
+    slow enough to show per terminal, and configs are few)."""
+    return replace(config, backend=backend)
 
 
 class Stream:
@@ -632,7 +640,7 @@ class Stream:
         see the caller's choice."""
         config = current_config()
         if self._backend is not None:
-            config = replace(config, backend=self._backend)
+            config = _with_backend(config, self._backend)
         return config
 
     def _evaluate(self, terminal: Terminal) -> Any:

@@ -114,6 +114,14 @@ class TestShapeKey:
             ops, ListSpliterator([0] * 16), 4
         )
 
+    def test_cached_fingerprints_follow_the_callables(self):
+        # Fingerprints are cached per op chain identity: a later chain with
+        # the same callables reuses them, a different callable does not.
+        s = RangeSpliterator(0, 16)
+        first = shape_key(Stream.range(0, 16).map(_work)._ops, s, 4)
+        assert shape_key(Stream.range(0, 16).map(_work)._ops, s, 4) == first
+        assert shape_key(Stream.range(0, 16).map(_other)._ops, s, 4) != first
+
 
 class TestPolicyDecisions:
     KEY = ("threads", "RangeSpliterator", 4, ())

@@ -409,7 +409,9 @@ class TestStreamInjection:
         assert out == EXPECTED
 
     def test_worker_kill_is_contained_and_respawned(self):
-        plan = FaultPlan(seed=8).inject("worker:*", "kill", times=1)
+        # Scoped to this pool: the pattern is process-wide, and an idle
+        # worker of another pool could otherwise take the single strike.
+        plan = FaultPlan(seed=8).inject("worker:*:killable", "kill", times=1)
         with ForkJoinPool(parallelism=2, name="killable") as p:
             with fault_injection(plan):
                 out = (

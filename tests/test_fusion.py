@@ -6,6 +6,8 @@ semantics on both traversal modes, that ``fusion_stats`` pins the
 rewrite counts, and that traced runs carry ``fuse`` spans.
 """
 
+import functools
+import operator
 import sys
 import threading
 
@@ -33,6 +35,7 @@ from repro.streams.ops import (
     LimitOp,
     MapMultiOp,
     MapOp,
+    Op,
     PeekOp,
     Sink,
     SkipOp,
@@ -421,6 +424,140 @@ class TestObservability:
         counts = trace_snapshot(tracer.spans())["counts"]
         assert counts.get("fuse", 0) >= 1
         assert counts.get("leaf", 0) >= 1
+
+
+def _adder(k):
+    def add(x):
+        return x + k
+
+    return add
+
+
+class _Scaler:
+    """A callable instance with ``__eq__`` and no ``__hash__``."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def __eq__(self, other):
+        return isinstance(other, _Scaler) and other.k == self.k
+
+    def __call__(self, x):
+        return x * self.k
+
+
+class _UnkeyedOp(Op):
+    """A pass-through stage whose identity key does not hash."""
+
+    def wrap_sink(self, downstream):
+        return downstream
+
+    def stage_key(self):
+        return [id(self)]
+
+
+class _NullSink(Sink):
+    pass
+
+
+class TestKernelMemo:
+    """One shape fuses once: later terminals reuse its compiled kernels,
+    keyed by the identity of the callables, never by their names."""
+
+    DATA = list(range(64))
+
+    def _stream(self, pool, backend):
+        stream = stream_of(self.DATA)
+        if backend == "threads":
+            stream = stream.parallel().with_pool(pool)
+        return stream
+
+    @pytest.mark.parametrize("backend", ["sequential", "threads"])
+    def test_closures_of_one_factory_keep_their_own_kernels(self, pool, backend):
+        # Same ``__qualname__``, different captured values; each closure
+        # dies after its terminal, so a recycled id must not find the
+        # kernel bound to its predecessor.
+        for k in range(1, 6):
+            out = self._stream(pool, backend).map(_adder(k)).map(abs).to_list()
+            assert out == [x + k for x in self.DATA]
+
+    @pytest.mark.parametrize("backend", ["sequential", "threads"])
+    def test_partials_of_one_function_keep_their_own_kernels(self, pool, backend):
+        for k in range(1, 6):
+            add = functools.partial(operator.add, k)
+            out = self._stream(pool, backend).map(add).filter(_is_even).to_list()
+            assert out == [x + k for x in self.DATA if (x + k) % 2 == 0]
+
+    def test_unhashable_callable_still_fuses(self):
+        with engine(fusion=True):
+            fusion_stats(reset=True)
+            for k in (2, 3, 2):
+                out = stream_of(self.DATA).map(_Scaler(k)).map(_Scaler(5)).to_list()
+                assert out == [x * k * 5 for x in self.DATA]
+        stats = fusion_stats()
+        assert stats["pipelines_fused"] == 3
+        assert stats["compiled"] == 3  # every instance is a new callable
+
+    def test_unhashable_stage_key_compiles_without_the_memo(self):
+        config = current_config()
+        ops = [MapOp(abs), MapOp(_plus_one), _UnkeyedOp()]
+        with engine(fusion=True):
+            fusion_stats(reset=True)
+            first = maybe_fuse(ops, config)
+            second = maybe_fuse(ops, config)
+        assert _kinds(first) == _kinds(second) == ["FusedOp", "_UnkeyedOp"]
+        assert first[0] is not second[0]
+        assert fusion_stats()["compiled"] == 2
+
+    @pytest.mark.parametrize("backend", ["sequential", "threads"])
+    def test_second_terminal_compiles_nothing(self, pool, backend):
+        def run():
+            return (self._stream(pool, backend)
+                    .map(_plus_one).filter(_is_even).to_list())
+
+        with engine(fusion=True):
+            expected = run()
+            fusion_stats(reset=True)
+            assert run() == expected
+        stats = fusion_stats()
+        assert stats["pipelines_fused"] == 1
+        assert stats["kernels"] == 1
+        assert stats["compiled"] == 0
+
+    def test_second_terminal_reuses_kernel_and_sink_class(self):
+        config = current_config()
+        first = maybe_fuse([MapOp(_plus_one), FilterOp(_is_even)], config)
+        second = maybe_fuse([MapOp(_plus_one), FilterOp(_is_even)], config)
+        assert first is not second and first[0] is second[0]
+        limited = maybe_fuse([MapOp(_plus_one), LimitOp(3)], config)[0]
+        sinks = [op.wrap_sink(_NullSink()) for op in (first[0], second[0])]
+        assert type(sinks[0]) is type(sinks[1])
+        assert type(limited.wrap_sink(_NullSink())) is type(
+            maybe_fuse([MapOp(_plus_one), LimitOp(3)], config)[0]
+            .wrap_sink(_NullSink())
+        )
+
+    def test_compiled_counts_only_new_kernels(self):
+        given = FusedOp([MapOp(abs), MapOp(_adder(1))])
+        ops = [given, SortedOp(), MapOp(_adder(2)), MapOp(abs)]
+        with engine(fusion=True):
+            fusion_stats(reset=True)
+            fused = maybe_fuse(ops, current_config())
+        assert fused[0] is given and _kinds(fused) == [
+            "FusedOp", "SortedOp", "FusedOp"]
+        stats = fusion_stats()
+        assert (stats["kernels"], stats["compiled"]) == (2, 1)
+
+    def test_barriers_come_from_the_chain_being_rewritten(self):
+        config = current_config()
+        chains = [
+            [MapOp(_plus_one), MapOp(abs), SortedOp(), MapOp(abs)]
+            for _ in range(2)
+        ]
+        first, second = (maybe_fuse(ops, config) for ops in chains)
+        assert first[0] is second[0]
+        assert first[1] is chains[0][2] and second[1] is chains[1][2]
+        assert second[2] is chains[1][3]
 
 
 def _plus_one(x):

@@ -187,6 +187,21 @@ class TestBackendControls:
         with pytest.raises(IllegalArgumentError, match="picklable"):
             stream.map(lambda x: x + 1).to_list()
 
+    def test_pickling_verdict_is_per_shape(self):
+        # The verdict is cached by the chain's and terminal's identity:
+        # the same picklable shape passes again, an unpicklable stage in
+        # the same position fails every time.
+        terminal = Reduce(operator.add, identity=0, has_identity=True)
+        for _ in range(2):
+            assert pb.shipped_terminal(terminal, [MapOp(abs)]) is terminal
+        for _ in range(2):
+            with pytest.raises(IllegalArgumentError, match="picklable"):
+                pb.shipped_terminal(terminal, [MapOp(lambda x: x)])
+        unpicklable = Reduce(lambda a, b: a + b, identity=0, has_identity=True)
+        for _ in range(2):
+            with pytest.raises(IllegalArgumentError, match="picklable"):
+                pb.shipped_terminal(unpicklable, [MapOp(abs)])
+
 
 # --------------------------------------------------------------------------- #
 # Terminal parity: process backend == threads backend == sequential
