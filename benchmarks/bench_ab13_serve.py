@@ -80,7 +80,7 @@ def run_fairness(waves: int, data_size: int):
     got compute time.
     """
     service = ExecutionService(max_workers=4, global_queue_limit=32)
-    capacity = service.max_in_flight + service._queue.global_limit
+    capacity = service.max_workers + service._queue.global_limit
     offered_per_wave = 2 * capacity
     per_tenant = max(offered_per_wave // TENANTS, 1)
     service.register_dataset("numbers", list(range(data_size)))

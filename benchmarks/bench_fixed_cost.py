@@ -15,7 +15,16 @@ the named backend, on a fork/join pool for ``threads``):
 
 Each round times one engine call and one hand-loop call of every shape,
 alternating the two, after a warm-up that lets the split policy learn
-each shape.  Prints the p50 in µs per terminal.  Not a gate.
+each shape.  Prints the p50 in µs per terminal.
+
+A second table prices the service around a job: a near no-op job
+(``count()`` over the same input, thread backend) timed ``submit`` →
+``result`` through an ``ExecutionService`` with two runners, one job at
+a time, against the same pipeline called directly on a stream built the
+way the service builds it.  Blocks of the two alternate; per job it
+reports the wall-time p50 and the process's user and system CPU
+(``getrusage`` deltas over all threads, divided by the jobs).  Not a
+gate.
 
 Usage::
 
@@ -26,11 +35,13 @@ from __future__ import annotations
 
 import argparse
 import operator
+import resource
 import statistics
 import sys
 import time
 
 from repro.forkjoin.pool import ForkJoinPool
+from repro.serve import ExecutionService
 from repro.streams import process_backend
 from repro.streams.stream import Stream
 
@@ -132,6 +143,62 @@ def measure(calls: int, size: int, warmup: int = 50) -> list[dict]:
     return rows
 
 
+def count(stream):
+    return stream.count()
+
+
+def measure_service(calls: int, size: int, blocks: int = 10,
+                    warmup: int = 50) -> list[dict]:
+    """Wall p50 and CPU per no-op job, through the service and direct."""
+    values = [(i * 7919) % 100_003 for i in range(size)]
+    per_block = max(calls // blocks, 1)
+    with ForkJoinPool(parallelism=2, name="fixed-cost-serve") as pool:
+        service = ExecutionService(max_workers=2, pool=pool)
+        service.register_dataset("data", values)
+        service.register_tenant("t")
+
+        def via_service():
+            return service.submit("t", "data", count).result(10.0)
+
+        def direct():
+            return count(
+                Stream.of_iterable(values).parallel()
+                .with_backend("threads").with_pool(pool)
+            )
+
+        paths = {"service": via_service, "direct": direct}
+        wall = {name: [] for name in paths}
+        user = dict.fromkeys(paths, 0.0)
+        system = dict.fromkeys(paths, 0.0)
+        try:
+            for name, call in paths.items():
+                for _ in range(warmup):
+                    if call() != size:
+                        raise SystemExit(f"{name}: wrong count")
+            for _ in range(blocks):
+                for name, call in paths.items():
+                    before = resource.getrusage(resource.RUSAGE_SELF)
+                    for _ in range(per_block):
+                        start = time.perf_counter_ns()
+                        call()
+                        wall[name].append(time.perf_counter_ns() - start)
+                    after = resource.getrusage(resource.RUSAGE_SELF)
+                    user[name] += after.ru_utime - before.ru_utime
+                    system[name] += after.ru_stime - before.ru_stime
+        finally:
+            service.shutdown()
+    jobs = per_block * blocks
+    return [
+        {
+            "path": name,
+            "wall_us": statistics.median(wall[name]) / 1e3,
+            "user_us": user[name] / jobs * 1e6,
+            "sys_us": system[name] / jobs * 1e6,
+        }
+        for name in paths
+    ]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--calls", type=int, default=2000,
@@ -146,6 +213,13 @@ def main(argv=None) -> int:
     for row in rows:
         print(f"{row['shape']:>20}  {row['engine_us']:8.1f}  "
               f"{row['loop_us']:7.2f}  {row['engine_us'] - row['loop_us']:13.1f}")
+    rows = measure_service(args.calls, args.size)
+    print(f"\nper no-op job (count of {args.size} elements), "
+          f"{args.calls} calls in alternating blocks")
+    print(f"{'path':>20}  {'wall p50 µs':>11}  {'user µs':>8}  {'sys µs':>7}")
+    for row in rows:
+        print(f"{row['path']:>20}  {row['wall_us']:11.1f}  "
+              f"{row['user_us']:8.1f}  {row['sys_us']:7.1f}")
     return 0
 
 

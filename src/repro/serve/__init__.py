@@ -4,8 +4,9 @@ The "millions of users" layer over the stream/fork-join compute core
 (ROADMAP item 3; design in ``docs/serving.md``):
 
 * :mod:`repro.serve.server`    — :class:`ExecutionService` (sync core:
-  datasets, tenants, dispatcher, job runners) and :class:`StreamServer`
-  (asyncio facade);
+  datasets, tenants, and the runner threads that take each next job off
+  the fair scheduler themselves) and :class:`StreamServer` (asyncio
+  facade);
 * :mod:`repro.serve.queue`     — admission control: bounded per-tenant
   queues, a global cap with priority-ordered load shedding, fast-fail
   rejections with ``Retry-After`` hints;

@@ -12,17 +12,22 @@ monotonic timestamps (submitted → dispatched → completed), which is where
 the per-tenant queue-wait and latency histograms come from.  Done
 callbacks fire exactly once, from the thread that finished the ticket —
 the asyncio facade bridges them onto the event loop with
-``call_soon_threadsafe``.
+``call_soon_threadsafe``.  A callback that raises is logged, not
+propagated: the finishing thread is usually a service runner, which must
+go on to its next job.
 """
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from typing import Any, Callable
 
 from repro.common import IllegalStateError
 from repro.faults.policy import Deadline
+
+_log = logging.getLogger(__name__)
 
 #: Ticket lifecycle states.
 QUEUED = "queued"
@@ -108,7 +113,10 @@ class Ticket:
             callbacks, self._callbacks = self._callbacks, []
         self._event.set()
         for callback in callbacks:
-            callback(self)
+            try:
+                callback(self)
+            except Exception:
+                _log.exception("done callback of %r raised", self)
 
     # -- caller API -------------------------------------------------------- #
 

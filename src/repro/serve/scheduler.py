@@ -14,7 +14,9 @@ every backlogged tenant's deficit grows by at least ``weight × quantum``
 per pass, so it dispatches within ``⌈1 / (weight × quantum)⌉`` passes.
 
 The scheduler only picks *which* queue to serve; popping the ticket and
-running it belong to the service's dispatcher.  Calls must hold the
+running it belong to the service runner that asked.  Each idle runner
+calls :meth:`DeficitRoundRobin.select` for its own next job, so the
+picks of all runners together follow one DRR order.  Calls must hold the
 service's admission lock (tenant queues and deficits are shared state).
 """
 

@@ -3,18 +3,20 @@
 :class:`ExecutionService` is the synchronous core: clients register named
 datasets and tenants, then submit *pipeline functions* that each receive
 a ready-configured parallel :class:`~repro.streams.stream.Stream` over a
-dataset.  One dispatcher thread drains the tenant queues in weighted
-deficit-round-robin order onto a small worker pool of job runners, which
-execute pipelines on the shared :class:`~repro.forkjoin.pool.ForkJoinPool`
-(or the process backend, per job).  The layering is deliberate:
+dataset.  ``max_workers`` runner threads serve the tenant queues: each
+runner takes the next job itself, in weighted deficit-round-robin order,
+runs it on the shared :class:`~repro.forkjoin.pool.ForkJoinPool` (or the
+process backend, per job) and settles it, then takes the next one on the
+same thread — as a fork/join worker takes its next task, with no
+dispatcher thread to hand the job across.  The layering is deliberate:
 
 * **admission** (:mod:`repro.serve.queue`) fast-fails with a
   ``Retry-After`` hint while holding one lock for microseconds — an
   overloaded service answers *quickly*, it does not buffer unboundedly;
 * **scheduling** (:mod:`repro.serve.scheduler`) decides only which
-  tenant's queue to serve next; a job whose
+  tenant's queue a runner serves next; a job whose
   :class:`~repro.faults.policy.Deadline` expired while queued is
-  cancelled *before* dispatch, so dead work never occupies the pool;
+  cancelled as the runner takes it, so dead work never occupies the pool;
 * **execution** reuses the whole robustness stack underneath: stream
   deadlines, fail-fast cancellation, broken-pool containment — and when
   the compute pool itself is shut down or broken, the job **degrades to
@@ -31,15 +33,14 @@ while admission failures raise immediately (they are synchronous and
 fast by construction).
 
 Fault sites (kind ``serve``): ``serve:admit:<tenant>`` strikes the
-admission gate, ``serve:dispatch:<tenant>`` the dispatcher — both honor
-``raise`` and ``delay``.
+admission gate, ``serve:dispatch:<tenant>`` the runner as it takes the
+job off the queue — both honor ``raise`` and ``delay``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Iterable
 
@@ -93,10 +94,8 @@ class ExecutionService:
     """A shared stream-execution service for many concurrent tenants.
 
     Args:
-        max_workers: job-runner threads (each runs one pipeline at a time).
-        max_in_flight: global cap on concurrently running jobs; defaults
-            to ``max_workers`` (a larger value queues jobs inside the
-            runner pool, which hides them from the fair scheduler).
+        max_workers: runner threads; each runs one pipeline at a time, so
+            this also caps the jobs in flight.
         global_queue_limit: total queued jobs across all tenants before
             admission starts shedding/rejecting.
         pool: the shared :class:`ForkJoinPool` pipelines run on; defaults
@@ -110,7 +109,6 @@ class ExecutionService:
         self,
         *,
         max_workers: int = 4,
-        max_in_flight: int | None = None,
         global_queue_limit: int = 64,
         pool: ForkJoinPool | None = None,
         default_backend: str = "threads",
@@ -125,9 +123,6 @@ class ExecutionService:
                 f"global_queue_limit must be >= 1, got {global_queue_limit}"
             )
         self.max_workers = max_workers
-        self.max_in_flight = (
-            max_in_flight if max_in_flight is not None else max_workers
-        )
         self.default_backend = default_backend
         self._pool = pool
         self._tenants: dict[str, Tenant] = {}
@@ -139,12 +134,7 @@ class ExecutionService:
         self._work = threading.Condition(self._lock)
         self._in_flight = 0
         self._shutdown = False
-        self._draining = False
-        self._started = False
-        self._dispatcher: threading.Thread | None = None
-        self._executor = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="serve-runner"
-        )
+        self._runners: list[threading.Thread] = []
         self.metrics = MetricsRegistry(name="serve")
         self._in_flight_gauge = self.metrics.gauge("serve_in_flight")
 
@@ -185,27 +175,31 @@ class ExecutionService:
     # -- lifecycle --------------------------------------------------------- #
 
     def start(self) -> "ExecutionService":
-        """Start the dispatcher (idempotent; ``submit`` starts it lazily)."""
+        """Start the runner threads (idempotent; ``submit`` starts them
+        lazily).  Runners are daemons: a service nobody shuts down does
+        not hold up interpreter exit."""
         with self._lock:
-            if self._started or self._shutdown:
+            if self._runners or self._shutdown:
                 return self
-            self._started = True
-            self._dispatcher = threading.Thread(
-                target=self._dispatch_loop, name="serve-dispatcher", daemon=True
-            )
-            self._dispatcher.start()
+            self._runners = [
+                threading.Thread(
+                    target=self._run, name=f"serve-runner-{i}", daemon=True
+                )
+                for i in range(self.max_workers)
+            ]
+            for runner in self._runners:
+                runner.start()
         return self
 
     def shutdown(self, drain: bool = True) -> None:
-        """Stop accepting work; with ``drain`` (default) run every queued
-        job to completion first, otherwise cancel the queues immediately.
-        In-flight jobs always run to completion — their tickets settle
-        either way.  Idempotent."""
+        """Stop accepting work.  With ``drain`` (default) the runners run
+        every queued job, then exit, and this call joins them; otherwise
+        the queues are cancelled at once and the call returns without
+        waiting.  In-flight jobs always run to completion — their tickets
+        settle either way.  Idempotent."""
         cancelled: list[tuple[Tenant, Ticket]] = []
         with self._work:
-            already = self._shutdown
             self._shutdown = True
-            self._draining = drain and not already
             if not drain:
                 for tenant in self._tenants.values():
                     while tenant.queue:
@@ -222,9 +216,10 @@ class ExecutionService:
                     f"{ticket.job.label}: cancelled by service shutdown"
                 ),
             )
-        if self._dispatcher is not None:
-            self._dispatcher.join(timeout=30.0)
-        self._executor.shutdown(wait=drain)
+        if drain:
+            for runner in self._runners:
+                if runner is not threading.current_thread():
+                    runner.join()
 
     def shutdown_now(self) -> None:
         """``shutdown(drain=False)``: cancel queued jobs, keep in-flight."""
@@ -263,6 +258,8 @@ class ExecutionService:
         """
         if deadline is not None and not isinstance(deadline, Deadline):
             deadline = Deadline.after(deadline)
+        if not self._runners:
+            self.start()
         victim: Ticket | None = None
         with self._work:
             if self._shutdown:
@@ -299,7 +296,7 @@ class ExecutionService:
                 victim_tenant = self._tenants[victim.job.tenant]
                 self._tenant_metrics[victim_tenant.name].shed.inc()
                 self._set_depth(victim_tenant)
-            self._work.notify_all()
+            self._work.notify()
         if victim is not None:
             victim._finish(
                 SHED,
@@ -308,36 +305,23 @@ class ExecutionService:
                     f"shed for priority-{job.priority} work"
                 ),
             )
-        if not self._started:
-            self.start()
         return ticket
 
     def _set_depth(self, tenant: Tenant) -> None:
         self._tenant_metrics[tenant.name].queue_depth.set(len(tenant.queue))
 
-    # -- dispatch ---------------------------------------------------------- #
+    # -- runners ----------------------------------------------------------- #
 
-    def _dispatchable(self) -> bool:
-        return (
-            self._queue.total_queued() > 0
-            and self._in_flight < self.max_in_flight
-        )
-
-    def _should_exit(self) -> bool:
-        if not self._shutdown:
-            return False
-        return not self._draining or self._queue.total_queued() == 0
-
-    def _dispatch_loop(self) -> None:
+    def _run(self) -> None:
+        """One runner thread: take the next job in fair order, run it,
+        settle it, repeat — until shut down with nothing left queued."""
         while True:
             with self._work:
-                while not self._dispatchable() and not self._should_exit():
+                while not self._queue.total_queued():
+                    if self._shutdown:
+                        return
                     self._work.wait()
-                if self._should_exit():
-                    return
                 tenant = self._scheduler.select(self._tenants)
-                if tenant is None:  # pragma: no cover — raced with a shed
-                    continue
                 ticket = self._queue.take_from(tenant)
                 self._set_depth(tenant)
                 job = ticket.job
@@ -359,32 +343,12 @@ class ExecutionService:
                     ),
                 )
                 continue
-            plan = current_fault_plan()
-            if plan is not None:
-                action = plan.fire(
-                    "serve", ("dispatch", tenant.name),
-                    allowed=("raise", "delay"), in_flight=self._in_flight,
-                )
-                if action is not None:
-                    try:
-                        action.apply_before()
-                    except Exception as exc:
-                        self._settle_failure(ticket, tenant, exc)
-                        self._release_slot()
-                        continue
             try:
-                self._executor.submit(self._run_job, ticket)
-            except RuntimeError as exc:  # runner pool shut down under us
-                self._settle_failure(
-                    ticket, tenant, RejectedExecutionError(str(exc))
-                )
-                self._release_slot()
-
-    def _release_slot(self) -> None:
-        with self._work:
-            self._in_flight -= 1
-            self._in_flight_gauge.set(self._in_flight)
-            self._work.notify_all()
+                self._run_job(ticket, tenant)
+            finally:
+                with self._lock:
+                    self._in_flight -= 1
+                    self._in_flight_gauge.set(self._in_flight)
 
     # -- execution --------------------------------------------------------- #
 
@@ -425,21 +389,30 @@ class ExecutionService:
         self._tenant_metrics[job.tenant].degraded.inc()
         return job.pipeline(self._build_stream(job, "sequential"))
 
-    def _run_job(self, ticket: Ticket) -> None:
-        tenant = self._tenants[ticket.job.tenant]
-        ticket._mark_running()
-        self._tenant_metrics[tenant.name].queue_wait.observe(
-            ticket.dispatched_ns - ticket.submitted_ns
-        )
+    def _run_job(self, ticket: Ticket, tenant: Tenant) -> None:
+        """Fire the dispatch fault site, then run and settle the job.
+        Whatever the job raises settles it as failed; the runner lives on."""
         try:
-            try:
-                result = self._execute(ticket.job)
-            except Exception as exc:
-                self._settle_failure(ticket, tenant, exc)
-            else:
-                self._settle_success(ticket, tenant, result)
-        finally:
-            self._release_slot()
+            plan = current_fault_plan()
+            if plan is not None:
+                action = plan.fire(
+                    "serve", ("dispatch", tenant.name),
+                    allowed=("raise", "delay"), in_flight=self._in_flight,
+                )
+                if action is not None:
+                    action.apply_before()
+            ticket._mark_running()
+            self._tenant_metrics[tenant.name].queue_wait.observe(
+                ticket.dispatched_ns - ticket.submitted_ns
+            )
+            result = self._execute(ticket.job)
+        except BaseException as exc:
+            # Not swallowed: ``Ticket.result`` re-raises it to the caller.
+            # Interrupts reach only the main thread, so whatever arrives
+            # here came from the job, and the runner must outlive it.
+            self._settle_failure(ticket, tenant, exc)
+        else:
+            self._settle_success(ticket, tenant, result)
 
     def _settle_success(self, ticket: Ticket, tenant: Tenant,
                         result: Any) -> None:

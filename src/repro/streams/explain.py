@@ -169,8 +169,8 @@ def _parallel_execution(
     With ``backend='process'`` the pool is the worker-process pool and the
     plan additionally predicts the *shipping* mode — whether leaves travel
     as zero-copy shared-memory descriptors, compact range bounds, or
-    pickled element copies.  The ``sequential`` backend runs the same
-    segments in the caller, one traversal each, without splitting.
+    pickled element copies.  The ``sequential`` backend runs the whole
+    chain as one segment in the caller: one traversal, no split.
     """
     backend = config.backend
     entries = [

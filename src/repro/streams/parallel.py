@@ -274,7 +274,10 @@ def plan_segment(
     one, and a ``limit(n)`` cut appends its ``LimitOp`` to each leaf as
     the *budget* (see :func:`evaluate`).  An op-free tail after a barrier
     on threads is folded in the caller (backend ``sequential``) instead
-    of being split just to copy or fold it.
+    of being split just to copy or fold it.  On the ``sequential``
+    backend nothing runs in parallel, so the whole chain is one segment:
+    one pipeline in the caller, fused as a sequential stream fuses it,
+    with no barrier buffers.
 
     For a known source the threshold is decided once here, keyed by the
     segment's shape.  A window's leaf target is the one the un-narrowed
@@ -284,6 +287,8 @@ def plan_segment(
     backend = config.backend
     if after_barrier and backend == "threads" and not ops:
         backend = "sequential"
+    if backend == "sequential":
+        return Segment(list(ops), (), [], backend, source=source)
     run = 0
     while run < len(ops) and type(ops[run]) in (MapOp, LimitOp, SkipOp):
         run += 1
@@ -318,10 +323,6 @@ def plan_segment(
             narrowed = ListSpliterator(
                 source._source, origin + lo, origin + hi, source._extra
             )
-    if backend == "sequential":
-        return Segment(
-            leaf_ops, barrier, rest, backend, window, budget, narrowed
-        )
     decision = adaptive.decide_threshold(
         size, parallelism, explicit=requested, record=record,
         key=adaptive.shape_key(shape, source, parallelism, backend),
@@ -457,47 +458,64 @@ class _ReduceTask(RecursiveTask):
             raise
 
     def _leaf(self, spliterator: Spliterator, tracer) -> Any:
+        ctx = self.ctx
         try:
-            action = None
-            plan = current_fault_plan()
-            if plan is not None:
-                action = plan.fire(
-                    "leaf", allowed=("raise", "delay", "corrupt"),
-                    depth=self.depth, size=spliterator.estimate_size(),
-                    worker=_worker_id(),
-                )
-                if action is not None:
-                    action.apply_before()
-            profiler = current_profiler()
-            observer = self.ctx.observer
-            if not tracer.enabled and profiler is None and observer is None:
-                result = self.leaf(spliterator)
-            else:
-                size = spliterator.estimate_size()
-                start = time.perf_counter_ns()
-                result = self.leaf(spliterator)
-                end = time.perf_counter_ns()
-                if tracer.enabled:
-                    tracer.emit(
-                        "leaf",
-                        worker=_worker_id(),
-                        start_ns=start,
-                        end_ns=end,
-                        size=size,
-                    )
-                if observer is not None:
-                    observer.record_leaf(end - start, size)
-                if profiler is not None:
-                    profiler.profile.record_leaf(end - start, size)
-                    pool = self.ctx.pool
-                    if pool is not None:
-                        pool._observe_leaf_duration(end - start)
-            if action is not None:
-                result = action.apply_result(result)
-            return result
+            return _run_leaf_body(
+                self.leaf, spliterator, self.depth, tracer, ctx.observer,
+                ctx.pool,
+            )
         except BaseException as exc:
-            self.ctx.fail(exc)
+            ctx.fail(exc)
             raise
+
+
+def _run_leaf_body(
+    leaf: Callable[[Spliterator], Any],
+    spliterator: Spliterator,
+    depth: int,
+    tracer,
+    observer,
+    pool: ForkJoinPool | None,
+) -> Any:
+    """Run ``leaf`` over ``spliterator`` with everything a leaf carries:
+    the ``leaf`` fault point, the ``leaf`` span, the split policy's
+    observer and the profiler — for a task-tree leaf and for a one-leaf
+    plan run in the caller alike."""
+    action = None
+    plan = current_fault_plan()
+    if plan is not None:
+        action = plan.fire(
+            "leaf", allowed=("raise", "delay", "corrupt"),
+            depth=depth, size=spliterator.estimate_size(),
+            worker=_worker_id(),
+        )
+        if action is not None:
+            action.apply_before()
+    profiler = current_profiler()
+    if not tracer.enabled and profiler is None and observer is None:
+        result = leaf(spliterator)
+    else:
+        size = spliterator.estimate_size()
+        start = time.perf_counter_ns()
+        result = leaf(spliterator)
+        end = time.perf_counter_ns()
+        if tracer.enabled:
+            tracer.emit(
+                "leaf",
+                worker=_worker_id(),
+                start_ns=start,
+                end_ns=end,
+                size=size,
+            )
+        if observer is not None:
+            observer.record_leaf(end - start, size)
+        if profiler is not None:
+            profiler.profile.record_leaf(end - start, size)
+            if pool is not None:
+                pool._observe_leaf_duration(end - start)
+    if action is not None:
+        result = action.apply_result(result)
+    return result
 
 
 def _invoke_fail_fast(
@@ -505,7 +523,6 @@ def _invoke_fail_fast(
     root: _ReduceTask,
     ctx: _TerminalContext,
     deadline: Deadline | None = None,
-    in_caller: bool = False,
 ):
     """Run ``root`` on ``pool``, guaranteeing the *original* failure wins.
 
@@ -517,20 +534,11 @@ def _invoke_fail_fast(
     A ``deadline`` bounds the external wait: the remaining budget becomes
     ``pool.invoke``'s timeout, so an overrunning terminal surfaces as
     :class:`~repro.common.TaskTimeoutError` instead of blocking forever.
-
-    ``in_caller`` runs a one-leaf root in the calling thread: the same
-    leaf — fused kernel, ``leaf`` span, fault points, observer — with the
-    deadline checked on both sides and no pool round trip.
     """
     timeout = None
     if deadline is not None:
         deadline.check("parallel terminal")
         timeout = deadline.remaining()
-    if in_caller:
-        result = root._leaf(root.spliterator, current_tracer())
-        if deadline is not None:
-            deadline.check("parallel terminal")
-        return result
     try:
         return pool.invoke(root, timeout=timeout)
     except BaseException as exc:
@@ -557,8 +565,9 @@ def evaluate(
     remaining tree and re-raises promptly.
 
     A plan of one leaf runs in the caller on threads and process alike,
-    through the same task (:func:`_invoke_fail_fast` with ``in_caller``):
-    no pool round trip, no shipping.  The process backend checks that the
+    through the same leaf body (:func:`_run_leaf_body`: fused kernel,
+    ``leaf`` span, fault point, observer) with the deadline checked on
+    both sides: no task, no pool round trip, no shipping.  The process backend checks that the
     pipeline pickles first, so an unpicklable one fails the same way at
     every size.
 
@@ -604,43 +613,59 @@ def evaluate(
             decision.key, backend_parallelism(segment.backend, pool),
             decision.target_size, snapshot,
         )
-    counted_budget = None
-    if budget is not None:
-        root_origin = _leaf_origin(spliterator)
-        if root_origin is not None:
-            counted_budget = _CountedBudget(budget, root_origin)
     ops = maybe_fuse(ops, config)
-    ctx = _TerminalContext(pool)
-    ctx.observer = observer
     if pool is not None:
         _attach_profiler(pool)
-    cancel = ctx.cancel
-
-    def leaf(leaf_spliterator: Spliterator) -> Any:
-        # Each fork/join leaf traverses its sub-spliterator through the
-        # shared entry point, so the chunked fast path engages per leaf:
-        # O(stages) Python calls instead of O(elements × stages).
-        origin = None
-        if counted_budget is not None:
-            origin = _leaf_origin(leaf_spliterator)
-            span = leaf_spliterator.estimate_size()
-        partial = run_leaf(
-            terminal, leaf_spliterator, ops, config, cancel,
-            decision.chunk_size,
+    if in_caller:
+        # One leaf has no siblings to cancel: no task, no cancel token, no
+        # cross-leaf ``limit`` budget.
+        if deadline is not None:
+            deadline.check("parallel terminal")
+        merged = _run_leaf_body(
+            lambda leaf_spliterator: run_leaf(
+                terminal, leaf_spliterator, ops, config, None,
+                decision.chunk_size,
+            ),
+            spliterator, 0, current_tracer(), observer, pool,
         )
-        if ctx.failure is not None:
-            raise CancellationError("leaf aborted by sibling failure")
-        if origin is not None and not cancel.is_set():
-            # Only completed leaves may report: a partial (aborted) leaf's
-            # interval would break the contiguous-prefix soundness rule.
-            if counted_budget.note(origin, origin + span, len(partial)):
-                cancel.set()
-        return partial
+        if deadline is not None:
+            deadline.check("parallel terminal")
+    else:
+        counted_budget = None
+        if budget is not None:
+            root_origin = _leaf_origin(spliterator)
+            if root_origin is not None:
+                counted_budget = _CountedBudget(budget, root_origin)
+        ctx = _TerminalContext(pool)
+        ctx.observer = observer
+        cancel = ctx.cancel
 
-    root = _ReduceTask(
-        spliterator, decision.target_size, leaf, terminal.merge, ctx
-    )
-    merged = _invoke_fail_fast(pool, root, ctx, deadline, in_caller)
+        def leaf(leaf_spliterator: Spliterator) -> Any:
+            # Each fork/join leaf traverses its sub-spliterator through
+            # the shared entry point, so the chunked fast path engages per
+            # leaf: O(stages) Python calls instead of O(elements × stages).
+            origin = None
+            if counted_budget is not None:
+                origin = _leaf_origin(leaf_spliterator)
+                span = leaf_spliterator.estimate_size()
+            partial = run_leaf(
+                terminal, leaf_spliterator, ops, config, cancel,
+                decision.chunk_size,
+            )
+            if ctx.failure is not None:
+                raise CancellationError("leaf aborted by sibling failure")
+            if origin is not None and not cancel.is_set():
+                # Only completed leaves may report: a partial (aborted)
+                # leaf's interval would break the contiguous-prefix
+                # soundness rule.
+                if counted_budget.note(origin, origin + span, len(partial)):
+                    cancel.set()
+            return partial
+
+        root = _ReduceTask(
+            spliterator, decision.target_size, leaf, terminal.merge, ctx
+        )
+        merged = _invoke_fail_fast(pool, root, ctx, deadline)
     if observer is not None and not (terminal.broadcast and terminal.hit(merged)):
         # A decided broadcast run aborted its leaves early, which would
         # skew the per-element cost: only full traversals feed the memo.

@@ -8,9 +8,12 @@ and ``bulk_stats`` deltas, and traced leaf counts for the split tree.
 """
 
 import operator
+import time
 
 import pytest
 
+from repro.common import TaskTimeoutError
+from repro.faults import Deadline
 from repro.forkjoin import ForkJoinPool
 from repro.obs import tracing
 from repro.streams import ExplainPlan, Stream, bulk_stats, engine, fusion_stats
@@ -466,6 +469,8 @@ class TestPlanMatchesRun:
 
     def test_sequential_backend_reports_its_segments(self):
         # serve_mix's ``distinct`` tenant, and every degraded serve job.
+        # Nothing runs in parallel, so the whole chain is one segment and
+        # ``distinct`` fuses with its map.
         data = [(x * 7919) % 100_003 for x in range(1 << 13)]
         plan = self._agree(
             lambda: Stream.of_iterable(data).parallel()
@@ -473,21 +478,34 @@ class TestPlanMatchesRun:
             Stream.count,
             len({_bucket(x) for x in data}),
         )
-        assert plan["fusion"]["kernels"] == 0
+        assert plan["fusion"]["kernels"] == 1
+        assert plan["fusion"]["chain"] == ["fused(map|distinct)"]
         assert plan["execution"] == {
             "parallel": False,
             "mode": "chunked",
             "backend": "sequential",
             "segments": [
-                {"ops": ["map"], "mode": "chunked", "barrier": "distinct"},
-                {"ops": [], "mode": "chunked", "barrier": None},
+                {"ops": ["fused(map|distinct)"], "mode": "chunked",
+                 "barrier": None},
             ],
         }
         text = (
             Stream.of_iterable(data).parallel().with_backend("sequential")
             .map(_bucket).distinct().explain().render()
         )
-        assert "segment[0]: map  mode=chunked ⊣ barrier distinct" in text
+        assert "segment[0]: fused(map|distinct)  mode=chunked" in text
+        assert "barrier" not in text
+
+    def test_sequential_backend_one_pipeline_checks_the_deadline(self):
+        expired = Deadline.after(0.001)
+        time.sleep(0.01)
+        stream = (
+            Stream.of_iterable(list(range(64))).parallel()
+            .with_backend("sequential").with_deadline(expired)
+            .map(_bucket).distinct()
+        )
+        with pytest.raises(TaskTimeoutError):
+            stream.count()
 
     def test_unsplittable_zip_runs_in_the_caller(self):
         n = 1 << 13
