@@ -95,7 +95,7 @@ serve-load:
 	        print(json.load(open('$(CHAOS_SEED_FILE)'))[0])") \
 	    --out benchmarks/results/ab13_serve_smoke.json
 
-# Per-terminal fixed cost: p50 µs of the four serve_mix tenant shapes
+# Per-terminal fixed cost: p50 µs of the four serve_mix tenant shapes and a lone filter
 # and their hand loops on 8-element inputs, alternating.  Not a gate.
 fixed-cost:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_fixed_cost.py

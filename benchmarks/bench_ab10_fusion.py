@@ -3,10 +3,16 @@
 AB9 removed the per-*element* interpretation overhead; what remains is
 per-*stage* overhead: one sink dispatch plus one intermediate list per
 stage per chunk.  Stage fusion (:mod:`repro.streams.fusion`) collapses
-each run of adjacent stateless ops into one compiled kernel that crosses
+each run of adjacent fusible ops into one compiled kernel that crosses
 the run in a single pass — this bench measures what that buys on deep
-stateless pipelines, sequential and parallel, with the bulk path engaged
-on both sides (fusion *stacks* with AB9, it does not replace it).
+pipelines, sequential and parallel, with the bulk path engaged on both
+sides (fusion *stacks* with AB9, it does not replace it).
+
+The unfused side runs under ``engine(fusion=False)``: no merge across
+stages, so every stage is its own one-stage kernel, one sink dispatch
+and one list per stage per chunk, as in the Java sink chain.  An
+unmerged ``limit`` is polled per element and an unmerged ``skip`` takes
+one element at a time, which is what the counted rows' speedups measure.
 
 Two entry points:
 

@@ -2,8 +2,8 @@
 
 On an 8-element input a terminal's own work is a few microseconds, so
 what a call costs beyond the hand-written loop is the engine's fixed
-per-terminal cost: planning, fusion, sink wiring and dispatch.  The four
-shapes are the ``serve_mix`` tenants of ``e2ebench/workloads.py``, built
+per-terminal cost: planning, fusion, sink wiring and dispatch.  The first
+four shapes are the ``serve_mix`` tenants of ``e2ebench/workloads.py``, built
 the way ``ExecutionService`` builds a job's stream (a parallel stream on
 the named backend, on a fork/join pool for ``threads``):
 
@@ -11,7 +11,9 @@ the named backend, on a fork/join pool for ``threads``):
 * ``counted/threads``     — ``map.map.limit.to_list``;
 * ``distinct/sequential`` — ``map.distinct.count``;
 * ``shipped/process``     — ``map.filter.reduce`` on the process backend
-  (a warm one-leaf plan runs in the caller, so no worker is involved).
+  (a warm one-leaf plan runs in the caller, so no worker is involved);
+* ``filter/sequential``   — a lone ``filter.to_list``: one stage alone,
+  so what wrapping a single op's sink costs per terminal shows.
 
 Each round times one engine call and one hand-loop call of every shape,
 alternating the two, after a warm-up that lets the split policy learn
@@ -77,6 +79,10 @@ def distinct_count(stream):
     return stream.map(bucket).distinct().count()
 
 
+def lone_filter(stream):
+    return stream.filter(odd).to_list()
+
+
 def loop_fused_reduce(values):
     total = 0
     for v in values:
@@ -99,12 +105,17 @@ def loop_distinct_count(values):
     return len({bucket(v) for v in values})
 
 
+def loop_lone_filter(values):
+    return [v for v in values if odd(v)]
+
+
 #: (shape, pipeline, backend, hand-written loop)
 SHAPES = (
     ("fused/threads", fused_reduce, "threads", loop_fused_reduce),
     ("counted/threads", counted_limit, "threads", loop_counted_limit),
     ("distinct/sequential", distinct_count, "sequential", loop_distinct_count),
     ("shipped/process", fused_reduce, "process", loop_fused_reduce),
+    ("filter/sequential", lone_filter, "sequential", loop_lone_filter),
 )
 
 

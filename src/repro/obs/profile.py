@@ -94,12 +94,13 @@ class _Probe:
         return self.downstream.cancellation_requested()
 
 
-def _op_label(op) -> str:
-    """A short stable label for an op: ``MapOp`` → ``map``, and a fused
-    op renders its stage kinds, e.g. ``fused(map|filter)``."""
+def op_label(op) -> str:
+    """A short stable label for an op: ``MapOp`` → ``map``; a fused run
+    renders its stage kinds, e.g. ``fused(map|filter)``, and a one-stage
+    kernel its one kind (``map``), as the op it compiles."""
     kinds = getattr(op, "kinds", None)
     if kinds is not None:
-        return f"fused({'|'.join(kinds)})"
+        return kinds[0] if len(kinds) == 1 else f"fused({'|'.join(kinds)})"
     name = type(op).__name__
     if name.endswith("Op"):
         name = name[:-2]
@@ -344,7 +345,7 @@ class Profiler:
         for op in reversed(ops):
             sink = _Probe(op.wrap_sink(sink))
             probes.append(sink)
-            labels.append(_op_label(op))
+            labels.append(op_label(op))
         probes.reverse()
         labels.reverse()
         # Only the outermost probe sees source-sized chunks.

@@ -27,8 +27,10 @@ The ``serve:admit:<tenant>`` fault site lets a
 :class:`~repro.faults.plan.FaultPlan` strike the admission gate itself
 (``raise`` to model a failing front-end, ``delay`` to model a slow one).
 
-All methods must be called under the owning service's admission lock;
-this class adds no locking of its own.
+All methods but :meth:`AdmissionQueue.strike` (the fault site, which runs
+before the lock so a slow gate stalls only its own caller) must be called
+under the owning service's admission lock; this class adds no locking of
+its own.
 """
 
 from __future__ import annotations
@@ -78,6 +80,24 @@ class AdmissionQueue:
 
     # -- the admission decision -------------------------------------------- #
 
+    def strike(self, tenant: str, priority: int) -> None:
+        """Offer one admission to the ``serve:admit:<tenant>`` fault site
+        and apply its action: a ``delay`` sleeps, a ``raise`` refuses the
+        job before it is queued.  Called without the admission lock, so a
+        delayed admission blocks no other tenant and no runner, and only
+        for a submit that passed the service's shutdown, tenant and
+        dataset checks; the service counts an ``AdmissionError`` raised
+        here in ``jobs_rejected`` like admission's own refusals."""
+        plan = current_fault_plan()
+        if plan is not None:
+            action = plan.fire(
+                "serve", ("admit", tenant),
+                allowed=("raise", "delay"),
+                queued=self._total, priority=priority,
+            )
+            if action is not None:
+                action.apply_before()
+
     def offer(self, tenant: Tenant, ticket: Ticket,
               tenants: dict[str, Tenant]) -> Ticket | None:
         """Admit ``ticket`` into ``tenant``'s queue or raise an
@@ -87,15 +107,6 @@ class AdmissionQueue:
         lower-priority queued job (the caller settles it and adjusts its
         tenant's gauges), else ``None``.
         """
-        plan = current_fault_plan()
-        if plan is not None:
-            action = plan.fire(
-                "serve", ("admit", tenant.name),
-                allowed=("raise", "delay"),
-                queued=self._total, priority=ticket.job.priority,
-            )
-            if action is not None:
-                action.apply_before()
         now = time.monotonic()
         open_for = tenant.breaker_open(now)
         if open_for > 0:

@@ -247,9 +247,11 @@ class ExecutionService:
         """Queue ``pipeline`` against ``dataset`` on behalf of ``tenant``.
 
         Fast-fails with an :class:`~repro.serve.errors.AdmissionError`
-        (carrying ``retry_after``) when admission refuses the job; the
-        whole call holds the admission lock for O(1) work, so rejection
-        latency stays in the microseconds.
+        (carrying ``retry_after``) when admission refuses the job;
+        admission holds the service lock for O(1) work, so rejection
+        latency stays in the microseconds.  The ``serve:admit:<tenant>``
+        fault site fires before the lock is taken: a delayed admission
+        stalls only its own caller.
 
         ``deadline`` is a :class:`~repro.faults.policy.Deadline` or a
         float of seconds from now; it covers queueing *and* execution —
@@ -260,24 +262,28 @@ class ExecutionService:
             deadline = Deadline.after(deadline)
         if not self._runners:
             self.start()
+        # Refuse what admission would refuse before the fault site fires;
+        # tenants and datasets are never unregistered, and shutdown is
+        # re-checked under the lock.
+        self._check_open()
+        tenant_state = self._tenants.get(tenant)
+        if tenant_state is None:
+            raise IllegalArgumentError(f"unknown tenant {tenant!r}")
+        if dataset not in self._datasets:
+            raise IllegalArgumentError(f"unknown dataset {dataset!r}")
+        if priority is None:
+            priority = tenant_state.config.priority
+        try:
+            self._queue.strike(tenant, priority)
+        except AdmissionError as exc:
+            self._count_rejected(tenant, exc)
+            raise
         victim: Ticket | None = None
         with self._work:
-            if self._shutdown:
-                raise RejectedExecutionError(
-                    "execution service has been shut down and no longer "
-                    "accepts work"
-                )
-            tenant_state = self._tenants.get(tenant)
-            if tenant_state is None:
-                raise IllegalArgumentError(f"unknown tenant {tenant!r}")
-            if dataset not in self._datasets:
-                raise IllegalArgumentError(f"unknown dataset {dataset!r}")
+            self._check_open()
             job = Job(
                 tenant, dataset, pipeline,
-                priority=(
-                    priority if priority is not None
-                    else tenant_state.config.priority
-                ),
+                priority=priority,
                 deadline=deadline,
                 backend=backend,
                 label=label or f"{tenant}/{dataset}",
@@ -286,9 +292,7 @@ class ExecutionService:
             try:
                 victim = self._queue.offer(tenant_state, ticket, self._tenants)
             except AdmissionError as exc:
-                self.metrics.counter(
-                    "jobs_rejected", tenant=tenant, reason=exc.reason
-                ).inc()
+                self._count_rejected(tenant, exc)
                 raise
             self._tenant_metrics[tenant].submitted.inc()
             self._set_depth(tenant_state)
@@ -306,6 +310,18 @@ class ExecutionService:
                 ),
             )
         return ticket
+
+    def _check_open(self) -> None:
+        if self._shutdown:
+            raise RejectedExecutionError(
+                "execution service has been shut down and no longer "
+                "accepts work"
+            )
+
+    def _count_rejected(self, tenant: str, exc: AdmissionError) -> None:
+        self.metrics.counter(
+            "jobs_rejected", tenant=tenant, reason=exc.reason
+        ).inc()
 
     def _set_depth(self, tenant: Tenant) -> None:
         self._tenant_metrics[tenant.name].queue_depth.set(len(tenant.queue))

@@ -11,7 +11,8 @@ This module makes none of them itself; it reports the engine's own:
   ``Stream._evaluate`` runs — walked with ``record=False`` so
   explaining never records a decision;
 * fusion goes through the pure :func:`~repro.streams.fusion.fuse_ops`
-  (not ``maybe_fuse`` — explaining must not pollute the stats/memo that
+  that ``maybe_fuse`` runs, under either fusion setting (not
+  ``maybe_fuse`` itself — explaining must not pollute the stats/memo that
   tests and benchmarks pin), over the chain each traversal fuses: the
   whole chain of a sequential stream, each segment's leaf chain of a
   parallel one;
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import copy
 
+from repro.obs.profile import op_label
 from repro.streams.config import EngineConfig
 from repro.streams.fusion import FusedOp, fuse_ops
 from repro.streams.ops import Op, select_mode
@@ -40,21 +42,6 @@ from repro.streams.zipper import ZipSpliterator
 MODE_SHORT_CIRCUIT = "short-circuit-polled"
 MODE_CHUNKED = "chunked"
 MODE_ELEMENT = "per-element"
-
-
-def _op_label(op: Op) -> str:
-    """Same label scheme as the profiler: ``MapOp`` → ``map``."""
-    if isinstance(op, FusedOp):
-        return f"fused({'|'.join(op.kinds)})"
-    name = type(op).__name__
-    if name.endswith("Op"):
-        name = name[:-2]
-    out = []
-    for i, ch in enumerate(name):
-        if ch.isupper() and i > 0:
-            out.append("_")
-        out.append(ch.lower())
-    return "".join(out)
 
 
 #: ``select_mode`` return value → reported mode name.
@@ -79,9 +66,10 @@ def _predict_mode(
 
 
 def _fuse(chain: list[Op], config: EngineConfig) -> tuple[list[Op], int]:
-    """``chain`` as the run fuses it, through the pure :func:`fuse_ops`
-    (explaining never touches the ``fusion_stats`` counters or memo)."""
-    return fuse_ops(chain) if config.fusion else (chain, 0)
+    """``chain`` as the run compiles it, through the pure :func:`fuse_ops`
+    that ``maybe_fuse`` runs, under either fusion setting (explaining
+    never touches the ``fusion_stats`` counters or memo)."""
+    return fuse_ops(chain, config.fusion)
 
 
 def _fusion_section(pieces: list, config: EngineConfig) -> dict:
@@ -92,15 +80,17 @@ def _fusion_section(pieces: list, config: EngineConfig) -> dict:
     for fused, stages, barrier in pieces:
         rewritten += [*fused, *barrier]
         stages_fused += stages
+    # A run merges stages; a one-stage kernel is reported as its op.
     runs = [
-        op.describe() for op in rewritten if isinstance(op, FusedOp)
+        op.describe() for op in rewritten
+        if isinstance(op, FusedOp) and len(op.kinds) > 1
     ]
-    # Fused kernels are never barriers: a counted kernel may *be*
-    # short-circuiting (it carries a compiled limit), but it manages its
-    # own cut inside the chunked path instead of splitting the chain.
+    # Kernels are never barriers: a cut kernel *is* short-circuiting (it
+    # carries a compiled limit or take_while), but a merged one manages
+    # its own cut inside the chunked path.
     barriers = [
         {
-            "op": _op_label(op),
+            "op": op_label(op),
             "stateful": op.stateful,
             "short_circuit": op.short_circuit,
         }
@@ -109,7 +99,7 @@ def _fusion_section(pieces: list, config: EngineConfig) -> dict:
     ]
     return {
         "enabled": config.fusion,
-        "chain": [_op_label(op) for op in rewritten],
+        "chain": [op_label(op) for op in rewritten],
         "stages_fused": stages_fused,
         "kernels": len(runs),
         "runs": runs,
@@ -139,11 +129,11 @@ def _plan_segments(stream, config: EngineConfig) -> list:
 def _segment_entry(segment, fused: list[Op], backend: str, config) -> dict:
     """One ``segments[]`` entry: the leaf chain, its mode and the cut."""
     entry = {
-        "ops": [_op_label(op) for op in fused],
+        "ops": [op_label(op) for op in fused],
         # Leaves of a parallel reduction run the chain through
         # run_pipeline; match/find leaves poll (short-circuit).
         "mode": _predict_mode(fused, config),
-        "barrier": "|".join(_op_label(op) for op in segment.barrier) or None,
+        "barrier": "|".join(op_label(op) for op in segment.barrier) or None,
     }
     if segment.budget is not None:
         entry["budget"] = segment.budget
@@ -370,7 +360,7 @@ def explain_stream(stream) -> ExplainPlan:
     return ExplainPlan(
         {
             "source": source,
-            "ops": [_op_label(op) for op in ops],
+            "ops": [op_label(op) for op in ops],
             "fusion": _fusion_section(pieces, config),
             "execution": execution,
         }

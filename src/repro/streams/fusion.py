@@ -1,57 +1,64 @@
-"""Pipeline stage fusion: collapse runs of adjacent stateless ops.
+"""Stage kernels: every stage but ``sorted`` compiles from one generator.
 
 The sink-chain design (one ``Op`` → one ``Sink`` per stage) is faithful to
 Java but pays one Python dispatch *per stage* per element — and, on the
 chunked bulk path, one intermediate list *per stage* per chunk.  That
 per-stage dispatch is exactly the cost "Stream Fusion, to Completeness"
 (Kiselyov et al.) and the ``mapMulti``-fusion line of work identify as the
-dominant overhead of streaming APIs.
+dominant overhead of streaming APIs.  Both derive every stage, stateful
+ones too, from one producer form; so does this module.
 
-This module rewrites the op chain once, at terminal time (before mode
-selection in :func:`repro.streams.ops.run_pipeline`): every maximal run of
-adjacent *fusible* ops (``map`` / ``filter`` / ``peek`` / ``flat_map`` /
-``map_multi`` / ``limit`` / ``skip`` / ``distinct``) collapses into a
-single :class:`FusedOp` whose kernels are **generated and compiled** from
-the run (see :func:`_kernel_class` for the four kernel classes):
+The semantics of every fusible stage (``map`` / ``filter`` / ``peek`` /
+``flat_map`` / ``map_multi`` / ``limit`` / ``skip`` / ``distinct`` /
+``take_while`` / ``drop_while``) are written once, in the kernel
+generators below.  At terminal time (before mode selection in
+:func:`repro.streams.ops.run_pipeline`) the op chain is rewritten: every
+fusible stage lands in exactly one :class:`FusedOp`, whose kernels are
+**generated and compiled** from its stages (see :func:`_kernel_class`
+for the four kernel classes).  With ``EngineConfig.fusion`` set, each
+maximal run of adjacent fusible stages merges into one ``FusedOp``;
+without it, every stage is its own one-stage ``FusedOp`` (no merge
+across stages, as in the Java sink chain).  A lone op's ``wrap_sink``
+returns its one-stage kernel's sink (:func:`stage_kernel`).
 
 * the per-element kernel emits straight-line code — nested calls, an
-  early-out per filter, a loop per expander, budget guards per counted
-  stage — so one sink dispatch covers the whole run;
+  early-out per filter, a loop per expander, a guard per cut — so one
+  sink dispatch covers the whole run;
 * the chunk kernel crosses the run in a single pass with **zero**
   intermediate per-stage lists: one comprehension (``comprehension``),
   or the per-element kernel's statement loop when the run contains
-  ``peek`` / ``map_multi`` / stateful stages (``loop``) — stacking with
-  the bulk-execution path instead of bypassing it;
+  ``peek`` / ``map_multi`` / stateful stages (``loop``);
 * ``limit``/``skip`` over a pure-map run hoist to one source-index window
   sliced off each chunk (``counted-window``); in any other run the loop
-  cuts at the exact element.  Either way the fused sink reports
-  exhaustion via ``cancellation_requested``, so short-circuit chains ride
-  the chunked path end to end;
+  cuts at the exact element.  ``take_while`` is a cut as well: a flag in
+  the state vector that the failing element clears.  Either way the
+  fused sink reports the cut via ``cancellation_requested``, so a merged
+  chain whose cuts all sit in its first kernel rides the chunked path
+  end to end;
 * a run's maps are all numpy ufuncs or none (the rewrite splits runs
   where that changes); an all-ufunc run compiles to one whole-array
   numpy expression per ndarray chunk (``whole-array``).
 
 Fusion is semantics-preserving by construction:
 
-* the stateful ops without a kernel form (``sorted``, ``take_while``,
-  ``drop_while``) are **fusion barriers** — runs never cross them;
+* ``sorted`` has no kernel form and is the only **barrier** — runs never
+  cross it;
 * encounter order is preserved (stages compose in pipeline order);
-* short-circuiting still works: the fused kernel polls the downstream
-  ``cancellation_requested`` between the outputs of an expander, exactly
-  where the unfused ``FlatMapSink`` polls, so ``flat_map`` over an
-  infinite iterable under ``limit`` still terminates;
+* short-circuiting still works: the per-element kernel polls the
+  downstream ``cancellation_requested`` between the outputs of an
+  expander, so ``flat_map`` over an infinite iterable under ``limit``
+  still terminates;
 * ``begin(size)`` forwards the size through the run's size algebra
   (identity for ``map``/``peek``, clamped by ``limit``/``skip``, unknown
-  past ``filter``/expanders/``distinct``), mirroring the unfused chain;
-* per-traversal kernel state (budgets, seen-sets) is created in the
-  sink's ``begin``, so one compiled ``FusedOp`` is shared safely across
-  fork/join leaves, terminals and threads.
+  past every other stage);
+* per-traversal kernel state (budgets, flags, seen-sets) is created in
+  the sink's ``begin``, so one compiled ``FusedOp`` is shared safely
+  across fork/join leaves, terminals and threads.
 
-The rewrite runs when the run's :class:`~repro.streams.config.EngineConfig`
-has ``fusion`` set (``with engine(fusion=False):`` turns it off), and is
-memoized per chain shape (:data:`_memo`), so a repeated shape compiles
-once.  :func:`fusion_stats` counts rewritten pipelines and collapsed
-stages; each rewrite that compiles emits a ``fuse`` span through
+The rewrite is memoized per chain shape and fusion setting
+(:data:`_memo`), so a repeated shape compiles once.  :func:`fusion_stats`
+counts merged pipelines and stages (a one-stage kernel merges nothing);
+each rewrite that compiles emits a ``fuse`` span through
 :mod:`repro.obs`.
 """
 
@@ -67,6 +74,7 @@ from repro.streams.config import EngineConfig
 from repro.streams.ops import (
     ChainedSink,
     DistinctOp,
+    DropWhileOp,
     FilterOp,
     FlatMapOp,
     LimitOp,
@@ -76,6 +84,7 @@ from repro.streams.ops import (
     PeekOp,
     Sink,
     SkipOp,
+    TakeWhileOp,
     chain_key,
     remember,
 )
@@ -86,10 +95,7 @@ try:  # numpy is a hard dependency of the repo, but keep fusion importable
 except ImportError:  # pragma: no cover
     _np = None
 
-#: The stage kind of each op type a fused run may contain.  Counted ops
-#: (``limit``/``skip``) and ``distinct`` keep their per-traversal state in
-#: a kernel state vector created per sink, so the compiled kernels stay
-#: shareable across fork/join leaves.
+#: The stage kind of each op type with a kernel form.
 _FUSIBLE_TYPES = {
     MapOp: "map",
     FilterOp: "filter",
@@ -99,30 +105,40 @@ _FUSIBLE_TYPES = {
     LimitOp: "limit",
     SkipOp: "skip",
     DistinctOp: "distinct",
+    TakeWhileOp: "take_while",
+    DropWhileOp: "drop_while",
 }
 
-#: Counted ops force emission of a FusedOp even for a length-1 run: a lone
-#: compiled ``limit`` rides the chunked path (window slicing + per-chunk
-#: cancellation), which a raw ``LimitOp`` cannot.  They join runs of
-#: either ufunc-ness.
+#: The attribute holding each kind's stage callable; the other kinds
+#: carry only their per-traversal state.
+_FN_ATTRS = {
+    "map": "f", "flat_map": "f", "map_multi": "f", "peek": "action",
+    "filter": "predicate", "take_while": "predicate",
+    "drop_while": "predicate",
+}
+
+#: Counted ops join runs of either ufunc-ness.
 _COUNTED_TYPES = (LimitOp, SkipOp)
 
-#: Stage kinds that carry per-traversal kernel state.
-_STATEFUL_KINDS = ("limit", "skip", "distinct")
+#: Stage kinds that carry per-traversal kernel state: a budget
+#: (limit/skip), a flag (take_while/drop_while) or a seen-set (distinct).
+_STATEFUL_KINDS = ("limit", "skip", "distinct", "take_while", "drop_while")
 
-#: Minimum run length worth collapsing — wrapping a single stateless op in
-#: a ``FusedOp`` would only add indirection (counted runs are exempt).
-MIN_RUN = 2
+#: Stage kinds that cut the traversal: their state slot reaching 0 stops
+#: the kernel and is reported through ``cancellation_requested``.
+_CUT_KINDS = ("limit", "take_while")
 
 
 # --------------------------------------------------------------------------- #
 # Kernel code generation
 # --------------------------------------------------------------------------- #
 #
-# A fused run compiles to two functions, both named ``_kernel``:
+# A fused run compiles to two functions:
 #
-#   element kernel   (_v0, _accept, _cancelled, _state)   — per-element path
-#   chunk kernel     (_chunk, _state) -> chunk            — bulk path
+#   element kernel   _make(_accept, _cancelled, _state) -> _kernel(_v0)
+#                    — per-element path: each sink binds its own downstream
+#                    and state once, and the closure is its ``accept``
+#   chunk kernel     _kernel(_chunk, _state) -> chunk     — bulk path
 #
 # ``_state`` is the per-traversal state vector (empty for stateless runs).
 # Sources depend only on the *shape* of the run (the sequence of stage
@@ -132,14 +148,9 @@ MIN_RUN = 2
 
 def _stage_fn(op: Op) -> Callable | None:
     """The stage callable bound into the kernel namespace (None for the
-    stateful kinds, whose parameters live in the kernel state vector)."""
-    if type(op) is PeekOp:
-        return op.action
-    if type(op) is FilterOp:
-        return op.predicate
-    if type(op) in (LimitOp, SkipOp, DistinctOp):
-        return None
-    return op.f
+    kinds that carry only state)."""
+    attr = _FN_ATTRS.get(_FUSIBLE_TYPES[type(op)])
+    return None if attr is None else getattr(op, attr)
 
 
 def _all_ufuncs(fns: Sequence[Callable | None]) -> bool:
@@ -161,61 +172,80 @@ def _compiled(source: str):
     return compile(source, "<fused>", "exec")
 
 
-def _bind(source: str, fns: Sequence[Callable | None]) -> Callable:
-    """Exec a cached code object with this run's stage callables bound."""
+def _bind(
+    source: str, fns: Sequence[Callable | None], name: str = "_kernel"
+) -> Callable:
+    """Exec a cached code object with this run's stage callables bound;
+    returns the function ``name`` it defines."""
     namespace = {
         f"_f{i}": fn for i, fn in enumerate(fns) if fn is not None
     }
     if _np is not None:
         namespace["_ndarray"] = _np.ndarray
     exec(_compiled(source), namespace)
-    return namespace["_kernel"]
+    return namespace[name]
 
 
-def _gen_loop(kinds: Sequence[str], element: bool) -> str:
+@lru_cache(maxsize=256)
+def _gen_loop(kinds: tuple[str, ...], element: bool) -> str:
     """Statement-loop kernel for the run, in element or chunk form.
 
     ``map``/``peek``/``filter`` compile to assignments and early-outs; an
     expander (``flat_map`` / ``map_multi``) opens a loop over its outputs.
     Stateful stages read/write the per-traversal ``_state`` vector:
     ``limit`` decrements its budget, ``skip`` drops while its counter
-    lasts, ``distinct`` keeps a seen-set.  A limit exhausted before the
-    element enters stops the kernel (as ``_LimitSink`` would stop the
-    traversal); a limit downstream of an expander cuts the expansion at
-    the exact output the unfused chain would, via a per-output guard.
+    lasts, ``distinct`` keeps a seen-set, ``take_while`` clears its flag
+    (and stops) on the first failing element, ``drop_while`` drops while
+    its flag is set.  A cut (``limit``/``take_while``) already reached
+    when the element enters stops the kernel, as it stops the traversal;
+    a cut downstream of an expander stops the expansion at the exact
+    output, via a per-output guard.
 
     The two forms differ only in their tokens:
 
-    * element ``(_v0, _accept, _cancelled, _state)``: a dropped element
-      does ``return`` (``continue`` inside an expander), a stop does
-      ``return``, and each expander output first polls ``_cancelled()``
-      exactly where the unfused ``FlatMapSink`` does;
+    * element ``_make(_accept, _cancelled, _state)`` returning
+      ``_kernel(_v0)``: a dropped element does ``return`` (``continue``
+      inside an expander), a stop does ``return``, and each expander
+      output first polls ``_cancelled()``;
     * chunk ``(_chunk, _state) -> list``: a dropped element does
       ``continue``, a stop does ``return _out`` — so the emitted prefix
-      matches the per-element path element for element.
+      matches the per-element path element for element.  Each seen-set
+      and its ``add`` are bound to locals once per chunk.  A run of
+      ``peek`` stages only returns the chunk itself, so views stay views.
     """
     slots = _state_slots(kinds)
-    limits = [(i, slots[i]) for i, k in enumerate(kinds) if k == "limit"]
+    cuts = [(i, slots[i]) for i, k in enumerate(kinds) if k in _CUT_KINDS]
     if element:
-        lines = ["def _kernel(_v0, _accept, _cancelled, _state):"]
-        indent, drop, stop, emit = "    ", "return", "return", "_accept"
-    else:
         lines = [
-            "def _kernel(_chunk, _state):",
-            "    _out = []",
-            "    _append = _out.append",
-            "    for _v0 in _chunk:",
+            "def _make(_accept, _cancelled, _state):",
+            "    def _kernel(_v0):",
         ]
+        indent, drop, stop, emit = "        ", "return", "return", "_accept"
+    else:
+        lines = ["def _kernel(_chunk, _state):"]
+        if all(k == "peek" for k in kinds):
+            lines += ["    for _v0 in _chunk:"]
+            lines += [f"        _f{i}(_v0)" for i in range(len(kinds))]
+            lines.append("    return _chunk")
+            return "\n".join(lines)
+        lines += ["    _out = []", "    _append = _out.append"]
+        for i, kind in enumerate(kinds):
+            if kind == "distinct":
+                j = slots[i]
+                lines.append(f"    _s{j} = _state[{j}]")
+                lines.append(f"    _add{j} = _s{j}.add")
+        lines.append("    for _v0 in _chunk:")
         indent, drop, stop, emit = "        ", "continue", "return _out", "_append"
 
     def guard(j: int) -> None:
         lines.append(f"{indent}if _state[{j}] <= 0:")
         lines.append(f"{indent}    {stop}")
 
-    for _, j in limits:
+    for _, j in cuts:
         guard(j)
     var = "_v0"
     for i, kind in enumerate(kinds):
+        j = slots.get(i)
         if kind == "map":
             lines.append(f"{indent}_v{i + 1} = _f{i}({var})")
             var = f"_v{i + 1}"
@@ -225,17 +255,28 @@ def _gen_loop(kinds: Sequence[str], element: bool) -> str:
             lines.append(f"{indent}if not _f{i}({var}):")
             lines.append(f"{indent}    {drop}")
         elif kind == "limit":
-            lines.append(f"{indent}_state[{slots[i]}] -= 1")
+            lines.append(f"{indent}_state[{j}] -= 1")
         elif kind == "skip":
-            j = slots[i]
             lines.append(f"{indent}if _state[{j}] > 0:")
             lines.append(f"{indent}    _state[{j}] -= 1")
             lines.append(f"{indent}    {drop}")
+        elif kind == "take_while":
+            lines.append(f"{indent}if not _f{i}({var}):")
+            lines.append(f"{indent}    _state[{j}] = 0")
+            lines.append(f"{indent}    {stop}")
+        elif kind == "drop_while":
+            lines.append(f"{indent}if _state[{j}]:")
+            lines.append(f"{indent}    if _f{i}({var}):")
+            lines.append(f"{indent}        {drop}")
+            lines.append(f"{indent}    _state[{j}] = 0")
         elif kind == "distinct":
-            j = slots[i]
-            lines.append(f"{indent}if {var} in _state[{j}]:")
+            seen, add = (
+                (f"_state[{j}]", f"_state[{j}].add") if element
+                else (f"_s{j}", f"_add{j}")
+            )
+            lines.append(f"{indent}if {var} in {seen}:")
             lines.append(f"{indent}    {drop}")
-            lines.append(f"{indent}_state[{j}].add({var})")
+            lines.append(f"{indent}{add}({var})")
         else:  # expander: loop over the outputs
             if kind == "flat_map":
                 outputs = f"_f{i}({var})"
@@ -248,16 +289,15 @@ def _gen_loop(kinds: Sequence[str], element: bool) -> str:
             if element:
                 lines.append(f"{indent}if _cancelled():")
                 lines.append(f"{indent}    {stop}")
-            # Only limits *downstream* of this expander can exhaust
-            # mid-expansion; an upstream limit already admitted the
-            # element and must not clip its outputs.
-            for k_i, j in limits:
+            # Only cuts *downstream* of this expander can be reached
+            # mid-expansion; an upstream cut already admitted the element
+            # and must not clip its outputs.
+            for k_i, k_j in cuts:
                 if k_i > i:
-                    guard(j)
+                    guard(k_j)
             var, drop = f"_v{i + 1}", "continue"
     lines.append(f"{indent}{emit}({var})")
-    if not element:
-        lines.append("    return _out")
+    lines.append("    return _kernel" if element else "    return _out")
     return "\n".join(lines)
 
 
@@ -271,9 +311,20 @@ def _gen_comprehension(kinds: Sequence[str], whole_array: bool) -> str:
     (all-ufunc map runs) first tries the same composition as one numpy
     expression over an ndarray chunk.  A run with no stages (a counted
     window without maps) returns the chunk as is, so views stay views.
+    A lone ``map`` is ``list(map(...))`` and a lone ``flat_map`` an
+    ``extend`` loop: both keep the per-element step in C.
     """
     if not kinds:
         return "def _kernel(_chunk, _state):\n    return _chunk"
+    if tuple(kinds) == ("flat_map",):
+        return "\n".join([
+            "def _kernel(_chunk, _state):",
+            "    _out = []",
+            "    _extend = _out.extend",
+            "    for _v0 in _chunk:",
+            "        _extend(_f0(_v0))",
+            "    return _out",
+        ])
     clauses = ["for _v0 in _chunk"]
     expr, whole = "_v0", "_chunk"
     for i, kind in enumerate(kinds):
@@ -293,7 +344,10 @@ def _gen_comprehension(kinds: Sequence[str], whole_array: bool) -> str:
     if whole_array:
         lines.append("    if isinstance(_chunk, _ndarray):")
         lines.append(f"        return {whole}")
-    lines.append(f"    return [{expr} {' '.join(clauses)}]")
+    if tuple(kinds) == ("map",):
+        lines.append("    return list(map(_f0, _chunk))")
+    else:
+        lines.append(f"    return [{expr} {' '.join(clauses)}]")
     return "\n".join(lines)
 
 
@@ -312,8 +366,9 @@ def _kernel_class(kinds: Sequence[str], fns: Sequence[Callable | None]) -> str:
     * ``whole-array`` — ufunc maps only: one compiled numpy expression per
       ndarray chunk (the comprehension for any other chunk);
     * ``comprehension`` — map/filter/flat_map: one list comprehension;
-    * ``loop`` — anything else (``peek``, ``map_multi``, ``distinct``, or
-      limit/skip mixed with filters/expanders): a statement loop.
+    * ``loop`` — anything else (``peek``, ``map_multi``, ``distinct``,
+      ``take_while``, ``drop_while``, or limit/skip mixed with
+      filters/expanders): a statement loop.
     """
     if all(k in ("map", "limit", "skip") for k in kinds):
         if any(k != "map" for k in kinds):
@@ -352,30 +407,26 @@ def counted_window(ops: Sequence[Op]) -> tuple[int, int | None] | None:
 
 
 class FusedOp(Op):
-    """A run of adjacent fusible ops collapsed into one pipeline stage.
+    """A run of fusible ops compiled into one pipeline stage.
 
     Supports both traversal modes: per-element ``accept`` runs the
     compiled straight-line kernel (one sink dispatch for the whole run),
     and ``accept_chunk`` crosses the run in a single generated pass.  The
     kernel class (see :func:`_kernel_class`) is decided once at
-    construction; limit/skip budgets and distinct seen-sets live in a
-    per-traversal state vector created in ``begin``, so one ``FusedOp``
-    instance is safely shared across fork/join leaves, terminals and
-    threads.  The per-element kernel compiles on first use: chunked
-    traversals never call it.
+    construction; budgets, flags and seen-sets live in a per-traversal
+    state vector created in ``begin``, so one ``FusedOp`` instance is
+    safely shared across fork/join leaves, terminals and threads.  Both
+    kernels' sources and code objects are cached by run shape.  A run is
+    ``stateful`` when a stage keeps state and ``short_circuit`` when a
+    stage cuts.
     """
 
     chunkable = True
-    # Counted kernels slice their chunks at the exact cut and surface
-    # exhaustion via ``cancellation_requested`` — the per-chunk poll of
-    # ``copy_into_chunked`` suffices, so ``select_mode`` may keep a
-    # short-circuiting pipeline on the chunked path.
-    absorbs_short_circuit = True
 
     __slots__ = (
-        "source_ops", "kinds", "kernel_class", "short_circuit",
-        "_fns", "_element_kernel", "_chunk_kernel", "_window", "_state_spec",
-        "_limit_slots",
+        "source_ops", "kinds", "kernel_class", "stateful", "short_circuit",
+        "_element_make", "_chunk_kernel", "_window", "_state_spec",
+        "_cut_slots",
     )
 
     def __init__(self, source_ops: Sequence[Op]) -> None:
@@ -383,20 +434,24 @@ class FusedOp(Op):
             raise ValueError("FusedOp needs at least one source op")
         self.source_ops = tuple(source_ops)
         self.kinds = tuple(_FUSIBLE_TYPES[type(op)] for op in self.source_ops)
-        self._fns = fns = [_stage_fn(op) for op in self.source_ops]
+        fns = [_stage_fn(op) for op in self.source_ops]
         self.kernel_class = kc = _kernel_class(self.kinds, fns)
 
+        # One ``(kind, initial)`` per stateful stage: a budget for
+        # limit/skip, a set flag for take_while/drop_while (distinct
+        # gets a fresh set in ``_make_state``).
         self._state_spec = tuple(
-            (kind, 0 if kind == "distinct" else op.n)
+            (kind, getattr(op, "n", 1))
             for op, kind in zip(self.source_ops, self.kinds)
             if kind in _STATEFUL_KINDS
         )
         slots = _state_slots(self.kinds)
-        self._limit_slots = tuple(
-            slots[i] for i, k in enumerate(self.kinds) if k == "limit"
+        self._cut_slots = tuple(
+            slots[i] for i, k in enumerate(self.kinds) if k in _CUT_KINDS
         )
-        self.short_circuit = bool(self._limit_slots)
-        self._element_kernel = None
+        self.stateful = bool(self._state_spec)
+        self.short_circuit = bool(self._cut_slots)
+        self._element_make = _bind(_gen_loop(self.kinds, True), fns, "_make")
 
         self._window = None
         if kc == "counted-window":
@@ -421,18 +476,9 @@ class FusedOp(Op):
         # already holds it resolves to the memo entry that produced it.
         return self
 
-    def element_kernel(self) -> Callable:
-        """The per-element kernel, compiled on first use."""
-        kernel = self._element_kernel
-        if kernel is None:
-            kernel = self._element_kernel = _bind(
-                _gen_loop(self.kinds, True), self._fns
-            )
-        return kernel
-
     def _make_state(self) -> list:
         """A fresh per-traversal state vector (one slot per stateful
-        stage: remaining budget for limit/skip, seen-set for distinct)."""
+        stage: a seen-set for distinct, else the initial count/flag)."""
         return [
             set() if kind == "distinct" else n
             for kind, n in self._state_spec
@@ -472,43 +518,45 @@ class FusedOp(Op):
         return out
 
     def wrap_sink(self, downstream: Sink) -> Sink:
-        if self._limit_slots:
-            return _LimitedFusedSink(self, downstream)
+        if self._cut_slots:
+            return _CutFusedSink(self, downstream)
         return _FusedSink(self, downstream)
 
 
 class _FusedSink(ChainedSink):
     """The sink of one :class:`FusedOp` traversal: the op's kernels, the
     downstream entry points they emit into, the per-traversal state
-    vector and, for a ``counted-window`` run, the source position."""
+    vector and, for a ``counted-window`` run, the source position.
+
+    ``accept`` is the run's element kernel itself, bound to this sink's
+    downstream and state vector (``begin`` refills the vector in place)
+    and stored on the instance, so a per-element traversal pays one call
+    per element for the whole run.  The kernel holds no reference to the
+    sink: a finished traversal is freed without the cyclic GC.
+    """
 
     __slots__ = (
-        "_op", "_element", "_chunk_kernel", "_window", "_pos", "_state",
-        "_down_accept", "_down_accept_chunk", "_down_cancelled",
+        "_op", "_chunk_kernel", "_window", "_pos", "_state",
+        "_down_accept_chunk", "_down_cancelled",
     )
 
     def __init__(self, op: FusedOp, downstream: Sink) -> None:
         self.downstream = downstream
         self._op = op
-        self._element = op._element_kernel
         self._chunk_kernel = op._chunk_kernel
         self._window = op._window
         self._pos = 0
         self._state = op._make_state()
-        self._down_accept = downstream.accept
         self._down_accept_chunk = downstream.accept_chunk
         self._down_cancelled = downstream.cancellation_requested
+        self.accept = op._element_make(
+            downstream.accept, self._down_cancelled, self._state
+        )
 
     def begin(self, size):
         self._pos = 0
-        self._state = self._op._make_state()
+        self._state[:] = self._op._make_state()
         self.downstream.begin(self._op._project_size(size))
-
-    def accept(self, item):
-        kernel = self._element
-        if kernel is None:
-            kernel = self._element = self._op.element_kernel()
-        kernel(item, self._down_accept, self._down_cancelled, self._state)
 
     def accept_chunk(self, chunk):
         window = self._window
@@ -529,9 +577,9 @@ class _FusedSink(ChainedSink):
         self._down_accept_chunk(self._chunk_kernel(chunk, self._state))
 
 
-class _LimitedFusedSink(_FusedSink):
-    """A run with a ``limit`` also reports its own exhaustion; any other
-    run inherits the plain downstream poll."""
+class _CutFusedSink(_FusedSink):
+    """A run with a cut (``limit``/``take_while``) also reports it; any
+    other run inherits the plain downstream poll."""
 
     __slots__ = ()
 
@@ -542,7 +590,7 @@ class _LimitedFusedSink(_FusedSink):
         ):
             return True
         state = self._state
-        for j in self._op._limit_slots:
+        for j in self._op._cut_slots:
             if state[j] <= 0:
                 return True
         return self._down_cancelled()
@@ -553,35 +601,34 @@ class _LimitedFusedSink(_FusedSink):
 # --------------------------------------------------------------------------- #
 
 
-def fuse_ops(ops: list[Op]) -> tuple[list[Op], int]:
-    """Collapse every maximal run of adjacent fusible ops.
+def fuse_ops(ops: list[Op], merge: bool = True) -> tuple[list[Op], int]:
+    """Compile every fusible stage of ``ops`` into exactly one
+    :class:`FusedOp` — the pure rewrite behind :func:`maybe_fuse` and
+    ``Stream.explain()``.
 
-    A run is emitted as a :class:`FusedOp` when it has >= MIN_RUN stages,
-    or when it contains a counted op (``limit``/``skip``) — compiling even
-    a lone ``limit`` moves the pipeline from per-element polling to the
-    chunked counted kernel.  A run also ends where a numpy-ufunc map meets
-    any other non-counted stage, so a run's maps are all ufuncs or none
-    (``limit``/``skip`` join either kind).  Returns
-    ``(rewritten_ops, stages_fused)`` — the original list object is
-    returned (with 0) when nothing fuses.  Remaining stateful kinds
-    (``sorted``, ``take_while``, ``drop_while``) and unknown ops are
-    barriers and pass through unchanged; already-:class:`FusedOp` stages
-    are barriers too, making the rewrite idempotent.
+    With ``merge`` each maximal run of adjacent fusible ops becomes one
+    ``FusedOp``; a run also ends where a numpy-ufunc map meets any other
+    non-counted stage, so a run's maps are all ufuncs or none
+    (``limit``/``skip`` join either kind).  Without it every fusible op
+    is a one-stage ``FusedOp``.  ``sorted``, unknown ops and
+    already-:class:`FusedOp` stages pass through unchanged, which makes
+    the rewrite idempotent.  Returns ``(rewritten_ops, stages_merged)``
+    — the source stages that landed in multi-stage runs; the original
+    list object is returned (with 0) when no stage needs compiling.
     """
+    if not any(type(op) in _FUSIBLE_TYPES for op in ops):
+        return ops, 0
     out: list[Op] = []
     run: list[Op] = []
     run_ufunc = None  # the run's ufunc-ness; None while only counted ops
-    fused_stages = 0
+    merged = 0
 
     def flush() -> None:
-        nonlocal fused_stages, run_ufunc
-        if len(run) >= MIN_RUN or any(
-            type(op) in _COUNTED_TYPES for op in run
-        ):
+        nonlocal merged, run_ufunc
+        if run:
             out.append(FusedOp(run))
-            fused_stages += len(run)
-        else:
-            out.extend(run)
+            if len(run) > 1:
+                merged += len(run)
         run.clear()
         run_ufunc = None
 
@@ -590,16 +637,16 @@ def fuse_ops(ops: list[Op]) -> tuple[list[Op], int]:
             flush()
             out.append(op)
             continue
-        if type(op) not in _COUNTED_TYPES:
+        if not merge:
+            flush()
+        elif type(op) not in _COUNTED_TYPES:
             ufunc = type(op) is MapOp and _all_ufuncs((op.f,))
             if run_ufunc is not None and ufunc != run_ufunc:
                 flush()
             run_ufunc = ufunc
         run.append(op)
     flush()
-    if fused_stages == 0:
-        return ops, 0
-    return out, fused_stages
+    return out, merged
 
 
 # --------------------------------------------------------------------------- #
@@ -607,26 +654,26 @@ def fuse_ops(ops: list[Op]) -> tuple[list[Op], int]:
 # --------------------------------------------------------------------------- #
 
 _fusion_stats = {
-    "pipelines_fused": 0,   # pipelines rewritten (>= one run collapsed)
-    "stages_fused": 0,      # source stages collapsed into FusedOps
-    "kernels": 0,           # FusedOp stages in those rewrites
+    "pipelines_fused": 0,   # pipelines rewritten with >= one merged run
+    "stages_fused": 0,      # source stages merged into multi-stage runs
+    "kernels": 0,           # multi-stage FusedOps in those rewrites
     "compiled": 0,          # FusedOp instances created (kernels compiled)
-    "unfused": 0,           # scans that found nothing to collapse
-    "memo_hits": 0,         # chains the memo answered with no rewrite
+    "unfused": 0,           # scans that found nothing to merge
+    "memo_hits": 0,         # chains the memo answered with no merge
 }
 
-#: Shape memo: :func:`~repro.streams.ops.chain_key` of an op chain →
+#: Rewrite memo: ``(merge, chain_key(ops))`` →
 #: ``(ops, recipe, stages, kernels)``.  ``FusedOp``\ s hold no
 #: per-traversal state, so every terminal of a shape — on any thread —
-#: reuses the kernels the first one compiled.  ``recipe`` lists the
-#: rewritten chain: a ``FusedOp``, or the index of a stage the rewrite
-#: passes through (taken from the chain being rewritten, so a barrier op
-#: is always the caller's own).  A chain with nothing to fuse, and a
-#: rewritten chain (so fork/join leaves re-entering ``run_pipeline`` with
-#: it resolve in one lookup), are memoized with ``stages`` 0.  ``ops``
-#: keeps the keyed objects alive, so a live entry's ids cannot be
-#: recycled.
-_memo: dict[tuple, tuple[tuple[Op, ...], tuple, int, int]] = {}
+#: reuses the kernels the first one compiled, under either fusion
+#: setting.  ``recipe`` lists the rewritten chain: a ``FusedOp``, or the
+#: index of a stage the rewrite passes through (taken from the chain
+#: being rewritten, so a barrier op is always the caller's own); it is
+#: None when the chain needs no rewrite.  A rewritten chain is memoized
+#: too (recipe None), so fork/join leaves re-entering ``run_pipeline``
+#: with it resolve in one lookup.  ``ops`` keeps the keyed objects
+#: alive, so a live entry's ids cannot be recycled.
+_memo: dict[tuple, tuple[tuple[Op, ...], tuple | None, int, int]] = {}
 #: Guards the memo and the stats counters: concurrent terminals and
 #: fork/join leaves all reach ``maybe_fuse``, and an unlocked ``+=``
 #: loses updates.
@@ -634,7 +681,8 @@ _lock = threading.Lock()
 
 
 def fusion_stats(reset: bool = False) -> dict[str, int]:
-    """Counts of fusion activity (advisory; pinned by tests and benches)."""
+    """Counts of fusion activity (advisory; pinned by tests and benches).
+    Only runs with ``fusion`` set are counted."""
     with _lock:
         snapshot = dict(_fusion_stats)
         if reset:
@@ -647,59 +695,80 @@ def _rebuild(recipe: tuple, ops: list[Op]) -> list[Op]:
     return [ops[x] if type(x) is int else x for x in recipe]
 
 
-def maybe_fuse(ops: list[Op], config: EngineConfig) -> list[Op]:
-    """The terminal-time entry point: rewrite ``ops`` if ``config.fusion``.
-
-    Memoized by the chain's identity key, so a shape fuses (and compiles
-    its kernels) once, not once per terminal.  A chain with a stage whose
-    key does not hash is rewritten without the memo.  Emits a ``fuse``
-    span per rewrite that compiled when tracing is enabled.
-    """
-    if not config.fusion or not ops:
-        return ops
+def _rewrite(
+    ops: list[Op], merge: bool
+) -> tuple[list[Op], int, int, int | None]:
+    """:func:`fuse_ops` through the memo.  Returns ``(chain, stages,
+    kernels, built)``: ``built`` counts the FusedOps this call compiled,
+    None when the memo answered.  A chain whose key does not hash is
+    rewritten without the memo."""
     key = chain_key(ops)
-    entry = _memo.get(key)
-    if entry is not None:
-        _, recipe, stages, kernels = entry
-        with _lock:
-            if not stages:
-                _fusion_stats["memo_hits"] += 1
-            else:
-                _fusion_stats["pipelines_fused"] += 1
-                _fusion_stats["stages_fused"] += stages
-                _fusion_stats["kernels"] += kernels
-        return ops if not stages else _rebuild(recipe, ops)
-
-    start = time.perf_counter_ns()
-    fused, stages = fuse_ops(ops)
-    if stages == 0:
-        with _lock:
-            _fusion_stats["unfused"] += 1
-            remember(_memo, key, (tuple(ops), (), 0, 0))
-        return ops
-    kernels = sum(1 for op in fused if isinstance(op, FusedOp))
-    # The rewritten chain as stage indices into ``ops`` and the FusedOps
-    # this rewrite built.
-    position = {id(op): i for i, op in enumerate(ops)}
-    recipe = tuple(position.get(id(op), op) for op in fused)
-
-    with _lock:
-        _fusion_stats["pipelines_fused"] += 1
-        _fusion_stats["stages_fused"] += stages
-        _fusion_stats["kernels"] += kernels
-        _fusion_stats["compiled"] += sum(type(x) is not int for x in recipe)
-        if key is not None:
-            remember(_memo, key, (tuple(ops), recipe, stages, kernels))
-            remember(_memo, chain_key(fused), (tuple(fused), (), 0, 0))
-
-    tracer = current_tracer()
-    if tracer.enabled:
-        tracer.emit(
-            "fuse",
-            worker=EXTERNAL_WORKER,
-            start_ns=start,
-            end_ns=time.perf_counter_ns(),
-            stages=stages,
-            kernels=kernels,
+    if key is not None:
+        key = (merge, key)
+        entry = _memo.get(key)
+        if entry is not None:
+            _, recipe, stages, kernels = entry
+            chain = ops if recipe is None else _rebuild(recipe, ops)
+            return chain, stages, kernels, None
+    fused, stages = fuse_ops(ops, merge)
+    recipe, kernels, built = None, 0, 0
+    if fused is not ops:
+        position = {id(op): i for i, op in enumerate(ops)}
+        recipe = tuple(position.get(id(op), op) for op in fused)
+        built = sum(type(x) is not int for x in recipe)
+        kernels = sum(
+            1 for op in fused if type(op) is FusedOp and len(op.kinds) > 1
         )
+    if key is not None:
+        fused_key = None if recipe is None else chain_key(fused)
+        with _lock:
+            remember(_memo, key, (tuple(ops), recipe, stages, kernels))
+            if fused_key is not None:
+                remember(_memo, (merge, fused_key), (tuple(fused), None, 0, 0))
+    return fused, stages, kernels, built
+
+
+def stage_kernel(op: Op) -> FusedOp:
+    """The one-stage :class:`FusedOp` of fusible ``op`` — its unmerged
+    rewrite, from the memo (no stats)."""
+    return _rewrite([op], False)[0][0]
+
+
+def maybe_fuse(ops: list[Op], config: EngineConfig) -> list[Op]:
+    """The terminal-time entry point: compile ``ops`` into kernels,
+    merging adjacent stages when ``config.fusion`` is set.
+
+    Memoized by the chain's identity key and the setting, so a shape
+    compiles its kernels once, not once per terminal.  With fusion set,
+    counts :func:`fusion_stats` and, when tracing is enabled, emits a
+    ``fuse`` span per rewrite that compiled.
+    """
+    if not ops:
+        return ops
+    if not config.fusion:
+        return _rewrite(ops, False)[0]
+    start = time.perf_counter_ns()
+    fused, stages, kernels, built = _rewrite(ops, True)
+    with _lock:
+        if stages:
+            _fusion_stats["pipelines_fused"] += 1
+            _fusion_stats["stages_fused"] += stages
+            _fusion_stats["kernels"] += kernels
+        elif built is None:
+            _fusion_stats["memo_hits"] += 1
+        else:
+            _fusion_stats["unfused"] += 1
+        if built:
+            _fusion_stats["compiled"] += built
+    if built:
+        tracer = current_tracer()
+        if tracer.enabled:
+            tracer.emit(
+                "fuse",
+                worker=EXTERNAL_WORKER,
+                start_ns=start,
+                end_ns=time.perf_counter_ns(),
+                stages=stages,
+                kernels=kernels,
+            )
     return fused

@@ -1,4 +1,4 @@
-"""Pipeline stages and the fused sink chain.
+"""Pipeline stages, the sink protocol and the traversal drivers.
 
 Java streams fuse intermediate operations into a chain of ``Sink`` objects:
 each stage wraps the downstream sink so that a single traversal of the
@@ -7,17 +7,23 @@ source pushes every element through the whole chain (``map`` → ``filter`` →
 
 * :class:`Sink` — receiver protocol with ``begin``/``accept``/``end`` and
   short-circuit polling (``cancellation_requested``);
-* :class:`Op` subclasses — one per intermediate operation, each able to
-  wrap a downstream sink; *stateful* ops additionally expose
-  ``apply_to_buffer`` used by parallel execution as a barrier.
+* :class:`Op` subclasses — one per intermediate operation; *stateful* ops
+  additionally expose ``apply_to_buffer`` used by parallel execution as a
+  barrier.
+
+The ops here hold only their parameters.  Their semantics are written
+once, in the kernel generator of :mod:`repro.streams.fusion`: every
+:class:`FusibleOp` (all but ``sorted``) runs as a compiled
+:class:`~repro.streams.fusion.FusedOp`, merged with its neighbours or
+alone, so ``wrap_sink`` on a lone op returns its one-stage kernel's
+sink.  ``sorted`` keeps its own sink and ends every merged run.
 
 Bulk execution (the paper's §V sublist observation, pushed through the
-whole chain): when every stage of a non-short-circuiting pipeline is
-*chunkable*, traversal switches from one Python call per element per
-stage to one call per **chunk** per stage — ``map`` becomes a C-level
-``map()``, ``filter`` a comprehension, ``to_list`` an ``extend``.  The
-selection is automatic and semantics-preserving; stateful or
-short-circuiting stages fall back to the per-element path.
+whole chain): when every stage of a pipeline takes chunks, traversal
+switches from one Python call per element to one call per **chunk** per
+stage — a kernel crosses its run in one comprehension or statement loop,
+``to_list`` becomes an ``extend``.  :func:`select_mode` makes the choice;
+it is automatic and semantics-preserving.
 """
 
 from __future__ import annotations
@@ -31,11 +37,6 @@ from repro.common import IllegalArgumentError
 from repro.obs.profile import current_profiler
 from repro.streams.config import EngineConfig
 from repro.streams.spliterator import Spliterator
-
-try:  # numpy is a hard dependency of the repo, but keep ops importable without it
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 T = TypeVar("T")
 U = TypeVar("U")
@@ -110,16 +111,8 @@ class Op(abc.ABC):
     #: Short-circuiting ops may stop the traversal early.
     short_circuit: bool = False
     #: Chunkable ops have a bulk ``accept_chunk`` rewrite; a pipeline whose
-    #: stages are all chunkable (and none short-circuiting) is eligible for
-    #: the chunked fast path.
+    #: stages are all chunkable is eligible for the chunked fast path.
     chunkable: bool = False
-    #: Short-circuiting stages that manage their own cut point at chunk
-    #: granularity (counted fused kernels: ``limit``/``skip`` compiled into
-    #: a run).  ``select_mode`` lets a pipeline whose only short-circuit
-    #: stages absorb their cut ride the chunked path — the per-chunk
-    #: ``cancellation_requested`` poll of ``copy_into_chunked`` stops the
-    #: traversal at the exact chunk the kernel cut.
-    absorbs_short_circuit: bool = False
 
     @abc.abstractmethod
     def wrap_sink(self, downstream: Sink) -> Sink:
@@ -169,242 +162,72 @@ def remember(cache: dict, key: Any, entry: Any) -> None:
 
 
 # --------------------------------------------------------------------------- #
-# Stateless ops
+# Stages
 # --------------------------------------------------------------------------- #
 
 
-class MapOp(Op):
-    """``map(f)`` — transform each element."""
+class FusibleOp(Op):
+    """A stage with a kernel form: every op but ``sorted``.
 
-    chunkable = True
+    It always runs as a :class:`~repro.streams.fusion.FusedOp`, merged
+    with its neighbours or alone, and its own sink is its one-stage
+    kernel's — found through the fusion memo, so wrapping compiles
+    nothing after the first time.
+    """
+
+    def wrap_sink(self, downstream: Sink) -> Sink:
+        return _fusion.stage_kernel(self).wrap_sink(downstream)
+
+
+class MapOp(FusibleOp):
+    """``map(f)`` — transform each element."""
 
     def __init__(self, f: Callable[[T], U]) -> None:
         self.f = f
 
-    def wrap_sink(self, downstream: Sink) -> Sink:
-        return _MapSink(downstream, self.f)
 
-
-class _MapSink(ChainedSink):
-    """The sink of an unfused ``map`` — a module-level class, because a
-    lone map is the leaf chain of every parallel segment that ends at a
-    stateful op, and a class statement per terminal is a fixed cost."""
-
-    __slots__ = ("_f", "_is_ufunc")
-
-    def __init__(self, downstream: Sink, f: Callable) -> None:
-        self.downstream = downstream
-        self._f = f
-        # A numpy ufunc applied to an ndarray chunk is a single vectorized
-        # call with per-element semantics; arbitrary callables are mapped
-        # element-wise (C-level ``map``) so chunked results match the
-        # per-element path exactly.
-        self._is_ufunc = _np is not None and isinstance(f, _np.ufunc)
-
-    def accept(self, item):
-        self.downstream.accept(self._f(item))
-
-    def accept_chunk(self, chunk):
-        if self._is_ufunc and isinstance(chunk, _np.ndarray):
-            self.downstream.accept_chunk(self._f(chunk))
-        else:
-            self.downstream.accept_chunk(list(map(self._f, chunk)))
-
-
-class FilterOp(Op):
+class FilterOp(FusibleOp):
     """``filter(predicate)`` — keep only matching elements."""
-
-    chunkable = True
 
     def __init__(self, predicate: Callable[[T], bool]) -> None:
         self.predicate = predicate
 
-    def wrap_sink(self, downstream: Sink) -> Sink:
-        predicate = self.predicate
 
-        class _FilterSink(ChainedSink):
-            def begin(self, size):
-                # Filtering invalidates any size promise.
-                self.downstream.begin(-1)
-
-            def accept(self, item):
-                if predicate(item):
-                    self.downstream.accept(item)
-
-            def accept_chunk(self, chunk):
-                self.downstream.accept_chunk([x for x in chunk if predicate(x)])
-
-        return _FilterSink(downstream)
-
-
-class FlatMapOp(Op):
+class FlatMapOp(FusibleOp):
     """``flat_map(f)`` — explode each element into an iterable of outputs."""
-
-    chunkable = True
 
     def __init__(self, f: Callable[[T], Iterable[U]]) -> None:
         self.f = f
 
-    def wrap_sink(self, downstream: Sink) -> Sink:
-        f = self.f
 
-        class _FlatMapSink(ChainedSink):
-            def begin(self, size):
-                self.downstream.begin(-1)
-
-            def accept(self, item):
-                down = self.downstream
-                for out in f(item):
-                    if down.cancellation_requested():
-                        break
-                    down.accept(out)
-
-            def accept_chunk(self, chunk):
-                # The chunked path never runs in a short-circuiting
-                # pipeline, so the per-output cancellation poll of
-                # ``accept`` is unnecessary here.
-                out: list = []
-                extend = out.extend
-                for item in chunk:
-                    extend(f(item))
-                self.downstream.accept_chunk(out)
-
-        return _FlatMapSink(downstream)
-
-
-class PeekOp(Op):
+class PeekOp(FusibleOp):
     """``peek(action)`` — observe elements without changing them."""
-
-    chunkable = True
 
     def __init__(self, action: Callable[[T], None]) -> None:
         self.action = action
 
-    def wrap_sink(self, downstream: Sink) -> Sink:
-        action = self.action
 
-        class _PeekSink(ChainedSink):
-            def accept(self, item):
-                action(item)
-                self.downstream.accept(item)
-
-            def accept_chunk(self, chunk):
-                for item in chunk:
-                    action(item)
-                self.downstream.accept_chunk(chunk)
-
-        return _PeekSink(downstream)
-
-
-class MapMultiOp(Op):
+class MapMultiOp(FusibleOp):
     """``map_multi(f)`` (Java 16): ``f(item, emit)`` pushes 0..n outputs.
 
     A consumer-driven flat map — cheaper than building an intermediate
     iterable when most elements expand to zero or one output.
     """
 
-    chunkable = True
-
     def __init__(self, f: Callable[[T, Callable[[U], None]], None]) -> None:
         self.f = f
 
-    def wrap_sink(self, downstream: Sink) -> Sink:
-        f = self.f
 
-        class _MapMultiSink(ChainedSink):
-            def begin(self, size):
-                self.downstream.begin(-1)
-
-            def accept(self, item):
-                f(item, self.downstream.accept)
-
-            def accept_chunk(self, chunk):
-                out: list = []
-                emit = out.append
-                for item in chunk:
-                    f(item, emit)
-                self.downstream.accept_chunk(out)
-
-        return _MapMultiSink(downstream)
-
-
-# --------------------------------------------------------------------------- #
-# Stateful ops
-# --------------------------------------------------------------------------- #
-
-
-class SortedOp(Op):
-    """``sorted(key=..., reverse=...)`` — emit elements in sorted order.
-
-    Chunkable as a *terminal barrier with a fused prefix*: the buffering
-    phase accepts whole chunks (one ``extend`` per chunk), so a stateless
-    run feeding ``sorted`` still compiles and rides the bulk path; the
-    ordered emission in ``end`` stays per-element with cancellation polls.
-    """
-
-    stateful = True
-    chunkable = True
-
-    def __init__(self, key: Callable[[T], Any] | None = None, reverse: bool = False) -> None:
-        self.key = key
-        self.reverse = reverse
-
-    def wrap_sink(self, downstream: Sink) -> Sink:
-        op = self
-
-        class _SortedSink(ChainedSink):
-            def begin(self, size):
-                self.buffer: list = []
-
-            def accept(self, item):
-                self.buffer.append(item)
-
-            def accept_chunk(self, chunk):
-                self.buffer.extend(chunk)
-
-            def end(self):
-                out = sorted(self.buffer, key=op.key, reverse=op.reverse)
-                down = self.downstream
-                down.begin(len(out))
-                for item in out:
-                    if down.cancellation_requested():
-                        break
-                    down.accept(item)
-                down.end()
-
-            def cancellation_requested(self):
-                # Must see every element before sorting; never cancel upstream.
-                return False
-
-        return _SortedSink(downstream)
-
-    def apply_to_buffer(self, buffer: list) -> list:
-        return sorted(buffer, key=self.key, reverse=self.reverse)
-
-
-class DistinctOp(Op):
+class DistinctOp(FusibleOp):
     """``distinct()`` — drop duplicates, keeping first occurrences."""
 
     stateful = True
-
-    def wrap_sink(self, downstream: Sink) -> Sink:
-        class _DistinctSink(ChainedSink):
-            def begin(self, size):
-                self.seen: set = set()
-                self.downstream.begin(-1)
-
-            def accept(self, item):
-                if item not in self.seen:
-                    self.seen.add(item)
-                    self.downstream.accept(item)
-
-        return _DistinctSink(downstream)
 
     def apply_to_buffer(self, buffer: list) -> list:
         return list(dict.fromkeys(buffer))
 
 
-class LimitOp(Op):
+class LimitOp(FusibleOp):
     """``limit(n)`` — truncate after the first ``n`` elements."""
 
     stateful = True
@@ -415,29 +238,11 @@ class LimitOp(Op):
             raise IllegalArgumentError(f"limit must be >= 0, got {n}")
         self.n = n
 
-    def wrap_sink(self, downstream: Sink) -> Sink:
-        n = self.n
-
-        class _LimitSink(ChainedSink):
-            def begin(self, size):
-                self.remaining = n
-                self.downstream.begin(min(size, n) if size >= 0 else -1)
-
-            def accept(self, item):
-                if self.remaining > 0:
-                    self.remaining -= 1
-                    self.downstream.accept(item)
-
-            def cancellation_requested(self):
-                return self.remaining <= 0 or self.downstream.cancellation_requested()
-
-        return _LimitSink(downstream)
-
     def apply_to_buffer(self, buffer: list) -> list:
         return buffer[: self.n]
 
 
-class SkipOp(Op):
+class SkipOp(FusibleOp):
     """``skip(n)`` — drop the first ``n`` elements."""
 
     stateful = True
@@ -447,27 +252,11 @@ class SkipOp(Op):
             raise IllegalArgumentError(f"skip must be >= 0, got {n}")
         self.n = n
 
-    def wrap_sink(self, downstream: Sink) -> Sink:
-        n = self.n
-
-        class _SkipSink(ChainedSink):
-            def begin(self, size):
-                self.to_skip = n
-                self.downstream.begin(max(size - n, 0) if size >= 0 else -1)
-
-            def accept(self, item):
-                if self.to_skip > 0:
-                    self.to_skip -= 1
-                else:
-                    self.downstream.accept(item)
-
-        return _SkipSink(downstream)
-
     def apply_to_buffer(self, buffer: list) -> list:
         return buffer[self.n :]
 
 
-class TakeWhileOp(Op):
+class TakeWhileOp(FusibleOp):
     """``take_while(predicate)`` — longest matching prefix (Java 9)."""
 
     stateful = True
@@ -475,26 +264,6 @@ class TakeWhileOp(Op):
 
     def __init__(self, predicate: Callable[[T], bool]) -> None:
         self.predicate = predicate
-
-    def wrap_sink(self, downstream: Sink) -> Sink:
-        predicate = self.predicate
-
-        class _TakeWhileSink(ChainedSink):
-            def begin(self, size):
-                self.taking = True
-                self.downstream.begin(-1)
-
-            def accept(self, item):
-                if self.taking:
-                    if predicate(item):
-                        self.downstream.accept(item)
-                    else:
-                        self.taking = False
-
-            def cancellation_requested(self):
-                return not self.taking or self.downstream.cancellation_requested()
-
-        return _TakeWhileSink(downstream)
 
     def apply_to_buffer(self, buffer: list) -> list:
         out = []
@@ -505,30 +274,13 @@ class TakeWhileOp(Op):
         return out
 
 
-class DropWhileOp(Op):
+class DropWhileOp(FusibleOp):
     """``drop_while(predicate)`` — complement of ``take_while`` (Java 9)."""
 
     stateful = True
 
     def __init__(self, predicate: Callable[[T], bool]) -> None:
         self.predicate = predicate
-
-    def wrap_sink(self, downstream: Sink) -> Sink:
-        predicate = self.predicate
-
-        class _DropWhileSink(ChainedSink):
-            def begin(self, size):
-                self.dropping = True
-                self.downstream.begin(-1)
-
-            def accept(self, item):
-                if self.dropping:
-                    if predicate(item):
-                        return
-                    self.dropping = False
-                self.downstream.accept(item)
-
-        return _DropWhileSink(downstream)
 
     def apply_to_buffer(self, buffer: list) -> list:
         out = []
@@ -540,6 +292,65 @@ class DropWhileOp(Op):
                 dropping = False
             out.append(item)
         return out
+
+
+class SortedOp(Op):
+    """``sorted(key=..., reverse=...)`` — emit elements in sorted order.
+
+    The one stage without a kernel form, so every fused run ends at it.
+    Chunkable as a *terminal barrier with a fused prefix*: the buffering
+    phase accepts whole chunks (one ``extend`` per chunk), so a run
+    feeding ``sorted`` still rides the bulk path; the ordered emission in
+    ``end`` stays per-element with cancellation polls.
+    """
+
+    stateful = True
+    chunkable = True
+
+    def __init__(self, key: Callable[[T], Any] | None = None, reverse: bool = False) -> None:
+        self.key = key
+        self.reverse = reverse
+
+    def wrap_sink(self, downstream: Sink) -> Sink:
+        return _SortedSink(self, downstream)
+
+    def apply_to_buffer(self, buffer: list) -> list:
+        return sorted(buffer, key=self.key, reverse=self.reverse)
+
+
+class _SortedSink(ChainedSink):
+    """Buffers the whole input, then emits it sorted on ``end``."""
+
+    __slots__ = ("_op", "_buffer")
+
+    def __init__(self, op: SortedOp, downstream: Sink) -> None:
+        self.downstream = downstream
+        self._op = op
+        self._buffer: list = []
+
+    def begin(self, size):
+        self._buffer = []
+
+    def accept(self, item):
+        self._buffer.append(item)
+
+    def accept_chunk(self, chunk):
+        self._buffer.extend(chunk)
+
+    def end(self):
+        op = self._op
+        out = sorted(self._buffer, key=op.key, reverse=op.reverse)
+        down = self.downstream
+        down.begin(len(out))
+        for item in out:
+            if down.cancellation_requested():
+                break
+            down.accept(item)
+        down.end()
+
+    def cancellation_requested(self):
+        # Must see every element before sorting; never cancel upstream.
+        return False
 
 
 # --------------------------------------------------------------------------- #
@@ -687,10 +498,11 @@ def copy_into_chunked(
     """Drain ``spliterator`` into ``sink`` chunk-at-a-time.
 
     Each ``next_chunk`` sublist crosses the fused chain in O(stages) Python
-    calls; correctness requires a non-short-circuiting pipeline (the only
-    cancellation polling is one ``cancellation_requested`` call per chunk,
-    which lets a fork/join leaf abort promptly when a sibling leaf has
-    failed — see the fail-fast contract in ``repro.streams.parallel``).
+    calls; correctness requires every cut to sit in a merged kernel that
+    stops at its exact element (the only cancellation polling is one
+    ``cancellation_requested`` call per chunk, which also lets a fork/join
+    leaf abort promptly when a sibling leaf has failed — see the
+    fail-fast contract in ``repro.streams.parallel``).
     """
     sink.begin(spliterator.get_exact_size_if_known())
     next_chunk = spliterator.next_chunk
@@ -709,23 +521,18 @@ def pipeline_is_short_circuit(ops: list[Op]) -> bool:
     return any(op.short_circuit for op in ops)
 
 
-def pipeline_supports_chunks(ops: list[Op]) -> bool:
-    """True if every stage has a bulk ``accept_chunk`` rewrite."""
-    return all(op.chunkable for op in ops)
+def pipeline_supports_chunks(ops: list[Op], merged: bool = True) -> bool:
+    """True if every stage has a bulk ``accept_chunk`` rewrite.
 
-
-def pipeline_absorbs_short_circuit(ops: list[Op]) -> bool:
-    """True if every short-circuiting stage manages its own cut point.
-
-    Counted fused kernels (``limit``/``skip`` compiled into a run) slice
-    their chunks at the exact cut and report exhaustion through
-    ``cancellation_requested``, so the chunked traversal — which polls once
-    per chunk — terminates at the right chunk and the kernel discards the
-    overshoot within it.  Raw ``LimitOp`` / ``take_while`` do not, and keep
-    the per-element path.
+    Unmerged (``fusion`` off), a kernel that keeps per-traversal state
+    (``distinct``, ``limit``, ``skip``, ``take_while``, ``drop_while``)
+    takes one element at a time, as that stage did before every stage
+    compiled to a kernel: ``engine(fusion=False)`` stays the per-stage
+    baseline the fused runs are measured against.
     """
     return all(
-        not op.short_circuit or op.absorbs_short_circuit for op in ops
+        op.chunkable and (merged or not op.stateful or type(op) is SortedOp)
+        for op in ops
     )
 
 
@@ -737,20 +544,24 @@ def select_mode(
     Returns ``"short_circuit"`` (per-element with polling), ``"chunked"``
     (bulk path, only while ``config.bulk``), or ``"element"``.  Shared
     verbatim by :func:`run_pipeline` and ``Stream.explain()``.
+
+    Every cut (``limit``, ``take_while``) is a kernel that stops at the
+    exact element and reports it through ``cancellation_requested``, so
+    the chunked traversal — which polls once per chunk — ends at the
+    right chunk.  That is exact only when every cut sits in the first
+    kernel, with every stage upstream of it: a stage in an earlier kernel
+    (a run split where a map's ufunc-ness changes, or ``sorted``) would
+    run whole chunks past the cut.  So a chain takes the chunked path
+    with a cut only when it is merged (``config.fusion``) and no kernel
+    after the first cuts; otherwise the cut is polled per element.
     """
     if force_short_circuit:
         return "short_circuit"
+    chunks = config.bulk and pipeline_supports_chunks(ops, config.fusion)
     if pipeline_is_short_circuit(ops):
-        if (
-            config.bulk
-            and pipeline_supports_chunks(ops)
-            and pipeline_absorbs_short_circuit(ops)
-        ):
-            return "chunked"
-        return "short_circuit"
-    if config.bulk and pipeline_supports_chunks(ops):
-        return "chunked"
-    return "element"
+        absorbed = config.fusion and not pipeline_is_short_circuit(ops[1:])
+        return "chunked" if chunks and absorbed else "short_circuit"
+    return "chunked" if chunks else "element"
 
 
 def run_pipeline(
@@ -764,16 +575,17 @@ def run_pipeline(
     """The single traversal entry point for sequential terminals and
     fork/join leaves, under the run's ``config``.
 
-    First rewrites ``ops`` through the stage-fusion optimizer (runs of
-    adjacent stateless ops collapse into single compiled stages — see
-    :mod:`repro.streams.fusion`), then wraps the chain around ``terminal``
-    and picks the execution mode:
+    First rewrites ``ops`` into compiled kernels (every stage but
+    ``sorted`` becomes a :class:`~repro.streams.fusion.FusedOp`, and with
+    ``config.fusion`` adjacent ones merge — see :mod:`repro.streams.fusion`),
+    then wraps the chain around ``terminal`` and picks the execution mode
+    (:func:`select_mode`):
 
-    * short-circuiting pipeline (or a cancelling terminal, signalled by
-      ``force_short_circuit``) → per-element traversal with polling;
-    * all stages chunkable and ``config.bulk`` → chunked traversal;
-    * otherwise (stateful stages in the chain) → per-element bulk
-      ``for_each_remaining``.
+    * a cut not absorbed by a merged kernel (or a cancelling terminal,
+      signalled by ``force_short_circuit``) → per-element traversal with
+      polling;
+    * all stages take chunks and ``config.bulk`` → chunked traversal;
+    * otherwise → per-element bulk ``for_each_remaining``.
 
     ``chunk_size`` overrides the default ``next_chunk`` granularity on the
     chunked path (the adaptive split policy derives it from observed
@@ -796,9 +608,26 @@ def run_pipeline(
     else:
         copy_into(spliterator, sink, mode == "short_circuit")
     if profiler is not None:
-        fused = sum(1 for op in ops if type(op) is _fusion.FusedOp)
+        # Merged runs, as ``fusion_stats`` and ``explain()`` count them.
+        fused = sum(
+            1 for op in ops
+            if type(op) is _fusion.FusedOp and len(op.kinds) > 1
+        )
         profiler.profile.record_traversal(mode, probes, labels, fused)
     return terminal
+
+
+class BufferSink(Sink):
+    """The terminal of a lazy pull: parks each element in a deque that
+    :func:`pull_iterator` drains."""
+
+    __slots__ = ("_buffer",)
+
+    def __init__(self, buffer) -> None:
+        self._buffer = buffer
+
+    def accept(self, item: Any) -> None:
+        self._buffer.append(item)
 
 
 def pull_iterator(spliterator: Spliterator, sink: Sink, buffer) -> "Iterable":

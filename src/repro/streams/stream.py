@@ -35,6 +35,7 @@ from repro.streams import parallel as _parallel
 from repro.streams.collector import Collector, CollectorCharacteristics
 from repro.streams.config import EngineConfig, _validate_backend, current_config
 from repro.streams.ops import (
+    BufferSink,
     DistinctOp,
     DropWhileOp,
     FilterOp,
@@ -46,7 +47,6 @@ from repro.streams.ops import (
     SkipOp,
     SortedOp,
     TakeWhileOp,
-    TerminalSink,
     pull_iterator,
     wrap_ops,
 )
@@ -589,12 +589,7 @@ class Stream:
         ops = maybe_fuse(ops, self._config())
 
         buffer: deque = deque()
-
-        class _Buffer(TerminalSink):
-            def accept(self, item):
-                buffer.append(item)
-
-        sink = wrap_ops(ops, _Buffer())
+        sink = wrap_ops(ops, BufferSink(buffer))
         sink.begin(spliterator.get_exact_size_if_known())
         return pull_iterator(spliterator, sink, buffer)
 

@@ -49,9 +49,8 @@ import numpy as np
 from repro.streams.config import EngineConfig
 from repro.streams.ops import (
     CHUNK_SIZE,
-    MapOp,
+    BufferSink,
     Op,
-    PeekOp,
     Sink,
     pull_iterator,
     select_mode,
@@ -83,18 +82,6 @@ class _PendingSink(Sink):
             cursor = self._cursor
             cursor._pending.append(chunk)
             cursor._buffered += len(chunk)
-
-
-class _BufferSink(Sink):
-    """Per-element terminal for the ``element`` fallback mode."""
-
-    __slots__ = ("_buffer",)
-
-    def __init__(self, buffer: deque) -> None:
-        self._buffer = buffer
-
-    def accept(self, item: Any) -> None:
-        self._buffer.append(item)
 
 
 class _ZipCursor:
@@ -140,7 +127,7 @@ class _ZipCursor:
         else:
             self.mode = "element"
             buffer: deque = deque()
-            sink = wrap_ops(self.ops, _BufferSink(buffer))
+            sink = wrap_ops(self.ops, BufferSink(buffer))
             sink.begin(spliterator.get_exact_size_if_known())
             self._iter = pull_iterator(spliterator, sink, buffer)
 
@@ -218,9 +205,9 @@ class _ZipCursor:
     def projected_size(self) -> int:
         """Remaining output count, or ``UNKNOWN_SIZE``.
 
-        Folds the source's exact size through size-preserving stages
-        (maps/peeks, and fused kernels via their window projection); any
-        size-changing stage makes the side unknown.
+        Folds the source's exact size through each kernel's size algebra
+        (maps/peeks keep it, limit/skip clamp it); any other stage makes
+        the side unknown.
         """
         from repro.streams.fusion import FusedOp
 
@@ -228,12 +215,7 @@ class _ZipCursor:
         if size < 0:
             return UNKNOWN_SIZE
         for op in self.ops:
-            if isinstance(op, FusedOp):
-                size = op._project_size(size)
-            elif type(op) in (MapOp, PeekOp):
-                pass
-            else:
-                size = -1
+            size = op._project_size(size) if isinstance(op, FusedOp) else -1
             if size < 0:
                 return UNKNOWN_SIZE
         return size + self._buffered

@@ -262,10 +262,12 @@ class TestEngagement:
         assert stats == {"chunked": 1, "element": 0}
 
     def test_unfusible_stateful_op_falls_back(self):
-        # drop_while has no fused kernel and no chunk rewrite: per-element.
-        stats = self.stats_after(
-            lambda: stream_of(range(100))
-            .drop_while(lambda x: x < 10).to_list())
+        # Without fusion no stage merges, and a kernel that keeps state
+        # (drop_while's flag) takes one element at a time.
+        with engine(fusion=False):
+            stats = self.stats_after(
+                lambda: stream_of(range(100))
+                .drop_while(lambda x: x < 10).to_list())
         assert stats["chunked"] == 0 and stats["element"] >= 1
 
     def test_sorted_rides_chunked_as_terminal_barrier(self):
@@ -283,10 +285,11 @@ class TestEngagement:
         assert stats["chunked"] == 1 and stats["element"] == 0
 
     def test_raw_short_circuit_falls_back(self):
-        # take_while has no counted kernel: still the polled path.
-        stats = self.stats_after(
-            lambda: stream_of(range(100))
-            .take_while(lambda x: x < 5).to_list())
+        # Without fusion an unmerged cut is polled per element.
+        with engine(fusion=False):
+            stats = self.stats_after(
+                lambda: stream_of(range(100))
+                .take_while(lambda x: x < 5).to_list())
         assert stats["chunked"] == 0 and stats["element"] >= 1
 
     def test_find_first_never_chunks(self):

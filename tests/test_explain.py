@@ -224,16 +224,19 @@ class TestShortCircuitChain:
         assert stats["kernels"] == plan["fusion"]["kernels"]
 
     def test_raw_take_while_still_polls(self):
-        plan = (
-            Stream.range(0, 4096).map(_triple)
-            .take_while(_even).explain().to_dict()
-        )
-        assert plan["execution"]["mode"] == "short-circuit-polled"
-        assert plan["fusion"]["barriers"] == [
-            {"op": "take_while", "stateful": True, "short_circuit": True}
-        ]
-        before = bulk_stats()
-        assert Stream.range(0, 4096).map(_triple).take_while(_even).to_list() == [0]
+        # Unmerged (fusion off), take_while's one-stage kernel is polled
+        # per element; it is a kernel, not a barrier.
+        with engine(fusion=False):
+            plan = (
+                Stream.range(0, 4096).map(_triple)
+                .take_while(_even).explain().to_dict()
+            )
+            assert plan["execution"]["mode"] == "short-circuit-polled"
+            assert plan["fusion"]["chain"] == ["map", "take_while"]
+            assert plan["fusion"]["barriers"] == []
+            before = bulk_stats()
+            assert Stream.range(0, 4096).map(_triple).take_while(
+                _even).to_list() == [0]
         delta = {k: v - before[k] for k, v in bulk_stats().items()}
         assert delta == {"chunked": 0, "element": 1}
 

@@ -7,9 +7,11 @@ rewrite counts, and that traced runs carry ``fuse`` spans.
 """
 
 import functools
+import gc
 import operator
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -63,9 +65,7 @@ class TestBarrierPlacement:
         assert stages == 4
         assert fused[0].kinds == ("map", "filter", "map", "peek")
 
-    @pytest.mark.parametrize("barrier", [
-        SortedOp(), TakeWhileOp(bool), DropWhileOp(bool),
-    ])
+    @pytest.mark.parametrize("barrier", [SortedOp()])
     def test_unfusible_stateful_op_is_a_barrier(self, barrier):
         ops = [MapOp(abs), MapOp(abs), barrier, MapOp(abs), MapOp(abs)]
         fused, stages = fuse_ops(ops)
@@ -74,6 +74,7 @@ class TestBarrierPlacement:
 
     @pytest.mark.parametrize("absorbed,kind", [
         (DistinctOp(), "distinct"), (LimitOp(3), "limit"), (SkipOp(3), "skip"),
+        (TakeWhileOp(bool), "take_while"), (DropWhileOp(bool), "drop_while"),
     ])
     def test_counted_and_distinct_ops_fuse_through(self, absorbed, kind):
         ops = [MapOp(abs), MapOp(abs), absorbed, MapOp(abs), MapOp(abs)]
@@ -82,10 +83,14 @@ class TestBarrierPlacement:
         assert stages == 5
         assert fused[0].kinds == ("map", "map", kind, "map", "map")
 
-    def test_single_ops_are_not_wrapped(self):
+    def test_single_ops_are_one_stage_kernels(self):
+        # Every fusible stage lands in a FusedOp, even alone; a one-stage
+        # kernel merges nothing, so no stage counts as fused.
         ops = [MapOp(abs), SortedOp(), MapOp(abs)]
         fused, stages = fuse_ops(ops)
-        assert fused is ops and stages == 0
+        assert _kinds(fused) == ["FusedOp", "SortedOp", "FusedOp"]
+        assert fused[0].source_ops == (ops[0],) and fused[1] is ops[1]
+        assert stages == 0
 
     def test_fused_op_requires_a_nonempty_run(self):
         # Singleton runs are legal now (a lone ``limit`` compiles to a
@@ -301,7 +306,9 @@ class TestControlsAndStats:
         with engine(fusion=False):
             assert not current_config().fusion
             ops = [MapOp(abs), MapOp(abs)]
-            assert maybe_fuse(ops, current_config()) is ops
+            # No merge across stages: each map is its own kernel.
+            assert [op.source_ops for op in maybe_fuse(ops, current_config())] == [
+                (ops[0],), (ops[1],)]
         assert current_config().fusion == previous
 
     def test_stats_pin_fused_stage_counts(self):
@@ -557,7 +564,143 @@ class TestKernelMemo:
         first, second = (maybe_fuse(ops, config) for ops in chains)
         assert first[0] is second[0]
         assert first[1] is chains[0][2] and second[1] is chains[1][2]
-        assert second[2] is chains[1][3]
+        # The lone trailing map is a one-stage kernel, shared like a run.
+        assert second[2] is first[2]
+
+
+class TestLoneStages:
+    """Every fusible stage runs through the one kernel generator, alone
+    or merged: no per-op sink classes, and a lone stage takes the chunked
+    path when fusion is on while keeping its per-stage mode when off."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: MapOp(_plus_one), lambda: FilterOp(_is_even),
+        lambda: FlatMapOp(_pair), lambda: PeekOp(_plus_one),
+        lambda: MapMultiOp(_emit_twice), lambda: DistinctOp(),
+        lambda: LimitOp(3), lambda: SkipOp(3),
+        lambda: TakeWhileOp(_is_even), lambda: DropWhileOp(_is_even),
+        lambda: SortedOp(),
+    ], ids=["map", "filter", "flat_map", "peek", "map_multi", "distinct",
+            "limit", "skip", "take_while", "drop_while", "sorted"])
+    def test_wrap_sink_classes_are_module_level(self, make):
+        first = make().wrap_sink(_NullSink())
+        second = make().wrap_sink(_NullSink())
+        assert type(first) is type(second)
+        assert "<locals>" not in type(first).__qualname__
+
+    def test_wrap_sink_reuses_the_one_stage_kernel(self):
+        op = FilterOp(_is_even)
+        fusion_stats(reset=True)
+        first = op.wrap_sink(_NullSink())
+        second = op.wrap_sink(_NullSink())
+        # Keyed by the predicate, so any filter of ``_is_even`` shares it.
+        assert first._op is second._op
+        assert first._op.kinds == ("filter",)
+        assert first._op.source_ops[0].predicate is _is_even
+        # Wrapping is not a terminal: it counts nothing.
+        assert fusion_stats()["compiled"] == 0
+
+    def test_finished_sink_is_freed_without_the_gc(self):
+        # A sink must not reference itself: a cycle would keep every
+        # finished traversal's state vector and downstream alive until
+        # the cyclic GC runs.
+        op = FusedOp([MapOp(_plus_one), DistinctOp()])
+        gc.disable()
+        try:
+            sink = op.wrap_sink(_NullSink())
+            sink.begin(-1)
+            sink.accept_chunk([1, 2, 1])
+            ref = weakref.ref(sink)
+            del sink
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    # (stream builder, mode with fusion off); with fusion on all chunked.
+    LONE = {
+        "filter": (lambda s: s.filter(_is_even), "chunked"),
+        "distinct": (lambda s: s.distinct(), "element"),
+        "take_while": (lambda s: s.take_while(_below_40), "element"),
+        "drop_while": (lambda s: s.drop_while(_below_40), "element"),
+    }
+
+    @pytest.mark.parametrize("fused", [True, False])
+    @pytest.mark.parametrize("name", sorted(LONE))
+    def test_lone_stage_mode(self, name, fused):
+        build, unfused_mode = self.LONE[name]
+        data = [x % 50 for x in range(100)]
+        expected = {
+            "filter": [x for x in data if x % 2 == 0],
+            "distinct": list(range(50)),
+            "take_while": list(range(40)),
+            "drop_while": data[40:],
+        }[name]
+        with engine(fusion=fused, bulk=True):
+            plan = build(stream_of(data)).explain().to_dict()
+            bulk_stats(reset=True)
+            assert build(stream_of(data)).to_list() == expected
+            stats = bulk_stats(reset=True)
+        mode = "chunked" if fused else unfused_mode
+        assert stats == {"chunked": int(mode == "chunked"),
+                         "element": int(mode != "chunked")}
+        assert plan["execution"]["mode"] == (
+            "chunked" if mode == "chunked" else
+            "short-circuit-polled" if name == "take_while" else "per-element"
+        )
+        assert plan["fusion"]["chain"] == [name]
+        assert plan["fusion"]["kernels"] == 0
+
+    def test_merged_cut_stops_at_its_element(self):
+        # Default config: map|take_while is one kernel on the chunked
+        # path, and it maps nothing past the first failing element.
+        calls = []
+
+        def inverse(x):
+            calls.append(x)
+            return 1 / x
+
+        data = [1, 2, 4, -1, 0] + list(range(1, 100))
+        bulk_stats(reset=True)
+        got = stream_of(data).map(inverse).take_while(_is_positive).to_list()
+        assert got == [1.0, 0.5, 0.25]
+        assert calls == [1, 2, 4, -1]
+        assert bulk_stats(reset=True) == {"chunked": 1, "element": 0}
+
+    @pytest.mark.parametrize("cut, seen_expected", [
+        (lambda s: s.take_while(lambda v: v < -0.4), [1, 2, 4]),
+        (lambda s: s.limit(2), [1, 2]),
+    ], ids=["take_while", "limit"])
+    def test_cut_behind_an_earlier_kernel_is_polled(self, cut, seen_expected):
+        # The ufunc map splits the run, so the stages before it sit in
+        # an earlier kernel: the cut must be polled per element, or they
+        # would run on the whole chunk past it (here: divide by zero).
+        seen = []
+
+        def build():
+            return cut(
+                stream_of([1, 2, 4, 0]).peek(seen.append)
+                .map(lambda x: 1 / x).map(np.negative)
+            )
+
+        plan = build().explain().to_dict()
+        bulk_stats(reset=True)
+        assert build().to_list() == [-1.0, -0.5]
+        assert seen == seen_expected
+        assert bulk_stats(reset=True) == {"chunked": 0, "element": 1}
+        assert plan["execution"]["mode"] == "short-circuit-polled"
+
+
+def _pair(x):
+    return (x, x)
+
+
+def _emit_twice(x, emit):
+    emit(x)
+    emit(x)
+
+
+def _below_40(x):
+    return x < 40
 
 
 def _plus_one(x):
@@ -570,6 +713,10 @@ def _is_even(x):
 
 def _is_negative(x):
     return x < 0
+
+
+def _is_positive(x):
+    return x > 0
 
 
 class _CountingListSpliterator(ListSpliterator):

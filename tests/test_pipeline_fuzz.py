@@ -32,7 +32,7 @@ from repro.forkjoin import ForkJoinPool
 from repro.powerlist import PowerList, shm
 from repro.streams import Stream, bulk_stats, current_config, engine, stream_of
 from repro.streams.fusion import _FUSIBLE_TYPES, FusedOp, fuse_ops, maybe_fuse
-from repro.streams.ops import LimitOp, SkipOp, select_mode
+from repro.streams.ops import SortedOp, select_mode
 from repro.streams.optional import Optional
 
 _FUZZ_SEED = os.environ.get("FUSION_FUZZ_SEED")
@@ -304,10 +304,17 @@ class TestPipelineFuzz:
                 s = _apply_stream(s, op)
             return s
 
+        expected = list(xs)
+        for op in ops:
+            expected = _apply_reference(expected, op)
+
         assert build(False).count() == build(True).count()
+        assert build(False).count() == _reference_terminal(
+            expected, "count", 0)
         seq_first = build(False).find_first()
         par_first = build(True).find_first()
         assert seq_first == par_first
+        assert seq_first == _reference_terminal(expected, "find_first", 0)
 
     @_seeded
     @settings(deadline=None, max_examples=80,
@@ -339,10 +346,9 @@ class TestPipelineFuzz:
     def test_chunked_engagement_matches_select_mode(self, xs, ops):
         """The traversal the run actually takes matches what
         ``select_mode`` says about the fused chain — the same decision
-        function execution and ``explain()`` share.  Counted runs
-        (``limit``/``skip`` fused into kernels) ride the chunked path;
-        ``take_while``-style polling still falls back; either way the
-        results match the reference."""
+        function execution and ``explain()`` share.  Merged kernels,
+        cuts included, ride the chunked path; either way the results
+        match the reference."""
         expected = list(xs)
         stream = stream_of(xs)
         for op in ops:
@@ -456,45 +462,40 @@ class TestPipelineFuzz:
               suppress_health_check=[HealthCheck.too_slow])
     @given(inputs, pipelines)
     def test_fuse_rewrite_structure(self, xs, ops):
-        """Structural invariants of the rewrite on random chains: the
-        unfusible stateful ops (``sorted``/``take_while``/``drop_while``)
-        survive as barriers in order, each FusedOp covers a maximal run
-        (>= 2 stages, or any run containing a counted ``limit``/``skip``
-        — even a lone one compiles so it can ride the chunked path), and
-        flattening the rewritten chain reproduces the original op objects
-        exactly."""
+        """Structural invariants of the rewrite on random chains, merged
+        and unmerged: every fusible stage lies in exactly one FusedOp,
+        ``sorted`` is the only stage left outside one (the only barrier),
+        and flattening the rewritten chain reproduces the original op
+        objects exactly.  Merged, adjacent runs only split where the
+        maps' ufunc-ness changes (never here), so two FusedOps are never
+        neighbours; unmerged, every FusedOp holds one stage."""
         stream = stream_of(xs)
         for op in ops:
             stream = _apply_stream(stream, op)
         original = stream._ops
-        fused, stages = fuse_ops(original)
+        for merge in (True, False):
+            fused, stages = fuse_ops(original, merge)
 
-        flattened = []
-        for op in fused:
-            if isinstance(op, FusedOp):
-                assert len(op.source_ops) >= 2 or any(
-                    type(o) in (LimitOp, SkipOp) for o in op.source_ops
-                )
-                flattened.extend(op.source_ops)
-            else:
-                flattened.append(op)
-        assert flattened == list(original)
-        assert stages == sum(
-            len(op.source_ops) for op in fused if isinstance(op, FusedOp)
-        )
-
-        for i, op in enumerate(fused):
-            if not isinstance(op, FusedOp):
-                continue
-            # Maximality: the neighbours of a fused run are unfusible
-            # barriers — any fusible neighbour would have been folded
-            # into the run.
-            for neighbour in (fused[i - 1] if i else None,
-                              fused[i + 1] if i + 1 < len(fused) else None):
-                if neighbour is not None:
-                    assert not isinstance(neighbour, FusedOp)
-                    assert type(neighbour) not in _FUSIBLE_TYPES
-                    assert neighbour.stateful or neighbour.short_circuit
+            flattened = []
+            for op in fused:
+                if isinstance(op, FusedOp):
+                    assert all(type(o) in _FUSIBLE_TYPES
+                               for o in op.source_ops)
+                    assert merge or len(op.source_ops) == 1
+                    flattened.extend(op.source_ops)
+                else:
+                    assert type(op) is SortedOp
+                    flattened.append(op)
+            assert len(flattened) == len(original)
+            assert all(a is b for a, b in zip(flattened, original))
+            assert stages == sum(
+                len(op.source_ops) for op in fused
+                if isinstance(op, FusedOp) and len(op.source_ops) > 1
+            )
+            if merge:
+                for left, right in zip(fused, fused[1:]):
+                    assert not (isinstance(left, FusedOp)
+                                and isinstance(right, FusedOp))
 
 
 # --------------------------------------------------------------------------- #
@@ -593,9 +594,10 @@ def _apply_zip_reference(xs, ys, left_ops, right_ops, combined):
 
 
 # Sides draw from the fusible vocabulary plus the cursor fallbacks:
-# limit/skip/distinct compile into kernels (chunked cursor mode), sorted
-# is a terminal barrier with a fused prefix, take_while forces the
-# per-element cursor fallback — all three fill modes get exercised.
+# limit/skip/distinct/take_while compile into kernels (chunked cursor
+# mode), sorted is a terminal barrier with a fused prefix, and an
+# unmerged cut (fusion off) forces the per-element cursor fallback — all
+# three fill modes get exercised.
 ZIP_SIDE_OPS = st.tuples(
     st.sampled_from(STATELESS + ["limit", "skip", "distinct", "sorted",
                                  "take_while"]),

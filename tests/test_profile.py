@@ -11,7 +11,7 @@ from repro.obs import (
     profiled,
     set_profiler,
 )
-from repro.streams import Stream, bulk_stats, fusion_stats
+from repro.streams import Stream, bulk_stats, engine, fusion_stats
 from repro.streams.stream_support import stream_of
 
 
@@ -109,9 +109,10 @@ class TestSequentialAttribution:
         assert d["stages"]["1:terminal:AccumulatorSink"]["elements"] == 3
 
     def test_short_circuit_mode_counted(self):
-        # take_while cannot fuse into a counted kernel, so a genuine
-        # short-circuit traversal still happens (and is attributed).
-        with profiled(sample=1) as profile:
+        # Without fusion the take_while cut is not merged into the map's
+        # kernel, so a genuine short-circuit traversal still happens (and
+        # is attributed).
+        with engine(fusion=False), profiled(sample=1) as profile:
             assert (
                 Stream.range(0, 4096)
                 .map(_triple)

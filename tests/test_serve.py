@@ -692,3 +692,57 @@ class TestServeFaultSites:
             elapsed = time.perf_counter() - start
         assert elapsed >= 0.02
         assert ticket.result(10.0) == DATA_SUM
+
+    def test_admit_delay_blocks_only_its_own_caller(self):
+        svc = ExecutionService(max_workers=1)
+        svc.register_dataset("numbers", DATA)
+        svc.register_tenant("alice")
+        svc.register_tenant("bob")
+        plan = FaultPlan(seed=7).inject(
+            "serve:admit:alice", "delay", times=1, delay=1.0
+        )
+        alice_done = threading.Event()
+        alice = []
+
+        def submit_alice():
+            alice.append(svc.submit("alice", "numbers", sum_pipeline))
+            alice_done.set()
+
+        try:
+            with fault_injection(plan):
+                thread = threading.Thread(target=submit_alice)
+                thread.start()
+                # The site has fired: alice is inside her delay.
+                assert wait_for(
+                    lambda: plan.stats()["by_site"].get("serve:admit:alice")
+                )
+                bob = svc.submit("bob", "numbers", sum_pipeline)
+                assert not alice_done.is_set()
+                assert bob.result(10.0) == DATA_SUM
+                thread.join(10.0)
+            assert alice_done.is_set()
+            assert alice[0].result(10.0) == DATA_SUM
+        finally:
+            svc.shutdown()
+
+    def test_admit_site_fires_only_for_admissible_submits(self, service):
+        plan = FaultPlan(seed=7).inject(
+            "serve:admit:alice", "raise", exc=QueueFullError("gate")
+        )
+        with fault_injection(plan):
+            # Refused before admission: the site does not fire.
+            with pytest.raises(IllegalArgumentError):
+                service.submit("alice", "missing", sum_pipeline)
+            assert "serve:admit:alice" not in plan.stats()["by_site"]
+            # A strike raising an admission error is counted as a refusal.
+            with pytest.raises(QueueFullError):
+                service.submit("alice", "numbers", sum_pipeline)
+            service.shutdown()
+            with pytest.raises(RejectedExecutionError) as info:
+                service.submit("alice", "numbers", sum_pipeline)
+            assert type(info.value) is RejectedExecutionError
+        assert plan.stats()["by_site"]["serve:admit:alice"] == 1
+        rejected = service.metrics.counter(
+            "jobs_rejected", tenant="alice", reason="queue_full"
+        )
+        assert rejected.value == 1
