@@ -10,7 +10,7 @@ CHAOS_SEED_FILE := .github/chaos-seeds.json
 FUSION_FUZZ_SEED_FILE := .github/fusion-fuzz-seeds.json
 
 .PHONY: install test test-reverse lint chaos fusion-fuzz bench bench-smoke \
-        bench-regression serve-load fixed-cost e2e-smoke gates figures \
+        bench-regression ab12 serve-load fixed-cost e2e-smoke gates figures \
         examples clean
 
 install:
@@ -86,6 +86,15 @@ bench-regression:
 	PYTHONPATH=src $(PYTHON) examples/profile_report.py \
 	    --out-profile benchmarks/results/profile_report.json \
 	    --out-trace benchmarks/results/profile_trace.json
+
+# The full AB12 sweep: auto timed next to each fixed grid point in
+# AB12_ROUNDS alternating rounds at 2^16 (a few minutes on 2 cores).
+# Not a gate; copy the report over benchmarks/results/BENCH_adaptive.json
+# to re-record the baseline.
+AB12_ROUNDS ?= 10
+ab12:
+	PYTHONPATH=src $(PYTHON) benchmarks/bench_ab12_adaptive.py \
+	    --rounds $(AB12_ROUNDS) --out benchmarks/results/ab12_adaptive_full.json
 
 # Mirrors the CI serve-load job: AB13's fairness/rejection/chaos gates
 # in smoke mode, with the worker-kill leg seeded from the chaos file.

@@ -1,28 +1,29 @@
 """AB12 — adaptive ``auto`` threshold vs hand-tuned fixed thresholds.
 
 AB4 showed how sensitive the parallel speedup curves are to the split
-threshold; PR "adaptive scheduling" closes the loop with
-``target_size='auto'`` (:mod:`repro.streams.adaptive`): leaf sizes come
-from the observed per-element cost of the pipeline shape, coarsening when
-task overhead dominates and deepening when workers idle.  This bench pins
-the claim that matters for a knob that picks itself: across four workload
-shapes, a converged ``auto`` run must land within ~10% of the **best**
-fixed threshold found by sweeping a hand-tuning grid:
+threshold; ``target_size='auto'`` (:mod:`repro.streams.adaptive`)
+sizes leaves from the observed per-element cost of the pipeline shape
+instead.  This bench pins the claim that matters for a knob that picks
+itself: across four workload shapes, a converged ``auto`` run should
+land within ~10% of the **best** fixed threshold found by sweeping a
+hand-tuning grid:
 
-* ``cheap_map`` — ~ns-per-element arithmetic; the danger is splitting too
-  deep and drowning in task overhead (auto must coarsen);
-* ``expensive_map`` — a ~µs integer hash per element; auto must deepen to
-  the cost-derived leaf size instead of Java's element-count rule;
+* ``cheap_map`` — ~ns-per-element arithmetic; the danger is splitting
+  too deep and drowning in task overhead;
+* ``expensive_map`` — a ~µs integer hash per element, where the
+  cost-derived leaf size departs from Java's element-count rule;
 * ``skewed_flat_map`` — expansion and work concentrated in the data
   prefix, the shape where static rules misjudge per-leaf cost;
 * ``short_circuit`` — ``any_match`` with a deep witness: triggered runs
   never feed the memo (aborted leaves would poison the cost estimate),
-  so auto must stay sane on its bootstrap rule.
+  so auto stays on its bootstrap rule (Java's).
 
 Exact result parity — every fixed candidate AND auto against a
-sequential run — is the hard in-sweep gate.  ``speedup`` per row is
-``best_fixed_median / auto_median`` (1.0 = auto ties the best
-hand-tuned threshold; the ~10% band is 0.9), consumed by
+sequential run — is the hard in-sweep gate.  Timing alternates auto
+with each grid point inside every round (see :func:`run_sweep`), and
+``speedup`` per row is the median of the per-round ``best_fixed / auto``
+ratios (1.0 = auto ties the best hand-tuned threshold; the band is
+0.9), reported with their interquartile range.  It is consumed by
 ``benchmarks/check_regression.py`` against the committed baseline
 ``benchmarks/results/BENCH_adaptive.json``.
 
@@ -30,7 +31,8 @@ Two entry points:
 
 * pytest-benchmark: ``pytest benchmarks/bench_ab12_adaptive.py
   --benchmark-only``;
-* CLI: ``python benchmarks/bench_ab12_adaptive.py [--smoke] [--out FILE]``.
+* CLI: ``python benchmarks/bench_ab12_adaptive.py [--smoke] [--rounds N]
+  [--out FILE]`` (``make ab12`` runs the full sweep).
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ import json
 import operator
 import os
 import pathlib
+import statistics
 import sys
 
 import numpy as np
@@ -156,19 +159,35 @@ def bench_ab12_auto(benchmark, data, pool, name, fn):
 
 
 # --------------------------------------------------------------------------- #
-# CLI sweep: auto vs the hand-tuning grid, parity gated
+# CLI sweep: auto vs the hand-tuning grid, alternating, parity gated
 # --------------------------------------------------------------------------- #
 
-def run_sweep(sizes, runs, pool):
+def _quartiles(values):
+    """``(q1, median, q3)`` of ``values`` (one value: all three equal)."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    return tuple(statistics.quantiles(values, n=4))
+
+
+def run_sweep(sizes, rounds, runs, pool):
     """Measure auto against every fixed candidate on all workloads.
 
     Per workload/size: a sequential run pins the expected result, every
     fixed candidate and the auto leg must reproduce it exactly (the hard
-    parity gate), the best fixed median is the hand-tuned optimum, and
-    ``speedup = best_fixed / auto`` (the quantity the regression gate
-    tracks — collapse means the adaptive policy stopped choosing well).
-    Auto is measured *converged*: the memo is reset, then seeded by one
-    parity run plus two warm-up runs before timing.
+    parity gate).  The memo is reset, then seeded by the parity run plus
+    two warm-up runs, so auto is measured *converged*.
+
+    Timing runs in ``rounds``.  Inside a round auto is timed next to
+    each grid point in turn (auto first in even rounds, the fixed point
+    first in odd ones), each slot the fastest of ``runs`` calls, so both
+    sides of every ratio share the same stretch of host load.  The best
+    fixed target is the grid point with the lowest median over rounds;
+    a round's ratio is that target's time in the round over the median
+    of the round's auto slots, and a row's ``speedup`` is the median of
+    its per-round ratios (1.0 = auto ties the best hand-tuned
+    threshold; the band is 0.9), reported with their interquartile
+    range.  ``check_regression.py`` gates ``speedup`` against the
+    committed baseline ``benchmarks/results/BENCH_adaptive.json``.
     Returns ``(rows, parity_ok)``.
     """
     rows = []
@@ -178,56 +197,73 @@ def run_sweep(sizes, runs, pool):
         candidates = sorted({max(1, size // d) for d in CANDIDATE_DIVISORS})
         for name, fn in WORKLOADS:
             expected = fn(arr, None, None)
-
-            fixed_medians = {}
             for target in candidates:
                 parity_ok &= bool(fn(arr, pool, target) == expected)
-                timing = repeat_average(
-                    lambda t=target: fn(arr, pool, t), runs=runs
-                )
-                fixed_medians[target] = timing.median
-            best_target = min(fixed_medians, key=fixed_medians.get)
-            best_median = fixed_medians[best_target]
 
             adaptive.reset_split_policy()
             parity = bool(fn(arr, pool, "auto") == expected)
             parity_ok &= parity
             for _ in range(2):
                 fn(arr, pool, "auto")  # converge the memo
-            auto = repeat_average(lambda: fn(arr, pool, "auto"), runs=runs)
+
+            def timed(target):
+                return repeat_average(
+                    lambda: fn(arr, pool, target), runs=runs
+                ).minimum
+
+            fixed = {target: [] for target in candidates}
+            auto_rounds = []
+            for r in range(rounds):
+                auto_slots = []
+                for target in candidates:
+                    if r % 2:
+                        fixed[target].append(timed(target))
+                        auto_slots.append(timed("auto"))
+                    else:
+                        auto_slots.append(timed("auto"))
+                        fixed[target].append(timed(target))
+                auto_rounds.append(statistics.median(auto_slots))
             stats = adaptive.split_policy_stats()
             adaptive.reset_split_policy()
 
-            speedup = (
-                round(best_median / auto.median, 3) if auto.median else None
-            )
-            in_band = speedup is not None and speedup >= BAND
+            fixed_medians = {
+                t: statistics.median(times) for t, times in fixed.items()
+            }
+            best_target = min(fixed_medians, key=fixed_medians.get)
+            ratios = [
+                f / a for f, a in zip(fixed[best_target], auto_rounds)
+            ]
+            q1, speedup, q3 = _quartiles(ratios)
+            auto_ms = statistics.median(auto_rounds) * 1000
+            best_ms = fixed_medians[best_target] * 1000
+            in_band = speedup >= BAND
             rows.append({
                 "workload": name,
                 "size": size,
-                "auto_ms": round(auto.median_ms, 3),
-                "best_fixed_ms": round(best_median * 1000, 3),
+                "auto_ms": round(auto_ms, 3),
+                "best_fixed_ms": round(best_ms, 3),
                 "best_fixed_target": best_target,
                 "fixed_ms": {
                     str(t): round(m * 1000, 3)
                     for t, m in fixed_medians.items()
                 },
-                "speedup": speedup,
+                "speedup": round(speedup, 3),
+                "speedup_iqr": round(q3 - q1, 3),
+                "round_ratios": [round(x, 3) for x in ratios],
                 "in_band": in_band,
                 "parity": parity,
                 "policy": {
                     k: stats[k]
-                    for k in ("decisions", "bootstrap", "observed_runs",
-                              "coarsened", "deepened")
+                    for k in ("decisions", "bootstrap", "observed_runs")
                 },
             })
             flag = "" if parity else "  PARITY MISMATCH"
             band = "" if in_band else "  BELOW BAND"
             print(f"{name:>16} n=2^{size.bit_length() - 1:<2} "
-                  f"auto {auto.median_ms:9.2f} ms   "
-                  f"best fixed {best_median * 1000:9.2f} ms "
+                  f"auto {auto_ms:9.2f} ms   "
+                  f"best fixed {best_ms:9.2f} ms "
                   f"(target {best_target})   "
-                  f"ratio x{speedup:5.3f}{band}{flag}")
+                  f"ratio x{speedup:5.3f} IQR {q3 - q1:5.3f}{band}{flag}")
     return rows, parity_ok
 
 
@@ -238,8 +274,12 @@ def main(argv=None):
                              "informational)")
     parser.add_argument("--out", type=pathlib.Path, default=None,
                         help="write the JSON report here")
+    parser.add_argument("--rounds", type=int, default=None,
+                        help="alternating rounds per row "
+                             "(default 10, smoke 3)")
     parser.add_argument("--runs", type=int, default=None,
-                        help="timed runs per measurement")
+                        help="timed calls per slot of a round "
+                             "(default 3, smoke 1)")
     parser.add_argument("--enforce-band", action="store_true",
                         help="fail when any workload's auto run lands "
                              f"below x{BAND} of its best fixed threshold "
@@ -249,20 +289,25 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     sizes = [2**14] if args.smoke else [2**16]
-    runs = args.runs if args.runs is not None else (2 if args.smoke else 3)
+    rounds = args.rounds if args.rounds is not None else (
+        3 if args.smoke else 10
+    )
+    runs = args.runs if args.runs is not None else (1 if args.smoke else 3)
 
     pool = ForkJoinPool(parallelism=4, name="ab12-cli")
     try:
-        rows, parity_ok = run_sweep(sizes, runs, pool)
+        rows, parity_ok = run_sweep(sizes, rounds, runs, pool)
     finally:
         pool.shutdown()
 
     report = {
         "bench": "ab12_adaptive",
         "mode": "smoke" if args.smoke else "full",
+        "rounds": rounds,
         "runs": runs,
         "sizes": sizes,
         "cpu_count": os.cpu_count(),
+        "parallelism": pool.parallelism,
         "band": BAND,
         "parity_ok": parity_ok,
         "results": rows,

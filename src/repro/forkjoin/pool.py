@@ -437,9 +437,8 @@ class ForkJoinPool:
         """Cheap point-in-time read of the scheduler feedback counters.
 
         Unlike :meth:`stats` — a full registry snapshot under the registry
-        lock — this reads only the three counters the adaptive split
-        policy (:mod:`repro.streams.adaptive`) differences across a run,
-        so terminals can afford one call per execution.
+        lock — this reads only three counters, cheap enough to difference
+        across every run.
         """
         return {
             "steals": sum(w.stolen.value for w in self._workers),

@@ -4,9 +4,9 @@ Java splits every parallel stream by the static heuristic
 ``max(size // (parallelism * 4), 1)``, whatever the work costs, and AB4
 showed how sensitive the speedup curves are to that knob.  This module
 is the engine's only default split policy.  Every parallel terminal
-samples its per-leaf span durations and the pool's steal/idle counters,
-folds them into a small per-pipeline-shape memo, and the *next* run of
-the same shape sizes its leaves from the **observed per-element cost**
+samples its per-leaf span durations, folds them into a small
+per-pipeline-shape memo of per-element cost, and the *next* run of the
+same shape sizes its leaves from that **observed per-element cost**
 instead of the element count:
 
 * the first run of a shape has no observed cost and **bootstraps** with
@@ -18,17 +18,12 @@ instead of the element count:
   leaf;
 * between those bounds the policy aims each leaf at the leaf-span target
   (``target = span_target / cost_per_element``), never splitting deeper
-  than Java's ``size // (4 × parallelism)`` at neutral bias — more than
-  four leaves per worker buys no parallelism, only task overhead;
+  than Java's ``size // (4 × parallelism)`` — more than four leaves per
+  worker buys no parallelism, only task overhead;
 * the leaf-span target is :data:`DISPATCH_SPAN_FACTOR` × the backend's
   **measured dispatch cost**: the median round trip of a no-op through
   the fork/join pool or the worker processes, re-probed every
   :data:`_DISPATCH_REFRESH_RUNS` observed runs that dispatched to it;
-* when the median leaf span collapses below a quarter of the target, task
-  overhead dominates — the shape's bias **coarsens** (doubles);
-* when leaves run long while workers report idle wake-ups (or too few
-  leaves exist to feed them), the bias **deepens** (halves), lowering
-  the Java floor itself once it drops below 1;
 * ``next_chunk`` granularity for the chunked bulk path is likewise picked
   so one chunk costs ~:data:`TARGET_CHUNK_SPAN_NS`.
 
@@ -49,7 +44,6 @@ together with the inputs that drove it: the segment planner
 from __future__ import annotations
 
 import functools
-import os
 import threading
 import time
 from dataclasses import dataclass
@@ -70,19 +64,11 @@ UNKNOWN_SIZE_BASE = 1 << 12
 AUTO = "auto"
 
 #: Wall time one leaf should cost under the adaptive policy, used until
-#: the per-backend dispatch cost has been *measured* (and permanently
-#: when ``REPRO_ADAPTIVE_LEAF_NS`` pins it).  Deliberately coarse:
-#: per-task overhead can reach hundreds of µs on a loaded or
+#: the per-backend dispatch cost has been *measured*.  Deliberately
+#: coarse: per-task overhead can reach hundreds of µs on a loaded or
 #: GIL-contended host, and a ~30ms leaf keeps that below ~2% while a
-#: multi-second terminal still yields dozens of leaves.  When real
-#: parallelism is available and leaves run too long, the idle/steal
-#: deepen feedback walks the bias down — over-coarseness is corrected by
-#: measurement, over-fineness would be pure overhead everywhere.
-TARGET_LEAF_SPAN_NS = int(os.environ.get("REPRO_ADAPTIVE_LEAF_NS", 32_000_000))
-
-#: An explicit ``REPRO_ADAPTIVE_LEAF_NS`` pins the leaf-span target: the
-#: operator's constant beats the online estimate.
-_LEAF_SPAN_PINNED = "REPRO_ADAPTIVE_LEAF_NS" in os.environ
+#: multi-second terminal still yields dozens of leaves.
+TARGET_LEAF_SPAN_NS = 32_000_000
 
 #: Leaf-span target as a multiple of the measured per-task dispatch cost:
 #: a leaf lasting 64 dispatches keeps scheduling overhead under ~2% while
@@ -109,16 +95,6 @@ TARGET_CHUNK_SPAN_NS = 1_000_000
 
 _MIN_CHUNK = 1 << 10
 _MAX_CHUNK = 1 << 16  # repro.streams.ops.CHUNK_SIZE (imported lazily — cycle)
-
-#: Bias bounds: feedback can coarsen/deepen a shape at most 64× away from
-#: the pure cost-derived target before saturating.
-_MIN_BIAS, _MAX_BIAS = 1.0 / 64, 64.0
-
-#: Leaves whose median span is below this fraction of the target mean the
-#: run was overhead-dominated → coarsen.
-_COARSEN_FRACTION = 0.25
-#: Leaves above this multiple of the target while workers idle → deepen.
-_DEEPEN_FACTOR = 2.0
 
 _MEMO_LIMIT = 256
 
@@ -225,36 +201,21 @@ class RunObservation:
     call :meth:`record_leaf` (list appends — safe under the GIL from
     concurrent workers); the process backend calls :meth:`record_batch`
     with child-reported batch durations.  On success the terminal calls
-    :meth:`complete`, which folds steal/idle deltas in, feeds the policy
-    memo and, on the refresh cadence, re-probes the dispatch cost.
+    :meth:`complete`, which feeds the policy memo and, on the refresh
+    cadence, re-probes the dispatch cost.
     Cancelled short-circuit runs are simply never completed — a leaf that
     aborted early would poison the per-element cost estimate.
     """
 
-    __slots__ = (
-        "key", "parallelism", "target_size", "leaf_ns", "leaf_elements",
-        "leaf_sizes", "steals", "idle_wakeups", "_pool_before",
-    )
+    __slots__ = ("key", "leaf_ns", "leaf_elements", "leaf_sizes")
 
     def __init__(
-        self,
-        key: tuple,
-        parallelism: int,
-        target_size: int,
-        pool_snapshot: dict | None = None,
-        leaf_sizes: list[int] | None = None,
+        self, key: tuple, leaf_sizes: list[int] | None = None
     ) -> None:
         self.key = key
-        self.parallelism = parallelism
-        self.target_size = target_size
         self.leaf_ns: list[int] = []
         self.leaf_elements: list[int] = []
         self.leaf_sizes = leaf_sizes
-        #: None where no pool counts steals (process workers, where a
-        #: steal-free run says nothing about idle workers).
-        self.steals = 0 if pool_snapshot is not None else None
-        self.idle_wakeups = 0
-        self._pool_before = pool_snapshot
 
     def record_leaf(self, duration_ns: int, elements: int) -> None:
         self.leaf_ns.append(duration_ns)
@@ -275,24 +236,16 @@ class RunObservation:
         """Feed the finished run to the policy.  ``pool`` is the fork/join
         pool or process executor the run dispatched to (None: it ran in
         the caller); its dispatch cost is probed on the refresh cadence."""
-        if pool is not None and self._pool_before is not None:
-            after = pool.scheduling_snapshot()
-            before = self._pool_before
-            self.steals = after["steals"] - before["steals"]
-            self.idle_wakeups = (
-                after["idle_wakeups"] - before["idle_wakeups"]
-            )
         _policy.observe_run(self)
         if pool is not None and self.key:
             _policy.maybe_measure_dispatch(self.key[0], pool)
 
 
 class _ShapeEntry:
-    __slots__ = ("cost_ns", "bias", "runs")
+    __slots__ = ("cost_ns", "runs")
 
     def __init__(self) -> None:
         self.cost_ns = 0.0  # EWMA per-element wall cost; 0 = unknown
-        self.bias = 1.0     # feedback multiplier on the cost-derived target
         self.runs = 0
 
 
@@ -306,7 +259,7 @@ def _pow2_at_most(value: float, lo: int, hi: int) -> int:
 
 
 class SplitPolicy:
-    """The adaptive threshold policy: a shape-keyed cost memo + feedback.
+    """The adaptive threshold policy: a shape-keyed per-element cost memo.
 
     Deciding is read-only with respect to the memo (``explain()`` may call
     it freely); only :meth:`observe_run` — fed by completed terminals —
@@ -318,25 +271,20 @@ class SplitPolicy:
         self,
         target_leaf_span_ns: int = TARGET_LEAF_SPAN_NS,
         target_chunk_span_ns: int = TARGET_CHUNK_SPAN_NS,
-        pin_leaf_span: bool | None = None,
+        pin_leaf_span: bool = False,
     ) -> None:
         self.target_leaf_span_ns = target_leaf_span_ns
         self.target_chunk_span_ns = target_chunk_span_ns
-        #: True disables the dispatch-derived span (the operator pinned a
-        #: constant via REPRO_ADAPTIVE_LEAF_NS); None reads that env var.
-        self._span_pinned = (
-            _LEAF_SPAN_PINNED if pin_leaf_span is None else pin_leaf_span
-        )
+        #: True keeps ``target_leaf_span_ns`` instead of the
+        #: dispatch-derived span.
+        self._span_pinned = pin_leaf_span
         self._lock = threading.Lock()
         self._memo: dict[tuple, _ShapeEntry] = {}
         #: Per-backend EWMA of measured per-task dispatch cost (ns); the
         #: leaf-span target is derived from it once a sample exists.
         self._dispatch_ns: dict[str, float] = {}
         self._dispatch_runs: dict[str, int] = {}
-        self._stats = {
-            "decisions": 0, "bootstrap": 0,
-            "coarsened": 0, "deepened": 0, "observed_runs": 0,
-        }
+        self._stats = {"decisions": 0, "bootstrap": 0, "observed_runs": 0}
 
     # -- dispatch-cost-derived span target ----------------------------------- #
 
@@ -394,7 +342,6 @@ class SplitPolicy:
         with self._lock:
             entry = self._memo.get(key) if key is not None else None
             cost = entry.cost_ns if entry is not None else 0.0
-            bias = entry.bias if entry is not None else 1.0
             runs = entry.runs if entry is not None else 0
             span_target = self._span_for(key[0] if key else None)
             if record:
@@ -406,7 +353,6 @@ class SplitPolicy:
             "parallelism": parallelism,
             "observed_runs": runs,
             "cost_per_element_ns": round(cost, 1),
-            "bias": bias,
             "target_leaf_span_ns": span_target,
         }
         if cost <= 0.0:
@@ -427,19 +373,17 @@ class SplitPolicy:
             return ThresholdDecision(
                 max(size, 1), chunk, SOURCE_AUTO, inputs, True, key
             )
-        target = max(int(span_target / cost * bias), 1)
-        inputs["basis"] = "target leaf span ÷ observed cost × bias"
+        target = max(int(span_target / cost), 1)
+        inputs["basis"] = "target leaf span ÷ observed cost"
         if size != UNKNOWN_SIZE:
             # Cost-derived sizing only ever *coarsens* relative to Java's
             # rule: splitting deeper than 4 leaves per worker already
             # saturates the pool, so a finer cost target would buy pure
-            # task overhead.  Deeper-than-Java splits remain possible,
-            # but only through the deepen feedback (bias < 1 scales the
-            # floor down) — i.e. when workers were *observed* idle.
-            floor = int(compute_target_size(size, parallelism) * min(bias, 1.0))
+            # task overhead.
+            floor = compute_target_size(size, parallelism)
             if floor > target:
-                target = max(floor, 1)
-                inputs["basis"] = "size // (4 × parallelism) floor × bias"
+                target = floor
+                inputs["basis"] = "size // (4 × parallelism) floor"
             # The other half of the work rule: work that does not fit one
             # leaf gets at least one leaf per worker.
             per_worker = -(-size // parallelism)
@@ -451,12 +395,10 @@ class SplitPolicy:
     # -- learning ----------------------------------------------------------- #
 
     def observe_run(self, obs: RunObservation) -> None:
-        leaves = len(obs.leaf_ns)
-        if leaves == 0 or obs.key is None:
+        if not obs.leaf_ns or obs.key is None:
             return
         total_ns = sum(obs.leaf_ns)
         elements = sum(obs.leaf_elements)
-        median_ns = sorted(obs.leaf_ns)[leaves // 2]
         with self._lock:
             entry = self._memo.get(obs.key)
             if entry is None:
@@ -471,21 +413,6 @@ class SplitPolicy:
                 )
             entry.runs += 1
             self._stats["observed_runs"] += 1
-            span_target = self._span_for(obs.key[0] if obs.key else None)
-            if leaves > 1 and median_ns < (
-                span_target * _COARSEN_FRACTION
-            ):
-                # Task overhead dominates: spans came in far under target.
-                entry.bias = min(entry.bias * 2.0, _MAX_BIAS)
-                self._stats["coarsened"] += 1
-            elif median_ns > span_target * _DEEPEN_FACTOR and (
-                obs.idle_wakeups > 0
-                or obs.steals == 0
-                or leaves < obs.parallelism
-            ):
-                # Leaves overran while workers sat idle: split deeper.
-                entry.bias = max(entry.bias * 0.5, _MIN_BIAS)
-                self._stats["deepened"] += 1
 
     # -- introspection ------------------------------------------------------ #
 
@@ -510,7 +437,6 @@ class SplitPolicy:
                 return None
             return {
                 "cost_per_element_ns": entry.cost_ns,
-                "bias": entry.bias,
                 "runs": entry.runs,
             }
 
@@ -576,7 +502,7 @@ _policy = SplitPolicy()
 
 
 def split_policy_stats(reset: bool = False) -> dict:
-    """Decision/feedback counters plus the memo size and the measured
+    """Decision and observation counters plus the memo size and the measured
     per-backend dispatch costs (advisory; lets tests and benches prove
     which way the policy moved)."""
     return _policy.stats(reset=reset)

@@ -307,7 +307,6 @@ class ExplainPlan:
             lines.append(
                 f"     threshold inputs: {inputs['basis']}; "
                 f"cost≈{inputs['cost_per_element_ns']}ns/element, "
-                f"bias={inputs['bias']}, "
                 f"observed_runs={inputs['observed_runs']}"
             )
         lines += _segment_lines(ex["segments"])

@@ -604,15 +604,7 @@ def evaluate(
     if decision.adaptive and terminal.observe:
         # Find leaves stop early by design and would poison the
         # per-element cost estimate, so find terminals are not observed.
-        # A run in the caller steals nothing: its pool counters need no
-        # reading (an empty snapshot still records zero steals).
-        snapshot = None
-        if pool is not None:
-            snapshot = {} if in_caller else pool.scheduling_snapshot()
-        observer = adaptive.RunObservation(
-            decision.key, backend_parallelism(segment.backend, pool),
-            decision.target_size, snapshot,
-        )
+        observer = adaptive.RunObservation(decision.key)
     ops = maybe_fuse(ops, config)
     if pool is not None:
         _attach_profiler(pool)

@@ -336,7 +336,6 @@ def _build_payloads(
     ops: list[Op],
     terminal: Terminal,
     config: EngineConfig,
-    executor: ProcessExecutor,
     decision: "adaptive.ThresholdDecision",
     observe: bool = True,
 ) -> tuple[list[tuple], list[int], "adaptive.RunObservation | None"]:
@@ -360,10 +359,7 @@ def _build_payloads(
             0 if (s := leaf.estimate_size()) == UNKNOWN_SIZE else max(s, 0)
             for leaf in leaves
         ]
-        observer = adaptive.RunObservation(
-            decision.key, executor.processes, decision.target_size,
-            leaf_sizes=sizes,
-        )
+        observer = adaptive.RunObservation(decision.key, leaf_sizes=sizes)
     payloads = [
         (_leaf_source_spec(leaf), ops, terminal, config, decision.chunk_size)
         for leaf in leaves
@@ -480,8 +476,7 @@ def run_segment(
     shipped = shipped_terminal(terminal, ops)
     early_stop_slots = None if budget is None else _budget_stop(budget)
     payloads, depths, observer = _build_payloads(
-        spliterator, ops, shipped, config, executor, decision,
-        terminal.observe,
+        spliterator, ops, shipped, config, decision, terminal.observe,
     )
     early_stop = None
     if shipped.broadcast:

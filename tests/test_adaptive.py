@@ -1,7 +1,7 @@
 """The metrics-driven ``auto`` split policy (``repro.streams.adaptive``).
 
 Unit-level: decisions from synthetic observations (bootstrap, cost-based
-sizing, coarsen/deepen feedback, chunk clamping).  Integration-level:
+sizing, the per-element cost EWMA, chunk clamping).  Integration-level:
 ``with_target_size("auto")`` end to end on the thread backend, and the
 explain-vs-execution consistency pin — the plan's split tree must equal
 the traced leaf count even when the adaptive policy overrides the
@@ -55,13 +55,10 @@ def _clean_policy():
     adaptive.reset_split_policy()
 
 
-def _observe(policy, key, *, leaf_ns, leaf_elements, parallelism=4,
-             target_size=64, idle_wakeups=0, steals=1):
-    obs = RunObservation(key, parallelism, target_size)
+def _observe(policy, key, *, leaf_ns, leaf_elements):
+    obs = RunObservation(key)
     for ns, el in zip(leaf_ns, leaf_elements):
         obs.record_leaf(ns, el)
-    obs.idle_wakeups = idle_wakeups
-    obs.steals = steals
     policy.observe_run(obs)
     return obs
 
@@ -143,36 +140,19 @@ class TestPolicyDecisions:
         # 1ms span target ÷ 100ns/element = 10_000-element leaves, well
         # above Java's 4096-element rule for this size → cost coarsens.
         assert decision.target_size == 10_000
-        assert decision.inputs["basis"] == (
-            "target leaf span ÷ observed cost × bias"
-        )
+        assert decision.inputs["basis"] == "target leaf span ÷ observed cost"
 
     def test_cost_never_splits_deeper_than_java_rule(self):
         policy = SplitPolicy(target_leaf_span_ns=1_000_000)
         # 10µs per element → the cost target would be 100-element leaves,
         # far below Java's size // (4 × parallelism).  Splitting deeper
         # than Java's rule buys no extra parallelism, only task overhead,
-        # so the Java target acts as a floor at neutral bias.  (Enough
-        # busy leaves that the deepen heuristic stays quiet.)
+        # so the Java target acts as a floor.
         _observe(policy, self.KEY, leaf_ns=[12_500_000] * 8,
                  leaf_elements=[1_250] * 8)
         decision = policy.decide(1 << 20, 4, self.KEY)
         assert decision.target_size == compute_target_size(1 << 20, 4)
-        assert decision.inputs["basis"] == (
-            "size // (4 × parallelism) floor × bias"
-        )
-
-    def test_deepen_bias_lowers_the_java_floor(self):
-        policy = SplitPolicy(target_leaf_span_ns=1_000_000)
-        _observe(policy, self.KEY, leaf_ns=[12_500_000] * 8,
-                 leaf_elements=[1_250] * 8)
-        # Idle workers drive the bias below 1 — only then may the policy
-        # split deeper than Java's rule.
-        _observe(policy, self.KEY, leaf_ns=[12_500_000] * 8,
-                 leaf_elements=[1_250] * 8, idle_wakeups=3, steals=5)
-        assert policy.memo_entry(self.KEY)["bias"] == 0.5
-        decision = policy.decide(1 << 20, 4, self.KEY)
-        assert decision.target_size == compute_target_size(1 << 20, 4) // 2
+        assert decision.inputs["basis"] == "size // (4 × parallelism) floor"
 
     def test_target_clamped_to_size(self):
         policy = SplitPolicy(target_leaf_span_ns=1_000_000)
@@ -209,39 +189,31 @@ class TestPolicyDecisions:
 class TestFeedback:
     KEY = ("threads", "RangeSpliterator", 4, ())
 
-    def test_coarsen_doubles_bias(self):
-        policy = SplitPolicy(target_leaf_span_ns=1_000_000)
-        # Many tiny leaves, median far below a quarter of the target.
-        _observe(policy, self.KEY, leaf_ns=[10_000] * 8,
-                 leaf_elements=[100] * 8)
-        entry = policy.memo_entry(self.KEY)
-        assert entry["bias"] == 2.0
-        assert policy.stats()["coarsened"] == 1
-
-    def test_deepen_halves_bias_on_idle_workers(self):
-        policy = SplitPolicy(target_leaf_span_ns=1_000_000)
-        # Leaves overran 2× the target while workers reported idle wakeups.
-        _observe(policy, self.KEY, leaf_ns=[5_000_000] * 8,
-                 leaf_elements=[100] * 8, idle_wakeups=3, steals=5)
-        entry = policy.memo_entry(self.KEY)
-        assert entry["bias"] == 0.5
-        assert policy.stats()["deepened"] == 1
-
     def test_long_leaves_with_busy_workers_do_not_deepen(self):
         policy = SplitPolicy(target_leaf_span_ns=1_000_000)
-        # Overrunning leaves but zero idleness, active stealing, and
-        # plenty of leaves: nothing to gain from splitting deeper.
+        # Leaves overran the 1ms target 5×: the cost alone sizes the
+        # next run, and it never splits deeper than Java's rule.
         _observe(policy, self.KEY, leaf_ns=[5_000_000] * 8,
-                 leaf_elements=[100] * 8, idle_wakeups=0, steals=5)
-        assert policy.memo_entry(self.KEY)["bias"] == 1.0
-        assert policy.stats()["deepened"] == 0
+                 leaf_elements=[100] * 8)
+        decision = policy.decide(1 << 20, 4, self.KEY)
+        assert decision.target_size == compute_target_size(1 << 20, 4)
 
-    def test_bias_saturates(self):
+    def test_repeated_overhead_runs_keep_the_target(self):
+        # Tiny leaves (far under the span target) at one steady cost: the
+        # learned state is that cost, so the 20th observation decides
+        # exactly what the first did: 1ms ÷ 100ns, between the Java
+        # floor (8192) and a leaf per worker (32768) at this size.
         policy = SplitPolicy(target_leaf_span_ns=1_000_000)
-        for _ in range(20):
+        _observe(policy, self.KEY, leaf_ns=[10_000] * 8,
+                 leaf_elements=[100] * 8)
+        first = policy.decide(1 << 17, 4, self.KEY)
+        for _ in range(19):
             _observe(policy, self.KEY, leaf_ns=[10_000] * 8,
                      leaf_elements=[100] * 8)
-        assert policy.memo_entry(self.KEY)["bias"] == 64.0
+        again = policy.decide(1 << 17, 4, self.KEY)
+        assert policy.memo_entry(self.KEY)["runs"] == 20
+        assert again.target_size == first.target_size == 10_000
+        assert again.inputs["basis"] == first.inputs["basis"]
 
     def test_cost_is_ewma(self):
         policy = SplitPolicy()
@@ -252,7 +224,7 @@ class TestFeedback:
 
     def test_cancelled_runs_never_observed(self):
         policy = SplitPolicy()
-        obs = RunObservation(self.KEY, 4, 64)
+        obs = RunObservation(self.KEY)
         # No record_leaf calls (the terminal was cancelled): a complete()
         # on an empty sheet must not create a memo entry.
         policy.observe_run(obs)
@@ -324,6 +296,23 @@ class TestAutoEndToEnd:
         with pytest.raises(IllegalArgumentError):
             stream.with_target_size(0)
         assert stream.with_target_size("auto")._target_size == "auto"
+
+    def test_multi_leaf_run_reads_no_pool_counters(self, monkeypatch):
+        # The policy learns from leaf spans alone: a multi-leaf run on a
+        # pool whose scheduler counters cannot be read is still observed.
+        def unreadable():
+            raise AssertionError("scheduling_snapshot read")
+
+        with ForkJoinPool(parallelism=2, name="adaptive-test") as pool:
+            monkeypatch.setattr(pool, "scheduling_snapshot", unreadable)
+            before = pool.stats()["tasks_executed"]
+            result = (
+                Stream.range(0, 4096).parallel().with_pool(pool)
+                .with_target_size("auto").map(_work).to_list()
+            )
+            assert pool.stats()["tasks_executed"] > before
+        assert result == [x * 3 for x in range(4096)]
+        assert adaptive.split_policy_stats()["observed_runs"] == 1
 
     def test_short_circuit_runs_do_not_feed_memo(self):
         with ForkJoinPool(parallelism=2, name="adaptive-test") as pool:
@@ -504,8 +493,7 @@ class TestWorkRule:
     def _policy(self, key, parallelism):
         policy = SplitPolicy(target_leaf_span_ns=1_000_000, pin_leaf_span=True)
         # 100 ns per element: 10_000 elements fill the 1ms span exactly.
-        _observe(policy, key, leaf_ns=[100_000], leaf_elements=[1_000],
-                 parallelism=parallelism)
+        _observe(policy, key, leaf_ns=[100_000], leaf_elements=[1_000])
         return policy
 
     @pytest.mark.parametrize("size", [1, 256, 9_999, 10_000])
