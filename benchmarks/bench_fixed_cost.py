@@ -13,7 +13,11 @@ the named backend, on a fork/join pool for ``threads``):
 * ``shipped/process``     — ``map.filter.reduce`` on the process backend
   (a warm one-leaf plan runs in the caller, so no worker is involved);
 * ``filter/sequential``   — a lone ``filter.to_list``: one stage alone,
-  so what wrapping a single op's sink costs per terminal shows.
+  so what wrapping a single op's sink costs per terminal shows;
+* ``lambda/threads``      — ``map.to_list`` with an inline lambda, a new
+  function object every call, as stream code is usually written;
+* ``reused/threads``      — its twin with one module-level callable, so
+  the gap between the two is what a fresh callable costs.
 
 Each round times one engine call and one hand-loop call of every shape,
 alternating the two, after a warm-up that lets the split policy learn
@@ -83,6 +87,14 @@ def lone_filter(stream):
     return stream.filter(odd).to_list()
 
 
+def lambda_map(stream):
+    return stream.map(lambda v: v * 5 - 2).to_list()
+
+
+def reused_map(stream):
+    return stream.map(scale).to_list()
+
+
 def loop_fused_reduce(values):
     total = 0
     for v in values:
@@ -109,6 +121,10 @@ def loop_lone_filter(values):
     return [v for v in values if odd(v)]
 
 
+def loop_map(values):
+    return [scale(v) for v in values]
+
+
 #: (shape, pipeline, backend, hand-written loop)
 SHAPES = (
     ("fused/threads", fused_reduce, "threads", loop_fused_reduce),
@@ -116,6 +132,8 @@ SHAPES = (
     ("distinct/sequential", distinct_count, "sequential", loop_distinct_count),
     ("shipped/process", fused_reduce, "process", loop_fused_reduce),
     ("filter/sequential", lone_filter, "sequential", loop_lone_filter),
+    ("lambda/threads", lambda_map, "threads", loop_map),
+    ("reused/threads", reused_map, "threads", loop_map),
 )
 
 

@@ -126,6 +126,22 @@ class PolynomialValue(PowerCollector[float, _PolyContainer, float]):
 
         return accumulate
 
+    def chunk_accumulator(
+        self,
+    ) -> Callable[[_PolyContainer, Sequence[float]], None]:
+        def accumulate_chunk(pv: _PolyContainer, chunk: Sequence[float]) -> None:
+            # The per-element step with its loop invariant hoisted: CPython
+            # does not hoist ``x ** x_degree`` the way the JVM JIT does.
+            # Each step is the same ``val * y + d``, so the result is
+            # bit-identical to folding the chunk element by element.
+            y = pv.x ** pv.x_degree
+            val = pv.val
+            for d in chunk:
+                val = val * y + d
+            pv.val = val
+
+        return accumulate_chunk
+
     def combiner(self) -> Callable[[_PolyContainer, _PolyContainer], _PolyContainer]:
         def combine(pv1: _PolyContainer, pv2: _PolyContainer) -> _PolyContainer:
             pv1.x_degree //= 2

@@ -27,11 +27,10 @@ instead of the element count:
 * ``next_chunk`` granularity for the chunked bulk path is likewise picked
   so one chunk costs ~:data:`TARGET_CHUNK_SPAN_NS`.
 
-A *shape* is the fingerprint of (backend, source type, parallelism, op
-chain with the identity of each user callable) — two pipelines with the
-same operators but different functions learn independently, which keeps
-the policy honest about fused-kernel per-element cost instead of assuming
-uniform ops.
+A *shape* is (backend, source type, parallelism, op chain with the code
+of each user callable) — two pipelines with the same operators but
+different functions learn independently, which keeps the policy honest
+about fused-kernel per-element cost instead of assuming uniform ops.
 
 An explicit integer ``Stream.with_target_size(n)`` always wins (AB4 and
 FIG3 sweep it); ``with_target_size("auto")`` names the default.
@@ -49,7 +48,6 @@ import time
 from dataclasses import dataclass
 from typing import Any
 
-from repro.streams.ops import chain_key, remember
 from repro.streams.spliterator import UNKNOWN_SIZE
 
 #: Number of leaves per worker Java aims for (AbstractTask.LEAF_TARGET).
@@ -116,38 +114,25 @@ def compute_target_size(size: int, parallelism: int) -> int:
 
 
 # --------------------------------------------------------------------------- #
-# Pipeline-shape fingerprints
+# Pipeline-shape keys
 # --------------------------------------------------------------------------- #
 
 
-def _callable_fingerprint(fn: Any) -> str:
+def _callable_key(fn: Any) -> Any:
+    """A callable's cost identity: its code object, or the qualified name
+    of a callable without one (builtins, ufuncs, callable instances),
+    through the wrapped function of a partial."""
+    code = getattr(fn, "__code__", None)
+    if code is not None:
+        return code
     if isinstance(fn, functools.partial):
-        return f"partial({_callable_fingerprint(fn.func)})"
+        return (functools.partial, _callable_key(fn.func))
     name = (
         getattr(fn, "__qualname__", None)
         or getattr(fn, "__name__", None)
         or type(fn).__name__
     )
     return f"{getattr(fn, '__module__', '?')}.{name}"
-
-
-def _stage_fingerprints(ops: list) -> tuple:
-    stages = []
-    for op in ops:
-        parts = [type(op).__name__]
-        attrs = getattr(op, "__dict__", None)
-        if attrs:
-            for name in sorted(attrs):
-                value = attrs[name]
-                if callable(value):
-                    parts.append(_callable_fingerprint(value))
-        stages.append(tuple(parts))
-    return tuple(stages)
-
-
-#: :func:`~repro.streams.ops.chain_key` → ``(ops, fingerprints)``; the
-#: held ops keep the keyed ids alive.
-_fingerprints: dict[tuple, tuple] = {}
 
 
 def shape_key(
@@ -158,19 +143,23 @@ def shape_key(
 ) -> tuple:
     """The memo key for one pipeline shape.
 
-    Includes the identity (module-qualified name) of every user callable
-    an op carries — ``map(parse)`` and ``map(hash)`` have very different
-    per-element costs and must not share a cost estimate.  The element
-    count is deliberately *excluded*: cost-per-element transfers across
-    sizes, which is the whole point of the memo.  The fingerprint strings
-    are built once per op chain (by its identity key), not per terminal.
+    Includes the code of every user callable an op carries —
+    ``map(parse)`` and ``map(hash)`` have very different per-element
+    costs and must not share a cost estimate, while an inline lambda
+    rebuilt every terminal keeps its learned cost.  The key holds code
+    objects and names, never the callables, so it keeps no user closure
+    alive.  The element count is deliberately *excluded*:
+    cost-per-element transfers across sizes, which is the whole point of
+    the memo.
     """
-    chain = chain_key(ops)
-    entry = _fingerprints.get(chain)
-    if entry is None:
-        entry = (tuple(ops), _stage_fingerprints(ops))
-        remember(_fingerprints, chain, entry)
-    return (backend, type(spliterator).__name__, parallelism, entry[1])
+    stages = []
+    for op in ops:
+        stage = [type(op)]
+        for value in getattr(op, "__dict__", {}).values():
+            if callable(value):
+                stage.append(_callable_key(value))
+        stages.append(tuple(stage))
+    return (backend, type(spliterator).__name__, parallelism, tuple(stages))
 
 
 # --------------------------------------------------------------------------- #

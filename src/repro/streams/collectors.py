@@ -120,24 +120,43 @@ def joining(
     )
 
 
+def _zero_cell() -> list[int]:
+    return [0]
+
+
+def _count_one(acc: list[int], _t: Any) -> None:
+    acc[0] += 1
+
+
+def _count_chunk(acc: list[int], chunk) -> None:
+    acc[0] += len(chunk)
+
+
+def _add_cells(a: list[int], b: list[int]) -> list[int]:
+    a[0] += b[0]
+    return a
+
+
+def _cell_value(acc: list[int]) -> Any:
+    return acc[0]
+
+
+#: ``counting()`` is stateless, so every call returns this one instance:
+#: it pickles, and the process backend's per-terminal pickling verdict
+#: (keyed by the collector's identity) holds for every ``count()``.
+_COUNTING = Collector.of(
+    _zero_cell, _count_one, _add_cells, _cell_value,
+    CollectorCharacteristics.UNORDERED, chunk_accumulator=_count_chunk,
+)
+
+
 def counting() -> Collector[T, list[int], int]:
-    """Count elements."""
+    """Count elements.
 
-    def combine(a: list[int], b: list[int]) -> list[int]:
-        a[0] += b[0]
-        return a
-
-    def accumulate(acc: list[int], _t: T) -> None:
-        acc[0] += 1
-
-    def accumulate_chunk(acc: list[int], chunk) -> None:
-        acc[0] += len(chunk)
-
-    return Collector.of(
-        lambda: [0], accumulate, combine, lambda acc: acc[0],
-        CollectorCharacteristics.UNORDERED,
-        chunk_accumulator=accumulate_chunk,
-    )
+    Built from module-level functions, so the process backend ships it
+    to worker processes as it is and each leaf sends back its count.
+    """
+    return _COUNTING
 
 
 def summing(value_fn: Callable[[T], float] = lambda t: t) -> Collector[T, list, float]:

@@ -12,7 +12,7 @@ This module makes none of them itself; it reports the engine's own:
   explaining never records a decision;
 * fusion goes through the pure :func:`~repro.streams.fusion.fuse_ops`
   that ``maybe_fuse`` runs, under either fusion setting (not
-  ``maybe_fuse`` itself — explaining must not pollute the stats/memo that
+  ``maybe_fuse`` itself — explaining must not pollute the stats that
   tests and benchmarks pin), over the chain each traversal fuses: the
   whole chain of a sequential stream, each segment's leaf chain of a
   parallel one;
@@ -68,7 +68,7 @@ def _predict_mode(
 def _fuse(chain: list[Op], config: EngineConfig) -> tuple[list[Op], int]:
     """``chain`` as the run compiles it, through the pure :func:`fuse_ops`
     that ``maybe_fuse`` runs, under either fusion setting (explaining
-    never touches the ``fusion_stats`` counters or memo)."""
+    never touches the ``fusion_stats`` counters)."""
     return fuse_ops(chain, config.fusion)
 
 

@@ -19,7 +19,7 @@ for the four kernel classes).  With ``EngineConfig.fusion`` set, each
 maximal run of adjacent fusible stages merges into one ``FusedOp``;
 without it, every stage is its own one-stage ``FusedOp`` (no merge
 across stages, as in the Java sink chain).  A lone op's ``wrap_sink``
-returns its one-stage kernel's sink (:func:`stage_kernel`).
+returns its one-stage kernel's sink.
 
 * the per-element kernel emits straight-line code — nested calls, an
   early-out per filter, a loop per expander, a guard per cut — so one
@@ -52,22 +52,23 @@ Fusion is semantics-preserving by construction:
   (identity for ``map``/``peek``, clamped by ``limit``/``skip``, unknown
   past every other stage);
 * per-traversal kernel state (budgets, flags, seen-sets) is created in
-  the sink's ``begin``, so one compiled ``FusedOp`` is shared safely
-  across fork/join leaves, terminals and threads.
+  the sink's ``begin``, so one ``FusedOp`` is shared safely across its
+  terminal's fork/join leaves and threads.
 
-The rewrite is memoized per chain shape and fusion setting
-(:data:`_memo`), so a repeated shape compiles once.  :func:`fusion_stats`
-counts merged pipelines and stages (a one-stage kernel merges nothing);
-each rewrite that compiles emits a ``fuse`` span through
-:mod:`repro.obs`.
+Code is generated once per pipeline *structure* and each terminal passes
+its callables in (:class:`_Shape`), as "Stream Fusion, to Completeness"
+does; the rewrite is memoized by structure (:data:`_memo`), so inline
+lambdas compile nothing and no cache holds a user callable.
+:func:`fusion_stats` counts merged pipelines and stages (a one-stage
+kernel merges nothing); each rewrite that builds kernels emits a
+``fuse`` span through :mod:`repro.obs`.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.obs.tracer import EXTERNAL_WORKER, current_tracer
 from repro.streams.config import EngineConfig
@@ -85,7 +86,6 @@ from repro.streams.ops import (
     Sink,
     SkipOp,
     TakeWhileOp,
-    chain_key,
     remember,
 )
 from repro.streams.spliterators import slice_source
@@ -133,28 +133,30 @@ _CUT_KINDS = ("limit", "take_while")
 # Kernel code generation
 # --------------------------------------------------------------------------- #
 #
-# A fused run compiles to two functions:
+# A fused run compiles to one factory per structure, ``_make(_ops)``: it
+# binds the callables of the run's ops to ``_f0, _f1, …`` and returns its
+# two kernels as closures over them:
 #
-#   element kernel   _make(_accept, _cancelled, _state) -> _kernel(_v0)
+#   element kernel   _element(_accept, _cancelled, _state) -> _kernel(_v0)
 #                    — per-element path: each sink binds its own downstream
 #                    and state once, and the closure is its ``accept``
-#   chunk kernel     _kernel(_chunk, _state) -> chunk     — bulk path
+#   chunk kernel     _chunk_kernel(_chunk, _state) -> chunk     — bulk path
 #
 # ``_state`` is the per-traversal state vector (empty for stateless runs).
-# Sources depend only on the *shape* of the run (the sequence of stage
-# kinds), so compiled code objects are cached by source; the stage
-# callables are bound per-``FusedOp`` through the exec namespace.
+
+#: A map of a numpy ufunc: the one fact about a callable that changes the
+#: rewrite (runs split where it changes) and the kernel (whole-array).
+_UFUNC_MAP = "ufunc-map"
+_UFUNC = () if _np is None else _np.ufunc
 
 
-def _stage_fn(op: Op) -> Callable | None:
-    """The stage callable bound into the kernel namespace (None for the
-    kinds that carry only state)."""
-    attr = _FN_ATTRS.get(_FUSIBLE_TYPES[type(op)])
-    return None if attr is None else getattr(op, attr)
-
-
-def _all_ufuncs(fns: Sequence[Callable | None]) -> bool:
-    return _np is not None and all(isinstance(f, _np.ufunc) for f in fns)
+def _tokens(ops: Sequence[Op]) -> list:
+    """Each op's structural token: its type, or :data:`_UFUNC_MAP`."""
+    return [
+        _UFUNC_MAP if type(op) is MapOp and isinstance(op.f, _UFUNC)
+        else type(op)
+        for op in ops
+    ]
 
 
 def _state_slots(kinds: Sequence[str]) -> dict[int, int]:
@@ -166,28 +168,7 @@ def _state_slots(kinds: Sequence[str]) -> dict[int, int]:
     return slots
 
 
-@lru_cache(maxsize=256)
-def _compiled(source: str):
-    """Compile generated kernel source once per run shape."""
-    return compile(source, "<fused>", "exec")
-
-
-def _bind(
-    source: str, fns: Sequence[Callable | None], name: str = "_kernel"
-) -> Callable:
-    """Exec a cached code object with this run's stage callables bound;
-    returns the function ``name`` it defines."""
-    namespace = {
-        f"_f{i}": fn for i, fn in enumerate(fns) if fn is not None
-    }
-    if _np is not None:
-        namespace["_ndarray"] = _np.ndarray
-    exec(_compiled(source), namespace)
-    return namespace[name]
-
-
-@lru_cache(maxsize=256)
-def _gen_loop(kinds: tuple[str, ...], element: bool) -> str:
+def _gen_loop(kinds: tuple[str, ...], element: bool) -> list[str]:
     """Statement-loop kernel for the run, in element or chunk form.
 
     ``map``/``peek``/``filter`` compile to assignments and early-outs; an
@@ -203,31 +184,32 @@ def _gen_loop(kinds: tuple[str, ...], element: bool) -> str:
 
     The two forms differ only in their tokens:
 
-    * element ``_make(_accept, _cancelled, _state)`` returning
+    * element ``_element(_accept, _cancelled, _state)`` returning
       ``_kernel(_v0)``: a dropped element does ``return`` (``continue``
       inside an expander), a stop does ``return``, and each expander
       output first polls ``_cancelled()``;
-    * chunk ``(_chunk, _state) -> list``: a dropped element does
-      ``continue``, a stop does ``return _out`` — so the emitted prefix
-      matches the per-element path element for element.  Each seen-set
-      and its ``add`` are bound to locals once per chunk.  A run of
-      ``peek`` stages only returns the chunk itself, so views stay views.
+    * chunk ``_chunk_kernel(_chunk, _state) -> list``: a dropped element
+      does ``continue``, a stop does ``return _out`` — so the emitted
+      prefix matches the per-element path element for element.  Each
+      seen-set and its ``add`` are bound to locals once per chunk.  A
+      run of ``peek`` stages only returns the chunk itself, so views stay
+      views.
     """
     slots = _state_slots(kinds)
     cuts = [(i, slots[i]) for i, k in enumerate(kinds) if k in _CUT_KINDS]
     if element:
         lines = [
-            "def _make(_accept, _cancelled, _state):",
+            "def _element(_accept, _cancelled, _state):",
             "    def _kernel(_v0):",
         ]
         indent, drop, stop, emit = "        ", "return", "return", "_accept"
     else:
-        lines = ["def _kernel(_chunk, _state):"]
+        lines = ["def _chunk_kernel(_chunk, _state):"]
         if all(k == "peek" for k in kinds):
             lines += ["    for _v0 in _chunk:"]
             lines += [f"        _f{i}(_v0)" for i in range(len(kinds))]
             lines.append("    return _chunk")
-            return "\n".join(lines)
+            return lines
         lines += ["    _out = []", "    _append = _out.append"]
         for i, kind in enumerate(kinds):
             if kind == "distinct":
@@ -298,36 +280,39 @@ def _gen_loop(kinds: tuple[str, ...], element: bool) -> str:
             var, drop = f"_v{i + 1}", "continue"
     lines.append(f"{indent}{emit}({var})")
     lines.append("    return _kernel" if element else "    return _out")
-    return "\n".join(lines)
+    return lines
 
 
-def _gen_comprehension(kinds: Sequence[str], whole_array: bool) -> str:
+def _gen_comprehension(kinds: Sequence[str], whole_array: bool) -> list[str]:
     """Single-pass comprehension chunk kernel (map/filter/flat_map runs).
 
     ``map`` stages nest as calls inside the output expression, ``filter``
     stages become ``if`` clauses (binding the value so far via ``:=`` when
     it is not yet a bare name), ``flat_map`` stages become nested ``for``
-    clauses — one list, zero per-stage intermediates.  ``whole_array``
-    (all-ufunc map runs) first tries the same composition as one numpy
-    expression over an ndarray chunk.  A run with no stages (a counted
-    window without maps) returns the chunk as is, so views stay views.
-    A lone ``map`` is ``list(map(...))`` and a lone ``flat_map`` an
-    ``extend`` loop: both keep the per-element step in C.
+    clauses — one list, zero per-stage intermediates.  ``limit``/``skip``
+    stages are skipped: in a ``counted-window`` run the sink slices their
+    window off the chunk first.  ``whole_array`` (all-ufunc map runs)
+    first tries the same composition as one numpy expression over an
+    ndarray chunk.  A run with no other stage (a counted window without
+    maps) returns the chunk as is, so views stay views.  A lone ``map``
+    is ``list(map(...))`` and a lone ``flat_map`` an ``extend`` loop: both
+    keep the per-element step in C.
     """
-    if not kinds:
-        return "def _kernel(_chunk, _state):\n    return _chunk"
-    if tuple(kinds) == ("flat_map",):
-        return "\n".join([
-            "def _kernel(_chunk, _state):",
+    stages = [(i, k) for i, k in enumerate(kinds) if k not in ("limit", "skip")]
+    lines = ["def _chunk_kernel(_chunk, _state):"]
+    if not stages:
+        return lines + ["    return _chunk"]
+    if [k for _, k in stages] == ["flat_map"]:
+        return lines + [
             "    _out = []",
             "    _extend = _out.extend",
             "    for _v0 in _chunk:",
-            "        _extend(_f0(_v0))",
+            f"        _extend(_f{stages[0][0]}(_v0))",
             "    return _out",
-        ])
+        ]
     clauses = ["for _v0 in _chunk"]
     expr, whole = "_v0", "_chunk"
-    for i, kind in enumerate(kinds):
+    for i, kind in stages:
         if kind == "map":
             expr = f"_f{i}({expr})"
             whole = f"_f{i}({whole})"
@@ -340,15 +325,14 @@ def _gen_comprehension(kinds: Sequence[str], whole_array: bool) -> str:
         else:  # flat_map
             clauses.append(f"for _v{i + 1} in _f{i}({expr})")
             expr = f"_v{i + 1}"
-    lines = ["def _kernel(_chunk, _state):"]
     if whole_array:
         lines.append("    if isinstance(_chunk, _ndarray):")
         lines.append(f"        return {whole}")
-    if tuple(kinds) == ("map",):
-        lines.append("    return list(map(_f0, _chunk))")
+    if [k for _, k in stages] == ["map"]:
+        lines.append(f"    return list(map(_f{stages[0][0]}, _chunk))")
     else:
         lines.append(f"    return [{expr} {' '.join(clauses)}]")
-    return "\n".join(lines)
+    return lines
 
 
 # --------------------------------------------------------------------------- #
@@ -356,10 +340,11 @@ def _gen_comprehension(kinds: Sequence[str], whole_array: bool) -> str:
 # --------------------------------------------------------------------------- #
 
 
-def _kernel_class(kinds: Sequence[str], fns: Sequence[Callable | None]) -> str:
+def _kernel_class(kinds: Sequence[str], ufunc_maps: bool) -> str:
     """The kernel-class decision — the single function behind both
     execution dispatch (``FusedOp``'s chunk kernel) and ``describe()`` /
     ``Stream.explain()``, so plans can never drift from what runs.
+    ``ufunc_maps`` says the run has maps and every one is a numpy ufunc.
 
     * ``counted-window`` — limit/skip over a pure-map run: the counted ops
       hoist to one source-index window sliced off each chunk;
@@ -373,11 +358,68 @@ def _kernel_class(kinds: Sequence[str], fns: Sequence[Callable | None]) -> str:
     if all(k in ("map", "limit", "skip") for k in kinds):
         if any(k != "map" for k in kinds):
             return "counted-window"
-        if _all_ufuncs(fns):
+        if ufunc_maps:
             return "whole-array"
     if all(k in ("map", "filter", "flat_map") for k in kinds):
         return "comprehension"
     return "loop"
+
+
+class _Shape:
+    """What a run's structure fixes, derived and compiled once per
+    ``(kinds, kernel class, whole-array)``: the kernel factory ``make``,
+    the stages that keep per-traversal state (``state_stages``: index
+    and kind) and the state slots that cut.  It holds no callable, so a
+    cached shape keeps no user code alive."""
+
+    __slots__ = ("kinds", "kernel_class", "make", "state_stages", "cut_slots")
+
+    def __init__(self, kinds: tuple[str, ...], kernel_class: str, whole: bool):
+        self.kinds, self.kernel_class = kinds, kernel_class
+        self.state_stages = tuple(
+            (i, k) for i, k in enumerate(kinds) if k in _STATEFUL_KINDS
+        )
+        slots = _state_slots(kinds)
+        self.cut_slots = tuple(
+            slots[i] for i, k in enumerate(kinds) if k in _CUT_KINDS
+        )
+        if kernel_class == "loop":
+            chunk = _gen_loop(kinds, False)
+        else:
+            chunk = _gen_comprehension(kinds, whole)
+        source = "\n".join(
+            ["def _make(_ops):"]
+            + [
+                f"    _f{i} = _ops[{i}].{_FN_ATTRS[k]}"
+                for i, k in enumerate(kinds) if k in _FN_ATTRS
+            ]
+            + ["    " + line for line in _gen_loop(kinds, True) + chunk]
+            + ["    return _element, _chunk_kernel"]
+        )
+        namespace = {"_ndarray": None if _np is None else _np.ndarray}
+        exec(compile(source, "<fused>", "exec"), namespace)
+        self.make = namespace["_make"]
+
+
+#: ``(kinds, kernel class, whole-array)`` → its :class:`_Shape`.
+_shapes: dict[tuple, _Shape] = {}
+
+
+def _shape_for(tokens: Sequence) -> tuple[_Shape, bool]:
+    """The shape of a run of fusible stages with these structural
+    tokens, and whether this call compiled it."""
+    kinds = tuple("map" if t is _UFUNC_MAP else _FUSIBLE_TYPES[t] for t in tokens)
+    ufunc_maps = _UFUNC_MAP in tokens and MapOp not in tokens
+    kernel_class = _kernel_class(kinds, ufunc_maps)
+    whole = ufunc_maps and kernel_class in ("whole-array", "counted-window")
+    key = (kinds, kernel_class, whole)
+    shape = _shapes.get(key)
+    if shape is not None:
+        return shape, False
+    shape = _Shape(kinds, kernel_class, whole)
+    with _lock:
+        remember(_shapes, key, shape)
+    return shape, True
 
 
 def counted_window(ops: Sequence[Op]) -> tuple[int, int | None] | None:
@@ -412,69 +454,51 @@ class FusedOp(Op):
     Supports both traversal modes: per-element ``accept`` runs the
     compiled straight-line kernel (one sink dispatch for the whole run),
     and ``accept_chunk`` crosses the run in a single generated pass.  The
-    kernel class (see :func:`_kernel_class`) is decided once at
-    construction; budgets, flags and seen-sets live in a per-traversal
-    state vector created in ``begin``, so one ``FusedOp`` instance is
-    safely shared across fork/join leaves, terminals and threads.  Both
-    kernels' sources and code objects are cached by run shape.  A run is
-    ``stateful`` when a stage keeps state and ``short_circuit`` when a
+    kernels come from the run's :class:`_Shape` (compiled once per
+    structure; ``shape`` may be passed when the caller already knows it),
+    bound to this run's callables; budgets, flags and seen-sets live in
+    a per-traversal state vector created in ``begin``, so one ``FusedOp``
+    instance is safely shared across fork/join leaves and threads.  A run
+    is ``stateful`` when a stage keeps state and ``short_circuit`` when a
     stage cuts.
     """
 
     chunkable = True
 
     __slots__ = (
-        "source_ops", "kinds", "kernel_class", "stateful", "short_circuit",
-        "_element_make", "_chunk_kernel", "_window", "_state_spec",
-        "_cut_slots",
+        "source_ops", "shape", "kinds", "kernel_class", "stateful",
+        "short_circuit", "_element_make", "_chunk_kernel", "_window",
+        "_state_spec",
     )
 
-    def __init__(self, source_ops: Sequence[Op]) -> None:
-        if not source_ops:
+    def __init__(self, source_ops: Sequence[Op], shape: _Shape | None = None) -> None:
+        ops = self.source_ops = tuple(source_ops)
+        if not ops:
             raise ValueError("FusedOp needs at least one source op")
-        self.source_ops = tuple(source_ops)
-        self.kinds = tuple(_FUSIBLE_TYPES[type(op)] for op in self.source_ops)
-        fns = [_stage_fn(op) for op in self.source_ops]
-        self.kernel_class = kc = _kernel_class(self.kinds, fns)
-
+        if shape is None:
+            shape = _shape_for(_tokens(ops))[0]
+        self.shape = shape
+        self.kinds, self.kernel_class = shape.kinds, shape.kernel_class
         # One ``(kind, initial)`` per stateful stage: a budget for
         # limit/skip, a set flag for take_while/drop_while (distinct
         # gets a fresh set in ``_make_state``).
-        self._state_spec = tuple(
-            (kind, getattr(op, "n", 1))
-            for op, kind in zip(self.source_ops, self.kinds)
-            if kind in _STATEFUL_KINDS
+        stages = shape.state_stages
+        self._state_spec = (
+            tuple([(kind, getattr(ops[i], "n", 1)) for i, kind in stages])
+            if stages else ()
         )
-        slots = _state_slots(self.kinds)
-        self._cut_slots = tuple(
-            slots[i] for i, k in enumerate(self.kinds) if k in _CUT_KINDS
+        self.stateful = bool(stages)
+        self.short_circuit = bool(shape.cut_slots)
+        self._element_make, self._chunk_kernel = shape.make(ops)
+        # A ``counted-window`` sink slices the source-index window off
+        # each chunk; its chunk kernel then applies only the maps.
+        self._window = (
+            counted_window(ops) if shape.kernel_class == "counted-window"
+            else None
         )
-        self.stateful = bool(self._state_spec)
-        self.short_circuit = bool(self._cut_slots)
-        self._element_make = _bind(_gen_loop(self.kinds, True), fns, "_make")
-
-        self._window = None
-        if kc == "counted-window":
-            # The sink slices the source-index window off each chunk; the
-            # chunk kernel then applies only the maps.
-            self._window = counted_window(self.source_ops)
-            fns = [f for f in fns if f is not None]
-            chunk_src = _gen_comprehension(
-                ("map",) * len(fns), _all_ufuncs(fns)
-            )
-        elif kc == "loop":
-            chunk_src = _gen_loop(self.kinds, False)
-        else:
-            chunk_src = _gen_comprehension(self.kinds, kc == "whole-array")
-        self._chunk_kernel = _bind(chunk_src, fns)
 
     def __repr__(self) -> str:
         return f"FusedOp({' | '.join(self.kinds)})"
-
-    def stage_key(self) -> "FusedOp":
-        # A compiled run is keyed by the object itself: a chain that
-        # already holds it resolves to the memo entry that produced it.
-        return self
 
     def _make_state(self) -> list:
         """A fresh per-traversal state vector (one slot per stateful
@@ -518,7 +542,7 @@ class FusedOp(Op):
         return out
 
     def wrap_sink(self, downstream: Sink) -> Sink:
-        if self._cut_slots:
+        if self.short_circuit:
             return _CutFusedSink(self, downstream)
         return _FusedSink(self, downstream)
 
@@ -590,7 +614,7 @@ class _CutFusedSink(_FusedSink):
         ):
             return True
         state = self._state
-        for j in self._op._cut_slots:
+        for j in self._op.shape.cut_slots:
             if state[j] <= 0:
                 return True
         return self._down_cancelled()
@@ -599,6 +623,52 @@ class _CutFusedSink(_FusedSink):
 # --------------------------------------------------------------------------- #
 # The rewrite
 # --------------------------------------------------------------------------- #
+
+
+def _plan(tokens: tuple, merge: bool) -> tuple[tuple | None, int, int, int]:
+    """The structural rewrite of a chain with these tokens: ``(recipe,
+    stages, kernels, compiled)``.  ``recipe`` lists the rewritten chain —
+    the index of a stage that passes through, or ``(shape, start, stop)``
+    for the run ``ops[start:stop]`` — and is None when nothing compiles;
+    ``stages`` counts the source stages that landed in multi-stage runs,
+    ``kernels`` those runs and ``compiled`` the shapes this call built."""
+    runs: list = []  # a pass-through index, or [start, stop, ufunc-ness]
+    for i, token in enumerate(tokens):
+        if token is not _UFUNC_MAP and token not in _FUSIBLE_TYPES:
+            runs.append(i)
+            continue
+        # Counted ops join runs of either ufunc-ness (None: no opinion).
+        ufunc = None if token in _COUNTED_TYPES else token is _UFUNC_MAP
+        last = runs[-1] if runs else None
+        if merge and type(last) is list and (
+            ufunc is None or last[2] in (None, ufunc)
+        ):
+            last[1:] = [i + 1, last[2] if ufunc is None else ufunc]
+        else:
+            runs.append([i, i + 1, ufunc])
+    if all(type(x) is int for x in runs):
+        return None, 0, 0, 0
+    recipe, stages, kernels, compiled = [], 0, 0, 0
+    for x in runs:
+        if type(x) is list:
+            lo, hi, _ = x
+            shape, built = _shape_for(tokens[lo:hi])
+            x, compiled = (shape, lo, hi), compiled + built
+            if hi - lo > 1:
+                stages, kernels = stages + hi - lo, kernels + 1
+        recipe.append(x)
+    return tuple(recipe), stages, kernels, compiled
+
+
+def _rebuild(recipe: tuple, ops: Sequence[Op]) -> list[Op]:
+    """Bind ``recipe`` to ``ops``: each run becomes a ``FusedOp`` of its
+    shape called with that run's callables."""
+    if len(recipe) == 1 and type(recipe[0]) is tuple:  # one run: the chain
+        return [FusedOp(ops, recipe[0][0])]
+    return [
+        ops[x] if type(x) is int else FusedOp(ops[x[1]:x[2]], x[0])
+        for x in recipe
+    ]
 
 
 def fuse_ops(ops: list[Op], merge: bool = True) -> tuple[list[Op], int]:
@@ -616,37 +686,8 @@ def fuse_ops(ops: list[Op], merge: bool = True) -> tuple[list[Op], int]:
     — the source stages that landed in multi-stage runs; the original
     list object is returned (with 0) when no stage needs compiling.
     """
-    if not any(type(op) in _FUSIBLE_TYPES for op in ops):
-        return ops, 0
-    out: list[Op] = []
-    run: list[Op] = []
-    run_ufunc = None  # the run's ufunc-ness; None while only counted ops
-    merged = 0
-
-    def flush() -> None:
-        nonlocal merged, run_ufunc
-        if run:
-            out.append(FusedOp(run))
-            if len(run) > 1:
-                merged += len(run)
-        run.clear()
-        run_ufunc = None
-
-    for op in ops:
-        if type(op) not in _FUSIBLE_TYPES:
-            flush()
-            out.append(op)
-            continue
-        if not merge:
-            flush()
-        elif type(op) not in _COUNTED_TYPES:
-            ufunc = type(op) is MapOp and _all_ufuncs((op.f,))
-            if run_ufunc is not None and ufunc != run_ufunc:
-                flush()
-            run_ufunc = ufunc
-        run.append(op)
-    flush()
-    return out, merged
+    chain, stages, _, _ = _rewrite(ops, merge)
+    return chain, stages
 
 
 # --------------------------------------------------------------------------- #
@@ -657,24 +698,17 @@ _fusion_stats = {
     "pipelines_fused": 0,   # pipelines rewritten with >= one merged run
     "stages_fused": 0,      # source stages merged into multi-stage runs
     "kernels": 0,           # multi-stage FusedOps in those rewrites
-    "compiled": 0,          # FusedOp instances created (kernels compiled)
+    "compiled": 0,          # kernel factories compiled (new structures)
     "unfused": 0,           # scans that found nothing to merge
-    "memo_hits": 0,         # chains the memo answered with no merge
+    "memo_hits": 0,         # chains the memo answered with no rewrite
 }
 
-#: Rewrite memo: ``(merge, chain_key(ops))`` →
-#: ``(ops, recipe, stages, kernels)``.  ``FusedOp``\ s hold no
-#: per-traversal state, so every terminal of a shape — on any thread —
-#: reuses the kernels the first one compiled, under either fusion
-#: setting.  ``recipe`` lists the rewritten chain: a ``FusedOp``, or the
-#: index of a stage the rewrite passes through (taken from the chain
-#: being rewritten, so a barrier op is always the caller's own); it is
-#: None when the chain needs no rewrite.  A rewritten chain is memoized
-#: too (recipe None), so fork/join leaves re-entering ``run_pipeline``
-#: with it resolve in one lookup.  ``ops`` keeps the keyed objects
-#: alive, so a live entry's ids cannot be recycled.
-_memo: dict[tuple, tuple[tuple[Op, ...], tuple | None, int, int]] = {}
-#: Guards the memo and the stats counters: concurrent terminals and
+#: Rewrite memo: ``(merge, *tokens)`` → :func:`_plan`'s result.  Keyed by
+#: structure only, so every terminal of a structure — on any thread,
+#: with the same callables or new ones — binds the shapes the first one
+#: compiled, and no entry holds a user op.
+_memo: dict[tuple, tuple] = {}
+#: Guards the caches and the stats counters: concurrent terminals and
 #: fork/join leaves all reach ``maybe_fuse``, and an unlocked ``+=``
 #: loses updates.
 _lock = threading.Lock()
@@ -691,84 +725,60 @@ def fusion_stats(reset: bool = False) -> dict[str, int]:
     return snapshot
 
 
-def _rebuild(recipe: tuple, ops: list[Op]) -> list[Op]:
-    return [ops[x] if type(x) is int else x for x in recipe]
-
-
 def _rewrite(
     ops: list[Op], merge: bool
 ) -> tuple[list[Op], int, int, int | None]:
-    """:func:`fuse_ops` through the memo.  Returns ``(chain, stages,
-    kernels, built)``: ``built`` counts the FusedOps this call compiled,
-    None when the memo answered.  A chain whose key does not hash is
-    rewritten without the memo."""
-    key = chain_key(ops)
-    if key is not None:
-        key = (merge, key)
-        entry = _memo.get(key)
-        if entry is not None:
-            _, recipe, stages, kernels = entry
-            chain = ops if recipe is None else _rebuild(recipe, ops)
-            return chain, stages, kernels, None
-    fused, stages = fuse_ops(ops, merge)
-    recipe, kernels, built = None, 0, 0
-    if fused is not ops:
-        position = {id(op): i for i, op in enumerate(ops)}
-        recipe = tuple(position.get(id(op), op) for op in fused)
-        built = sum(type(x) is not int for x in recipe)
-        kernels = sum(
-            1 for op in fused if type(op) is FusedOp and len(op.kinds) > 1
-        )
-    if key is not None:
-        fused_key = None if recipe is None else chain_key(fused)
+    """The rewrite :func:`fuse_ops` describes, through the memo: returns
+    ``(chain, stages, kernels, built)``, where ``built`` counts the kernel
+    factories this call compiled, None when the memo answered."""
+    key = (merge, *_tokens(ops))
+    entry = _memo.get(key)
+    built = None
+    if entry is None:
+        entry = _plan(key[1:], merge)
+        built = entry[3]
         with _lock:
-            remember(_memo, key, (tuple(ops), recipe, stages, kernels))
-            if fused_key is not None:
-                remember(_memo, (merge, fused_key), (tuple(fused), None, 0, 0))
-    return fused, stages, kernels, built
-
-
-def stage_kernel(op: Op) -> FusedOp:
-    """The one-stage :class:`FusedOp` of fusible ``op`` — its unmerged
-    rewrite, from the memo (no stats)."""
-    return _rewrite([op], False)[0][0]
+            remember(_memo, key, entry)
+    recipe, stages, kernels, _ = entry
+    chain = ops if recipe is None else _rebuild(recipe, ops)
+    return chain, stages, kernels, built
 
 
 def maybe_fuse(ops: list[Op], config: EngineConfig) -> list[Op]:
     """The terminal-time entry point: compile ``ops`` into kernels,
     merging adjacent stages when ``config.fusion`` is set.
 
-    Memoized by the chain's identity key and the setting, so a shape
-    compiles its kernels once, not once per terminal.  With fusion set,
-    counts :func:`fusion_stats` and, when tracing is enabled, emits a
-    ``fuse`` span per rewrite that compiled.
+    Memoized by the chain's structure and the setting, so a structure
+    compiles its kernel factories once and every later terminal only
+    binds its callables.  With fusion set, counts :func:`fusion_stats`
+    and, when tracing is enabled, emits a ``fuse`` span per rewrite that
+    built kernels.
     """
     if not ops:
         return ops
     if not config.fusion:
         return _rewrite(ops, False)[0]
-    start = time.perf_counter_ns()
+    tracer = current_tracer()
+    start = time.perf_counter_ns() if tracer.enabled else 0
     fused, stages, kernels, built = _rewrite(ops, True)
     with _lock:
         if stages:
             _fusion_stats["pipelines_fused"] += 1
             _fusion_stats["stages_fused"] += stages
             _fusion_stats["kernels"] += kernels
-        elif built is None:
+        elif fused is ops and built is None:
             _fusion_stats["memo_hits"] += 1
         else:
             _fusion_stats["unfused"] += 1
         if built:
             _fusion_stats["compiled"] += built
-    if built:
-        tracer = current_tracer()
-        if tracer.enabled:
-            tracer.emit(
-                "fuse",
-                worker=EXTERNAL_WORKER,
-                start_ns=start,
-                end_ns=time.perf_counter_ns(),
-                stages=stages,
-                kernels=kernels,
-            )
+    if fused is not ops and tracer.enabled:
+        tracer.emit(
+            "fuse",
+            worker=EXTERNAL_WORKER,
+            start_ns=start,
+            end_ns=time.perf_counter_ns(),
+            stages=stages,
+            kernels=kernels,
+        )
     return fused

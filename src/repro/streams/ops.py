@@ -134,8 +134,8 @@ def chain_key(ops: Sequence[Op]) -> tuple | None:
     stage, or None when a stage's key does not hash.
 
     Two chains with equal keys carry the very same callables and counts,
-    so whatever was derived from one (fused kernels, cost fingerprints, a
-    pickling verdict) holds for the other.  The key names objects by
+    so a property of the objects (the process backend's pickling
+    verdict) derived from one holds for the other.  The key names objects by
     ``id``, so a cache keyed by it must hold the chain it was built from:
     then no id in a live key can be recycled.
     """
@@ -171,12 +171,11 @@ class FusibleOp(Op):
 
     It always runs as a :class:`~repro.streams.fusion.FusedOp`, merged
     with its neighbours or alone, and its own sink is its one-stage
-    kernel's — found through the fusion memo, so wrapping compiles
-    nothing after the first time.
+    kernel's — bound to the shape its structure compiled once.
     """
 
     def wrap_sink(self, downstream: Sink) -> Sink:
-        return _fusion.stage_kernel(self).wrap_sink(downstream)
+        return _fusion.FusedOp((self,)).wrap_sink(downstream)
 
 
 class MapOp(FusibleOp):

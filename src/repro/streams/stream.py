@@ -24,9 +24,10 @@ subtrees burn through the rest of the workload first.  See
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from repro.common import IllegalArgumentError, IllegalStateError
@@ -71,6 +72,25 @@ from repro.streams.terminal import (
 
 T = TypeVar("T")
 U = TypeVar("U")
+
+
+# The reductions behind ``min``/``max``: module-level functions (bound
+# with ``partial`` for a key) pickle, so the process backend ships them.
+# A tie keeps the first element.
+def _min(a, b):
+    return a if a <= b else b
+
+
+def _max(a, b):
+    return a if a >= b else b
+
+
+def _min_by(key, a, b):
+    return a if key(a) <= key(b) else b
+
+
+def _max_by(key, a, b):
+    return a if key(a) >= key(b) else b
 
 
 @lru_cache(maxsize=64)
@@ -499,17 +519,15 @@ class Stream:
 
     def sum(self) -> Any:
         """Sum of the elements (0 for an empty stream)."""
-        return self.reduce(0, lambda a, b: a + b)
+        return self.reduce(0, operator.add)
 
     def min(self, key: Callable[[T], Any] | None = None) -> Optional:
-        """Minimum element as an :class:`Optional`."""
-        key_fn = key if key is not None else (lambda x: x)
-        return self.reduce(lambda a, b: a if key_fn(a) <= key_fn(b) else b)
+        """Minimum element as an :class:`Optional` (the first of ties)."""
+        return self.reduce(_min if key is None else partial(_min_by, key))
 
     def max(self, key: Callable[[T], Any] | None = None) -> Optional:
-        """Maximum element as an :class:`Optional`."""
-        key_fn = key if key is not None else (lambda x: x)
-        return self.reduce(lambda a, b: a if key_fn(a) >= key_fn(b) else b)
+        """Maximum element as an :class:`Optional` (the first of ties)."""
+        return self.reduce(_max if key is None else partial(_max_by, key))
 
     def any_match(self, predicate: Callable[[T], bool]) -> bool:
         """True if any element satisfies ``predicate`` (short-circuits)."""

@@ -111,13 +111,21 @@ class TestShapeKey:
             ops, ListSpliterator([0] * 16), 4
         )
 
-    def test_cached_fingerprints_follow_the_callables(self):
-        # Fingerprints are cached per op chain identity: a later chain with
-        # the same callables reuses them, a different callable does not.
+    def test_keys_follow_the_code_objects(self):
+        # Keyed by code, not by object or name: a lambda rebuilt per call
+        # keeps its key, and two lambdas of one scope (one ``__qualname__``)
+        # with different bodies do not share one.
         s = RangeSpliterator(0, 16)
-        first = shape_key(Stream.range(0, 16).map(_work)._ops, s, 4)
-        assert shape_key(Stream.range(0, 16).map(_work)._ops, s, 4) == first
-        assert shape_key(Stream.range(0, 16).map(_other)._ops, s, 4) != first
+
+        def key(f):
+            return shape_key(Stream.range(0, 16).map(f)._ops, s, 4)
+
+        cheap = []
+        for _ in range(2):
+            cheap.append(key(lambda x: x + 1))
+        heavy = key(lambda x: sum(range(x)))
+        assert cheap[0] == cheap[1] != heavy
+        assert key(_work) == key(_work) != key(_other)
 
 
 class TestPolicyDecisions:

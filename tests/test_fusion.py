@@ -468,8 +468,8 @@ class _NullSink(Sink):
 
 
 class TestKernelMemo:
-    """One shape fuses once: later terminals reuse its compiled kernels,
-    keyed by the identity of the callables, never by their names."""
+    """One structure compiles once: later terminals bind their own
+    callables into its kernel factory, whichever callables they carry."""
 
     DATA = list(range(64))
 
@@ -481,9 +481,8 @@ class TestKernelMemo:
 
     @pytest.mark.parametrize("backend", ["sequential", "threads"])
     def test_closures_of_one_factory_keep_their_own_kernels(self, pool, backend):
-        # Same ``__qualname__``, different captured values; each closure
-        # dies after its terminal, so a recycled id must not find the
-        # kernel bound to its predecessor.
+        # Same ``__qualname__`` and code, different captured values: each
+        # terminal binds its own closure into the shared factory.
         for k in range(1, 6):
             out = self._stream(pool, backend).map(_adder(k)).map(abs).to_list()
             assert out == [x + k for x in self.DATA]
@@ -496,25 +495,31 @@ class TestKernelMemo:
             assert out == [x + k for x in self.DATA if (x + k) % 2 == 0]
 
     def test_unhashable_callable_still_fuses(self):
+        def run(k):
+            return stream_of(self.DATA).map(_Scaler(k)).map(_Scaler(5)).to_list()
+
         with engine(fusion=True):
+            run(1)
             fusion_stats(reset=True)
             for k in (2, 3, 2):
-                out = stream_of(self.DATA).map(_Scaler(k)).map(_Scaler(5)).to_list()
-                assert out == [x * k * 5 for x in self.DATA]
+                assert run(k) == [x * k * 5 for x in self.DATA]
         stats = fusion_stats()
         assert stats["pipelines_fused"] == 3
-        assert stats["compiled"] == 3  # every instance is a new callable
+        # Every instance is a new callable, and none compiles a kernel.
+        assert stats["compiled"] == 0
 
-    def test_unhashable_stage_key_compiles_without_the_memo(self):
+    def test_unhashable_stage_key_rides_the_structural_memo(self):
+        # The rewrite memo reads each stage's type, never its identity
+        # key, so a stage whose ``stage_key`` does not hash is memoized.
         config = current_config()
         ops = [MapOp(abs), MapOp(_plus_one), _UnkeyedOp()]
         with engine(fusion=True):
-            fusion_stats(reset=True)
             first = maybe_fuse(ops, config)
+            fusion_stats(reset=True)
             second = maybe_fuse(ops, config)
         assert _kinds(first) == _kinds(second) == ["FusedOp", "_UnkeyedOp"]
-        assert first[0] is not second[0]
-        assert fusion_stats()["compiled"] == 2
+        assert second[1] is ops[2]
+        assert fusion_stats()["compiled"] == 0
 
     @pytest.mark.parametrize("backend", ["sequential", "threads"])
     def test_second_terminal_compiles_nothing(self, pool, backend):
@@ -535,7 +540,8 @@ class TestKernelMemo:
         config = current_config()
         first = maybe_fuse([MapOp(_plus_one), FilterOp(_is_even)], config)
         second = maybe_fuse([MapOp(_plus_one), FilterOp(_is_even)], config)
-        assert first is not second and first[0] is second[0]
+        # Each terminal binds its own op to the one compiled shape.
+        assert first is not second and first[0].shape is second[0].shape
         limited = maybe_fuse([MapOp(_plus_one), LimitOp(3)], config)[0]
         sinks = [op.wrap_sink(_NullSink()) for op in (first[0], second[0])]
         assert type(sinks[0]) is type(sinks[1])
@@ -545,13 +551,19 @@ class TestKernelMemo:
         )
 
     def test_compiled_counts_only_new_kernels(self):
+        # A structure no other test builds: eleven maps, a sort, a map.
         given = FusedOp([MapOp(abs), MapOp(_adder(1))])
-        ops = [given, SortedOp(), MapOp(_adder(2)), MapOp(abs)]
+        ops = [given, SortedOp(), *[MapOp(_adder(k)) for k in range(11)]]
         with engine(fusion=True):
             fusion_stats(reset=True)
             fused = maybe_fuse(ops, current_config())
+            again = maybe_fuse(
+                [given, SortedOp(), *[MapOp(abs) for _ in range(11)]],
+                current_config(),
+            )
         assert fused[0] is given and _kinds(fused) == [
             "FusedOp", "SortedOp", "FusedOp"]
+        assert again[2].shape is fused[2].shape
         stats = fusion_stats()
         assert (stats["kernels"], stats["compiled"]) == (2, 1)
 
@@ -562,10 +574,44 @@ class TestKernelMemo:
             for _ in range(2)
         ]
         first, second = (maybe_fuse(ops, config) for ops in chains)
-        assert first[0] is second[0]
+        assert first[0].shape is second[0].shape
+        assert first[0].source_ops == tuple(chains[0][:2])
+        assert second[0].source_ops == tuple(chains[1][:2])
         assert first[1] is chains[0][2] and second[1] is chains[1][2]
         # The lone trailing map is a one-stage kernel, shared like a run.
-        assert second[2] is first[2]
+        assert second[2].shape is first[2].shape
+
+    @pytest.mark.parametrize("backend", ["sequential", "threads"])
+    def test_fresh_lambdas_compile_nothing(self, pool, backend):
+        # Inline lambdas are new objects every terminal; once the
+        # structure has run, no kernel factory is generated or exec'd.
+        def run(k):
+            return (self._stream(pool, backend)
+                    .map(lambda x: x + k).filter(lambda x: x % 2 == 0)
+                    .limit(5).to_list())
+
+        with engine(fusion=True):
+            run(0)
+            fusion_stats(reset=True)
+            for k in range(1000):
+                assert run(k) == [x + k for x in self.DATA
+                                  if (x + k) % 2 == 0][:5]
+        assert fusion_stats()["compiled"] == 0
+
+    @pytest.mark.parametrize("backend", ["sequential", "threads"])
+    def test_no_cache_keeps_a_user_callable_alive(self, pool, backend):
+        big = list(range(1 << 16))
+
+        def closure(x):
+            return x + len(big)
+
+        ref = weakref.ref(closure)
+        with engine(fusion=True):
+            out = self._stream(pool, backend).map(closure).to_list()
+        assert out == [x + len(big) for x in self.DATA]
+        del closure, out
+        gc.collect()
+        assert ref() is None
 
 
 class TestLoneStages:
@@ -593,8 +639,8 @@ class TestLoneStages:
         fusion_stats(reset=True)
         first = op.wrap_sink(_NullSink())
         second = op.wrap_sink(_NullSink())
-        # Keyed by the predicate, so any filter of ``_is_even`` shares it.
-        assert first._op is second._op
+        # Each wrap binds the predicate into the one compiled shape.
+        assert first._op.shape is second._op.shape
         assert first._op.kinds == ("filter",)
         assert first._op.source_ops[0].predicate is _is_even
         # Wrapping is not a terminal: it counts nothing.

@@ -35,6 +35,7 @@ from repro.core.inv import inv_indices
 from repro.core.polynomial import horner
 from repro.core.sorting import bitonic_merge, odd_even_merge
 from repro.forkjoin import ForkJoinPool
+from repro.streams import bulk_stats, engine
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +186,33 @@ class TestPolynomial:
         coeffs = [rng.uniform(-1, 1) for _ in range(256)]
         out = polynomial_value(coeffs, 0.9, pool=pool, target_size=target)
         assert out == pytest.approx(np.polyval(coeffs, 0.9), rel=1e-9)
+
+    @pytest.mark.parametrize("source", ["list", "ndarray"])
+    @pytest.mark.parametrize("parallel", [False, True])
+    @pytest.mark.parametrize("x", [0.9, -1.1, 1.001])
+    def test_chunked_and_per_element_paths_agree_bit_for_bit(
+        self, source, parallel, x, pool
+    ):
+        # The chunk accumulator hoists ``x ** x_degree``; every step stays
+        # ``val * y + d``, so the two traversal modes agree exactly.
+        rng = random.Random(11)
+        coeffs = [rng.uniform(-1, 1) for _ in range(1 << 12)]
+        if source == "ndarray":
+            coeffs = np.array(coeffs)
+        results, modes = {}, {}
+        for bulk in (True, False):
+            with engine(bulk=bulk):
+                bulk_stats(reset=True)
+                results[bulk] = polynomial_value(
+                    coeffs, x, parallel=parallel, pool=pool,
+                    target_size=256 if parallel else None,
+                )
+                modes[bulk] = bulk_stats()
+        assert modes[True]["chunked"] > 0 and modes[False]["chunked"] == 0
+        assert results[True] == results[False]
+        assert results[True] == pytest.approx(
+            np.polyval(coeffs, x), rel=1e-9, abs=1e-9
+        )
 
     def test_x_degree_reaches_leaf_depth(self, pool):
         pv = PolynomialValue(1.0)

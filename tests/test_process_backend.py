@@ -29,6 +29,7 @@ from repro.streams import (
     engine,
     stream_of,
 )
+from repro.streams import collectors
 from repro.streams import process_backend as pb
 from repro.streams.ops import FilterOp, MapOp
 from repro.streams.optional import Optional
@@ -332,6 +333,66 @@ class TestTerminalParity:
             .to_list()
         )
         assert got == expected
+
+
+def _ties(i):
+    # Equal values of two types, so a result shows which tie it kept.
+    return float(i % 7) if i % 2 else i % 7
+
+
+class TestBuiltinReductions:
+    """``sum``/``min``/``max`` reduce with module-level functions, so they
+    run on every backend; a tie keeps the first element."""
+
+    @pytest.mark.parametrize("size", [8, 1 << 15])
+    @pytest.mark.parametrize("backend", ["sequential", "threads", "process"])
+    def test_sum_min_max_on_every_backend(self, backend, size):
+        data = [_ties(i) for i in range(size)]
+        keyed = [(i % 7, i) for i in range(size)]
+        key = operator.itemgetter(0)
+
+        def stream(values):
+            return (
+                stream_of(values, parallel=True, backend=backend)
+                .with_target_size(max(size // 4, 1))
+            )
+
+        assert stream(data).sum() == sum(data)
+        for reduce, builtin in (("min", min), ("max", max)):
+            got = getattr(stream(data), reduce)().get()
+            assert got == builtin(data)
+            assert type(got) is type(builtin(data))
+            assert getattr(stream(keyed), reduce)(key).get() == builtin(
+                keyed, key=key
+            )
+        assert not stream([]).min().is_present()
+        assert stream([]).sum() == 0
+
+
+class TestCountingShipsCounts:
+    def test_counting_ships_itself_and_leaves_return_counts(self, monkeypatch):
+        assert collectors.counting() is collectors.counting()
+        terminal = Collect(collectors.counting())
+        assert pb.shipped_terminal(terminal, [MapOp(_double)]) is terminal
+        seen = []
+        run_leaves = ProcessExecutor.run_leaves
+
+        def spy(self, runner, payloads, **kwargs):
+            results = run_leaves(self, runner, payloads, **kwargs)
+            seen.append(pickle.dumps(results))  # the merge folds in place
+            return results
+
+        monkeypatch.setattr(ProcessExecutor, "run_leaves", spy)
+        n = 1 << 16
+        got = (
+            Stream.range(0, n).parallel().with_backend("process")
+            .with_target_size(n // 4).map(_double).count()
+        )
+        assert got == n
+        (shipped,) = seen
+        # One count per leaf crosses the boundary, not the leaf's elements.
+        assert pickle.loads(shipped) == [[n // 4]] * 4
+        assert len(shipped) < 100
 
 
 # --------------------------------------------------------------------------- #
