@@ -334,8 +334,8 @@ class ProcessExecutor(Executor):
             duration_ns
         )
 
-    def _map_leaves_once(self, runner, payloads, deadline, early_stop, label,
-                         observer=None, early_stop_slots=None):
+    def _map_leaves_once(self, runner, payloads, deadline, stop, label,
+                         observer=None):
         """One scatter of ``payloads`` over the pool, batched and ordered.
 
         Payloads are grouped into at most ``2 × processes`` contiguous
@@ -353,15 +353,12 @@ class ProcessExecutor(Executor):
         * ``deadline`` bounds the whole wait: on expiry, every pending
           batch future is cancelled and :class:`TaskTimeoutError` raised —
           outstanding child work is abandoned, not blocked on.
-        * ``early_stop(result)``: checked against each leaf result as its
-          batch completes; once satisfied, pending batches are cancelled
-          and their slots come back as ``None`` (the short-circuit used by
-          the match/find terminals).
-        * ``early_stop_slots(lo, hi, batch_results)``: like ``early_stop``
-          but position-aware — receives the slot bounds of the completed
-          batch so the caller can apply order-sensitive stop rules (the
-          counted-``limit`` budget only stops once a *contiguous* prefix
-          of leaves has produced enough elements).
+        * ``stop(lo, hi, batch_results)``: called with each completed
+          batch's slot bounds and results; once it returns True, pending
+          batches are cancelled and their slots come back as ``None``.
+          The match/find terminals stop at a deciding result; the
+          counted-``limit`` budget stops once a *contiguous* prefix of
+          leaves has produced enough elements.
         * The first batch failure cancels the remaining batches and
           re-raises — the process-side analogue of the thread terminals'
           ``_TerminalContext`` fail-fast contract.  A dead worker
@@ -464,7 +461,7 @@ class ProcessExecutor(Executor):
                         f"{len(not_done)} of {len(futures)} leaf batches "
                         "outstanding"
                     )
-                stop = False
+                stopped = False
                 for future in done:
                     if future.cancelled():
                         continue
@@ -474,15 +471,9 @@ class ProcessExecutor(Executor):
                     self._observe_batch(pid, hi - lo, duration_ns)
                     if observer is not None:
                         observer.record_batch(lo, hi, duration_ns)
-                    if early_stop is not None and any(
-                        early_stop(r) for r in batch_results
-                    ):
-                        stop = True
-                    if early_stop_slots is not None and early_stop_slots(
-                        lo, hi, batch_results
-                    ):
-                        stop = True
-                if stop:
+                    if stop is not None and stop(lo, hi, batch_results):
+                        stopped = True
+                if stopped:
                     # Tell RUNNING leaves in other workers to abort at
                     # their next chunk boundary, then stop collecting.
                     cancel.set()
@@ -506,9 +497,8 @@ class ProcessExecutor(Executor):
             future.cancel()
         return results
 
-    def run_leaves(self, runner, payloads, *, deadline=None, early_stop=None,
-                   label: str = "leaf batch", observer=None,
-                   early_stop_slots=None):
+    def run_leaves(self, runner, payloads, *, deadline=None, stop=None,
+                   label: str = "leaf batch", observer=None):
         """Run picklable leaf ``payloads`` across the worker pool.
 
         ``runner`` must be a module-level callable (it crosses the pickle
@@ -527,16 +517,14 @@ class ProcessExecutor(Executor):
         self._runs.inc()
         if self.retry is None and not self.fallback:
             return self._map_leaves_once(
-                runner, payloads, deadline, early_stop, label, observer,
-                early_stop_slots,
+                runner, payloads, deadline, stop, label, observer
             )
 
         from repro.faults.policy import run_resilient
 
         def primary():
             return self._map_leaves_once(
-                runner, payloads, deadline, early_stop, label, observer,
-                early_stop_slots,
+                runner, payloads, deadline, stop, label, observer
             )
 
         def sequential():
@@ -544,12 +532,7 @@ class ProcessExecutor(Executor):
             for i, payload in enumerate(payloads):
                 result = runner(payload)
                 out.append(result)
-                if early_stop is not None and early_stop(result):
-                    out.extend([None] * (len(payloads) - len(out)))
-                    break
-                if early_stop_slots is not None and early_stop_slots(
-                    i, i + 1, [result]
-                ):
+                if stop is not None and stop(i, i + 1, [result]):
                     out.extend([None] * (len(payloads) - len(out)))
                     break
             return out
@@ -563,15 +546,6 @@ class ProcessExecutor(Executor):
             on_retry=lambda attempt, exc: self._retries.inc(),
             on_degrade=lambda exc: self._degraded.inc(),
         )
-
-    def ping(self) -> None:
-        """One no-op round trip through a worker process: the dispatch
-        cost :mod:`repro.streams.adaptive` sizes leaves by.  Never forks
-        workers; raises :class:`~repro.common.RejectedExecutionError`
-        when none are running."""
-        if self._shutdown or self._pool is None:
-            raise RejectedExecutionError("ProcessExecutor has no running workers")
-        self._pool.submit(int).result()  # int() is a picklable no-op
 
     def stats(self) -> dict:
         """Counters for this executor: runs, retries, degraded runs, broken

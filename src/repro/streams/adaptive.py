@@ -20,10 +20,10 @@ instead of the element count:
   (``target = span_target / cost_per_element``), never splitting deeper
   than Java's ``size // (4 × parallelism)`` — more than four leaves per
   worker buys no parallelism, only task overhead;
-* the leaf-span target is :data:`DISPATCH_SPAN_FACTOR` × the backend's
-  **measured dispatch cost**: the median round trip of a no-op through
-  the fork/join pool or the worker processes, re-probed every
-  :data:`_DISPATCH_REFRESH_RUNS` observed runs that dispatched to it;
+* the leaf-span target is the constant :data:`TARGET_LEAF_SPAN_NS`
+  (32 ms) on every backend: the policy runs no task outside a
+  terminal's own split tree, and its decisions do not depend on how
+  loaded the pool happened to be;
 * ``next_chunk`` granularity for the chunked bulk path is likewise picked
   so one chunk costs ~:data:`TARGET_CHUNK_SPAN_NS`.
 
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import functools
 import threading
-import time
 from dataclasses import dataclass
 from typing import Any
 
@@ -61,30 +60,11 @@ UNKNOWN_SIZE_BASE = 1 << 12
 #: The sentinel accepted by ``with_target_size`` / ``decide_threshold``.
 AUTO = "auto"
 
-#: Wall time one leaf should cost under the adaptive policy, used until
-#: the per-backend dispatch cost has been *measured*.  Deliberately
-#: coarse: per-task overhead can reach hundreds of µs on a loaded or
-#: GIL-contended host, and a ~30ms leaf keeps that below ~2% while a
-#: multi-second terminal still yields dozens of leaves.
+#: Wall time one leaf should cost under the adaptive policy, on every
+#: backend.  Deliberately coarse: per-task overhead can reach hundreds of
+#: µs on a loaded or GIL-contended host, and a ~30ms leaf keeps that
+#: below ~2% while a multi-second terminal still yields dozens of leaves.
 TARGET_LEAF_SPAN_NS = 32_000_000
-
-#: Leaf-span target as a multiple of the measured per-task dispatch cost:
-#: a leaf lasting 64 dispatches keeps scheduling overhead under ~2% while
-#: staying an order of magnitude finer than a blind worst-case constant.
-DISPATCH_SPAN_FACTOR = 64
-
-#: Clamp on the dispatch-derived span target — never finer than 2ms (a
-#: sub-ms leaf is overhead even on an idle host) and never coarser than
-#: 512ms (at least a few leaves per worker on multi-second terminals).
-_MIN_LEAF_SPAN_NS = 2_000_000
-_MAX_LEAF_SPAN_NS = 512_000_000
-
-#: A backend's dispatch cost is re-probed every this many observed runs
-#: (it drifts with host load).
-_DISPATCH_REFRESH_RUNS = 64
-
-#: No-op round trips per dispatch probe.
-_DISPATCH_PROBE_TASKS = 8
 
 #: Wall time one ``next_chunk`` batch should cost on the chunked path —
 #: also the cancellation-poll latency of a running leaf, so it stays well
@@ -190,8 +170,7 @@ class RunObservation:
     call :meth:`record_leaf` (list appends — safe under the GIL from
     concurrent workers); the process backend calls :meth:`record_batch`
     with child-reported batch durations.  On success the terminal calls
-    :meth:`complete`, which feeds the policy memo and, on the refresh
-    cadence, re-probes the dispatch cost.
+    :meth:`complete`, which feeds the policy memo.
     Cancelled short-circuit runs are simply never completed — a leaf that
     aborted early would poison the per-element cost estimate.
     """
@@ -221,13 +200,9 @@ class RunObservation:
             self.leaf_ns.append(per_leaf)
             self.leaf_elements.append(sizes[i] if sizes is not None else 0)
 
-    def complete(self, pool: Any = None) -> None:
-        """Feed the finished run to the policy.  ``pool`` is the fork/join
-        pool or process executor the run dispatched to (None: it ran in
-        the caller); its dispatch cost is probed on the refresh cadence."""
+    def complete(self) -> None:
+        """Feed the finished run to the policy."""
         _policy.observe_run(self)
-        if pool is not None and self.key:
-            _policy.maybe_measure_dispatch(self.key[0], pool)
 
 
 class _ShapeEntry:
@@ -260,67 +235,12 @@ class SplitPolicy:
         self,
         target_leaf_span_ns: int = TARGET_LEAF_SPAN_NS,
         target_chunk_span_ns: int = TARGET_CHUNK_SPAN_NS,
-        pin_leaf_span: bool = False,
     ) -> None:
         self.target_leaf_span_ns = target_leaf_span_ns
         self.target_chunk_span_ns = target_chunk_span_ns
-        #: True keeps ``target_leaf_span_ns`` instead of the
-        #: dispatch-derived span.
-        self._span_pinned = pin_leaf_span
         self._lock = threading.Lock()
         self._memo: dict[tuple, _ShapeEntry] = {}
-        #: Per-backend EWMA of measured per-task dispatch cost (ns); the
-        #: leaf-span target is derived from it once a sample exists.
-        self._dispatch_ns: dict[str, float] = {}
-        self._dispatch_runs: dict[str, int] = {}
         self._stats = {"decisions": 0, "bootstrap": 0, "observed_runs": 0}
-
-    # -- dispatch-cost-derived span target ----------------------------------- #
-
-    def _span_for(self, backend: str | None) -> int:
-        """Leaf-span target for ``backend`` (caller holds the lock):
-        ``DISPATCH_SPAN_FACTOR ×`` the measured dispatch cost, clamped —
-        or the static default until a measurement exists / when pinned."""
-        if self._span_pinned or backend is None:
-            return self.target_leaf_span_ns
-        cost = self._dispatch_ns.get(backend, 0.0)
-        if cost <= 0.0:
-            return self.target_leaf_span_ns
-        span = int(cost * DISPATCH_SPAN_FACTOR)
-        return max(_MIN_LEAF_SPAN_NS, min(span, _MAX_LEAF_SPAN_NS))
-
-    def leaf_span_target(self, backend: str | None = None) -> int:
-        """The effective leaf-span target for ``backend`` right now."""
-        with self._lock:
-            return self._span_for(backend)
-
-    def note_dispatch_cost(self, backend: str, sample_ns: float) -> None:
-        """Fold one measured per-task dispatch cost into the backend's
-        EWMA (seeds it on first sample)."""
-        if sample_ns <= 0:
-            return
-        with self._lock:
-            previous = self._dispatch_ns.get(backend, 0.0)
-            self._dispatch_ns[backend] = (
-                sample_ns if previous <= 0.0
-                else 0.5 * (previous + sample_ns)
-            )
-
-    def maybe_measure_dispatch(self, backend: str, pool: Any) -> None:
-        """Probe the no-op round trip through ``pool`` (a fork/join pool
-        or a process executor) if this backend's estimate is due for a
-        refresh (first run, then every
-        :data:`_DISPATCH_REFRESH_RUNS` observed runs)."""
-        with self._lock:
-            if self._span_pinned:
-                return
-            runs = self._dispatch_runs.get(backend, 0)
-            self._dispatch_runs[backend] = runs + 1
-            if runs % _DISPATCH_REFRESH_RUNS != 0:
-                return
-        sample = _measure_pool_dispatch(pool)
-        if sample > 0:
-            self.note_dispatch_cost(backend, sample)
 
     # -- deciding ----------------------------------------------------------- #
 
@@ -332,11 +252,11 @@ class SplitPolicy:
             entry = self._memo.get(key) if key is not None else None
             cost = entry.cost_ns if entry is not None else 0.0
             runs = entry.runs if entry is not None else 0
-            span_target = self._span_for(key[0] if key else None)
             if record:
                 self._stats["decisions"] += 1
                 if cost <= 0.0:
                     self._stats["bootstrap"] += 1
+        span_target = self.target_leaf_span_ns
         inputs = {
             "policy": AUTO,
             "parallelism": parallelism,
@@ -409,10 +329,6 @@ class SplitPolicy:
         with self._lock:
             snapshot = dict(self._stats)
             snapshot["memo_size"] = len(self._memo)
-            snapshot["dispatch_cost_ns"] = {
-                backend: round(cost, 1)
-                for backend, cost in self._dispatch_ns.items()
-            }
             if reset:
                 for k in self._stats:
                     self._stats[k] = 0
@@ -432,54 +348,8 @@ class SplitPolicy:
     def reset(self) -> None:
         with self._lock:
             self._memo.clear()
-            self._dispatch_ns.clear()
-            self._dispatch_runs.clear()
             for k in self._stats:
                 self._stats[k] = 0
-
-
-_nop_task_cls = None
-
-
-def _measure_pool_dispatch(pool: Any, probes: int = _DISPATCH_PROBE_TASKS) -> float:
-    """Median round trip of a no-op through ``pool``'s workers, in ns: a
-    fork/join task, or one :meth:`ProcessExecutor.ping
-    <repro.jplf.process_executor.ProcessExecutor.ping>`.
-
-    Returns 0.0 when the pool is unusable (shut down, mid-teardown, no
-    worker processes started yet) — the caller just keeps its previous
-    estimate.  The task class is defined lazily because
-    ``repro.forkjoin`` imports are cyclic at module load.
-    """
-    global _nop_task_cls
-    if pool is None:
-        return 0.0
-    try:
-        ping = getattr(pool, "ping", None)
-        if ping is None:
-            if pool.is_shutdown():
-                return 0.0
-            if _nop_task_cls is None:
-                from repro.forkjoin.task import RecursiveTask
-
-                class _NopTask(RecursiveTask):
-                    def compute(self):
-                        return None
-
-                _nop_task_cls = _NopTask
-
-            def ping():
-                pool.invoke(_nop_task_cls())
-
-        samples = []
-        for _ in range(probes):
-            start = time.perf_counter_ns()
-            ping()
-            samples.append(time.perf_counter_ns() - start)
-        samples.sort()
-        return float(samples[len(samples) // 2])
-    except Exception:
-        return 0.0
 
 
 _policy = SplitPolicy()
@@ -491,9 +361,8 @@ _policy = SplitPolicy()
 
 
 def split_policy_stats(reset: bool = False) -> dict:
-    """Decision and observation counters plus the memo size and the measured
-    per-backend dispatch costs (advisory; lets tests and benches prove
-    which way the policy moved)."""
+    """Decision and observation counters plus the memo size (advisory;
+    lets tests and benches prove which way the policy moved)."""
     return _policy.stats(reset=reset)
 
 

@@ -122,30 +122,6 @@ class Op(abc.ABC):
         """Barrier semantics for parallel execution (stateful ops only)."""
         raise NotImplementedError(f"{type(self).__name__} is stateless")
 
-    def stage_key(self) -> Any:
-        """This stage's identity key: the op type and the ``id`` of every
-        attribute value (the callables it carries, its count).  An op that
-        keeps its state outside ``__dict__`` overrides this."""
-        return (type(self), *map(id, self.__dict__.values()))
-
-
-def chain_key(ops: Sequence[Op]) -> tuple | None:
-    """The identity key of an op chain: one :meth:`Op.stage_key` per
-    stage, or None when a stage's key does not hash.
-
-    Two chains with equal keys carry the very same callables and counts,
-    so a property of the objects (the process backend's pickling
-    verdict) derived from one holds for the other.  The key names objects by
-    ``id``, so a cache keyed by it must hold the chain it was built from:
-    then no id in a live key can be recycled.
-    """
-    key = tuple([op.stage_key() for op in ops])
-    try:
-        hash(key)
-    except TypeError:
-        return None
-    return key
-
 
 #: Entries a per-shape cache keeps before it is cleared wholesale.
 SHAPE_CACHE_CAPACITY = 128

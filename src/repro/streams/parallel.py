@@ -661,6 +661,5 @@ def evaluate(
     if observer is not None and not (terminal.broadcast and terminal.hit(merged)):
         # A decided broadcast run aborted its leaves early, which would
         # skew the per-element cost: only full traversals feed the memo.
-        # A run in the caller dispatched nothing, so it probes nothing.
-        observer.complete(None if in_caller else pool)
+        observer.complete()
     return terminal.finish(merged)

@@ -1,12 +1,14 @@
 """Process-backend evaluation of stream terminals.
 
 The threaded fork/join executor (:mod:`repro.streams.parallel`) serializes
-pure-Python leaf work on the GIL; :func:`evaluate` runs any
+pure-Python leaf work on the GIL; :func:`run_segment` runs any
 :class:`~repro.streams.terminal.Terminal` — collect, reduce, for_each,
 match, find — across OS processes, where Python-heavy leaves scale with
 cores.  Selected per-stream with ``Stream.with_backend('process')``, for
 a block with ``with engine(backend="process"):``, or for the process via
-``REPRO_PARALLEL_BACKEND``.
+``REPRO_PARALLEL_BACKEND``.  Its one entry point is the segment planner
+(:func:`repro.streams.parallel.plan_segment`), which decides the split
+threshold for threads and processes alike; this module never decides one.
 
 Execution model (scatter/compute/combine, mirroring the thread path):
 
@@ -25,7 +27,10 @@ Execution model (scatter/compute/combine, mirroring the thread path):
    outstanding batches (the process-side ``_TerminalContext`` fail-fast),
    deadline-bounded waits that cancel pending child work, broken-pool
    containment after a worker death, and retry / sequential-degradation
-   policies.  In the child, :func:`_run_leaf` is one call of the same
+   policies.  One slot-aware ``stop(lo, hi, results)`` hook ends the
+   scatter early: a match/``find_any`` terminal stops at a deciding
+   partial, a counted ``limit`` once a contiguous prefix of leaves holds
+   its budget.  In the child, :func:`_run_leaf` is one call of the same
    :func:`~repro.streams.terminal.run_leaf` the thread leaves run, with
    the batch's shared cancel flag as the sink's cancel token;
 4. partials merge in the parent with the terminal's ``merge``, bottom-up
@@ -46,10 +51,12 @@ Shipping modes (reported by ``Stream.explain()``):
 
 Constraints: every user function crossing the boundary (ops, predicates,
 reduce operators, collectors) must pickle — module-level functions,
-``functools.partial``, ``operator.*`` — and is checked at every size,
-including runs that never ship.  Collectors built from lambdas or
-closures are handled by an automatic fallback where leaves return their
-element lists and the parent folds each into its own container.
+``functools.partial``, ``operator.*`` — and is checked on every
+terminal, including runs that never ship; no verdict is cached, so no
+user callable outlives the terminal that carried it.  Collectors built
+from lambdas or closures are handled by an automatic fallback where
+leaves return their element lists and the parent folds each into its
+own container.
 
 A plan the split policy makes one leaf (:mod:`repro.streams.adaptive`'s
 work rule) never ships: :func:`repro.streams.parallel.evaluate` runs it
@@ -75,22 +82,14 @@ from repro.powerlist.powerlist import PowerList
 from repro.streams import adaptive
 from repro.streams.collectors import to_list
 from repro.streams.config import EngineConfig
-from repro.streams.ops import CHUNK_SIZE, LimitOp, Op, chain_key, remember
+from repro.streams.ops import CHUNK_SIZE, Op
 from repro.streams.spliterator import Spliterator, UNKNOWN_SIZE
 from repro.streams.spliterators import (
     ListSpliterator,
     RangeSpliterator,
     slice_source,
 )
-from repro.streams.terminal import (
-    Collect,
-    Find,
-    ForEach,
-    Match,
-    Reduce,
-    Terminal,
-    run_leaf,
-)
+from repro.streams.terminal import Collect, Terminal, run_leaf
 
 # --------------------------------------------------------------------------- #
 # The shared executor (lazy: forking workers is expensive, reuse them)
@@ -255,37 +254,17 @@ def _check_picklable(obj: Any) -> bool:
         return False
 
 
-#: ``(chain key, terminal key)`` → ``(ops, terminal, ships_itself)``:
-#: one shape's pickling verdict, held with the objects whose ids key it.
-_shipped: dict[tuple, tuple] = {}
-
-
-def _terminal_key(terminal: Terminal) -> tuple | None:
-    """The identity key of a built-in terminal (its type and the ids of
-    its slot values), or None for any other terminal class."""
-    cls = type(terminal)
-    if cls not in (Collect, Reduce, ForEach, Match, Find):
-        return None
-    return (cls, *[id(getattr(terminal, name)) for name in cls.__slots__])
-
-
 def shipped_terminal(terminal: Terminal, ops: list[Op]) -> Terminal:
     """The terminal a leaf ships: ``terminal`` itself, or
     ``Collect(to_list())`` for a collector that does not pickle.  Raises
     :class:`~repro.common.IllegalArgumentError` when the op chain or any
-    other terminal's functions do not pickle.  A verdict is pickled for
-    once per shape: the same callables and terminal values reuse it."""
-    chain, own = chain_key(ops), _terminal_key(terminal)
-    key = None if chain is None or own is None else (chain, own)
-    entry = _shipped.get(key)
-    if entry is None:
-        _require_picklable("pipeline stage functions", ops)
-        ships_itself = _check_picklable(terminal)
-        if not ships_itself and not isinstance(terminal, Collect):
-            _require_picklable(f"{terminal.label} functions", terminal)
-        entry = (tuple(ops), terminal, ships_itself)
-        remember(_shipped, key, entry)
-    return terminal if entry[2] else Collect(to_list())
+    other terminal's functions do not pickle."""
+    _require_picklable("pipeline stage functions", ops)
+    if _check_picklable(terminal):
+        return terminal
+    if not isinstance(terminal, Collect):
+        _require_picklable(f"{terminal.label} functions", terminal)
+    return Collect(to_list())
 
 
 def _require_picklable(what: str, *objects: Any) -> None:
@@ -370,7 +349,7 @@ def _build_payloads(
 def _budget_stop(budget: int):
     """Contiguous-prefix early stop for a counted-``limit`` budget.
 
-    Returns an ``early_stop_slots(lo, hi, batch_results)`` closure that
+    Returns the scatter's ``stop(lo, hi, batch_results)`` hook, which
     fires once the leaves in slots ``0..k`` (no gaps) have together
     produced at least ``budget`` elements.  Contiguity matters: a
     satisfied budget cancels the remaining slots, and the merge below
@@ -380,7 +359,7 @@ def _budget_stop(budget: int):
     """
     produced: dict[int, int] = {}
 
-    def early_stop_slots(lo, hi, batch_results):
+    def stop(lo, hi, batch_results):
         for i, r in enumerate(batch_results):
             try:
                 produced[lo + i] = len(r)
@@ -394,7 +373,7 @@ def _budget_stop(budget: int):
             slot += 1
         return False
 
-    return early_stop_slots
+    return stop
 
 
 def _fold(terminal: Collect, elements: list) -> Any:
@@ -402,40 +381,6 @@ def _fold(terminal: Collect, elements: list) -> Any:
     sink = terminal.sink(None)
     sink.accept_chunk(elements)
     return terminal.partial(sink)
-
-
-def evaluate(
-    spliterator: Spliterator,
-    ops: list[Op],
-    terminal: Terminal,
-    config: EngineConfig,
-    target_size=None,
-    deadline=None,
-    executor: ProcessExecutor | None = None,
-    budget: int | None = None,
-) -> Any:
-    """Run ``terminal`` across worker processes under ``config``,
-    resolving the split threshold for ``target_size`` here.
-
-    Streams reach :func:`run_segment` through the parallel planner
-    (:func:`repro.streams.parallel.plan_segment`) instead; this entry
-    point drives the executor directly.  ``budget`` appends its
-    ``LimitOp`` to ``ops`` and stops the scatter at it.
-    """
-    executor = executor if executor is not None else shared_executor()
-    key = adaptive.shape_key(
-        ops, spliterator, executor.processes, backend="process"
-    )
-    decision = adaptive.decide_threshold(
-        spliterator.estimate_size(), executor.processes,
-        explicit=target_size, key=key,
-    )
-    if budget is not None:
-        ops = list(ops) + [LimitOp(budget)]
-    return run_segment(
-        spliterator, ops, terminal, config, decision, deadline, executor,
-        budget,
-    )
 
 
 def run_segment(
@@ -474,17 +419,17 @@ def run_segment(
     """
     executor = executor if executor is not None else shared_executor()
     shipped = shipped_terminal(terminal, ops)
-    early_stop_slots = None if budget is None else _budget_stop(budget)
     payloads, depths, observer = _build_payloads(
         spliterator, ops, shipped, config, decision, terminal.observe,
     )
-    early_stop = None
+    stop = None if budget is None else _budget_stop(budget)
     if shipped.broadcast:
-        early_stop = lambda p: p is not None and shipped.hit(p)  # noqa: E731
+        stop = lambda lo, hi, results: any(  # noqa: E731
+            r is not None and shipped.hit(r) for r in results
+        )
     results = executor.run_leaves(
-        _run_leaf, payloads, deadline=deadline, early_stop=early_stop,
+        _run_leaf, payloads, deadline=deadline, stop=stop,
         label=f"process {terminal.label}", observer=observer,
-        early_stop_slots=early_stop_slots,
     )
     if shipped is not terminal:
         results = [
@@ -495,5 +440,5 @@ def run_segment(
     if observer is not None and not (terminal.broadcast and terminal.hit(merged)):
         # A decided run aborted leaves mid-scan — those timings would
         # teach the memo that elements are cheaper than they are.
-        observer.complete(executor)
+        observer.complete()
     return terminal.finish(merged)

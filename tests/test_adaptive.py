@@ -9,7 +9,6 @@ threshold, because both sides call the same decision function.
 """
 
 import operator
-import time
 
 import pytest
 
@@ -41,11 +40,6 @@ def _work(x):
 
 def _other(x):
     return x + 1
-
-
-def _slow(x):
-    time.sleep(0.01)
-    return x
 
 
 @pytest.fixture(autouse=True)
@@ -409,89 +403,69 @@ class ExplainText:
         return ExplainPlan(plan).render()
 
 
-class TestDispatchCostSpan:
-    """The leaf-span target derived online from measured dispatch cost."""
+class TestConstantLeafSpan:
+    """The leaf-span target is one constant on every backend: the policy
+    probes nothing, so a terminal runs no task outside its own split
+    tree and the span does not drift with the pool's load."""
 
-    def test_static_target_until_first_sample(self):
-        policy = SplitPolicy(pin_leaf_span=False)
-        assert policy.leaf_span_target("threads") == policy.target_leaf_span_ns
-        assert policy.leaf_span_target(None) == policy.target_leaf_span_ns
+    N = 20_000
 
-    def test_span_is_factor_times_measured_cost(self):
-        policy = SplitPolicy(pin_leaf_span=False)
-        policy.note_dispatch_cost("threads", 100_000)
-        assert policy.leaf_span_target("threads") == (
-            100_000 * adaptive.DISPATCH_SPAN_FACTOR
+    def _sum(self, pool, backend="threads"):
+        return (
+            Stream.of_iterable(range(self.N)).parallel().with_pool(pool)
+            .with_backend(backend).map(_work).sum()
         )
-        # Another backend stays on the static default.
-        assert policy.leaf_span_target("process") == policy.target_leaf_span_ns
 
-    def test_span_clamps(self):
-        policy = SplitPolicy(pin_leaf_span=False)
-        policy.note_dispatch_cost("threads", 1)  # absurdly cheap
-        assert policy.leaf_span_target("threads") == adaptive._MIN_LEAF_SPAN_NS
-        policy.note_dispatch_cost("process", 10_000_000_000)  # absurdly slow
-        assert policy.leaf_span_target("process") == adaptive._MAX_LEAF_SPAN_NS
+    def test_first_auto_run_traces_only_its_own_tasks(self):
+        with ForkJoinPool(parallelism=2, name="span-trace") as pool:
+            with tracing() as tracer:
+                assert self._sum(pool) == sum(x * 3 for x in range(self.N))
+            executed = pool.stats()["tasks_executed"]
+        spans = tracer.spans()
+        tasks = [s.name for s in spans if s.kind == "task"]
+        # Java's bootstrap rule: 20_000 // (4 × 2) per leaf → 8 leaves,
+        # run by the root and its 7 forked halves.
+        assert sum(s.kind == "leaf" for s in spans) == 8
+        assert set(tasks) == {"_ReduceTask"}
+        assert executed == len(tasks) == 8
 
-    def test_samples_blend_as_ewma(self):
-        policy = SplitPolicy(pin_leaf_span=False)
-        policy.note_dispatch_cost("threads", 100_000)
-        policy.note_dispatch_cost("threads", 300_000)
-        assert policy.stats()["dispatch_cost_ns"]["threads"] == 200_000.0
-
-    def test_nonpositive_samples_ignored(self):
-        policy = SplitPolicy(pin_leaf_span=False)
-        policy.note_dispatch_cost("threads", 0)
-        policy.note_dispatch_cost("threads", -5)
-        assert policy.stats()["dispatch_cost_ns"] == {}
-
-    def test_pinned_span_ignores_measurements(self):
-        policy = SplitPolicy(pin_leaf_span=True)
-        policy.note_dispatch_cost("threads", 100_000)
-        assert policy.leaf_span_target("threads") == policy.target_leaf_span_ns
-
-    def test_reset_clears_dispatch_state(self):
-        policy = SplitPolicy(pin_leaf_span=False)
-        policy.note_dispatch_cost("threads", 100_000)
-        policy.reset()
-        assert policy.stats()["dispatch_cost_ns"] == {}
-        assert policy.leaf_span_target("threads") == policy.target_leaf_span_ns
-
-    def test_decide_uses_derived_span(self):
-        policy = SplitPolicy(pin_leaf_span=False)
-        key = ("threads", "ListSpliterator", 4, ())
-        # 1000ns/element shape: static 32ms span → target 32_000.
-        _observe(
-            policy, key,
-            leaf_ns=[40_000_000] * 4, leaf_elements=[40_000] * 4,
-        )
-        # size 65536 → Java floor 4096, below both cost-derived targets;
-        # a leaf per worker caps the static one at 65536 / 4.
-        static = policy.decide(1 << 16, 4, key, record=False)
-        assert static.target_size == 16_384  # 32ms ÷ 1000ns, capped
-        policy.note_dispatch_cost("threads", 100_000)  # → 6.4ms span
-        derived = policy.decide(1 << 16, 4, key, record=False)
-        assert derived.inputs["target_leaf_span_ns"] == 6_400_000
-        assert derived.target_size == 6_400
-
-    def test_measure_pool_dispatch_guards(self):
-        assert adaptive._measure_pool_dispatch(None) == 0.0
-        pool = ForkJoinPool(parallelism=2, name="probe-guard")
-        pool.shutdown()
-        assert adaptive._measure_pool_dispatch(pool) == 0.0
-
-    def test_threads_auto_run_populates_dispatch_cost(self):
-        with ForkJoinPool(parallelism=2, name="dispatch-e2e") as pool:
-            result = (
-                Stream.of_iterable(range(20_000))
-                .parallel()
-                .with_pool(pool)
-                .map(_work)
-                .sum()
+    def test_span_input_is_the_constant_after_warm_runs(self):
+        with ForkJoinPool(parallelism=2, name="span-explain") as pool:
+            for _ in range(2):
+                self._sum(pool)
+            plan = (
+                Stream.of_iterable(range(self.N)).parallel().with_pool(pool)
+                .map(_work).explain().to_dict()
             )
-        assert result == sum(x * 3 for x in range(20_000))
-        costs = adaptive.split_policy_stats()["dispatch_cost_ns"]
-        assert costs.get("threads", 0) > 0
+        inputs = plan["execution"]["threshold_inputs"]
+        assert inputs["observed_runs"] == 2
+        assert inputs["target_leaf_span_ns"] == adaptive.TARGET_LEAF_SPAN_NS
+        assert set(adaptive.split_policy_stats()) == {
+            "decisions", "bootstrap", "observed_runs", "memo_size"}
+
+    def test_process_auto_run_submits_only_leaf_batches(self, monkeypatch):
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.jplf import process_executor
+
+        submitted = []
+        submit = ProcessPoolExecutor.submit
+
+        def spy(self, fn, *args, **kwargs):
+            submitted.append(fn)
+            return submit(self, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", spy)
+        with process_executor.ProcessExecutor(processes=2) as ex:
+            monkeypatch.setattr(pb, "_shared_executor", ex)
+            with ForkJoinPool(parallelism=2, name="span-process") as pool:
+                assert self._sum(pool, "process") == sum(
+                    x * 3 for x in range(self.N))
+            batches = sum(
+                w["worker_batches"] for w in ex.stats()["workers"].values()
+            )
+        assert batches > 0
+        assert submitted == [process_executor._run_leaf_batch] * batches
 
 
 class TestWorkRule:
@@ -499,7 +473,7 @@ class TestWorkRule:
     leaf; more work gets at least one leaf per worker."""
 
     def _policy(self, key, parallelism):
-        policy = SplitPolicy(target_leaf_span_ns=1_000_000, pin_leaf_span=True)
+        policy = SplitPolicy(target_leaf_span_ns=1_000_000)
         # 100 ns per element: 10_000 elements fill the 1ms span exactly.
         _observe(policy, key, leaf_ns=[100_000], leaf_elements=[1_000])
         return policy
@@ -528,9 +502,9 @@ def _process_batches() -> int:
 
 @pytest.fixture
 def pinned_span(monkeypatch):
-    """The policy with its leaf span pinned at 1 s, so a cheap pipeline's
-    whole work fits one leaf whatever this host's dispatch cost."""
-    policy = SplitPolicy(target_leaf_span_ns=1_000_000_000, pin_leaf_span=True)
+    """The policy with a 1 s leaf span, so a cheap pipeline's whole work
+    fits one leaf however slow this host runs it."""
+    policy = SplitPolicy(target_leaf_span_ns=1_000_000_000)
     monkeypatch.setattr(adaptive, "_policy", policy)
     return policy
 
@@ -602,17 +576,3 @@ class TestInCallerPlans:
                 Stream.range(0, n).parallel().with_backend("process").map(
                     lambda x: x
                 ).to_list()
-
-
-class TestProcessDispatchProbe:
-    def test_dispatch_cost_is_a_round_trip_not_a_poll_tick(self):
-        # The process dispatch cost is a no-op round trip through a worker
-        # (well under a millisecond), not the scatter loop's 50 ms poll
-        # tick, which slow leaves used to leak into it.
-        for _ in range(3):
-            assert (
-                Stream.range(0, 64).parallel().with_backend("process")
-                .with_target_size("auto").map(_slow).to_list()
-            ) == list(range(64))
-        cost = adaptive.split_policy_stats()["dispatch_cost_ns"]["process"]
-        assert 0 < cost < 10_000_000

@@ -454,13 +454,13 @@ class _Scaler:
 
 
 class _UnkeyedOp(Op):
-    """A pass-through stage whose identity key does not hash."""
+    """A pass-through stage carrying unhashable state."""
+
+    def __init__(self):
+        self.seen = []
 
     def wrap_sink(self, downstream):
         return downstream
-
-    def stage_key(self):
-        return [id(self)]
 
 
 class _NullSink(Sink):
@@ -477,6 +477,8 @@ class TestKernelMemo:
         stream = stream_of(self.DATA)
         if backend == "threads":
             stream = stream.parallel().with_pool(pool)
+        elif backend == "process":
+            stream = stream.parallel().with_backend("process")
         return stream
 
     @pytest.mark.parametrize("backend", ["sequential", "threads"])
@@ -509,8 +511,8 @@ class TestKernelMemo:
         assert stats["compiled"] == 0
 
     def test_unhashable_stage_key_rides_the_structural_memo(self):
-        # The rewrite memo reads each stage's type, never its identity
-        # key, so a stage whose ``stage_key`` does not hash is memoized.
+        # The rewrite memo reads each stage's type, never the values it
+        # carries, so a stage holding unhashable state is memoized.
         config = current_config()
         ops = [MapOp(abs), MapOp(_plus_one), _UnkeyedOp()]
         with engine(fusion=True):
@@ -598,17 +600,22 @@ class TestKernelMemo:
                                   if (x + k) % 2 == 0][:5]
         assert fusion_stats()["compiled"] == 0
 
-    @pytest.mark.parametrize("backend", ["sequential", "threads"])
+    @pytest.mark.parametrize("backend", ["sequential", "threads", "process"])
     def test_no_cache_keeps_a_user_callable_alive(self, pool, backend):
         big = list(range(1 << 16))
 
         def closure(x):
             return x + len(big)
 
+        if backend == "process":
+            # Only a picklable callable crosses to the workers.
+            closure, expected = _Scaler(3), [x * 3 for x in self.DATA]
+        else:
+            expected = [x + len(big) for x in self.DATA]
         ref = weakref.ref(closure)
         with engine(fusion=True):
             out = self._stream(pool, backend).map(closure).to_list()
-        assert out == [x + len(big) for x in self.DATA]
+        assert out == expected
         del closure, out
         gc.collect()
         assert ref() is None

@@ -31,8 +31,9 @@ from repro.streams import (
 )
 from repro.streams import collectors
 from repro.streams import process_backend as pb
-from repro.streams.ops import FilterOp, MapOp
+from repro.streams.ops import FilterOp, LimitOp, MapOp
 from repro.streams.optional import Optional
+from repro.streams.parallel import plan_segment
 from repro.streams.spliterators import ListSpliterator, RangeSpliterator
 from repro.streams.terminal import Collect, ForEach, Match, Reduce
 
@@ -79,6 +80,22 @@ def _combine_extend(a, b):
 def executor():
     with ProcessExecutor(processes=2) as ex:
         yield ex
+
+
+def _run_planned(spliterator, ops, terminal, *, executor, target_size=None,
+                 deadline=None, budget=None):
+    """Plan one process segment for ``executor``'s workers and run it there:
+    the stream path's two steps, with the run's own deadline and a
+    ``limit(budget)`` cut that every leaf runs and the scatter stops at."""
+    config = EngineConfig(backend="process")
+    segment = plan_segment(
+        spliterator, ops, executor.processes, target_size, config
+    )
+    leaf_ops = segment.ops if budget is None else [*segment.ops, LimitOp(budget)]
+    return pb.run_segment(
+        segment.source, leaf_ops, terminal, config, segment.decision,
+        deadline, executor, budget,
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -189,9 +206,9 @@ class TestBackendControls:
             stream.map(lambda x: x + 1).to_list()
 
     def test_pickling_verdict_is_per_shape(self):
-        # The verdict is cached by the chain's and terminal's identity:
-        # the same picklable shape passes again, an unpicklable stage in
-        # the same position fails every time.
+        # Every terminal is checked afresh, with no cached verdict: the
+        # same picklable shape passes again, an unpicklable stage in the
+        # same position fails every time.
         terminal = Reduce(operator.add, identity=0, has_identity=True)
         for _ in range(2):
             assert pb.shipped_terminal(terminal, [MapOp(abs)]) is terminal
@@ -241,9 +258,9 @@ class TestTerminalParity:
             _new_list, _acc_append, _combine_extend, None,
             CollectorCharacteristics.IDENTITY_FINISH,
         )
-        got = pb.evaluate(
+        got = _run_planned(
             RangeSpliterator(0, 256), [], Collect(collector),
-            EngineConfig(), target_size=32, executor=executor,
+            target_size=32, executor=executor,
         )
         assert got == list(range(256))
 
@@ -305,9 +322,9 @@ class TestTerminalParity:
     def test_for_each_runs_in_workers(self, executor):
         # Side effects land in the child; the parent only observes
         # completion without error.
-        pb.evaluate(
+        _run_planned(
             RangeSpliterator(0, 128), [], ForEach(_double),
-            EngineConfig(), target_size=16, executor=executor,
+            target_size=16, executor=executor,
         )
 
     def test_stateful_barrier_pipeline(self):
@@ -404,11 +421,11 @@ class TestDeadlinePropagation:
         with ProcessExecutor(processes=1) as ex:
             started = time.perf_counter()
             with pytest.raises(TaskTimeoutError):
-                pb.evaluate(
+                _run_planned(
                     RangeSpliterator(0, 4),
                     [MapOp(_slow_identity)],
                     Collect(_list_collector()),
-                    EngineConfig(), target_size=1,
+                    target_size=1,
                     deadline=_deadline_after(0.25),
                     executor=ex,
                 )
@@ -460,9 +477,9 @@ class TestWorkerChaos:
         plan = FaultPlan(seed=11).inject("proc:worker-0", "kill", times=1)
         with ProcessExecutor(processes=2, retry=RetryPolicy(max_attempts=3)) as ex:
             with fault_injection(plan):
-                got = pb.evaluate(
+                got = _run_planned(
                     RangeSpliterator(0, 512), [], Collect(_list_collector()),
-                    EngineConfig(), target_size=64, executor=ex,
+                    target_size=64, executor=ex,
                 )
             assert got == list(range(512))
             stats = ex.stats()
@@ -477,9 +494,9 @@ class TestWorkerChaos:
             processes=2, retry=RetryPolicy(max_attempts=2), fallback=True
         ) as ex:
             with fault_injection(plan):
-                got = pb.evaluate(
+                got = _run_planned(
                     RangeSpliterator(0, 256), [], Collect(_list_collector()),
-                    EngineConfig(), target_size=64, executor=ex,
+                    target_size=64, executor=ex,
                 )
             assert got == list(range(256))
             assert ex.stats()["degraded_runs"] == 1
@@ -491,15 +508,15 @@ class TestWorkerChaos:
         with ProcessExecutor(processes=2) as ex:
             with fault_injection(plan):
                 with pytest.raises(BrokenProcessPool):
-                    pb.evaluate(
+                    _run_planned(
                         RangeSpliterator(0, 256), [], Collect(_list_collector()),
-                        EngineConfig(), target_size=64, executor=ex,
+                        target_size=64, executor=ex,
                     )
             # The broken pool was discarded; the next run forks a fresh
             # one and succeeds.
-            got = pb.evaluate(
+            got = _run_planned(
                 RangeSpliterator(0, 256), [], Collect(_list_collector()),
-                EngineConfig(), target_size=64, executor=ex,
+                target_size=64, executor=ex,
             )
             assert got == list(range(256))
             assert ex.stats()["broken_pools"] == 1
@@ -519,16 +536,16 @@ class TestWorkerChaos:
                 )
                 with fault_injection(plan):
                     with pytest.raises(BrokenProcessPool):
-                        pb.evaluate(
+                        _run_planned(
                             RangeSpliterator(0, 256), [], Collect(_list_collector()),
-                            EngineConfig(), target_size=64, executor=ex,
+                            target_size=64, executor=ex,
                         )
                 # Exactly one containment per trial, and the next run
                 # always gets a fresh pool.
                 assert ex.stats()["broken_pools"] == trial + 1
-                got = pb.evaluate(
+                got = _run_planned(
                     RangeSpliterator(0, 256), [], Collect(_list_collector()),
-                    EngineConfig(), target_size=64, executor=ex,
+                    target_size=64, executor=ex,
                 )
                 assert got == list(range(256))
 
@@ -597,9 +614,9 @@ class TestExplainAndMetrics:
     def test_prom_metrics_cover_process_runs(self, executor):
         from repro.obs.prom import render
 
-        pb.evaluate(
+        _run_planned(
             RangeSpliterator(0, 256), [], Collect(_list_collector()),
-            EngineConfig(), target_size=64, executor=executor,
+            target_size=64, executor=executor,
         )
         text = render(executor.metrics)
         assert 'runs_total{pool="process",processes="2"} 1' in text
@@ -742,9 +759,9 @@ class TestRunningLeafAbort:
             predicate = functools.partial(
                 _coordinated_probe, shm.describe(counters), boundary
             )
-            result = pb.evaluate(
+            result = _run_planned(
                 RangeSpliterator(0, n), [], Match(predicate, "any"),
-                EngineConfig(), target_size=boundary, executor=executor,
+                target_size=boundary, executor=executor,
             )
             assert result is True
             if counters[3] == 1:
@@ -761,9 +778,9 @@ class TestRunningLeafAbort:
 
     def test_no_segments_leak_after_match(self, executor):
         before = shm.active_segments()
-        assert pb.evaluate(
+        assert _run_planned(
             RangeSpliterator(0, 1 << 12), [], Match(_is_even, "any"),
-            EngineConfig(), executor=executor,
+            executor=executor,
         )
         assert shm.active_segments() == before
 
@@ -776,10 +793,10 @@ class TestAdaptiveProcessBackend:
         try:
             expected = sum(range(1 << 12))
             for _ in range(2):
-                total = pb.evaluate(
+                total = _run_planned(
                     RangeSpliterator(0, 1 << 12), [],
                     Reduce(operator.add, identity=0, has_identity=True),
-                    EngineConfig(), target_size="auto", executor=executor,
+                    target_size="auto", executor=executor,
                 )
                 assert total == expected
             stats = adaptive.split_policy_stats()
@@ -876,11 +893,11 @@ class TestCountedLimitAbort:
                 _new_list, _acc_append, _combine_extend, None,
                 CollectorCharacteristics.IDENTITY_FINISH,
             )
-            got = pb.evaluate(
+            got = _run_planned(
                 RangeSpliterator(0, 2 * boundary),
                 [MapOp(probe),
                  FilterOp(functools.partial(_under, threshold=boundary))],
-                Collect(collector), EngineConfig(),
+                Collect(collector),
                 target_size=boundary, executor=executor, budget=budget,
             )
             assert got == list(range(budget))
@@ -903,9 +920,9 @@ class TestCountedLimitAbort:
             _new_list, _acc_append, _combine_extend, None,
             CollectorCharacteristics.IDENTITY_FINISH,
         )
-        got = pb.evaluate(
+        got = _run_planned(
             RangeSpliterator(0, 1 << 12), [MapOp(_double)], Collect(collector),
-            EngineConfig(), target_size=1 << 10, executor=executor, budget=100,
+            target_size=1 << 10, executor=executor, budget=100,
         )
         # Each completed leaf contributes at most ``budget`` elements and
         # the caller truncates; the global first-``budget`` prefix must be
@@ -919,9 +936,9 @@ class TestCountedLimitAbort:
             _new_list, _acc_append, _combine_extend, None,
             CollectorCharacteristics.IDENTITY_FINISH,
         )
-        got = pb.evaluate(
+        got = _run_planned(
             RangeSpliterator(0, 256), [MapOp(_double)], Collect(collector),
-            EngineConfig(), target_size=32, executor=executor, budget=budget,
+            target_size=32, executor=executor, budget=budget,
         )
         # Per-leaf truncation bounds the overshoot; the prefix is exact.
         assert got[:budget] == [x * 2 for x in range(budget)]
