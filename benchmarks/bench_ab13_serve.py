@@ -196,6 +196,7 @@ def run_chaos(seed: int, jobs_per_tenant: int, data_size: int):
     ``proc:worker-*`` kill only fires there); the other seven run on
     threads.  Gates: every non-victim result exact during the strike,
     and one follow-up job per tenant (victim included) completes after.
+    The kill must actually land: a run with no strike tests nothing.
     """
     data = list(range(data_size))
     expected = sum(data)
@@ -243,10 +244,11 @@ def run_chaos(seed: int, jobs_per_tenant: int, data_size: int):
         ]
         accepting_after = all(t.result(60.0) == expected for t in after)
         stats = service.stats()["tenants"]
+        strikes = plan.stats()["injected"]
         return {
             "seed": seed,
             "victim": "tenant-0",
-            "strikes": plan.stats()["injected"],
+            "strikes": strikes,
             "victim_states": victim_states,
             "victim_done_results_exact": victim_exact,
             "victim_stats": {
@@ -255,7 +257,7 @@ def run_chaos(seed: int, jobs_per_tenant: int, data_size: int):
             },
             "others_exact": others_exact,
             "accepting_after": accepting_after,
-            "ok": others_exact and accepting_after,
+            "ok": strikes >= 1 and others_exact and accepting_after,
         }
     finally:
         service.shutdown()
@@ -324,11 +326,14 @@ def main(argv=None):
     chaos = None
     if not args.skip_chaos:
         chaos = run_chaos(args.chaos_seed, chaos_jobs, data_size)
+        verdict = "OK" if chaos["ok"] else (
+            "LEAKED" if chaos["strikes"] else "NO STRIKE"
+        )
         print(f"chaos: seed {chaos['seed']}, {chaos['strikes']} worker-kill "
               f"strike(s) on {chaos['victim']}; others exact: "
               f"{chaos['others_exact']}, accepting after: "
               f"{chaos['accepting_after']} "
-              f"({'OK' if chaos['ok'] else 'LEAKED'})")
+              f"({verdict})")
 
     ok = fairness["ok"] and rejection["ok"] and (
         chaos is None or chaos["ok"]

@@ -8,7 +8,7 @@ Two layers (see ``docs/robustness.md`` for the model):
   ``combine:depth<3``, ``proc:worker-2``, ``mpi:send:0->1``.  Injection
   hooks are threaded through every execution engine: the parallel stream
   terminals, ``power_collect`` leaves and combiners, ``ForkJoinPool``
-  worker dispatch, ``ProcessExecutor`` sub-function shipping, ``SimComm``
+  worker dispatch, ``ProcessExecutor`` leaf-batch shipping, ``SimComm``
   message delivery, and the ``repro.serve`` admission/dispatch path
   (``serve:admit:<tenant>`` / ``serve:dispatch:<tenant>``).  With no
   plan installed every hook is a single ``is None`` check.

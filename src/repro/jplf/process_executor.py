@@ -7,7 +7,9 @@ descends the function's own deconstruction tree ``log2(processes)`` levels
 (cheap views), ships each sub-function to a worker process, and combines
 the returned partial results in the parent — structurally the same
 scatter/compute/combine pattern as the MPI executor, with real OS
-processes instead of a simulated cluster.
+processes instead of a simulated cluster.  The sub-functions ride the
+same scatter engine as the stream process backend's leaves,
+:meth:`ProcessExecutor.run_leaves`.
 
 Constraints inherited from pickling: the function object and its captured
 state must be picklable (named functions or ``operator.*`` instead of
@@ -19,7 +21,8 @@ Robustness (``docs/robustness.md``): the executor follows the same
 lifecycle contract as :class:`repro.forkjoin.pool.ForkJoinPool` —
 ``shutdown()`` is idempotent, ``execute`` after shutdown raises
 :class:`~repro.common.RejectedExecutionError`, and the executor is a
-context manager.  Fault injection hooks (site ``proc:worker-<i>``) let a
+context manager.  Fault injection hooks (site ``proc:worker-<i>``, leaf
+batch ``i`` of a scatter) let a
 :class:`repro.faults.plan.FaultPlan` raise in, delay, or SIGKILL-style
 kill a worker mid-run; a killed worker breaks the ``ProcessPoolExecutor``
 (``BrokenProcessPool``), which the executor contains by discarding its
@@ -45,9 +48,9 @@ from repro.common import (
     is_power_of_two,
 )
 from repro.faults.plan import FaultInjected, current_fault_plan
+from repro.faults.policy import run_resilient
 from repro.jplf.executors import Executor, SequentialExecutor
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import current_profiler
 from repro.jplf.power_function import PowerFunction
 from repro.powerlist import shm as _shm
 
@@ -76,32 +79,19 @@ def _run_subfunction(function: PowerFunction):
     return SequentialExecutor(threshold=_WORKER_LEAF_THRESHOLD).execute(function)
 
 
-def _run_subfunction_faulty(function: PowerFunction, mode: str, delay: float):
-    """Worker entry point with a fault decision already made by the parent.
+def _run_leaf_batch(runner, payloads, cancel_name: str | None = None,
+                    fault: tuple[str, float] | None = None):
+    """Top-level worker entry point for every leaf batch.
 
-    The parent process owns the (seeded, deterministic) strike decision;
-    the child merely enacts it, so determinism survives process
-    boundaries.  ``kill`` hard-exits the child the way a SIGKILL would —
-    bypassing cleanup — which surfaces in the parent as
-    ``BrokenProcessPool``.
-    """
-    if mode == "kill":
-        os._exit(13)
-    if delay > 0.0:
-        time.sleep(delay)
-    if mode == "raise":
-        raise FaultInjected(f"injected fault in process worker (pid {os.getpid()})")
-    return _run_subfunction(function)
-
-
-def _run_leaf_batch(runner, payloads, cancel_name: str | None = None):
-    """Top-level worker entry point for generic leaf batches.
-
-    Used by the stream process backend: one submission carries a whole
-    contiguous batch of leaf payloads, so a 64-leaf terminal costs
+    One submission carries a whole contiguous batch of leaf payloads —
+    stream leaves or JPLF sub-functions — so a 64-leaf terminal costs
     ~``processes`` IPC round trips instead of 64.  Returns
     ``(pid, results, duration_ns)`` — the pid keys the parent's
     per-worker labeled metrics.
+
+    ``fault`` is a ``(mode, delay)`` verdict the parent's fault plan
+    decided; the child only enacts it (``kill`` hard-exits like SIGKILL,
+    surfacing in the parent as ``BrokenProcessPool``).
 
     ``cancel_name`` names the run's shared cancellation flag.  It is
     published via :func:`current_leaf_cancel` for the duration of the
@@ -112,6 +102,16 @@ def _run_leaf_batch(runner, payloads, cancel_name: str | None = None):
     (failure or deadline) — the batch returns placeholder results.
     """
     global _leaf_cancel
+    if fault is not None:
+        mode, delay = fault
+        if mode == "kill":
+            os._exit(13)
+        if delay > 0.0:
+            time.sleep(delay)
+        if mode == "raise":
+            raise FaultInjected(
+                f"injected fault in process worker (pid {os.getpid()})"
+            )
     flag = None
     if cancel_name is not None:
         try:
@@ -134,18 +134,6 @@ def _run_leaf_batch(runner, payloads, cancel_name: str | None = None):
     return os.getpid(), results, time.perf_counter_ns() - start
 
 
-def _run_leaf_batch_faulty(runner, payloads, mode: str, delay: float,
-                           cancel_name: str | None = None):
-    """Leaf-batch entry point enacting a parent-decided fault verdict."""
-    if mode == "kill":
-        os._exit(13)
-    if delay > 0.0:
-        time.sleep(delay)
-    if mode == "raise":
-        raise FaultInjected(f"injected fault in process worker (pid {os.getpid()})")
-    return _run_leaf_batch(runner, payloads, cancel_name)
-
-
 class _ActiveRun:
     """One in-flight ``run_leaves`` scatter, registered so ``shutdown()``
     can reach its cancellation flag and pending futures."""
@@ -166,10 +154,10 @@ class ProcessExecutor(Executor):
         pool: an optional pre-started ``ProcessPoolExecutor`` to reuse
             (workers are expensive to fork; share one across calls).
         retry: optional :class:`repro.faults.policy.RetryPolicy` — a
-            failed scatter/compute/combine run is re-executed (on a fresh
-            pool if the old one broke).
-        fallback: when True, a run whose retries are exhausted degrades to
-            sequential execution in the parent process.
+            failed scatter is re-executed (on a fresh pool if the old one
+            broke).
+        fallback: when True, a scatter whose retries are exhausted runs
+            its payloads sequentially in the parent process.
     """
 
     def __init__(
@@ -222,72 +210,11 @@ class ProcessExecutor(Executor):
             self._pool = None
             self._owns_pool = True
 
-    def _execute_once(self, function: PowerFunction):
-        levels = exact_log2(self.processes)
-        if levels == 0:
-            return _run_subfunction(function)
-
-        # Descend: build the 2^levels sub-functions plus the combine plan.
-        frontier: list[PowerFunction] = [function]
-        parents: list[list[PowerFunction]] = []
-        for _ in range(levels):
-            parents.append(frontier)
-            next_frontier: list[PowerFunction] = []
-            for fn in frontier:
-                left, right = fn.subfunctions()
-                next_frontier.extend((left, right))
-            frontier = next_frontier
-
-        pool = self._ensure_pool()
-        plan = current_fault_plan()
-        profiler = current_profiler()
-        scatter_start = time.perf_counter_ns() if profiler is not None else 0
-        futures = []
-        for i, fn in enumerate(frontier):
-            action = None
-            if plan is not None:
-                # The strike decision stays in the parent (deterministic);
-                # the child only enacts the shipped (mode, delay) verdict.
-                action = plan.fire(
-                    "proc", (f"worker-{i}",),
-                    allowed=("raise", "delay", "kill"), index=i,
-                )
-            if action is None:
-                futures.append(pool.submit(_run_subfunction, fn))
-            else:
-                futures.append(
-                    pool.submit(_run_subfunction_faulty, fn, action.mode, action.delay)
-                )
-        try:
-            results = [f.result() for f in futures]
-        except BrokenProcessPool:
-            # A killed child poisons the whole pool; replace it so a retry
-            # does not immediately re-fail on the same broken executor.
-            self._discard_broken_pool()
-            raise
-        if profiler is not None:
-            profiler.profile.record_stage(
-                "proc:scatter",
-                time.perf_counter_ns() - scatter_start,
-                elements=len(frontier),
-            )
-
-        # Ascend: combine pairwise with each level's parent functions.
-        combine_start = time.perf_counter_ns() if profiler is not None else 0
-        for level_parents in reversed(parents):
-            results = [
-                parent.combine(results[2 * i], results[2 * i + 1])
-                for i, parent in enumerate(level_parents)
-            ]
-        if profiler is not None:
-            profiler.profile.record_stage(
-                "proc:combine",
-                time.perf_counter_ns() - combine_start,
-                elements=sum(len(p) for p in parents),
-            )
-        return results[0]
-
     def execute(self, function: PowerFunction):
+        """Descend ``log2(processes)`` levels, run the frontier's
+        sub-functions through :meth:`run_leaves` (one batch per worker),
+        and combine their results in the parent.  ``processes=1`` runs
+        the whole function in the caller."""
         if self._shutdown:
             raise RejectedExecutionError(
                 "ProcessExecutor has been shut down and no longer accepts work"
@@ -297,32 +224,32 @@ class ProcessExecutor(Executor):
                 f"input of {len(function.data)} elements cannot feed "
                 f"{self.processes} processes"
             )
-        self._runs.inc()
-        if self.retry is None and not self.fallback:
-            return self._execute_once(function)
-
-        from repro.faults.policy import run_resilient
-
-        def on_retry(attempt, exc):
-            self._retries.inc()
-
-        def on_degrade(exc):
-            self._degraded.inc()
-
-        def sequential():
+        levels = exact_log2(self.processes)
+        if levels == 0:
+            self._runs.inc()
             return _run_subfunction(function)
 
-        return run_resilient(
-            lambda: self._execute_once(function),
-            retry=self.retry,
-            fallback=sequential if self.fallback else None,
-            label=f"ProcessExecutor[{self.processes}]",
-            on_retry=on_retry,
-            on_degrade=on_degrade,
+        # Descend: build the 2^levels sub-functions plus the combine plan.
+        frontier: list[PowerFunction] = [function]
+        parents: list[list[PowerFunction]] = []
+        for _ in range(levels):
+            parents.append(frontier)
+            frontier = [half for fn in frontier for half in fn.subfunctions()]
+
+        results = self.run_leaves(
+            _run_subfunction, frontier, label=f"ProcessExecutor[{self.processes}]"
         )
 
+        # Ascend: combine pairwise with each level's parent functions.
+        for level_parents in reversed(parents):
+            results = [
+                parent.combine(results[2 * i], results[2 * i + 1])
+                for i, parent in enumerate(level_parents)
+            ]
+        return results[0]
+
     # ------------------------------------------------------------------ #
-    # Generic leaf-batch execution (the stream process backend's engine)
+    # Leaf-batch scatter: the one engine behind execute and streams
     # ------------------------------------------------------------------ #
 
     def _observe_batch(self, pid: int, leaves: int, duration_ns: int) -> None:
@@ -341,6 +268,7 @@ class ProcessExecutor(Executor):
         Payloads are grouped into at most ``2 × processes`` contiguous
         batches (amortizing submission overhead while leaving slack for
         load balancing) and the results are returned in payload order.
+        Batch ``i`` is fault site ``proc:worker-<i>``.
 
         Every scatter creates one :class:`repro.powerlist.shm.SharedFlag`
         whose segment name rides along with each batch submission.  The
@@ -394,8 +322,7 @@ class ProcessExecutor(Executor):
         # be discarded and every later run would inherit it.
         try:
             for i, (lo, hi) in enumerate(bounds):
-                batch = payloads[lo:hi]
-                action = None
+                fault = None
                 if plan is not None:
                     # Strike decisions stay in the parent (deterministic);
                     # the child only enacts the shipped (mode, delay)
@@ -404,17 +331,11 @@ class ProcessExecutor(Executor):
                         "proc", (f"worker-{i}",),
                         allowed=("raise", "delay", "kill"), index=i,
                     )
-                if action is None:
-                    futures.append(
-                        pool.submit(_run_leaf_batch, runner, batch, cancel.name)
-                    )
-                else:
-                    futures.append(
-                        pool.submit(
-                            _run_leaf_batch_faulty, runner, batch,
-                            action.mode, action.delay, cancel.name,
-                        )
-                    )
+                    if action is not None:
+                        fault = (action.mode, action.delay)
+                futures.append(pool.submit(
+                    _run_leaf_batch, runner, payloads[lo:hi], cancel.name, fault
+                ))
 
             slot_of = {future: bounds[i] for i, future in enumerate(futures)}
             not_done = set(futures)
@@ -515,17 +436,14 @@ class ProcessExecutor(Executor):
                 "ProcessExecutor has been shut down and no longer accepts work"
             )
         self._runs.inc()
-        if self.retry is None and not self.fallback:
-            return self._map_leaves_once(
-                runner, payloads, deadline, stop, label, observer
-            )
-
-        from repro.faults.policy import run_resilient
 
         def primary():
             return self._map_leaves_once(
                 runner, payloads, deadline, stop, label, observer
             )
+
+        if self.retry is None and not self.fallback:
+            return primary()
 
         def sequential():
             out = []
@@ -550,7 +468,8 @@ class ProcessExecutor(Executor):
     def stats(self) -> dict:
         """Counters for this executor: runs, retries, degraded runs, broken
         pools discarded after a worker death, plus per-worker batch/leaf
-        counts keyed by child pid (populated by :meth:`run_leaves`)."""
+        counts keyed by child pid (fed by every :meth:`run_leaves` scatter;
+        a JPLF :meth:`execute` counts one leaf per sub-function)."""
         workers: dict[str, dict] = {}
         for entry in self.metrics.collect():
             pid = entry["labels"].get("worker")
@@ -573,7 +492,8 @@ class ProcessExecutor(Executor):
         borrowed pool is left running (its owner shuts it down) but this
         executor still transitions to the rejecting state.
 
-        A shutdown that races an active :meth:`run_leaves` does not hang
+        A shutdown that races an active :meth:`run_leaves` (or an
+        :meth:`execute`, which scatters through it) does not hang
         either side: each in-flight run's cancellation flag is set (so
         RUNNING leaves abort at their next chunk boundary), its pending
         futures are cancelled (waking the FIRST_EXCEPTION wait loop, which

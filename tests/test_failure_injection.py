@@ -14,6 +14,7 @@ import os
 import random
 import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -29,6 +30,8 @@ from repro.core.polynomial import horner, polynomial_value
 from repro.faults import FaultInjected, FaultPlan, RetryPolicy, fault_injection
 from repro.faults import policy as fault_policy
 from repro.forkjoin import ForkJoinPool, RecursiveAction, RecursiveTask
+from repro.jplf import JplfPolynomialValue, ProcessExecutor, SequentialExecutor
+from repro.powerlist import PowerList, shm
 from repro.streams import Collector, Collectors, Stream, stream_of
 from repro.streams.spliterator import Characteristics, Spliterator
 from repro.streams.stream_support import StreamSupport
@@ -547,6 +550,19 @@ _SCENARIOS = {
 }
 
 
+def _triple(x):
+    return 3 * x
+
+
+def _proc_strike(seed, mode):
+    """One seeded strike on a process scatter: the seed picks which of the
+    first two leaf batches (``proc:worker-0`` or ``-1``) is hit."""
+    batch = random.Random(seed).randrange(2)
+    return FaultPlan(seed, name=f"proc-{mode}").inject(
+        f"proc:worker-{batch}", mode, times=1
+    )
+
+
 class TestChaosMatrix:
     """Seed × scenario sweep at 2^14: resilience policies must restore the
     exact result; without them, injected raises must propagate."""
@@ -593,6 +609,43 @@ class TestChaosMatrix:
                 out = polynomial_value(coeffs, -1.0, pool=p, target_size=1024)
             assert out == horner(coeffs, -1.0)
             assert p.stats()["worker_crashes"] >= 1
+
+    @pytest.mark.parametrize("seed", CHAOS_SEEDS)
+    @pytest.mark.parametrize("mode", ["raise", "kill"])
+    def test_process_execute_strike_recovers(self, seed, mode):
+        def fn():
+            return JplfPolynomialValue(PowerList(_coeffs(1 << 10)), -1.0)
+
+        plan = _proc_strike(seed, mode)
+        with ProcessExecutor(2, retry=RetryPolicy(max_attempts=3)) as ex:
+            with fault_injection(plan):
+                out = ex.execute(fn())
+            assert ex.stats()["retries"] == 1
+        assert out == SequentialExecutor().execute(fn())
+        assert plan.stats()["injected"] == 1
+        assert not shm.active_segments()
+
+    @pytest.mark.parametrize("seed", CHAOS_SEEDS)
+    @pytest.mark.parametrize("mode", ["raise", "kill"])
+    def test_process_stream_strike_is_contained(self, seed, mode):
+        def run():
+            # Forced past one leaf: 8 leaves, so the scatter has batches
+            # 0 and 1 to strike.
+            return (
+                Stream.range(0, self.N).parallel().with_backend("process")
+                .with_target_size(self.N // 8).map(_triple).sum()
+            )
+
+        expected = Stream.range(0, self.N).map(_triple).sum()
+        plan = _proc_strike(seed, mode)
+        with fault_injection(plan):
+            try:
+                assert run() == expected
+            except (FaultInjected, BrokenProcessPool):
+                pass
+        assert plan.stats()["injected"] == 1
+        assert run() == expected
+        assert not shm.active_segments()
 
 
 class TestChaosSoak:

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import threading
 
 import pytest
 
@@ -21,10 +22,33 @@ class TestPoolStats:
             assert len(after["per_worker"]) == 4
 
     def test_steals_happen_on_wide_work(self):
+        # The root task reaches one worker; every forked task reaches
+        # another worker only by being stolen.  The first worker to map an
+        # element waits until a second worker has mapped one, so the run
+        # cannot finish on one worker before the others wake.
+        seen: set[str] = set()
+        second_worker = threading.Condition()
+
+        def gated(x):
+            name = threading.current_thread().name
+            if len(seen) < 2 and name.startswith("steals-worker-"):
+                with second_worker:
+                    seen.add(name)
+                    second_worker.notify_all()
+                    second_worker.wait_for(lambda: len(seen) >= 2, timeout=10.0)
+            return x
+
         with ForkJoinPool(parallelism=4, name="steals") as pool:
-            Stream.range(0, 100_000).parallel().with_pool(pool).with_target_size(
-                1000
-            ).sum()
+            total = (
+                Stream.range(0, 100_000)
+                .parallel()
+                .with_pool(pool)
+                .with_target_size(1000)
+                .map(gated)
+                .sum()
+            )
+            assert total == sum(range(100_000))
+            assert len(seen) >= 2
             assert pool.stats()["steals"] >= 1
 
     def test_totals_are_sums(self):

@@ -25,6 +25,12 @@ def _slow_leaf(payload):
     return payload
 
 
+def _slow_square(x):
+    """A mapper slow enough for a shutdown to land mid-``execute``."""
+    time.sleep(0.25)
+    return x * x
+
+
 @pytest.fixture(scope="module")
 def executor():
     with ProcessExecutor(processes=2) as ex:
@@ -65,6 +71,19 @@ class TestProcessExecutor:
         out = ex.execute(JplfReduce(PowerList([1, 2, 3, 4]), operator.add))
         assert out == 10
         ex.shutdown()
+
+    def test_single_process_runs_unpicklable_function_in_caller(self):
+        with ProcessExecutor(processes=1) as ex:
+            out = ex.execute(JplfReduce(PowerList([1, 2, 3, 4]), lambda a, b: a + b))
+        assert out == 10
+
+    def test_execute_feeds_the_per_worker_series(self):
+        with ProcessExecutor(processes=2) as ex:
+            data = list(range(256))
+            assert ex.execute(JplfReduce(PowerList(data), operator.add)) == sum(data)
+            workers = ex.stats()["workers"].values()
+        # One sub-function per worker, counted like any other leaf batch.
+        assert sum(w["worker_leaves"] for w in workers) == 2
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(IllegalArgumentError):
@@ -119,22 +138,31 @@ class TestLifecycle:
         executor.execute(JplfReduce(PowerList(data), operator.add))
         assert executor._pool is pool_first
 
-    def test_shutdown_races_in_flight_run_without_hanging(self):
-        """shutdown() during an active run_leaves must cancel its pending
-        batches and surface RejectedExecutionError to the waiter in
-        bounded time — not hang the FIRST_EXCEPTION wait loop."""
+    @pytest.mark.parametrize("entry", ["leaves", "jplf"])
+    def test_shutdown_races_in_flight_run_without_hanging(self, entry):
+        """shutdown() during an active run_leaves (or an execute, which
+        scatters through it) must cancel its pending batches and surface
+        RejectedExecutionError to the waiter in bounded time — not hang
+        the FIRST_EXCEPTION wait loop."""
         from repro.common import RejectedExecutionError
 
         ex = ProcessExecutor(processes=2)
         outcome = {}
+        runs = {
+            # 16 slow payloads → 4 batches of 4: two batches run,
+            # two sit pending when shutdown strikes.
+            "leaves": lambda: ex.run_leaves(
+                _slow_leaf, list(range(16)), label="race victim"
+            ),
+            # Two sub-functions of 8 slow elements: ~2 s per batch.
+            "jplf": lambda: ex.execute(
+                JplfMap(PowerList(list(range(16))), _slow_square)
+            ),
+        }
 
         def waiter():
             try:
-                # 16 slow payloads → 4 batches of 4: two batches run,
-                # two sit pending when shutdown strikes.
-                outcome["result"] = ex.run_leaves(
-                    _slow_leaf, list(range(16)), label="race victim"
-                )
+                outcome["result"] = runs[entry]()
             except BaseException as exc:
                 outcome["error"] = exc
 
