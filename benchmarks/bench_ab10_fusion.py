@@ -41,7 +41,8 @@ import pytest
 from repro.bench.harness import repeat_average
 from repro.bench.workloads import random_integers
 from repro.forkjoin import ForkJoinPool
-from repro.streams import engine, fusion_stats, stream_of
+from repro.obs.metrics import global_registry
+from repro.streams import engine, stream_of
 
 N_BENCH = 2**18
 
@@ -259,9 +260,11 @@ def run_sweep(sizes, runs, pool):
         data = random_integers(size, seed=1234)
         for name, fn in WORKLOADS:
             with engine(fusion=True):
-                fusion_stats(reset=True)
+                before = global_registry().snapshot()
                 fused_result = fn(data, pool)
-                engaged = fusion_stats()["pipelines_fused"] > 0
+                after = global_registry().snapshot()
+                key = "fusion_pipelines_fused"
+                engaged = after[key] > before[key]
                 fused = repeat_average(lambda: fn(data, pool), runs=runs)
             with engine(fusion=False):
                 unfused_result = fn(data, pool)

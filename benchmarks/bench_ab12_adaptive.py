@@ -51,6 +51,7 @@ import pytest
 
 from repro.bench.harness import repeat_average
 from repro.forkjoin import ForkJoinPool
+from repro.obs.metrics import global_registry
 from repro.streams import Stream
 from repro.streams import adaptive
 
@@ -201,6 +202,7 @@ def run_sweep(sizes, rounds, runs, pool):
                 parity_ok &= bool(fn(arr, pool, target) == expected)
 
             adaptive.reset_split_policy()
+            before = global_registry().snapshot()
             parity = bool(fn(arr, pool, "auto") == expected)
             parity_ok &= parity
             for _ in range(2):
@@ -223,7 +225,7 @@ def run_sweep(sizes, rounds, runs, pool):
                         auto_slots.append(timed("auto"))
                         fixed[target].append(timed(target))
                 auto_rounds.append(statistics.median(auto_slots))
-            stats = adaptive.split_policy_stats()
+            after = global_registry().snapshot()
             adaptive.reset_split_policy()
 
             fixed_medians = {
@@ -253,8 +255,12 @@ def run_sweep(sizes, rounds, runs, pool):
                 "in_band": in_band,
                 "parity": parity,
                 "policy": {
-                    k: stats[k]
-                    for k in ("decisions", "bootstrap", "observed_runs")
+                    key: after[series] - before[series]
+                    for key, series in (
+                        ("decisions", "split_decisions"),
+                        ("bootstrap", "split_bootstraps"),
+                        ("observed_runs", "split_observed_runs"),
+                    )
                 },
             })
             flag = "" if parity else "  PARITY MISMATCH"

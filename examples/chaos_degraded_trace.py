@@ -17,9 +17,9 @@ import tempfile
 from repro.core import polynomial_value
 from repro.core.polynomial import horner
 from repro.faults import FaultPlan, RetryPolicy, fault_injection
-from repro.faults import policy as fault_policy
 from repro.forkjoin import ForkJoinPool
 from repro.obs import render_gantt, tracing, write_chrome_trace
+from repro.obs.metrics import global_registry
 
 
 def main() -> None:
@@ -45,7 +45,7 @@ def main() -> None:
     plan = FaultPlan(seed=args.seed, name="chaos-demo").inject(
         "leaf:*", "raise", probability=0.3
     )
-    before = fault_policy.stats()
+    before = global_registry().snapshot()
     with tracing() as tracer:
         with ForkJoinPool(parallelism=4, name="chaos") as pool:
             with fault_injection(plan):
@@ -54,7 +54,7 @@ def main() -> None:
                     retry=RetryPolicy(max_attempts=3, base_delay=0.001),
                     fallback=True,
                 )
-    after = fault_policy.stats()
+    after = global_registry().snapshot()
 
     assert value == expected, (value, expected)
     spans = tracer.spans()
@@ -65,8 +65,8 @@ def main() -> None:
     print(f"value: {value}  (matches the unfaulted reference)")
     print(f"faults injected: {plan.stats()['injected']}  by site:",
           plan.stats()["by_site"])
-    print("recovery:",
-          {k: after[k] - before[k] for k in after})
+    recovery = ("faults_injected", "retries_attempted", "degraded_runs")
+    print("recovery:", {k: after[k] - before[k] for k in recovery})
     print(f"chrome trace: {path} ({len(spans)} spans)")
     print()
     print(render_gantt(spans))

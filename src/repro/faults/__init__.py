@@ -32,7 +32,7 @@ from repro.faults.plan import (
     fault_injection,
     set_fault_plan,
 )
-from repro.faults.policy import Deadline, RetryPolicy, run_resilient, stats
+from repro.faults.policy import Deadline, RetryPolicy, run_resilient
 from repro.faults.sites import SitePattern, site_string
 
 __all__ = [
@@ -50,5 +50,4 @@ __all__ = [
     "run_resilient",
     "set_fault_plan",
     "site_string",
-    "stats",
 ]

@@ -271,8 +271,8 @@ class FaultPlan:
     # -- observability ----------------------------------------------------- #
 
     def stats(self) -> dict:
-        """Per-plan injection counters (process-wide totals live in
-        :func:`repro.faults.stats`)."""
+        """Per-plan injection counters (the process-wide total is the
+        ``faults_injected`` counter of the global metrics registry)."""
         with self._lock:
             return {
                 "injected": sum(i.fired for i in self._injectors),

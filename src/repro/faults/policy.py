@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Any, Callable, TypeVar
+from typing import Callable, TypeVar
 
 from repro.common import IllegalArgumentError, TaskTimeoutError, check_positive
 from repro.obs.metrics import global_registry
@@ -212,12 +212,3 @@ def run_resilient(
         return fallback()
     raise failure
 
-
-def stats() -> dict:
-    """Process-wide resilience counters (monotonic; diff across a run)."""
-    snap = global_registry().snapshot()
-    return {
-        "faults_injected": snap.get("faults_injected", 0),
-        "retries_attempted": snap.get("retries_attempted", 0),
-        "degraded_runs": snap.get("degraded_runs", 0),
-    }

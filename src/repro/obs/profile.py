@@ -135,8 +135,8 @@ class RunProfile:
         self.stages: dict[str, dict] = {}
         self.leaf_durations = Histogram("leaf_duration_ns")
         self.chunk_sizes = Histogram("chunk_size")
-        #: Which bulk path each traversal took (mirrors ``bulk_stats``,
-        #: but per-profiled-region and counting parallel leaves).
+        #: Which mode each traversal took (mirrors the process-wide
+        #: ``stream_traversals`` counter, per profiled region).
         self.modes = {"chunked": 0, "element": 0, "short_circuit": 0}
         self.traversals = 0
         self.sampled_traversals = 0
@@ -180,21 +180,6 @@ class RunProfile:
                 stage["inclusive_ns"] += probe.ns
                 stage["self_ns"] += max(probe.ns - downstream_ns, 0)
                 stage["traversals"] += 1
-
-    def record_stage(
-        self, stage: str, self_ns: int, elements: int = 0, chunks: int = 0
-    ) -> None:
-        """Attribute time to a named stage outside the sink chain (used
-        by e.g. the process executor for scatter/combine phases)."""
-        with self._lock:
-            entry = self.stages.get(stage)
-            if entry is None:
-                entry = self.stages[stage] = _new_stage()
-            entry["elements"] += elements
-            entry["chunks"] += chunks
-            entry["inclusive_ns"] += self_ns
-            entry["self_ns"] += self_ns
-            entry["traversals"] += 1
 
     def record_leaf(self, duration_ns: int, size: int) -> None:
         with self._lock:

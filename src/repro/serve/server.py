@@ -25,7 +25,8 @@ dispatcher thread to hand the job across.  The layering is deliberate:
 * **observability**: every counter, gauge and histogram carries a
   ``tenant`` label in the service's own
   :class:`~repro.obs.metrics.MetricsRegistry`; :meth:`metrics_text`
-  renders the Prometheus exposition.
+  renders it with the process-wide engine counters as one Prometheus
+  exposition.
 
 :class:`StreamServer` wraps the core for asyncio callers: ``await
 server.submit(...)`` resolves on the event loop when the job settles,
@@ -54,7 +55,7 @@ from repro.faults.plan import current_fault_plan
 from repro.faults.policy import Deadline
 from repro.forkjoin.pool import ForkJoinPool, common_pool
 from repro.obs import prom
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, global_registry
 from repro.serve.errors import AdmissionError, JobShedError
 from repro.serve.job import CANCELLED, DONE, FAILED, SHED, Job, Ticket
 from repro.serve.queue import AdmissionQueue
@@ -492,8 +493,9 @@ class ExecutionService:
         }
 
     def metrics_text(self) -> str:
-        """The Prometheus text exposition of the service registry."""
-        return prom.render(self.metrics)
+        """The Prometheus text exposition of the service registry and the
+        process-wide engine counters, in one scrape."""
+        return prom.render(self.metrics, global_registry())
 
     def __repr__(self) -> str:
         return (

@@ -45,10 +45,10 @@ from repro.streams.config import (
     current_config,
     engine,
 )
-from repro.streams.ops import CHUNK_SIZE, bulk_stats
-from repro.streams.fusion import FusedOp, fusion_stats
+from repro.streams.ops import CHUNK_SIZE
+from repro.streams.fusion import FusedOp
 from repro.streams.explain import ExplainPlan
-from repro.streams.adaptive import reset_split_policy, split_policy_stats
+from repro.streams.adaptive import reset_split_policy
 from repro.streams.stream import Stream
 from repro.streams.stream_support import StreamSupport, stream_of
 
@@ -71,12 +71,9 @@ __all__ = [
     "StreamSupport",
     "FusedOp",
     "VALID_BACKENDS",
-    "bulk_stats",
     "current_config",
     "engine",
-    "fusion_stats",
     "reset_split_policy",
-    "split_policy_stats",
     "spliterator_of",
     "stream_of",
 ]

@@ -47,6 +47,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any
 
+from repro.obs.metrics import global_registry
 from repro.streams.spliterator import UNKNOWN_SIZE
 
 #: Number of leaves per worker Java aims for (AbstractTask.LEAF_TARGET).
@@ -79,6 +80,17 @@ _MEMO_LIMIT = 256
 #: ``threshold_source`` labels shared with ``Stream.explain()``.
 SOURCE_EXPLICIT = "with_target_size"
 SOURCE_AUTO = "auto"
+
+#: ``threshold_inputs["basis"]`` of a shape with no observed cost yet.
+BASIS_BOOTSTRAP = "bootstrap (no observed cost)"
+
+_registry = global_registry()
+#: ``auto`` decisions segments ran by (:func:`record_decision`).
+_decisions = _registry.counter("split_decisions")
+#: Those of them made with no observed cost (Java's rule).
+_bootstraps = _registry.counter("split_bootstraps")
+#: Completed runs folded into the memo.
+_observed_runs = _registry.counter("split_observed_runs")
 
 
 def compute_target_size(size: int, parallelism: int) -> int:
@@ -225,10 +237,10 @@ def _pow2_at_most(value: float, lo: int, hi: int) -> int:
 class SplitPolicy:
     """The adaptive threshold policy: a shape-keyed per-element cost memo.
 
-    Deciding is read-only with respect to the memo (``explain()`` may call
-    it freely); only :meth:`observe_run` — fed by completed terminals —
-    mutates state.  All state is process-local; worker
-    children never consult it (they receive resolved sizes in payloads).
+    Deciding is read-only (``explain()`` may call it freely); only
+    :meth:`observe_run` — fed by completed terminals — mutates state.
+    All state is process-local; worker children never consult it (they
+    receive resolved sizes in payloads).
     """
 
     def __init__(
@@ -240,22 +252,16 @@ class SplitPolicy:
         self.target_chunk_span_ns = target_chunk_span_ns
         self._lock = threading.Lock()
         self._memo: dict[tuple, _ShapeEntry] = {}
-        self._stats = {"decisions": 0, "bootstrap": 0, "observed_runs": 0}
 
     # -- deciding ----------------------------------------------------------- #
 
     def decide(
-        self, size: int, parallelism: int, key: tuple | None,
-        record: bool = True,
+        self, size: int, parallelism: int, key: tuple | None
     ) -> ThresholdDecision:
         with self._lock:
             entry = self._memo.get(key) if key is not None else None
             cost = entry.cost_ns if entry is not None else 0.0
             runs = entry.runs if entry is not None else 0
-            if record:
-                self._stats["decisions"] += 1
-                if cost <= 0.0:
-                    self._stats["bootstrap"] += 1
         span_target = self.target_leaf_span_ns
         inputs = {
             "policy": AUTO,
@@ -267,7 +273,7 @@ class SplitPolicy:
         if cost <= 0.0:
             # Nothing observed for this shape yet: bootstrap with Java's
             # rule; the first completed run seeds the cost estimate.
-            inputs["basis"] = "bootstrap (no observed cost)"
+            inputs["basis"] = BASIS_BOOTSTRAP
             return ThresholdDecision(
                 compute_target_size(size, parallelism), None,
                 SOURCE_AUTO, inputs, True, key,
@@ -321,18 +327,9 @@ class SplitPolicy:
                     else 0.5 * (entry.cost_ns + cost)
                 )
             entry.runs += 1
-            self._stats["observed_runs"] += 1
+        _observed_runs.inc()
 
     # -- introspection ------------------------------------------------------ #
-
-    def stats(self, reset: bool = False) -> dict:
-        with self._lock:
-            snapshot = dict(self._stats)
-            snapshot["memo_size"] = len(self._memo)
-            if reset:
-                for k in self._stats:
-                    self._stats[k] = 0
-        return snapshot
 
     def memo_entry(self, key: tuple) -> dict | None:
         """The learned state for one shape (tests/benchmarks)."""
@@ -348,22 +345,14 @@ class SplitPolicy:
     def reset(self) -> None:
         with self._lock:
             self._memo.clear()
-            for k in self._stats:
-                self._stats[k] = 0
 
 
 _policy = SplitPolicy()
 
 
 # --------------------------------------------------------------------------- #
-# Stats and the threshold decision
+# The threshold decision
 # --------------------------------------------------------------------------- #
-
-
-def split_policy_stats(reset: bool = False) -> dict:
-    """Decision and observation counters plus the memo size (advisory;
-    lets tests and benches prove which way the policy moved)."""
-    return _policy.stats(reset=reset)
 
 
 def reset_split_policy() -> None:
@@ -377,16 +366,24 @@ def decide_threshold(
     parallelism: int,
     explicit: Any = None,
     key: tuple | None = None,
-    record: bool = True,
 ) -> ThresholdDecision:
     """The single threshold decision function.
 
     The segment planner (``parallel.plan_segment``) calls it once per
     segment, for execution and ``Stream.explain()`` alike.
     ``explicit`` is an integer from ``with_target_size`` (it wins), or
-    None / ``"auto"`` for the policy.  ``record`` is False for explain
-    calls so plans don't pollute the stats.
+    None / ``"auto"`` for the policy.  Deciding counts nothing: a segment
+    that runs by the decision counts it (:func:`record_decision`).
     """
     if isinstance(explicit, int):
         return ThresholdDecision(explicit, None, SOURCE_EXPLICIT, None, False, key)
-    return _policy.decide(size, parallelism, key, record=record)
+    return _policy.decide(size, parallelism, key)
+
+
+def record_decision(decision: ThresholdDecision) -> None:
+    """Count an ``auto`` decision a segment runs by (``parallel.evaluate``
+    calls it; ``Stream.explain()`` never runs a segment, so explaining
+    counts nothing)."""
+    _decisions.inc()
+    if decision.inputs["basis"] == BASIS_BOOTSTRAP:
+        _bootstraps.inc()

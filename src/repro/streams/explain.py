@@ -8,14 +8,14 @@ This module makes none of them itself; it reports the engine's own:
 * a parallel stream's segments, each one's leaf chain, barrier, window,
   budget, backend, threshold decision and split tree come from
   :func:`~repro.streams.parallel.plan_segment` — the planner
-  ``Stream._evaluate`` runs — walked with ``record=False`` so
-  explaining never records a decision;
+  ``Stream._evaluate`` runs; planning records nothing (a segment counts
+  its split decision only when it runs);
 * fusion goes through the pure :func:`~repro.streams.fusion.fuse_ops`
   that ``maybe_fuse`` runs, under either fusion setting (not
-  ``maybe_fuse`` itself — explaining must not pollute the stats that
-  tests and benchmarks pin), over the chain each traversal fuses: the
-  whole chain of a sequential stream, each segment's leaf chain of a
-  parallel one;
+  ``maybe_fuse`` itself — explaining must not bump the ``fusion_*``
+  counters that tests and benchmarks read), over the chain each
+  traversal fuses: the whole chain of a sequential stream, each
+  segment's leaf chain of a parallel one;
 * mode selection goes through :func:`~repro.streams.ops.select_mode`,
   the decision ``run_pipeline`` branches on.
 
@@ -68,7 +68,7 @@ def _predict_mode(
 def _fuse(chain: list[Op], config: EngineConfig) -> tuple[list[Op], int]:
     """``chain`` as the run compiles it, through the pure :func:`fuse_ops`
     that ``maybe_fuse`` runs, under either fusion setting (explaining
-    never touches the ``fusion_stats`` counters)."""
+    never touches the ``fusion_*`` counters)."""
     return fuse_ops(chain, config.fusion)
 
 
@@ -118,7 +118,7 @@ def _plan_segments(stream, config: EngineConfig) -> list:
     while True:
         segment = plan_segment(
             source, ops, parallelism, stream._target_size, config,
-            record=False, after_barrier=bool(segments),
+            after_barrier=bool(segments),
         )
         segments.append(segment)
         if not segment.barrier:
@@ -141,10 +141,10 @@ def _segment_entry(segment, fused: list[Op], backend: str, config) -> dict:
         lo, hi, of = segment.window
         entry["window"] = {"lo": lo, "hi": hi, "of": of}
     tree = segment.split_tree
-    if tree is not None and (segment.window is not None or tree[0] == 1):
+    if tree is not None and (segment.window is not None or segment.in_caller):
         # A window reports its narrowed tree; any segment reports a
         # one-leaf plan, which ``parallel.evaluate`` runs in the caller.
-        entry.update(leaves=tree[0], in_caller=tree[0] == 1)
+        entry.update(leaves=tree[0], in_caller=segment.in_caller)
     elif segment.backend != backend:
         entry["in_caller"] = True  # an op-free tail folded in the caller
     return entry

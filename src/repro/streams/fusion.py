@@ -59,9 +59,10 @@ Code is generated once per pipeline *structure* and each terminal passes
 its callables in (:class:`_Shape`), as "Stream Fusion, to Completeness"
 does; the rewrite is memoized by structure (:data:`_memo`), so inline
 lambdas compile nothing and no cache holds a user callable.
-:func:`fusion_stats` counts merged pipelines and stages (a one-stage
-kernel merges nothing); each rewrite that builds kernels emits a
-``fuse`` span through :mod:`repro.obs`.
+:func:`maybe_fuse` counts merged pipelines and stages (a one-stage
+kernel merges nothing) in the ``fusion_*`` counters of the process-wide
+metrics registry; each rewrite that builds kernels emits a ``fuse``
+span through :mod:`repro.obs`.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ import threading
 import time
 from typing import Sequence
 
+from repro.obs.metrics import global_registry
 from repro.obs.tracer import EXTERNAL_WORKER, current_tracer
 from repro.streams.config import EngineConfig
 from repro.streams.ops import (
@@ -691,38 +693,31 @@ def fuse_ops(ops: list[Op], merge: bool = True) -> tuple[list[Op], int]:
 
 
 # --------------------------------------------------------------------------- #
-# Stats, memo
+# Counters, memo
 # --------------------------------------------------------------------------- #
 
-_fusion_stats = {
-    "pipelines_fused": 0,   # pipelines rewritten with >= one merged run
-    "stages_fused": 0,      # source stages merged into multi-stage runs
-    "kernels": 0,           # multi-stage FusedOps in those rewrites
-    "compiled": 0,          # kernel factories compiled (new structures)
-    "unfused": 0,           # scans that found nothing to merge
-    "memo_hits": 0,         # chains the memo answered with no rewrite
-}
+_registry = global_registry()
+#: Pipelines rewritten with >= one merged run.
+_pipelines_fused = _registry.counter("fusion_pipelines_fused")
+#: Source stages merged into multi-stage runs.
+_stages_fused = _registry.counter("fusion_stages_fused")
+#: Multi-stage FusedOps in those rewrites.
+_kernels = _registry.counter("fusion_kernels")
+#: Kernel factories compiled (new structures).
+_factories_compiled = _registry.counter("fusion_factories_compiled")
+#: Scans that found nothing to merge.
+_unfused = _registry.counter("fusion_unfused")
+#: Chains the memo answered with no rewrite.
+_memo_hits = _registry.counter("fusion_memo_hits")
 
 #: Rewrite memo: ``(merge, *tokens)`` → :func:`_plan`'s result.  Keyed by
 #: structure only, so every terminal of a structure — on any thread,
 #: with the same callables or new ones — binds the shapes the first one
 #: compiled, and no entry holds a user op.
 _memo: dict[tuple, tuple] = {}
-#: Guards the caches and the stats counters: concurrent terminals and
-#: fork/join leaves all reach ``maybe_fuse``, and an unlocked ``+=``
-#: loses updates.
+#: Guards the memo: concurrent terminals and fork/join leaves all reach
+#: ``maybe_fuse``.
 _lock = threading.Lock()
-
-
-def fusion_stats(reset: bool = False) -> dict[str, int]:
-    """Counts of fusion activity (advisory; pinned by tests and benches).
-    Only runs with ``fusion`` set are counted."""
-    with _lock:
-        snapshot = dict(_fusion_stats)
-        if reset:
-            for key in _fusion_stats:
-                _fusion_stats[key] = 0
-    return snapshot
 
 
 def _rewrite(
@@ -750,9 +745,9 @@ def maybe_fuse(ops: list[Op], config: EngineConfig) -> list[Op]:
 
     Memoized by the chain's structure and the setting, so a structure
     compiles its kernel factories once and every later terminal only
-    binds its callables.  With fusion set, counts :func:`fusion_stats`
-    and, when tracing is enabled, emits a ``fuse`` span per rewrite that
-    built kernels.
+    binds its callables.  With fusion set, bumps the ``fusion_*``
+    counters and, when tracing is enabled, emits a ``fuse`` span per
+    rewrite that built kernels.
     """
     if not ops:
         return ops
@@ -761,17 +756,16 @@ def maybe_fuse(ops: list[Op], config: EngineConfig) -> list[Op]:
     tracer = current_tracer()
     start = time.perf_counter_ns() if tracer.enabled else 0
     fused, stages, kernels, built = _rewrite(ops, True)
-    with _lock:
-        if stages:
-            _fusion_stats["pipelines_fused"] += 1
-            _fusion_stats["stages_fused"] += stages
-            _fusion_stats["kernels"] += kernels
-        elif fused is ops and built is None:
-            _fusion_stats["memo_hits"] += 1
-        else:
-            _fusion_stats["unfused"] += 1
-        if built:
-            _fusion_stats["compiled"] += built
+    if stages:
+        _pipelines_fused.inc()
+        _stages_fused.inc(stages)
+        _kernels.inc(kernels)
+    elif fused is ops and built is None:
+        _memo_hits.inc()
+    else:
+        _unfused.inc()
+    if built:
+        _factories_compiled.inc(built)
     if fused is not ops and tracer.enabled:
         tracer.emit(
             "fuse",

@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import abc
 import functools
-import threading
 from typing import Any, Callable, Generic, Iterable, Sequence, TypeVar
 
 from repro.common import IllegalArgumentError
+from repro.obs.metrics import global_registry
 from repro.obs.profile import current_profiler
 from repro.streams.config import EngineConfig
 from repro.streams.spliterator import Spliterator
@@ -424,21 +424,11 @@ class ReducingSink(TerminalSink):
 #: the transient per-stage buffers while amortizing per-chunk dispatch.
 CHUNK_SIZE = 1 << 16
 
-_bulk_stats = {"chunked": 0, "element": 0}
-#: Concurrent terminals and fork/join leaves all count here; an unlocked
-#: ``+=`` loses updates.
-_bulk_stats_lock = threading.Lock()
-
-
-def bulk_stats(reset: bool = False) -> dict[str, int]:
-    """Counts of traversals taken by each path (advisory; used by tests and
-    benches to prove the fast path engaged)."""
-    with _bulk_stats_lock:
-        snapshot = dict(_bulk_stats)
-        if reset:
-            _bulk_stats["chunked"] = 0
-            _bulk_stats["element"] = 0
-    return snapshot
+#: Traversals by the mode :func:`select_mode` returned, process-wide.
+_traversals = {
+    mode: global_registry().counter("stream_traversals", mode=mode)
+    for mode in ("chunked", "element", "short_circuit")
+}
 
 
 def wrap_ops(ops: list[Op], terminal: Sink) -> Sink:
@@ -570,8 +560,7 @@ def run_pipeline(
     """
     ops = _fusion.maybe_fuse(ops, config)
     mode = select_mode(ops, config, force_short_circuit)
-    with _bulk_stats_lock:
-        _bulk_stats["chunked" if mode == "chunked" else "element"] += 1
+    _traversals[mode].inc()
     profiler = current_profiler()
     probes = labels = None
     if profiler is not None and profiler.sample():
@@ -583,7 +572,7 @@ def run_pipeline(
     else:
         copy_into(spliterator, sink, mode == "short_circuit")
     if profiler is not None:
-        # Merged runs, as ``fusion_stats`` and ``explain()`` count them.
+        # Merged runs, as ``fusion_kernels`` and ``explain()`` count them.
         fused = sum(
             1 for op in ops
             if type(op) is _fusion.FusedOp and len(op.kinds) > 1

@@ -252,6 +252,11 @@ class Segment(NamedTuple):
     decision: adaptive.ThresholdDecision | None = None
     split_tree: tuple[int, int] | None = None
 
+    @property
+    def in_caller(self) -> bool:
+        """A plan of one leaf, which :func:`evaluate` runs in the caller."""
+        return self.split_tree is not None and self.split_tree[0] == 1
+
 
 def plan_segment(
     source: Spliterator | None,
@@ -259,12 +264,11 @@ def plan_segment(
     parallelism: int,
     requested,
     config: EngineConfig,
-    record: bool = True,
     after_barrier: bool = False,
 ) -> Segment:
     """Plan the next segment of a parallel terminal over ``source`` (None:
     a barrier buffer, not yet filled) — the one planner execution runs
-    and ``Stream.explain()`` walks with ``record=False``.
+    and ``Stream.explain()`` walks.
 
     A leading run of ``map``/``limit``/``skip`` with a counted op over a
     contiguous source (:func:`_leaf_origin`; a barrier buffer is one) is
@@ -324,7 +328,7 @@ def plan_segment(
                 source._source, origin + lo, origin + hi, source._extra
             )
     decision = adaptive.decide_threshold(
-        size, parallelism, explicit=requested, record=record,
+        size, parallelism, explicit=requested,
         key=adaptive.shape_key(shape, source, parallelism, backend),
     )
     leaf_size = narrowed.estimate_size()
@@ -586,7 +590,9 @@ def evaluate(
             deadline.check(f"sequential {terminal.label}")
         return evaluate_sequential(terminal, spliterator, ops, config)
     decision = segment.decision
-    in_caller = segment.split_tree is not None and segment.split_tree[0] == 1
+    if decision.adaptive:
+        adaptive.record_decision(decision)
+    in_caller = segment.in_caller
     if segment.backend == "process":
         from repro.streams import process_backend as _pb
 

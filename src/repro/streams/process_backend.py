@@ -83,6 +83,7 @@ from repro.streams import adaptive
 from repro.streams.collectors import to_list
 from repro.streams.config import EngineConfig
 from repro.streams.ops import CHUNK_SIZE, Op
+from repro.streams.parallel import _CountedBudget
 from repro.streams.spliterator import Spliterator, UNKNOWN_SIZE
 from repro.streams.spliterators import (
     ListSpliterator,
@@ -346,36 +347,6 @@ def _build_payloads(
     return payloads, leaves.depths, observer
 
 
-def _budget_stop(budget: int):
-    """Contiguous-prefix early stop for a counted-``limit`` budget.
-
-    Returns the scatter's ``stop(lo, hi, batch_results)`` hook, which
-    fires once the leaves in slots ``0..k`` (no gaps) have together
-    produced at least ``budget`` elements.  Contiguity matters: a
-    satisfied budget cancels the remaining slots, and the merge below
-    treats their ``None`` results as empty — sound only because every
-    discarded slot lies strictly *right* of the prefix that already
-    holds the global first ``budget`` elements.
-    """
-    produced: dict[int, int] = {}
-
-    def stop(lo, hi, batch_results):
-        for i, r in enumerate(batch_results):
-            try:
-                produced[lo + i] = len(r)
-            except TypeError:
-                produced[lo + i] = 0
-        total, slot = 0, 0
-        while slot in produced:
-            total += produced[slot]
-            if total >= budget:
-                return True
-            slot += 1
-        return False
-
-    return stop
-
-
 def _fold(terminal: Collect, elements: list) -> Any:
     """One leaf's container, filled in the parent from its element list."""
     sink = terminal.sink(None)
@@ -422,7 +393,18 @@ def run_segment(
     payloads, depths, observer = _build_payloads(
         spliterator, ops, shipped, config, decision, terminal.observe,
     )
-    stop = None if budget is None else _budget_stop(budget)
+    stop = None
+    if budget is not None:
+        # Slot ``i`` is the source interval ``(i, i + 1)``, so the
+        # threads backend's contiguous-prefix rule stops the scatter; a
+        # cancelled (``None``) slot produced nothing.
+        counted = _CountedBudget(budget, 0)
+
+        def stop(lo, hi, results):
+            for slot, r in enumerate(results, lo):
+                counted.note(slot, slot + 1, 0 if r is None else len(r))
+            return counted.satisfied
+
     if shipped.broadcast:
         stop = lambda lo, hi, results: any(  # noqa: E731
             r is not None and shipped.hit(r) for r in results

@@ -10,12 +10,42 @@ outlives pytest.
 The split policy learns per pipeline shape, so a shape one test ran
 would change the plans of later tests; every test starts from an empty
 memo instead, whatever order the tests run in.
+
+Engine counters live in the process-wide metrics registry and only ever
+grow, so a test reads what its own run added: the ``counters`` fixture
+starts a :class:`CounterDelta`.
 """
 
 import pytest
 
+from repro.obs.metrics import global_registry, metric_key
 from repro.powerlist import shm
 from repro.streams import adaptive
+
+
+class CounterDelta:
+    """What the process-wide counters gained since this object was made."""
+
+    def __init__(self) -> None:
+        self._before = global_registry().snapshot()
+
+    def __call__(self, name: str, **labels) -> int:
+        key = metric_key(name, **labels)
+        after = global_registry().snapshot().get(key, 0)
+        return after - self._before.get(key, 0)
+
+    def traversals(self) -> dict:
+        """``stream_traversals`` by mode."""
+        return {
+            mode: self("stream_traversals", mode=mode)
+            for mode in ("chunked", "element", "short_circuit")
+        }
+
+
+@pytest.fixture
+def counters():
+    """Start a :class:`CounterDelta` with ``counters()``."""
+    return CounterDelta
 
 
 @pytest.fixture(autouse=True)

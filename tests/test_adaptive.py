@@ -15,6 +15,7 @@ import pytest
 from repro.common import IllegalArgumentError
 from repro.forkjoin import ForkJoinPool
 from repro.obs import tracing
+from repro.obs.metrics import global_registry
 from repro.streams import Stream, current_config, engine
 from repro.streams import adaptive
 from repro.streams.adaptive import (
@@ -237,7 +238,7 @@ class TestFeedback:
         for i in range(adaptive._MEMO_LIMIT + 10):
             _observe(policy, ("threads", "R", 4, (("op", str(i)),)),
                      leaf_ns=[1_000], leaf_elements=[10])
-        assert policy.stats()["memo_size"] == adaptive._MEMO_LIMIT
+        assert len(policy._memo) == adaptive._MEMO_LIMIT
 
 
 class TestControls:
@@ -260,8 +261,9 @@ class TestControls:
 
 
 class TestAutoEndToEnd:
-    def test_with_target_size_auto_threads(self):
+    def test_with_target_size_auto_threads(self, counters):
         expected = [x * 3 for x in range(4096)]
+        delta = counters()
         with ForkJoinPool(parallelism=2, name="adaptive-test") as pool:
             for _ in range(3):
                 result = (
@@ -273,13 +275,13 @@ class TestAutoEndToEnd:
                     .to_list()
                 )
                 assert result == expected
-        stats = adaptive.split_policy_stats()
-        assert stats["decisions"] == 3
-        assert stats["bootstrap"] == 1  # only the first run lacked a cost
-        assert stats["observed_runs"] == 3
-        assert stats["memo_size"] == 1
+        assert delta("split_decisions") == 3
+        assert delta("split_bootstraps") == 1  # only the first lacked a cost
+        assert delta("split_observed_runs") == 3
+        assert len(adaptive._policy._memo) == 1
 
-    def test_global_auto_mode_engages(self):
+    def test_global_auto_mode_engages(self, counters):
+        delta = counters()
         with ForkJoinPool(parallelism=2, name="adaptive-test") as pool:
             total = (
                 Stream.range(0, 1 << 12)
@@ -289,7 +291,7 @@ class TestAutoEndToEnd:
                 .reduce(0, lambda a, b: a + b)
             )
         assert total == sum(x * 3 for x in range(1 << 12))
-        assert adaptive.split_policy_stats()["decisions"] == 1
+        assert delta("split_decisions") == 1
 
     def test_with_target_size_validation(self):
         stream = Stream.range(0, 16)
@@ -299,7 +301,9 @@ class TestAutoEndToEnd:
             stream.with_target_size(0)
         assert stream.with_target_size("auto")._target_size == "auto"
 
-    def test_multi_leaf_run_reads_no_pool_counters(self, monkeypatch):
+    def test_multi_leaf_run_reads_no_pool_counters(
+        self, monkeypatch, counters
+    ):
         # The policy learns from leaf spans alone: a multi-leaf run on a
         # pool whose scheduler counters cannot be read is still observed.
         def unreadable():
@@ -307,6 +311,7 @@ class TestAutoEndToEnd:
 
         with ForkJoinPool(parallelism=2, name="adaptive-test") as pool:
             monkeypatch.setattr(pool, "scheduling_snapshot", unreadable)
+            delta = counters()
             before = pool.stats()["tasks_executed"]
             result = (
                 Stream.range(0, 4096).parallel().with_pool(pool)
@@ -314,9 +319,10 @@ class TestAutoEndToEnd:
             )
             assert pool.stats()["tasks_executed"] > before
         assert result == [x * 3 for x in range(4096)]
-        assert adaptive.split_policy_stats()["observed_runs"] == 1
+        assert delta("split_observed_runs") == 1
 
-    def test_short_circuit_runs_do_not_feed_memo(self):
+    def test_short_circuit_runs_do_not_feed_memo(self, counters):
+        delta = counters()
         with ForkJoinPool(parallelism=2, name="adaptive-test") as pool:
             assert (
                 Stream.range(0, 4096)
@@ -326,7 +332,7 @@ class TestAutoEndToEnd:
                 .any_match(lambda x: x == 7)
             )
         # The match triggered → leaves aborted mid-scan → no observation.
-        assert adaptive.split_policy_stats()["observed_runs"] == 0
+        assert delta("split_observed_runs") == 0
 
 
 class TestExplainConsistency:
@@ -347,11 +353,16 @@ class TestExplainConsistency:
         assert ex["threshold_inputs"]["basis"] == "bootstrap (no observed cost)"
         assert "threshold inputs:" in ExplainText.render(plan)
 
-    def test_explain_does_not_record_decisions(self):
+    def test_explain_does_not_record_decisions(self, counters):
         with ForkJoinPool(parallelism=4, name="adaptive-explain") as pool:
+            before = global_registry().snapshot()
+            delta = counters()
             self._stream(pool).explain()
             self._stream(pool).explain()
-        assert adaptive.split_policy_stats()["decisions"] == 0
+            assert global_registry().snapshot() == before
+            # Running counts the decision explaining only reported.
+            self._stream(pool).to_list()
+        assert delta("split_decisions") == 1
 
     def test_split_tree_matches_traced_leaves_after_warmup(self):
         """The acceptance pin: plan and execution share the decision.
@@ -373,10 +384,11 @@ class TestExplainConsistency:
         assert predicted == len(leaf_spans)
         assert plan["execution"]["threshold_source"] == "auto"
 
-    def test_window_segments_feed_the_policy(self):
+    def test_window_segments_feed_the_policy(self, counters):
         # A counted window decides its threshold once, in the planner,
         # so its runs are observed like any other segment's.
         data = list(range(1 << 16))
+        delta = counters()
         with ForkJoinPool(parallelism=2, name="adaptive-window") as pool:
             def stream():
                 return (
@@ -387,7 +399,7 @@ class TestExplainConsistency:
             for _ in range(3):
                 assert stream().to_list() == [x * 3 for x in range(40_000)]
             plan = stream().explain().to_dict()
-        assert adaptive.split_policy_stats()["observed_runs"] == 3
+        assert delta("split_observed_runs") == 3
         assert plan["execution"]["threshold_inputs"]["basis"] != (
             "bootstrap (no observed cost)"
         )
@@ -440,8 +452,10 @@ class TestConstantLeafSpan:
         inputs = plan["execution"]["threshold_inputs"]
         assert inputs["observed_runs"] == 2
         assert inputs["target_leaf_span_ns"] == adaptive.TARGET_LEAF_SPAN_NS
-        assert set(adaptive.split_policy_stats()) == {
-            "decisions", "bootstrap", "observed_runs", "memo_size"}
+        assert {
+            key for key in global_registry().snapshot()
+            if key.startswith("split_")
+        } == {"split_decisions", "split_bootstraps", "split_observed_runs"}
 
     def test_process_auto_run_submits_only_leaf_batches(self, monkeypatch):
         from concurrent.futures import ProcessPoolExecutor

@@ -10,7 +10,7 @@ Covers the three layers of the bulk protocol:
   and the collector chunk accumulators;
 * engagement — ``run_pipeline`` picks the chunked traversal exactly when
   the pipeline is eligible, and falls back otherwise, observable through
-  ``bulk_stats``.
+  the ``stream_traversals`` counter.
 """
 
 import numpy as np
@@ -26,7 +26,6 @@ from repro.streams import (
     ListSpliterator,
     RangeSpliterator,
     Stream,
-    bulk_stats,
     current_config,
     engine,
     stream_of,
@@ -220,12 +219,12 @@ class TestChunkedSemantics:
         (Collectors.averaging(), sum(range(12)) / 12),
         (Collectors.joining(","), ",".join(map(str, range(12)))),
     ])
-    def test_collector_chunk_accumulators(self, collector, expected):
+    def test_collector_chunk_accumulators(self, collector, expected, counters):
         source = range(12) if not isinstance(expected, str) else map(str, range(12))
         with engine(bulk=True):
-            bulk_stats(reset=True)
+            delta = counters()
             result = stream_of(list(source)).collect(collector)
-            assert bulk_stats()["chunked"] == 1
+            assert delta("stream_traversals", mode="chunked") == 1
         assert result == expected
 
     def test_reduce_parity(self):
@@ -251,15 +250,19 @@ class TestChunkedSemantics:
 # --------------------------------------------------------------------------- #
 
 class TestEngagement:
+    @pytest.fixture(autouse=True)
+    def _counters(self, counters):
+        self.counters = counters
+
     def stats_after(self, run):
-        bulk_stats(reset=True)
+        delta = self.counters()
         run()
-        return bulk_stats(reset=True)
+        return delta.traversals()
 
     def test_stateless_pipeline_engages(self):
         stats = self.stats_after(
             lambda: stream_of(range(100)).map(lambda x: x + 1).to_list())
-        assert stats == {"chunked": 1, "element": 0}
+        assert stats == {"chunked": 1, "element": 0, "short_circuit": 0}
 
     def test_unfusible_stateful_op_falls_back(self):
         # Without fusion no stage merges, and a kernel that keeps state
@@ -290,7 +293,7 @@ class TestEngagement:
             stats = self.stats_after(
                 lambda: stream_of(range(100))
                 .take_while(lambda x: x < 5).to_list())
-        assert stats["chunked"] == 0 and stats["element"] >= 1
+        assert stats["chunked"] == 0 and stats["short_circuit"] >= 1
 
     def test_find_first_never_chunks(self):
         stats = self.stats_after(

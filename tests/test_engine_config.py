@@ -21,11 +21,10 @@ from repro.forkjoin import ForkJoinPool
 from repro.streams import (
     EngineConfig,
     Stream,
-    bulk_stats,
     current_config,
     engine,
-    fusion_stats,
 )
+from repro.obs.metrics import global_registry
 from repro.streams.config import _from_env
 from repro.streams.ops import TerminalSink
 from repro.streams.terminal import Terminal
@@ -49,20 +48,20 @@ def _pipeline():
     return Stream.range(0, 4096).map(_inc).filter(_odd).map(_double)
 
 
-def _measured_run():
+def _measured_run(counters):
     """Run one map-filter-map pipeline; return its result and the deltas
-    of the (process-wide) fusion and bulk counters it caused."""
-    fusion_stats(reset=True)
-    bulk_stats(reset=True)
+    of the (process-wide) fusion and traversal counters it caused."""
+    delta = counters()
     out = _pipeline().to_list()
-    return out, fusion_stats(reset=True), bulk_stats(reset=True)
+    fused = delta("fusion_pipelines_fused") + delta("fusion_memo_hits")
+    return out, fused, delta.traversals()
 
 
 EXPECTED = [2 * (x + 1) for x in range(4096) if (x + 1) % 2 == 1]
 
 
 class TestConcurrentScopes:
-    def test_opposite_configs_in_two_threads(self):
+    def test_opposite_configs_in_two_threads(self, counters):
         """Both threads sit inside opposite ``engine`` scopes at once;
         Events order the two runs so the process-wide counters tell
         them apart.  Each pipeline takes its own thread's modes."""
@@ -75,7 +74,7 @@ class TestConcurrentScopes:
                 with engine(bulk=False, fusion=False):
                     a_entered.set()
                     assert b_entered.wait(TIMEOUT)
-                    seen["a"] = _measured_run()
+                    seen["a"] = _measured_run(counters)
                     a_done.set()
                     assert b_done.wait(TIMEOUT)
             except BaseException as exc:  # surfaced below
@@ -88,7 +87,7 @@ class TestConcurrentScopes:
                 with engine(bulk=True, fusion=True):
                     b_entered.set()
                     assert a_done.wait(TIMEOUT)
-                    seen["b"] = _measured_run()
+                    seen["b"] = _measured_run(counters)
                     b_done.set()
             except BaseException as exc:
                 errors.append(exc)
@@ -102,15 +101,15 @@ class TestConcurrentScopes:
             assert not t.is_alive()
         assert not errors, errors
 
-        out_a, fused_a, bulk_a = seen["a"]
+        out_a, fused_a, modes_a = seen["a"]
         assert out_a == EXPECTED
-        assert fused_a["pipelines_fused"] + fused_a["memo_hits"] == 0
-        assert bulk_a == {"chunked": 0, "element": 1}
+        assert fused_a == 0
+        assert modes_a == {"chunked": 0, "element": 1, "short_circuit": 0}
 
-        out_b, fused_b, bulk_b = seen["b"]
+        out_b, fused_b, modes_b = seen["b"]
         assert out_b == EXPECTED
-        assert fused_b["pipelines_fused"] + fused_b["memo_hits"] == 1
-        assert bulk_b == {"chunked": 1, "element": 0}
+        assert fused_b == 1
+        assert modes_b == {"chunked": 1, "element": 0, "short_circuit": 0}
 
     def test_new_thread_sees_the_default(self):
         seen = []
@@ -133,9 +132,14 @@ class TestConcurrentScopes:
 # --------------------------------------------------------------------------- #
 
 
+def _fusion_counters():
+    snapshot = global_registry().snapshot()
+    return {k: v for k, v in snapshot.items() if k.startswith("fusion_")}
+
+
 class _ProbeSink(TerminalSink):
     def __init__(self):
-        self.before = fusion_stats()
+        self.before = _fusion_counters()
         self.chunks = 0
         self.elements = 0
 
@@ -157,8 +161,7 @@ class _ModeProbe(Terminal):
         return _ProbeSink()
 
     def partial(self, sink):
-        after = fusion_stats()
-        fused = any(after[key] != sink.before[key] for key in after)
+        fused = _fusion_counters() != sink.before
         if sink.chunks == 0 and sink.elements == 0:
             return set()
         return {("chunked" if sink.chunks else "element", fused)}

@@ -3,8 +3,9 @@
 A parallel plan's segments come from the planner execution runs
 (``parallel.plan_segment``), and the fusion and mode sections from the
 engine's own decision functions, so every pinned dict here is also
-re-verified against what the engine *actually did* — ``fusion_stats``
-and ``bulk_stats`` deltas, and traced leaf counts for the split tree.
+re-verified against what the engine *actually did* — deltas of the
+``fusion_*`` and ``stream_traversals`` counters, and traced leaf counts
+for the split tree.
 """
 
 import operator
@@ -16,7 +17,8 @@ from repro.common import TaskTimeoutError
 from repro.faults import Deadline
 from repro.forkjoin import ForkJoinPool
 from repro.obs import tracing
-from repro.streams import ExplainPlan, Stream, bulk_stats, engine, fusion_stats
+from repro.obs.metrics import global_registry
+from repro.streams import ExplainPlan, Stream, engine
 from repro.streams.parallel import _walk_split_tree
 
 
@@ -63,28 +65,22 @@ class TestFusedStatelessChain:
 
     def test_explain_does_not_consume_or_execute(self):
         stream = self._stream()
-        fusion_stats(reset=True)
-        before = bulk_stats()
+        before = global_registry().snapshot()
         stream.explain()
-        assert bulk_stats() == before
-        assert fusion_stats()["pipelines_fused"] == 0
+        assert global_registry().snapshot() == before
         # The stream is still consumable afterwards.
         assert stream.count() == 2048
 
-    def test_agrees_with_actual_run(self):
+    def test_agrees_with_actual_run(self, counters):
         plan = self._stream().explain().to_dict()
-        fusion_stats(reset=True)
-        before = bulk_stats()
+        delta = counters()
         result = self._stream().to_list()
         assert result == [x * 3 for x in range(4096) if (x * 3) % 2 == 0]
-        delta = {
-            k: v - before[k] for k, v in bulk_stats().items()
-        }
         assert plan["execution"]["mode"] == "chunked"
-        assert delta == {"chunked": 1, "element": 0}
-        stats = fusion_stats()
-        assert stats["stages_fused"] == plan["fusion"]["stages_fused"]
-        assert stats["kernels"] == plan["fusion"]["kernels"]
+        assert delta.traversals() == {
+            "chunked": 1, "element": 0, "short_circuit": 0}
+        assert delta("fusion_stages_fused") == plan["fusion"]["stages_fused"]
+        assert delta("fusion_kernels") == plan["fusion"]["kernels"]
 
     def test_fusion_disabled_plan(self):
         with engine(fusion=False):
@@ -208,22 +204,20 @@ class TestShortCircuitChain:
             "execution": {"parallel": False, "mode": "chunked"},
         }
 
-    def test_agrees_with_actual_run(self):
+    def test_agrees_with_actual_run(self, counters):
         # Warm the fusion memo first: the identity-memoized rewrite must
         # give execution the same FusedOp the plan described.
         plan = self._stream().explain().to_dict()
-        fusion_stats(reset=True)
-        before = bulk_stats()
+        delta = counters()
         assert self._stream().to_list() == [0, 3, 6, 9, 12]
-        delta = {k: v - before[k] for k, v in bulk_stats().items()}
         # The counted kernel keeps the traversal on the chunked path.
         assert plan["execution"]["mode"] == "chunked"
-        assert delta == {"chunked": 1, "element": 0}
-        stats = fusion_stats()
-        assert stats["stages_fused"] == plan["fusion"]["stages_fused"]
-        assert stats["kernels"] == plan["fusion"]["kernels"]
+        assert delta.traversals() == {
+            "chunked": 1, "element": 0, "short_circuit": 0}
+        assert delta("fusion_stages_fused") == plan["fusion"]["stages_fused"]
+        assert delta("fusion_kernels") == plan["fusion"]["kernels"]
 
-    def test_raw_take_while_still_polls(self):
+    def test_raw_take_while_still_polls(self, counters):
         # Unmerged (fusion off), take_while's one-stage kernel is polled
         # per element; it is a kernel, not a barrier.
         with engine(fusion=False):
@@ -234,11 +228,11 @@ class TestShortCircuitChain:
             assert plan["execution"]["mode"] == "short-circuit-polled"
             assert plan["fusion"]["chain"] == ["map", "take_while"]
             assert plan["fusion"]["barriers"] == []
-            before = bulk_stats()
+            delta = counters()
             assert Stream.range(0, 4096).map(_triple).take_while(
                 _even).to_list() == [0]
-        delta = {k: v - before[k] for k, v in bulk_stats().items()}
-        assert delta == {"chunked": 0, "element": 1}
+        assert delta.traversals() == {
+            "chunked": 0, "element": 0, "short_circuit": 1}
 
 
 class TestExplainPlanObject:
@@ -408,11 +402,19 @@ def _bucket(x):
     return x % 4093
 
 
+#: Reported mode name → ``stream_traversals`` mode label.
+_MODE_LABELS = {
+    "chunked": "chunked",
+    "per-element": "element",
+    "short-circuit-polled": "short_circuit",
+}
+
+
 def _predicted_traversals(execution):
-    """The ``bulk_stats`` delta of a plan whose later segments run in the
-    caller: one traversal per leaf of the first segment, one per later
-    segment, each in its segment's mode."""
-    counts = {"chunked": 0, "element": 0}
+    """The ``stream_traversals`` delta of a plan whose later segments run
+    in the caller: one traversal per leaf of the first segment, one per
+    later segment, each in its segment's mode."""
+    counts = dict.fromkeys(_MODE_LABELS.values(), 0)
     tree = execution.get("split_tree")
     for i, seg in enumerate(execution["segments"]):
         if "leaves" in seg:
@@ -421,26 +423,27 @@ def _predicted_traversals(execution):
             runs = tree["leaves"]
         else:
             runs = 1
-        counts["chunked" if seg["mode"] == "chunked" else "element"] += runs
+        counts[_MODE_LABELS[seg["mode"]]] += runs
     return counts
 
 
 class TestPlanMatchesRun:
     """The plan reports the segments the run executes: the kernels they
-    build (``fusion_stats``) and their traversals (``bulk_stats``)."""
+    build (``fusion_*``) and their traversals (``stream_traversals``)."""
 
     N = 1 << 14
 
+    @pytest.fixture(autouse=True)
+    def _counters(self, counters):
+        self.counters = counters
+
     def _agree(self, stream, run, expected):
         plan = stream().explain().to_dict()
-        fusion_stats(reset=True)
-        before = bulk_stats()
+        delta = self.counters()
         assert run(stream()) == expected
-        delta = {k: v - before[k] for k, v in bulk_stats().items()}
-        stats = fusion_stats()
-        assert stats["stages_fused"] == plan["fusion"]["stages_fused"]
-        assert stats["kernels"] == plan["fusion"]["kernels"]
-        assert delta == _predicted_traversals(plan["execution"])
+        assert delta("fusion_stages_fused") == plan["fusion"]["stages_fused"]
+        assert delta("fusion_kernels") == plan["fusion"]["kernels"]
+        assert delta.traversals() == _predicted_traversals(plan["execution"])
         return plan
 
     def test_stateful_cut_fuses_only_its_segment(self):

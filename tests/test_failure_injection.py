@@ -28,7 +28,6 @@ from repro.common import (
 from repro.core import IdentityCollector, PowerReduceCollector, power_collect
 from repro.core.polynomial import horner, polynomial_value
 from repro.faults import FaultInjected, FaultPlan, RetryPolicy, fault_injection
-from repro.faults import policy as fault_policy
 from repro.forkjoin import ForkJoinPool, RecursiveAction, RecursiveTask
 from repro.jplf import JplfPolynomialValue, ProcessExecutor, SequentialExecutor
 from repro.powerlist import PowerList, shm
@@ -663,10 +662,10 @@ class TestChaosSoak:
         )
 
     @pytest.mark.parametrize("seed", CHAOS_SEEDS)
-    def test_soak_resilient_leg(self, seed):
+    def test_soak_resilient_leg(self, seed, counters):
         coeffs = _coeffs(self.N)
         expected = horner(coeffs, -1.0)
-        before = fault_policy.stats()
+        delta = counters()
         plan = self._plan(seed)
         with ForkJoinPool(parallelism=4, name=f"soak-{seed}") as p:
             with fault_injection(plan):
@@ -674,15 +673,10 @@ class TestChaosSoak:
                     coeffs, -1.0, pool=p, target_size=self.TARGET,
                     retry=RetryPolicy(max_attempts=3), fallback=True,
                 )
-        after = fault_policy.stats()
         assert out == expected
         assert plan.stats()["injected"] > 0
-        assert after["faults_injected"] - before["faults_injected"] > 0
-        recoveries = (
-            after["degraded_runs"] - before["degraded_runs"]
-            + after["retries_attempted"] - before["retries_attempted"]
-        )
-        assert recoveries > 0
+        assert delta("faults_injected") > 0
+        assert delta("degraded_runs") + delta("retries_attempted") > 0
 
     @pytest.mark.parametrize("seed", CHAOS_SEEDS)
     def test_soak_fail_fast_leg(self, seed):

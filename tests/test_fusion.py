@@ -2,8 +2,8 @@
 
 Covers the fusion optimizer (``repro.streams.fusion``): where barriers
 land, that fused kernels preserve short-circuit and encounter-order
-semantics on both traversal modes, that ``fusion_stats`` pins the
-rewrite counts, and that traced runs carry ``fuse`` spans.
+semantics on both traversal modes, that the ``fusion_*`` counters pin
+the rewrite counts, and that traced runs carry ``fuse`` spans.
 """
 
 import functools
@@ -22,10 +22,8 @@ from repro.obs.export import trace_snapshot
 from repro.streams import (
     FusedOp,
     ListSpliterator,
-    bulk_stats,
     current_config,
     engine,
-    fusion_stats,
     stream_of,
 )
 from repro.streams.fusion import fuse_ops, maybe_fuse
@@ -266,13 +264,13 @@ class TestSemantics:
         assert [r["kernel"] for r in plan["fusion"]["runs"]] == [
             "whole-array", "comprehension"]
 
-    def test_lazy_iterator_path_fuses(self):
+    def test_lazy_iterator_path_fuses(self, counters):
         with engine(fusion=True):
-            fusion_stats(reset=True)
+            delta = counters()
             it = iter(stream_of(self.DATA).map(lambda x: x + 1).map(abs))
             first = next(it)
         assert first == abs(self.DATA[0] + 1)
-        assert fusion_stats()["pipelines_fused"] == 1
+        assert delta("fusion_pipelines_fused") == 1
 
     def test_begin_size_preserved_for_map_only_runs(self):
         sizes = []
@@ -311,9 +309,9 @@ class TestControlsAndStats:
                 (ops[0],), (ops[1],)]
         assert current_config().fusion == previous
 
-    def test_stats_pin_fused_stage_counts(self):
+    def test_stats_pin_fused_stage_counts(self, counters):
         with engine(fusion=True):
-            fusion_stats(reset=True)
+            delta = counters()
             (stream_of(range(50))
              .map(lambda x: x + 1)
              .map(lambda x: x * 2)
@@ -322,20 +320,18 @@ class TestControlsAndStats:
              .map(lambda x: x - 1)
              .map(lambda x: x ^ 3)
              .to_list())
-        stats = fusion_stats()
-        assert stats["pipelines_fused"] == 1
-        assert stats["stages_fused"] == 5
-        assert stats["kernels"] == 2
+        assert delta("fusion_pipelines_fused") == 1
+        assert delta("fusion_stages_fused") == 5
+        assert delta("fusion_kernels") == 2
 
-    def test_stats_count_unfusible_scans(self):
+    def test_stats_count_unfusible_scans(self, counters):
         with engine(fusion=True):
-            fusion_stats(reset=True)
+            delta = counters()
             stream_of(range(10)).map(lambda x: x + 1).to_list()
-        stats = fusion_stats()
-        assert stats["pipelines_fused"] == 0
-        assert stats["unfused"] == 1
+        assert delta("fusion_pipelines_fused") == 0
+        assert delta("fusion_unfused") == 1
 
-    def test_stats_count_exactly_under_threads(self):
+    def test_stats_count_exactly_under_threads(self, counters):
         # Concurrent terminals (serve runners, fork/join leaves) update
         # the fusion and bulk counters from many threads at once; a
         # tiny switch interval makes an unlocked ``+=`` lose updates.
@@ -349,8 +345,7 @@ class TestControlsAndStats:
                 maybe_fuse(shared, config)
 
         with engine(fusion=True, bulk=True):
-            fusion_stats(reset=True)
-            bulk_stats(reset=True)
+            delta = counters()
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
             try:
@@ -362,24 +357,23 @@ class TestControlsAndStats:
             finally:
                 sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in workers)
-        stats, bulk = fusion_stats(), bulk_stats()
         total = threads * runs
-        assert bulk["chunked"] + bulk["element"] == total
-        assert stats["pipelines_fused"] + stats["memo_hits"] == 2 * total
-        assert stats["stages_fused"] == 2 * stats["pipelines_fused"]
+        assert sum(delta.traversals().values()) == total
+        fused = delta("fusion_pipelines_fused")
+        assert fused + delta("fusion_memo_hits") == 2 * total
+        assert delta("fusion_stages_fused") == 2 * fused
 
-    def test_parallel_terminal_fuses_once_via_memo(self, pool):
+    def test_parallel_terminal_fuses_once_via_memo(self, pool, counters):
         with engine(fusion=True):
-            fusion_stats(reset=True)
+            delta = counters()
             (stream_of(list(range(1 << 12))).parallel().with_pool(pool)
              .map(lambda x: x + 1)
              .map(lambda x: x * 2)
              .to_list())
-        stats = fusion_stats()
         # One rewrite at the terminal; every fork/join leaf resolves the
         # already-fused chain from the memo instead of recompiling.
-        assert stats["pipelines_fused"] == 1
-        assert stats["memo_hits"] >= 1
+        assert delta("fusion_pipelines_fused") == 1
+        assert delta("fusion_memo_hits") >= 1
 
     def test_disabled_fusion_still_correct(self):
         with engine(fusion=False):
@@ -389,15 +383,15 @@ class TestControlsAndStats:
                    .to_list())
         assert out == [(x + 1) * 2 for x in range(20)]
 
-    def test_chunked_path_still_engages_with_fusion(self):
+    def test_chunked_path_still_engages_with_fusion(self, counters):
         with engine(fusion=True):
-            bulk_stats(reset=True)
+            delta = counters()
             (stream_of(list(range(100)))
              .map(lambda x: x + 1)
              .map(lambda x: x * 2)
              .to_list())
-        stats = bulk_stats()
-        assert stats["chunked"] == 1 and stats["element"] == 0
+        assert delta.traversals() == {
+            "chunked": 1, "element": 0, "short_circuit": 0}
 
 
 class TestObservability:
@@ -496,47 +490,45 @@ class TestKernelMemo:
             out = self._stream(pool, backend).map(add).filter(_is_even).to_list()
             assert out == [x + k for x in self.DATA if (x + k) % 2 == 0]
 
-    def test_unhashable_callable_still_fuses(self):
+    def test_unhashable_callable_still_fuses(self, counters):
         def run(k):
             return stream_of(self.DATA).map(_Scaler(k)).map(_Scaler(5)).to_list()
 
         with engine(fusion=True):
             run(1)
-            fusion_stats(reset=True)
+            delta = counters()
             for k in (2, 3, 2):
                 assert run(k) == [x * k * 5 for x in self.DATA]
-        stats = fusion_stats()
-        assert stats["pipelines_fused"] == 3
+        assert delta("fusion_pipelines_fused") == 3
         # Every instance is a new callable, and none compiles a kernel.
-        assert stats["compiled"] == 0
+        assert delta("fusion_factories_compiled") == 0
 
-    def test_unhashable_stage_key_rides_the_structural_memo(self):
+    def test_unhashable_stage_key_rides_the_structural_memo(self, counters):
         # The rewrite memo reads each stage's type, never the values it
         # carries, so a stage holding unhashable state is memoized.
         config = current_config()
         ops = [MapOp(abs), MapOp(_plus_one), _UnkeyedOp()]
         with engine(fusion=True):
             first = maybe_fuse(ops, config)
-            fusion_stats(reset=True)
+            delta = counters()
             second = maybe_fuse(ops, config)
         assert _kinds(first) == _kinds(second) == ["FusedOp", "_UnkeyedOp"]
         assert second[1] is ops[2]
-        assert fusion_stats()["compiled"] == 0
+        assert delta("fusion_factories_compiled") == 0
 
     @pytest.mark.parametrize("backend", ["sequential", "threads"])
-    def test_second_terminal_compiles_nothing(self, pool, backend):
+    def test_second_terminal_compiles_nothing(self, pool, backend, counters):
         def run():
             return (self._stream(pool, backend)
                     .map(_plus_one).filter(_is_even).to_list())
 
         with engine(fusion=True):
             expected = run()
-            fusion_stats(reset=True)
+            delta = counters()
             assert run() == expected
-        stats = fusion_stats()
-        assert stats["pipelines_fused"] == 1
-        assert stats["kernels"] == 1
-        assert stats["compiled"] == 0
+        assert delta("fusion_pipelines_fused") == 1
+        assert delta("fusion_kernels") == 1
+        assert delta("fusion_factories_compiled") == 0
 
     def test_second_terminal_reuses_kernel_and_sink_class(self):
         config = current_config()
@@ -552,12 +544,12 @@ class TestKernelMemo:
             .wrap_sink(_NullSink())
         )
 
-    def test_compiled_counts_only_new_kernels(self):
+    def test_compiled_counts_only_new_kernels(self, counters):
         # A structure no other test builds: eleven maps, a sort, a map.
         given = FusedOp([MapOp(abs), MapOp(_adder(1))])
         ops = [given, SortedOp(), *[MapOp(_adder(k)) for k in range(11)]]
         with engine(fusion=True):
-            fusion_stats(reset=True)
+            delta = counters()
             fused = maybe_fuse(ops, current_config())
             again = maybe_fuse(
                 [given, SortedOp(), *[MapOp(abs) for _ in range(11)]],
@@ -566,8 +558,9 @@ class TestKernelMemo:
         assert fused[0] is given and _kinds(fused) == [
             "FusedOp", "SortedOp", "FusedOp"]
         assert again[2].shape is fused[2].shape
-        stats = fusion_stats()
-        assert (stats["kernels"], stats["compiled"]) == (2, 1)
+        assert (
+            delta("fusion_kernels"), delta("fusion_factories_compiled")
+        ) == (2, 1)
 
     def test_barriers_come_from_the_chain_being_rewritten(self):
         config = current_config()
@@ -584,7 +577,7 @@ class TestKernelMemo:
         assert second[2].shape is first[2].shape
 
     @pytest.mark.parametrize("backend", ["sequential", "threads"])
-    def test_fresh_lambdas_compile_nothing(self, pool, backend):
+    def test_fresh_lambdas_compile_nothing(self, pool, backend, counters):
         # Inline lambdas are new objects every terminal; once the
         # structure has run, no kernel factory is generated or exec'd.
         def run(k):
@@ -594,11 +587,11 @@ class TestKernelMemo:
 
         with engine(fusion=True):
             run(0)
-            fusion_stats(reset=True)
+            delta = counters()
             for k in range(1000):
                 assert run(k) == [x + k for x in self.DATA
                                   if (x + k) % 2 == 0][:5]
-        assert fusion_stats()["compiled"] == 0
+        assert delta("fusion_factories_compiled") == 0
 
     @pytest.mark.parametrize("backend", ["sequential", "threads", "process"])
     def test_no_cache_keeps_a_user_callable_alive(self, pool, backend):
@@ -641,9 +634,9 @@ class TestLoneStages:
         assert type(first) is type(second)
         assert "<locals>" not in type(first).__qualname__
 
-    def test_wrap_sink_reuses_the_one_stage_kernel(self):
+    def test_wrap_sink_reuses_the_one_stage_kernel(self, counters):
         op = FilterOp(_is_even)
-        fusion_stats(reset=True)
+        delta = counters()
         first = op.wrap_sink(_NullSink())
         second = op.wrap_sink(_NullSink())
         # Each wrap binds the predicate into the one compiled shape.
@@ -651,7 +644,7 @@ class TestLoneStages:
         assert first._op.kinds == ("filter",)
         assert first._op.source_ops[0].predicate is _is_even
         # Wrapping is not a terminal: it counts nothing.
-        assert fusion_stats()["compiled"] == 0
+        assert delta("fusion_factories_compiled") == 0
 
     def test_finished_sink_is_freed_without_the_gc(self):
         # A sink must not reference itself: a cycle would keep every
@@ -673,13 +666,13 @@ class TestLoneStages:
     LONE = {
         "filter": (lambda s: s.filter(_is_even), "chunked"),
         "distinct": (lambda s: s.distinct(), "element"),
-        "take_while": (lambda s: s.take_while(_below_40), "element"),
+        "take_while": (lambda s: s.take_while(_below_40), "short_circuit"),
         "drop_while": (lambda s: s.drop_while(_below_40), "element"),
     }
 
     @pytest.mark.parametrize("fused", [True, False])
     @pytest.mark.parametrize("name", sorted(LONE))
-    def test_lone_stage_mode(self, name, fused):
+    def test_lone_stage_mode(self, name, fused, counters):
         build, unfused_mode = self.LONE[name]
         data = [x % 50 for x in range(100)]
         expected = {
@@ -690,20 +683,19 @@ class TestLoneStages:
         }[name]
         with engine(fusion=fused, bulk=True):
             plan = build(stream_of(data)).explain().to_dict()
-            bulk_stats(reset=True)
+            delta = counters()
             assert build(stream_of(data)).to_list() == expected
-            stats = bulk_stats(reset=True)
         mode = "chunked" if fused else unfused_mode
-        assert stats == {"chunked": int(mode == "chunked"),
-                         "element": int(mode != "chunked")}
-        assert plan["execution"]["mode"] == (
-            "chunked" if mode == "chunked" else
-            "short-circuit-polled" if name == "take_while" else "per-element"
-        )
+        assert delta.traversals() == {
+            m: int(m == mode) for m in ("chunked", "element", "short_circuit")}
+        assert plan["execution"]["mode"] == {
+            "chunked": "chunked", "element": "per-element",
+            "short_circuit": "short-circuit-polled",
+        }[mode]
         assert plan["fusion"]["chain"] == [name]
         assert plan["fusion"]["kernels"] == 0
 
-    def test_merged_cut_stops_at_its_element(self):
+    def test_merged_cut_stops_at_its_element(self, counters):
         # Default config: map|take_while is one kernel on the chunked
         # path, and it maps nothing past the first failing element.
         calls = []
@@ -713,17 +705,20 @@ class TestLoneStages:
             return 1 / x
 
         data = [1, 2, 4, -1, 0] + list(range(1, 100))
-        bulk_stats(reset=True)
+        delta = counters()
         got = stream_of(data).map(inverse).take_while(_is_positive).to_list()
         assert got == [1.0, 0.5, 0.25]
         assert calls == [1, 2, 4, -1]
-        assert bulk_stats(reset=True) == {"chunked": 1, "element": 0}
+        assert delta.traversals() == {
+            "chunked": 1, "element": 0, "short_circuit": 0}
 
     @pytest.mark.parametrize("cut, seen_expected", [
         (lambda s: s.take_while(lambda v: v < -0.4), [1, 2, 4]),
         (lambda s: s.limit(2), [1, 2]),
     ], ids=["take_while", "limit"])
-    def test_cut_behind_an_earlier_kernel_is_polled(self, cut, seen_expected):
+    def test_cut_behind_an_earlier_kernel_is_polled(
+        self, cut, seen_expected, counters
+    ):
         # The ufunc map splits the run, so the stages before it sit in
         # an earlier kernel: the cut must be polled per element, or they
         # would run on the whole chunk past it (here: divide by zero).
@@ -736,10 +731,11 @@ class TestLoneStages:
             )
 
         plan = build().explain().to_dict()
-        bulk_stats(reset=True)
+        delta = counters()
         assert build().to_list() == [-1.0, -0.5]
         assert seen == seen_expected
-        assert bulk_stats(reset=True) == {"chunked": 0, "element": 1}
+        assert delta.traversals() == {
+            "chunked": 0, "element": 0, "short_circuit": 1}
         assert plan["execution"]["mode"] == "short-circuit-polled"
 
 

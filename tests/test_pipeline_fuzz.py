@@ -30,7 +30,8 @@ from hypothesis import strategies as st
 
 from repro.forkjoin import ForkJoinPool
 from repro.powerlist import PowerList, shm
-from repro.streams import Stream, bulk_stats, current_config, engine, stream_of
+from repro.obs.metrics import global_registry
+from repro.streams import Stream, current_config, engine, stream_of
 from repro.streams.fusion import _FUSIBLE_TYPES, FusedOp, fuse_ops, maybe_fuse
 from repro.streams.ops import SortedOp, select_mode
 from repro.streams.optional import Optional
@@ -356,13 +357,18 @@ class TestPipelineFuzz:
             expected = _apply_reference(expected, op)
         config = current_config()
         mode = select_mode(maybe_fuse(stream._ops, config), config)
-        bulk_stats(reset=True)
+        before = global_registry().snapshot()
         assert stream.to_list() == expected
-        stats = bulk_stats(reset=True)
+        after = global_registry().snapshot()
+        runs = {
+            key: after[key] - before[key]
+            for key in after if key.startswith("stream_traversals")
+        }
+        chunked = runs.pop('stream_traversals{mode="chunked"}')
         if mode == "chunked":
-            assert stats["chunked"] == 1 and stats["element"] == 0
+            assert chunked == 1 and sum(runs.values()) == 0
         else:
-            assert stats["chunked"] == 0 and stats["element"] >= 1
+            assert chunked == 0 and sum(runs.values()) >= 1
 
     @_seeded
     @settings(deadline=None, max_examples=80,
@@ -455,7 +461,6 @@ class TestPipelineFuzz:
                 assert run(backend, "auto") == expected, backend
         finally:
             adaptive.reset_split_policy()
-            adaptive.split_policy_stats(reset=True)
 
     @_seeded
     @settings(deadline=None, max_examples=120,

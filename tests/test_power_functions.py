@@ -35,7 +35,7 @@ from repro.core.inv import inv_indices
 from repro.core.polynomial import horner
 from repro.core.sorting import bitonic_merge, odd_even_merge
 from repro.forkjoin import ForkJoinPool
-from repro.streams import bulk_stats, engine
+from repro.streams import engine
 
 
 @pytest.fixture(scope="module")
@@ -191,7 +191,7 @@ class TestPolynomial:
     @pytest.mark.parametrize("parallel", [False, True])
     @pytest.mark.parametrize("x", [0.9, -1.1, 1.001])
     def test_chunked_and_per_element_paths_agree_bit_for_bit(
-        self, source, parallel, x, pool
+        self, source, parallel, x, pool, counters
     ):
         # The chunk accumulator hoists ``x ** x_degree``; every step stays
         # ``val * y + d``, so the two traversal modes agree exactly.
@@ -202,12 +202,12 @@ class TestPolynomial:
         results, modes = {}, {}
         for bulk in (True, False):
             with engine(bulk=bulk):
-                bulk_stats(reset=True)
+                delta = counters()
                 results[bulk] = polynomial_value(
                     coeffs, x, parallel=parallel, pool=pool,
                     target_size=256 if parallel else None,
                 )
-                modes[bulk] = bulk_stats()
+                modes[bulk] = delta.traversals()
         assert modes[True]["chunked"] > 0 and modes[False]["chunked"] == 0
         assert results[True] == results[False]
         assert results[True] == pytest.approx(

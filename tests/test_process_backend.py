@@ -786,26 +786,23 @@ class TestRunningLeafAbort:
 
 
 class TestAdaptiveProcessBackend:
-    def test_auto_target_size_parity_and_memo(self, executor):
-        from repro.streams import adaptive
-
-        adaptive.reset_split_policy()
-        try:
-            expected = sum(range(1 << 12))
-            for _ in range(2):
-                total = _run_planned(
-                    RangeSpliterator(0, 1 << 12), [],
-                    Reduce(operator.add, identity=0, has_identity=True),
-                    target_size="auto", executor=executor,
-                )
-                assert total == expected
-            stats = adaptive.split_policy_stats()
-            assert stats["decisions"] == 2
-            assert stats["observed_runs"] == 2
-            assert stats["bootstrap"] == 1
-        finally:
-            adaptive.reset_split_policy()
-            adaptive.split_policy_stats(reset=True)
+    def test_auto_target_size_parity_and_memo(
+        self, executor, monkeypatch, counters
+    ):
+        # Segments count their decisions where they run, so this drives
+        # the stream path rather than ``run_segment`` alone.
+        monkeypatch.setattr(pb, "_shared_executor", executor)
+        delta = counters()
+        expected = sum(range(1 << 12))
+        for _ in range(2):
+            total = (
+                Stream.range(0, 1 << 12).parallel().with_backend("process")
+                .with_target_size("auto").reduce(0, operator.add)
+            )
+            assert total == expected
+        assert delta("split_decisions") == 2
+        assert delta("split_observed_runs") == 2
+        assert delta("split_bootstraps") == 1
 
 
 # --------------------------------------------------------------------------- #

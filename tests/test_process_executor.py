@@ -219,13 +219,12 @@ class TestFaultRecovery:
         assert stats["retries"] == 1
         assert stats["degraded_runs"] == 0
 
-    def test_unbounded_faults_degrade_to_sequential(self):
+    def test_unbounded_faults_degrade_to_sequential(self, counters):
         from repro.faults import FaultPlan, RetryPolicy, fault_injection
-        from repro.faults import policy as fault_policy
 
         data = list(range(256))
         plan = FaultPlan(seed=3).inject("proc:*", "raise")  # every ship, always
-        before = fault_policy.stats()["degraded_runs"]
+        delta = counters()
         with ProcessExecutor(
             processes=2, retry=RetryPolicy(max_attempts=2), fallback=True
         ) as ex:
@@ -233,7 +232,7 @@ class TestFaultRecovery:
                 out = ex.execute(JplfReduce(PowerList(data), operator.add))
             assert out == sum(data)
             assert ex.stats()["degraded_runs"] == 1
-        assert fault_policy.stats()["degraded_runs"] == before + 1
+        assert delta("degraded_runs") == 1
 
     def test_fault_without_policy_propagates(self):
         from repro.faults import FaultInjected, FaultPlan, fault_injection

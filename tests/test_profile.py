@@ -11,7 +11,7 @@ from repro.obs import (
     profiled,
     set_profiler,
 )
-from repro.streams import Stream, bulk_stats, engine, fusion_stats
+from repro.streams import Stream, engine
 from repro.streams.stream_support import stream_of
 
 
@@ -122,20 +122,17 @@ class TestSequentialAttribution:
         d = profile.to_dict()
         assert d["modes"]["short_circuit"] == 1
 
-    def test_profiled_run_matches_unprofiled_stats(self):
+    def test_profiled_run_matches_unprofiled_stats(self, counters):
         """The profiled path must take the same traversal mode and fusion
         decisions as the unprofiled one."""
-        fusion_stats(reset=True)
-        before = bulk_stats()
+        unprofiled = counters()
         plain = Stream.range(0, 512).map(_triple).filter(_even).to_list()
-        mid = bulk_stats()
+        plain_modes = unprofiled.traversals()
+        profiled_run = counters()
         with profiled(sample=1):
             prof = Stream.range(0, 512).map(_triple).filter(_even).to_list()
-        after = bulk_stats()
         assert plain == prof
-        assert {k: mid[k] - before[k] for k in mid} == {
-            k: after[k] - mid[k] for k in after
-        }
+        assert profiled_run.traversals() == plain_modes
 
     def test_sampling_skips_attribution_but_counts_totals(self):
         with profiled(sample=2) as profile:
@@ -149,8 +146,10 @@ class TestSequentialAttribution:
 
     def test_hot_stages_ranking(self):
         profile = RunProfile(sample_rate=1)
-        profile.record_stage("0:cheap", 10, elements=1)
-        profile.record_stage("1:costly", 1000, elements=1)
+        profile.stages = {
+            "0:cheap": {"self_ns": 10, "elements": 1},
+            "1:costly": {"self_ns": 1000, "elements": 1},
+        }
         ranked = profile.hot_stages()
         assert [name for name, _ in ranked] == ["1:costly", "0:cheap"]
         assert profile.hot_stages(limit=1) == ranked[:1]

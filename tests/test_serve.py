@@ -20,6 +20,7 @@ from repro.common import (
 )
 from repro.faults import Deadline, FaultInjected, FaultPlan, fault_injection
 from repro.forkjoin import ForkJoinPool
+from repro.obs import prom
 from repro.serve import (
     CANCELLED,
     DONE,
@@ -36,6 +37,7 @@ from repro.serve import (
     Tenant,
     TenantConfig,
 )
+from repro.streams import Stream
 
 DATA = list(range(1_000))
 DATA_SUM = sum(DATA)
@@ -585,6 +587,39 @@ class TestObservability:
             'serve_queue_wait_ns_count{tenant="alice"} 1'
             in service.metrics_text()
         )
+
+    ENGINE_SERIES = (
+        'repro_stream_traversals_total{mode="chunked"}',
+        "repro_fusion_pipelines_fused_total",
+        "repro_fusion_stages_fused_total",
+        "repro_fusion_kernels_total",
+        "repro_split_decisions_total",
+        "repro_split_observed_runs_total",
+    )
+
+    @staticmethod
+    def _series(text):
+        return dict(
+            line.rsplit(" ", 1) for line in text.splitlines()
+            if not line.startswith("#")
+        )
+
+    def test_one_scrape_carries_the_engine_counters(self, service):
+        """A fused, chunked, ``auto``-split parallel run shows up in the
+        process-wide scrape and in the service's own one."""
+        before = self._series(prom.render())
+        with ForkJoinPool(parallelism=2, name="scrape") as pool:
+            total = (
+                Stream.range(0, 1 << 12).parallel().with_pool(pool)
+                .map(lambda x: x + 1).filter(lambda x: x % 2 == 0).sum()
+            )
+        assert total == sum(x + 1 for x in range(1 << 12) if x % 2)
+        engine_scrape = self._series(prom.render())
+        service_scrape = self._series(service.metrics_text())
+        for series in self.ENGINE_SERIES:
+            assert int(engine_scrape[series]) > int(before.get(series, 0))
+            assert service_scrape[series] == engine_scrape[series]
+        assert "repro_serve_in_flight" in service_scrape
 
 
 # --------------------------------------------------------------------------- #
