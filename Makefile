@@ -110,15 +110,17 @@ fixed-cost:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_fixed_cost.py
 
 # Mirrors the CI e2e-smoke job: one short run of each gated end-to-end
-# workload, plus a traced serve_mix run so the per-layer ledger's
-# wrappers meet the engine functions they patch.  run.py exits non-zero
-# on a result mismatch or too few samples; timings are printed but not
-# gated.  etl_process needs ~30 s to collect its 100 samples on a 2-core
-# host.
+# workload, plus a traced run of each so the per-layer ledger's wrappers
+# meet the engine functions they patch (only etl_process scatters, so
+# only it reaches the wrappers that pickle process payloads).  run.py
+# exits non-zero on a result mismatch or too few samples; timings are
+# printed but not gated.  etl_process needs ~30 s to collect its 100
+# samples on a 2-core host.
 e2e-smoke:
 	$(PYTHON) e2ebench/run.py --workload serve_mix --seed 1 --seconds 4 --trace 0
 	$(PYTHON) e2ebench/run.py --workload serve_mix --seed 1 --seconds 4 --trace 1
 	$(PYTHON) e2ebench/run.py --workload etl_process --seed 1 --seconds 30 --trace 0
+	$(PYTHON) e2ebench/run.py --workload etl_process --seed 1 --seconds 20 --trace 1
 
 # Every gate the CI jobs run, one after another, stopping at the first
 # failure: tier-1, then the targets above.

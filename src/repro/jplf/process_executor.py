@@ -41,6 +41,7 @@ from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.common import (
+    CancellationError,
     IllegalArgumentError,
     RejectedExecutionError,
     TaskTimeoutError,
@@ -74,9 +75,22 @@ def current_leaf_cancel():
     return _leaf_cancel
 
 
+class _CancellableExecutor(SequentialExecutor):
+    """The worker's recursion: :class:`SequentialExecutor`'s, polling the
+    batch's flag (:func:`current_leaf_cancel`) before each leaf, so an
+    abandoned run stops at its child's next leaf."""
+
+    def execute(self, function: PowerFunction):
+        if len(function.data) <= self.threshold:
+            flag = _leaf_cancel
+            if flag is not None and flag.is_set():
+                raise CancellationError("leaf batch cancelled")
+        return super().execute(function)
+
+
 def _run_subfunction(function: PowerFunction):
     """Top-level worker entry point (must be module-level to pickle)."""
-    return SequentialExecutor(threshold=_WORKER_LEAF_THRESHOLD).execute(function)
+    return _CancellableExecutor(threshold=_WORKER_LEAF_THRESHOLD).execute(function)
 
 
 def _run_leaf_batch(runner, payloads, cancel_name: str | None = None,

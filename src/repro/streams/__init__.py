@@ -18,7 +18,7 @@ This package reproduces the machinery that the paper builds on:
   policy: leaf thresholds and chunk sizes chosen from observed
   per-element cost and scheduler feedback;
 * :mod:`repro.streams.config` — the per-run :class:`EngineConfig` (bulk
-  path, fusion, split policy, backend), scoped with :func:`engine`;
+  path, fusion, backend), scoped with :func:`engine`;
 * :mod:`repro.streams.stream_support` — ``StreamSupport``-style factory.
 
 Naming follows Python conventions (``try_split`` for ``trySplit``), with the

@@ -2,10 +2,11 @@
 
 Three switches steer how a terminal runs: the chunked bulk path, stage
 fusion and the parallel backend.  They live in one frozen
-:class:`EngineConfig` that a terminal resolves once and hands to
-everything it runs — fork/join leaves and process-backend children
-included — so no process-global toggle exists for a concurrent pipeline
-to observe.  Precedence, highest first: the stream builder
+:class:`EngineConfig` that a terminal resolves once and reads only
+while it starts: the planner picks the backend, and the compile step
+fuses the chain and picks the traversal mode, whose result every leaf —
+fork/join task or process-backend child — runs.  So no
+process-global toggle exists for a concurrent pipeline to observe.  Precedence, highest first: the stream builder
 (``Stream.with_backend``), the caller's :func:`engine` scope, the
 ``REPRO_PARALLEL_BACKEND`` environment variable (read once, at import),
 the field defaults.  The split threshold is not a switch: it is the
@@ -39,7 +40,7 @@ def _validate_backend(name: str) -> None:
 
 @dataclass(frozen=True, slots=True)
 class EngineConfig:
-    """How one terminal runs; picklable, so it ships in process payloads."""
+    """How one terminal runs; frozen and picklable."""
 
     bulk: bool = True
     fusion: bool = True

@@ -17,7 +17,8 @@ This module makes none of them itself; it reports the engine's own:
   traversal fuses: the whole chain of a sequential stream, each
   segment's leaf chain of a parallel one;
 * mode selection goes through :func:`~repro.streams.ops.select_mode`,
-  the decision ``run_pipeline`` branches on.
+  the decision a run makes once, next to ``maybe_fuse``, and every leaf
+  traverses in.
 
 Every decision reads the :class:`~repro.streams.config.EngineConfig`
 the stream's terminal would resolve (``Stream._config``).  Everything is
@@ -38,7 +39,7 @@ from repro.streams.spliterator import Characteristics, Spliterator
 from repro.streams.zipper import ZipSpliterator
 
 #: Mode names reported under ``execution.mode`` / ``segments[].mode`` —
-#: the three branches of ``run_pipeline``.
+#: the three traversals of ``run_pipeline``.
 MODE_SHORT_CIRCUIT = "short-circuit-polled"
 MODE_CHUNKED = "chunked"
 MODE_ELEMENT = "per-element"
@@ -50,26 +51,6 @@ _MODE_NAMES = {
     "chunked": MODE_CHUNKED,
     "element": MODE_ELEMENT,
 }
-
-
-def _predict_mode(
-    ops: list[Op], config: EngineConfig, force_short_circuit: bool = False
-) -> str:
-    """The branch ``run_pipeline`` would take for this (fused) chain.
-
-    Delegates to :func:`repro.streams.ops.select_mode` — the *same*
-    decision function execution runs — so counted fused kernels that
-    absorb their short-circuit report ``chunked`` here exactly when the
-    traversal takes the chunked path.
-    """
-    return _MODE_NAMES[select_mode(ops, config, force_short_circuit)]
-
-
-def _fuse(chain: list[Op], config: EngineConfig) -> tuple[list[Op], int]:
-    """``chain`` as the run compiles it, through the pure :func:`fuse_ops`
-    that ``maybe_fuse`` runs, under either fusion setting (explaining
-    never touches the ``fusion_*`` counters)."""
-    return fuse_ops(chain, config.fusion)
 
 
 def _fusion_section(pieces: list, config: EngineConfig) -> dict:
@@ -132,7 +113,7 @@ def _segment_entry(segment, fused: list[Op], backend: str, config) -> dict:
         "ops": [op_label(op) for op in fused],
         # Leaves of a parallel reduction run the chain through
         # run_pipeline; match/find leaves poll (short-circuit).
-        "mode": _predict_mode(fused, config),
+        "mode": _MODE_NAMES[select_mode(fused, config)],
         "barrier": "|".join(op_label(op) for op in segment.barrier) or None,
     }
     if segment.budget is not None:
@@ -345,16 +326,15 @@ def explain_stream(stream) -> ExplainPlan:
     config = stream._config()
     if stream._parallel:
         segments = _plan_segments(stream, config)
-        pieces = [(*_fuse(seg.ops, config), seg.barrier) for seg in segments]
+        pieces = [(*fuse_ops(seg.ops, config.fusion), seg.barrier) for seg in segments]
         execution = _parallel_execution(
             segments, [piece[0] for piece in pieces], stream._pool, config,
             spliterator,
         )
     else:
-        pieces = [(*_fuse(ops, config), ())]
-        execution = {
-            "parallel": False, "mode": _predict_mode(pieces[0][0], config),
-        }
+        pieces = [(*fuse_ops(ops, config.fusion), ())]
+        mode = select_mode(pieces[0][0], config)
+        execution = {"parallel": False, "mode": _MODE_NAMES[mode]}
 
     return ExplainPlan(
         {

@@ -11,15 +11,15 @@ ones too, from one producer form; so does this module.
 The semantics of every fusible stage (``map`` / ``filter`` / ``peek`` /
 ``flat_map`` / ``map_multi`` / ``limit`` / ``skip`` / ``distinct`` /
 ``take_while`` / ``drop_while``) are written once, in the kernel
-generators below.  At terminal time (before mode selection in
-:func:`repro.streams.ops.run_pipeline`) the op chain is rewritten: every
-fusible stage lands in exactly one :class:`FusedOp`, whose kernels are
-**generated and compiled** from its stages (see :func:`_kernel_class`
-for the four kernel classes).  With ``EngineConfig.fusion`` set, each
-maximal run of adjacent fusible stages merges into one ``FusedOp``;
-without it, every stage is its own one-stage ``FusedOp`` (no merge
-across stages, as in the Java sink chain).  A lone op's ``wrap_sink``
-returns its one-stage kernel's sink.
+generators below.  Once per run, in the caller that starts it (before
+mode selection in :func:`repro.streams.ops.select_mode`), the op chain
+is rewritten: every fusible stage lands in exactly one :class:`FusedOp`,
+whose kernels are **generated and compiled** from its stages (see
+:func:`_kernel_class` for the four kernel classes).  With
+``EngineConfig.fusion`` set, each maximal run of adjacent fusible
+stages merges into one ``FusedOp``; without it, every stage is its own
+one-stage ``FusedOp`` (no merge across stages, as in the Java sink
+chain).  A lone op's ``wrap_sink`` returns its one-stage kernel's sink.
 
 * the per-element kernel emits straight-line code — nested calls, an
   early-out per filter, a loop per expander, a guard per cut — so one
@@ -53,7 +53,8 @@ Fusion is semantics-preserving by construction:
   past every other stage);
 * per-traversal kernel state (budgets, flags, seen-sets) is created in
   the sink's ``begin``, so one ``FusedOp`` is shared safely across its
-  terminal's fork/join leaves and threads.
+  terminal's fork/join leaves and threads; it pickles as its source ops,
+  so a process child binds the same kernels to its own factory.
 
 Code is generated once per pipeline *structure* and each terminal passes
 its callables in (:class:`_Shape`), as "Stream Fusion, to Completeness"
@@ -502,6 +503,12 @@ class FusedOp(Op):
     def __repr__(self) -> str:
         return f"FusedOp({' | '.join(self.kinds)})"
 
+    def __reduce__(self):
+        # The kernels are exec-compiled closures: a FusedOp ships as its
+        # source ops, and the receiving process binds them to the factory
+        # its own shape cache holds for their structure.
+        return FusedOp, (self.source_ops,)
+
     def _make_state(self) -> list:
         """A fresh per-traversal state vector (one slot per stateful
         stage: a seen-set for distinct, else the initial count/flag)."""
@@ -715,8 +722,7 @@ _memo_hits = _registry.counter("fusion_memo_hits")
 #: with the same callables or new ones — binds the shapes the first one
 #: compiled, and no entry holds a user op.
 _memo: dict[tuple, tuple] = {}
-#: Guards the memo: concurrent terminals and fork/join leaves all reach
-#: ``maybe_fuse``.
+#: Guards the memo: concurrent terminals all reach ``maybe_fuse``.
 _lock = threading.Lock()
 
 
@@ -740,8 +746,9 @@ def _rewrite(
 
 
 def maybe_fuse(ops: list[Op], config: EngineConfig) -> list[Op]:
-    """The terminal-time entry point: compile ``ops`` into kernels,
-    merging adjacent stages when ``config.fusion`` is set.
+    """The run-time entry point, called once per run by the code that
+    starts it: compile ``ops`` into kernels, merging adjacent stages when
+    ``config.fusion`` is set.
 
     Memoized by the chain's structure and the setting, so a structure
     compiles its kernel factories once and every later terminal only

@@ -425,7 +425,9 @@ class ReducingSink(TerminalSink):
 CHUNK_SIZE = 1 << 16
 
 #: Traversals by the mode :func:`select_mode` returned, process-wide.
-_traversals = {
+#: The code that picks a run's mode counts each of its leaves that ran,
+#: in the process that reads the registry.
+traversals = {
     mode: global_registry().counter("stream_traversals", mode=mode)
     for mode in ("chunked", "element", "short_circuit")
 }
@@ -506,9 +508,13 @@ def select_mode(
 ) -> str:
     """The single mode-selection decision for a (fused) op chain.
 
-    Returns ``"short_circuit"`` (per-element with polling), ``"chunked"``
-    (bulk path, only while ``config.bulk``), or ``"element"``.  Shared
-    verbatim by :func:`run_pipeline` and ``Stream.explain()``.
+    Returns ``"short_circuit"`` (per-element with polling; always for a
+    cancelling terminal, signalled by ``force_short_circuit``),
+    ``"chunked"`` (bulk path, only while ``config.bulk``), or
+    ``"element"``.  A run decides it once, next to its fusion rewrite
+    (``terminal.evaluate_sequential``, ``parallel.evaluate``), and every
+    leaf's :func:`run_pipeline` traverses in it; ``Stream.explain()``
+    and zip cursors call it too.
 
     Every cut (``limit``, ``take_while``) is a kernel that stops at the
     exact element and reports it through ``cancellation_requested``, so
@@ -531,42 +537,33 @@ def select_mode(
 
 def run_pipeline(
     spliterator: Spliterator,
-    ops: list[Op],
+    kernels: list[Op],
     terminal: Sink,
-    config: EngineConfig,
-    force_short_circuit: bool = False,
+    mode: str,
     chunk_size: int | None = None,
 ) -> Sink:
-    """The single traversal entry point for sequential terminals and
-    fork/join leaves, under the run's ``config``.
+    """The single traversal loop of sequential terminals, fork/join leaves
+    and process children: wraps ``kernels`` around ``terminal`` and
+    drives the traversal in ``mode``.
 
-    First rewrites ``ops`` into compiled kernels (every stage but
-    ``sorted`` becomes a :class:`~repro.streams.fusion.FusedOp`, and with
-    ``config.fusion`` adjacent ones merge — see :mod:`repro.streams.fusion`),
-    then wraps the chain around ``terminal`` and picks the execution mode
-    (:func:`select_mode`):
+    The caller compiled ``kernels`` (:func:`~repro.streams.fusion.maybe_fuse`)
+    and picked ``mode`` (:func:`select_mode`) once for the whole run, so
+    every leaf runs what its terminal chose and this loop decides nothing:
 
-    * a cut not absorbed by a merged kernel (or a cancelling terminal,
-      signalled by ``force_short_circuit``) → per-element traversal with
-      polling;
-    * all stages take chunks and ``config.bulk`` → chunked traversal;
-    * otherwise → per-element bulk ``for_each_remaining``.
-
-    ``chunk_size`` overrides the default ``next_chunk`` granularity on the
-    chunked path (the adaptive split policy derives it from observed
-    per-element cost); None keeps :data:`CHUNK_SIZE`.
+    * ``"short_circuit"`` → per-element traversal, polling the sink;
+    * ``"chunked"`` → chunked traversal, ``chunk_size`` elements per
+      ``next_chunk`` (the adaptive split policy derives it from observed
+      per-element cost; None keeps :data:`CHUNK_SIZE`);
+    * ``"element"`` → per-element bulk ``for_each_remaining``.
 
     Returns ``terminal`` so callers can read its result.
     """
-    ops = _fusion.maybe_fuse(ops, config)
-    mode = select_mode(ops, config, force_short_circuit)
-    _traversals[mode].inc()
     profiler = current_profiler()
     probes = labels = None
     if profiler is not None and profiler.sample():
-        sink, probes, labels = profiler.instrument(ops, terminal)
+        sink, probes, labels = profiler.instrument(kernels, terminal)
     else:
-        sink = wrap_ops(ops, terminal)
+        sink = wrap_ops(kernels, terminal)
     if mode == "chunked":
         copy_into_chunked(spliterator, sink, chunk_size or CHUNK_SIZE)
     else:
@@ -574,7 +571,7 @@ def run_pipeline(
     if profiler is not None:
         # Merged runs, as ``fusion_kernels`` and ``explain()`` count them.
         fused = sum(
-            1 for op in ops
+            1 for op in kernels
             if type(op) is _fusion.FusedOp and len(op.kinds) > 1
         )
         profiler.profile.record_traversal(mode, probes, labels, fused)
@@ -623,6 +620,6 @@ def pull_iterator(spliterator: Spliterator, sink: Sink, buffer) -> "Iterable":
 
 
 # Imported last: ``fusion`` depends on the Op/Sink vocabulary above, and
-# ``run_pipeline`` resolves ``_fusion.maybe_fuse`` at call time, so the
-# circular module reference is harmless in either import order.
+# this module resolves ``_fusion.FusedOp`` at call time, so the circular
+# module reference is harmless in either import order.
 from repro.streams import fusion as _fusion  # noqa: E402

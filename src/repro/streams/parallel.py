@@ -53,7 +53,7 @@ from repro.streams import adaptive
 from repro.streams.adaptive import compute_target_size
 from repro.streams.config import EngineConfig
 from repro.streams.fusion import counted_window, maybe_fuse
-from repro.streams.ops import LimitOp, MapOp, Op, SkipOp
+from repro.streams.ops import LimitOp, MapOp, Op, SkipOp, select_mode, traversals
 from repro.streams.spliterator import UNKNOWN_SIZE, Spliterator
 from repro.streams.spliterators import ListSpliterator, RangeSpliterator
 from repro.streams.terminal import Terminal, evaluate_sequential, run_leaf
@@ -560,7 +560,12 @@ def evaluate(
     deadline: Deadline | None = None,
 ) -> Any:
     """Run ``terminal`` over one planned segment (:func:`plan_segment`) on
-    the segment's backend, with ``config`` carried into every leaf.
+    the segment's backend.
+
+    The segment's leaf chain is compiled (:func:`maybe_fuse`) and its
+    traversal mode picked (:func:`select_mode`) once, here, under
+    ``config``; every leaf — pool task, in-caller leaf or process child —
+    runs those kernels in that mode and counts one traversal.
 
     On threads this is the paper's template method: each leaf of the
     divide-and-conquer tree builds a fresh sink (the supplier), fills it
@@ -592,26 +597,24 @@ def evaluate(
     decision = segment.decision
     if decision.adaptive:
         adaptive.record_decision(decision)
+    kernels = maybe_fuse(ops, config)
+    mode = select_mode(kernels, config, terminal.short_circuit)
     in_caller = segment.in_caller
     if segment.backend == "process":
         from repro.streams import process_backend as _pb
 
         if not in_caller:
-            # Backend dispatch happens on the *raw* op chain: fused
-            # kernels are exec-compiled and unpicklable, so the process
-            # backend ships unfused ops and each worker re-fuses locally.
             return _pb.run_segment(
-                spliterator, ops, terminal, config, decision, deadline,
+                spliterator, kernels, mode, terminal, decision, deadline,
                 budget=budget,
             )
-        _pb.shipped_terminal(terminal, ops)
+        _pb.shipped_terminal(terminal, kernels)
         pool = None
     observer = None
     if decision.adaptive and terminal.observe:
         # Find leaves stop early by design and would poison the
         # per-element cost estimate, so find terminals are not observed.
         observer = adaptive.RunObservation(decision.key)
-    ops = maybe_fuse(ops, config)
     if pool is not None:
         _attach_profiler(pool)
     if in_caller:
@@ -619,9 +622,10 @@ def evaluate(
         # cross-leaf ``limit`` budget.
         if deadline is not None:
             deadline.check("parallel terminal")
+        traversals[mode].inc()
         merged = _run_leaf_body(
             lambda leaf_spliterator: run_leaf(
-                terminal, leaf_spliterator, ops, config, None,
+                terminal, leaf_spliterator, kernels, mode, None,
                 decision.chunk_size,
             ),
             spliterator, 0, current_tracer(), observer, pool,
@@ -646,8 +650,9 @@ def evaluate(
             if counted_budget is not None:
                 origin = _leaf_origin(leaf_spliterator)
                 span = leaf_spliterator.estimate_size()
+            traversals[mode].inc()
             partial = run_leaf(
-                terminal, leaf_spliterator, ops, config, cancel,
+                terminal, leaf_spliterator, kernels, mode, cancel,
                 decision.chunk_size,
             )
             if ctx.failure is not None:

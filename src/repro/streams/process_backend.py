@@ -15,12 +15,13 @@ Execution model (scatter/compute/combine, mirroring the thread path):
 1. the source spliterator is split to leaves with the *same* recursion as
    ``_ReduceTask`` (prefix first, so leaf order == encounter order) down
    to the same target size, computed against the worker-process count;
-2. each leaf becomes a picklable payload: a **source spec** + the raw
-   (unfused) op chain + the terminal itself + the run's
-   :class:`~repro.streams.config.EngineConfig`.  Fused kernels are
-   ``exec``-compiled and cannot pickle — the child re-fuses the shipped
-   op chain itself under the shipped config, so fusion and the chunked
-   bulk path engage inside workers exactly as the caller chose;
+2. each leaf becomes a picklable payload: a **source spec** + the
+   kernels and traversal mode the caller compiled and picked once for
+   the run (:func:`repro.streams.parallel.evaluate`) + the terminal
+   itself.  A :class:`~repro.streams.fusion.FusedOp` pickles as its
+   source ops and the child binds them to the kernel factory of their
+   structure, so every child runs the caller's kernels in the caller's
+   mode and decides nothing;
 3. payloads ship in contiguous batches through
    :meth:`repro.jplf.process_executor.ProcessExecutor.run_leaves`, which
    carries the lifecycle contract: first-failure cancellation of
@@ -32,7 +33,9 @@ Execution model (scatter/compute/combine, mirroring the thread path):
    partial, a counted ``limit`` once a contiguous prefix of leaves holds
    its budget.  In the child, :func:`_run_leaf` is one call of the same
    :func:`~repro.streams.terminal.run_leaf` the thread leaves run, with
-   the batch's shared cancel flag as the sink's cancel token;
+   the batch's shared cancel flag as the sink's cancel token; it returns
+   the partial as a 1-tuple, so the parent tells a leaf that ran from a
+   skipped (``None``) slot and counts one traversal per leaf that ran;
 4. partials merge in the parent with the terminal's ``merge``, bottom-up
    in the shape of the split tree — the same pairs the thread path
    merges, which order-sensitive collectors such as ``PolynomialValue``
@@ -81,8 +84,7 @@ from repro.powerlist import shm as _shm
 from repro.powerlist.powerlist import PowerList
 from repro.streams import adaptive
 from repro.streams.collectors import to_list
-from repro.streams.config import EngineConfig
-from repro.streams.ops import CHUNK_SIZE, Op
+from repro.streams.ops import CHUNK_SIZE, Op, traversals
 from repro.streams.parallel import _CountedBudget
 from repro.streams.spliterator import Spliterator, UNKNOWN_SIZE
 from repro.streams.spliterators import (
@@ -285,12 +287,13 @@ def _require_picklable(what: str, *objects: Any) -> None:
 # --------------------------------------------------------------------------- #
 
 
-def _run_leaf(payload: tuple) -> Any:
+def _run_leaf(payload: tuple) -> tuple:
     """Top-level worker entry point (module-level so it pickles).
 
-    Runs the leaf under the payload's config — the caller's, resolved
-    once at the terminal — so the child's ``run_pipeline`` fuses and
-    picks its traversal mode exactly as the parent would have.
+    Runs the leaf through the payload's kernels in its mode — both fixed
+    once by the caller for the whole run — and returns the partial
+    wrapped in a 1-tuple: a ``for_each`` partial is ``None``, as is a
+    slot the scatter skipped.
 
     The leaf's sink polls the batch's shared cancellation flag
     (:func:`repro.jplf.process_executor.current_leaf_cancel`): when the
@@ -299,11 +302,12 @@ def _run_leaf(payload: tuple) -> Any:
     path, the next element for short-circuit terminals — instead of
     scanning to completion.
     """
-    source_spec, ops, terminal, config, chunk_size = payload
-    return run_leaf(
-        terminal, _rebuild_source(source_spec), ops, config,
+    source_spec, kernels, mode, terminal, chunk_size = payload
+    partial = run_leaf(
+        terminal, _rebuild_source(source_spec), kernels, mode,
         current_leaf_cancel(), chunk_size,
     )
+    return (partial,)
 
 
 # --------------------------------------------------------------------------- #
@@ -313,9 +317,9 @@ def _run_leaf(payload: tuple) -> Any:
 
 def _build_payloads(
     spliterator: Spliterator,
-    ops: list[Op],
+    kernels: list[Op],
+    mode: str,
     terminal: Terminal,
-    config: EngineConfig,
     decision: "adaptive.ThresholdDecision",
     observe: bool = True,
 ) -> tuple[list[tuple], list[int], "adaptive.RunObservation | None"]:
@@ -341,7 +345,7 @@ def _build_payloads(
         ]
         observer = adaptive.RunObservation(decision.key, leaf_sizes=sizes)
     payloads = [
-        (_leaf_source_spec(leaf), ops, terminal, config, decision.chunk_size)
+        (_leaf_source_spec(leaf), kernels, mode, terminal, decision.chunk_size)
         for leaf in leaves
     ]
     return payloads, leaves.depths, observer
@@ -356,21 +360,21 @@ def _fold(terminal: Collect, elements: list) -> Any:
 
 def run_segment(
     spliterator: Spliterator,
-    ops: list[Op],
+    kernels: list[Op],
+    mode: str,
     terminal: Terminal,
-    config: EngineConfig,
     decision: "adaptive.ThresholdDecision",
     deadline=None,
     executor: ProcessExecutor | None = None,
     budget: int | None = None,
 ) -> Any:
-    """Run ``terminal`` over ``ops`` across worker processes, split by
-    ``decision``.
+    """Run ``terminal`` through the compiled ``kernels`` in ``mode``
+    across worker processes, split by ``decision``.
 
-    Each leaf payload carries the terminal and ``config``: the child
-    builds the leaf's sink and returns its partial, and the parent merges
-    partials in the shape of the split tree (:func:`_merge_tree`).  A
-    collector that does not pickle (built from lambdas or closures, like
+    Each leaf payload carries the kernels, the mode and the terminal: the
+    child builds the leaf's sink and returns its partial, and the parent
+    merges partials in the shape of the split tree (:func:`_merge_tree`).
+    A collector that does not pickle (built from lambdas or closures, like
     the paper's ``PowerCollector`` functions) ships as
     ``Collect(to_list())`` instead: leaves return their element lists,
     and the parent folds each into that leaf's own container before the
@@ -379,7 +383,7 @@ def run_segment(
 
     A broadcast terminal (match, ``find_any``) stops the scatter at the
     first deciding partial.  ``budget`` is the counted short-circuit hook:
-    ``ops`` then end in the ``limit(n)`` every leaf runs (the global
+    ``kernels`` then end in the ``limit(n)`` cut every leaf runs (the global
     first ``n`` never needs more than the first ``n`` of any leaf), and a
     contiguous-prefix element count stops the scatter as soon as the
     answer is complete.  Either stop sets the run's
@@ -387,11 +391,13 @@ def run_segment(
     abort at their next poll point; cancelled slots come back ``None``
     and merge as :meth:`~repro.streams.terminal.Terminal.empty` (for a
     budget the caller re-applies ``limit`` over the concatenation).
+    Every slot that ran counts one traversal in ``mode`` here, in the
+    parent, whose registry a scrape reads.
     """
     executor = executor if executor is not None else shared_executor()
-    shipped = shipped_terminal(terminal, ops)
+    shipped = shipped_terminal(terminal, kernels)
     payloads, depths, observer = _build_payloads(
-        spliterator, ops, shipped, config, decision, terminal.observe,
+        spliterator, kernels, mode, shipped, decision, terminal.observe,
     )
     stop = None
     if budget is not None:
@@ -402,23 +408,25 @@ def run_segment(
 
         def stop(lo, hi, results):
             for slot, r in enumerate(results, lo):
-                counted.note(slot, slot + 1, 0 if r is None else len(r))
+                counted.note(slot, slot + 1, 0 if r is None else len(r[0]))
             return counted.satisfied
 
     if shipped.broadcast:
         stop = lambda lo, hi, results: any(  # noqa: E731
-            r is not None and shipped.hit(r) for r in results
+            r is not None and shipped.hit(r[0]) for r in results
         )
     results = executor.run_leaves(
         _run_leaf, payloads, deadline=deadline, stop=stop,
         label=f"process {terminal.label}", observer=observer,
     )
+    traversals[mode].inc(sum(r is not None for r in results))
+    partials = [None if r is None else r[0] for r in results]
     if shipped is not terminal:
-        results = [
+        partials = [
             None if elements is None else _fold(terminal, elements)
-            for elements in results
+            for elements in partials
         ]
-    merged = _merge_tree(terminal, results, depths)
+    merged = _merge_tree(terminal, partials, depths)
     if observer is not None and not (terminal.broadcast and terminal.hit(merged)):
         # A decided run aborted leaves mid-scan — those timings would
         # teach the memo that elements are cheaper than they are.

@@ -554,7 +554,7 @@ class Stream:
 
         Returns an :class:`~repro.streams.explain.ExplainPlan`: the op
         chain, the fusion rewrite (fused runs, kernel shapes, barriers),
-        the traversal mode ``run_pipeline`` would select, and — for
+        the traversal mode the run would select, and — for
         parallel pipelines — the segmenting at stateful barriers plus the
         predicted split tree.  ``to_dict()`` for tests/tools,
         ``render()`` (or ``str()``) for humans.  The stream is *not*
@@ -648,9 +648,9 @@ class Stream:
     def _config(self) -> EngineConfig:
         """The config this stream's terminal runs under: the caller's
         (:func:`~repro.streams.config.current_config`) with the
-        ``with_backend`` override applied.  Resolved once per terminal
-        and passed down explicitly, so pool workers and process children
-        see the caller's choice."""
+        ``with_backend`` override applied.  Resolved once per terminal,
+        which plans and compiles under it; pool workers and process
+        children run the kernels and mode it chose."""
         config = current_config()
         if self._backend is not None:
             config = _with_backend(config, self._backend)

@@ -13,6 +13,10 @@ terminal:
 * :func:`repro.streams.process_backend.run_segment` — worker processes; the
   terminal itself ships in each leaf payload.
 
+The first two compile the op chain and pick the traversal mode once per
+run, under the run's config; every leaf — :func:`run_leaf`, in any
+thread or process — runs those kernels in that mode.
+
 The protocol:
 
 * ``sink(cancel)`` builds a fresh leaf sink.  ``cancel`` is the run's
@@ -36,6 +40,7 @@ from __future__ import annotations
 import functools
 from typing import Any, Callable
 
+from repro.streams import fusion as _fusion
 from repro.streams.collector import Collector
 from repro.streams.config import EngineConfig
 from repro.streams.ops import (
@@ -44,6 +49,8 @@ from repro.streams.ops import (
     ReducingSink,
     TerminalSink,
     run_pipeline,
+    select_mode,
+    traversals,
 )
 from repro.streams.optional import Optional
 from repro.streams.spliterator import Spliterator
@@ -300,18 +307,16 @@ class Find(Terminal):
 def run_leaf(
     terminal: Terminal,
     spliterator: Spliterator,
-    ops: list[Op],
-    config: EngineConfig,
+    kernels: list[Op],
+    mode: str,
     cancel: Any = None,
     chunk_size: int | None = None,
 ) -> Any:
-    """Run one leaf of ``terminal`` under ``config`` and return its
-    partial — the single leaf body of every executor (sequential,
-    fork/join, process child)."""
+    """Run one leaf of ``terminal`` through the compiled ``kernels`` in
+    ``mode`` and return its partial — the single leaf body of every
+    executor (sequential, fork/join, process child)."""
     sink = terminal.sink(cancel)
-    run_pipeline(
-        spliterator, ops, sink, config, terminal.short_circuit, chunk_size
-    )
+    run_pipeline(spliterator, kernels, sink, mode, chunk_size)
     return terminal.partial(sink)
 
 
@@ -321,5 +326,10 @@ def evaluate_sequential(
     ops: list[Op],
     config: EngineConfig,
 ) -> Any:
-    """Run ``terminal`` as one leaf over the whole source, in the caller."""
-    return terminal.finish(run_leaf(terminal, spliterator, ops, config))
+    """Run ``terminal`` as one leaf over the whole source, in the caller:
+    compile ``ops`` and pick the traversal mode under ``config``, then
+    traverse once."""
+    kernels = _fusion.maybe_fuse(ops, config)
+    mode = select_mode(kernels, config, terminal.short_circuit)
+    traversals[mode].inc()
+    return terminal.finish(run_leaf(terminal, spliterator, kernels, mode))

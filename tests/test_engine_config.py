@@ -24,7 +24,6 @@ from repro.streams import (
     current_config,
     engine,
 )
-from repro.obs.metrics import global_registry
 from repro.streams.config import _from_env
 from repro.streams.ops import TerminalSink
 from repro.streams.terminal import Terminal
@@ -132,16 +131,16 @@ class TestConcurrentScopes:
 # --------------------------------------------------------------------------- #
 
 
-def _fusion_counters():
-    snapshot = global_registry().snapshot()
-    return {k: v for k, v in snapshot.items() if k.startswith("fusion_")}
-
-
 class _ProbeSink(TerminalSink):
     def __init__(self):
-        self.before = _fusion_counters()
+        self.kernel = None
         self.chunks = 0
         self.elements = 0
+
+    def begin(self, size):
+        # The caller is the ``begin`` of the kernel sink feeding this one;
+        # its op's stages are the last kernel the leaf runs.
+        self.kernel = sys._getframe(1).f_locals["self"]._op.kinds
 
     def accept(self, item):
         self.elements += 1
@@ -152,8 +151,8 @@ class _ProbeSink(TerminalSink):
 
 class _ModeProbe(Terminal):
     """Each leaf reports how it ran: ``chunked`` or ``element`` delivery,
-    and whether its chain passed through the fuser (the leaf's own
-    process-local fusion counters moved)."""
+    and the stages of the kernel that fed its sink — one merged
+    ``map|filter`` kernel, or the lone ``filter`` of an unmerged chain."""
 
     label = "probe"
 
@@ -161,13 +160,15 @@ class _ModeProbe(Terminal):
         return _ProbeSink()
 
     def partial(self, sink):
-        fused = _fusion_counters() != sink.before
         if sink.chunks == 0 and sink.elements == 0:
             return set()
-        return {("chunked" if sink.chunks else "element", fused)}
+        return {("chunked" if sink.chunks else "element", sink.kernel)}
 
     def merge(self, a, b):
         return a | b
+
+
+MERGED, UNMERGED = ("map", "filter"), ("filter",)
 
 
 def _probe(stream):
@@ -178,9 +179,9 @@ class TestConfigReachesLeaves:
     @pytest.mark.parametrize(
         "overrides,expected",
         [
-            ({}, {("chunked", True)}),
-            ({"bulk": False, "fusion": False}, {("element", False)}),
-            ({"bulk": False}, {("element", True)}),
+            ({}, {("chunked", MERGED)}),
+            ({"bulk": False, "fusion": False}, {("element", UNMERGED)}),
+            ({"bulk": False}, {("element", MERGED)}),
         ],
     )
     def test_forkjoin_leaves(self, overrides, expected):
@@ -195,8 +196,8 @@ class TestConfigReachesLeaves:
     @pytest.mark.parametrize(
         "overrides,expected",
         [
-            ({}, {("chunked", True)}),
-            ({"bulk": False, "fusion": False}, {("element", False)}),
+            ({}, {("chunked", MERGED)}),
+            ({"bulk": False, "fusion": False}, {("element", UNMERGED)}),
         ],
     )
     def test_process_children(self, overrides, expected):

@@ -473,6 +473,19 @@ class TestPlanMatchesRun:
         assert plan["fusion"]["chain"] == ["fused(map|map)", "limit"]
         assert plan["fusion"]["stages_fused"] == 2
 
+    def test_process_scatter_counts_in_the_parent(self):
+        # The caller compiles the leaf chain once and counts a traversal
+        # for every leaf a worker process ran.
+        data = list(range(self.N))
+        plan = self._agree(
+            lambda: Stream.of_iterable(data).parallel().with_backend("process")
+            .with_target_size(self.N // 8).map(_triple).map(_plus_one),
+            Stream.to_list,
+            [x * 3 + 1 for x in data],
+        )
+        assert plan["execution"]["split_tree"]["leaves"] == 8
+        assert plan["fusion"]["chain"] == ["fused(map|map)"]
+
     def test_sequential_backend_reports_its_segments(self):
         # serve_mix's ``distinct`` tenant, and every degraded serve job.
         # Nothing runs in parallel, so the whole chain is one segment and

@@ -9,6 +9,7 @@ the rewrite counts, and that traced runs carry ``fuse`` spans.
 import functools
 import gc
 import operator
+import pickle
 import sys
 import threading
 import weakref
@@ -41,6 +42,7 @@ from repro.streams.ops import (
     SkipOp,
     SortedOp,
     TakeWhileOp,
+    run_pipeline,
 )
 
 
@@ -370,10 +372,11 @@ class TestControlsAndStats:
              .map(lambda x: x + 1)
              .map(lambda x: x * 2)
              .to_list())
-        # One rewrite at the terminal; every fork/join leaf resolves the
-        # already-fused chain from the memo instead of recompiling.
+        # One rewrite at the terminal; every fork/join leaf runs the
+        # caller's kernels and reaches neither the fuser nor its memo.
         assert delta("fusion_pipelines_fused") == 1
-        assert delta("fusion_memo_hits") >= 1
+        assert delta("fusion_memo_hits") == 0
+        assert delta("fusion_unfused") == 0
 
     def test_disabled_fusion_still_correct(self):
         with engine(fusion=False):
@@ -983,3 +986,107 @@ class TestCountedWindowPlan:
         # root plus 7 forked prefixes.  The sorted buffer is copied in the
         # caller instead of being re-split into another 8 tasks.
         assert pool2.stats()["tasks_executed"] - before == 8
+
+
+# --------------------------------------------------------------------------- #
+# One compile per run: leaves run the caller's kernels
+# --------------------------------------------------------------------------- #
+
+
+def _is_odd(x):
+    return x % 2 == 1
+
+
+def _below_100(x):
+    return x < 100
+
+
+class TestCompiledOncePerRun:
+    """A run compiles its leaf chain and picks its mode once, in the
+    caller: on a warm structure, eight leaves — pool tasks or process
+    children — move the parent's counters by one rewrite and eight
+    traversals, and consult neither the fuser nor its memo."""
+
+    N, LEAF = 1 << 16, 1 << 13
+
+    def _warm_run_delta(self, stream, counters):
+        expected = [x + 1 for x in range(self.N) if (x + 1) % 2 == 1]
+        assert stream().to_list() == expected  # compiles the structure
+        delta = counters()
+        assert stream().to_list() == expected
+        assert stream().explain()["execution"]["split_tree"]["leaves"] == 8
+        return delta
+
+    def test_threads_leaves(self, counters):
+        with ForkJoinPool(parallelism=2, name="compile-once") as pool:
+            delta = self._warm_run_delta(
+                lambda: stream_of(range(self.N)).parallel().with_pool(pool)
+                .with_target_size(self.LEAF).map(_plus_one).filter(_is_odd),
+                counters,
+            )
+        assert delta("fusion_pipelines_fused") == 1
+        assert delta("fusion_memo_hits") == 0
+        assert delta("fusion_unfused") == 0
+        assert delta.traversals() == {
+            "chunked": 8, "element": 0, "short_circuit": 0}
+
+    def test_process_children(self, counters):
+        delta = self._warm_run_delta(
+            lambda: stream_of(range(self.N)).parallel().with_backend("process")
+            .with_target_size(self.LEAF).map(_plus_one).filter(_is_odd),
+            counters,
+        )
+        assert delta("fusion_pipelines_fused") == 1
+        assert delta("fusion_memo_hits") == 0
+        assert delta("fusion_unfused") == 0
+        assert delta.traversals() == {
+            "chunked": 8, "element": 0, "short_circuit": 0}
+
+
+class _ListSink(Sink):
+    def __init__(self):
+        self.out = []
+
+    def accept(self, item):
+        self.out.append(item)
+
+    def accept_chunk(self, chunk):
+        self.out.extend(chunk)
+
+
+def _drive(kernels, data, mode):
+    """``kernels``' output over ``data`` in ``mode`` (chunks of 7)."""
+    sink = _ListSink()
+    run_pipeline(ListSpliterator(data), kernels, sink, mode, 7)
+    return sink.out
+
+
+class TestKernelPickling:
+    """A compiled chain crosses a process boundary as its source ops and
+    rebinds to its structure's factory: the clone is the same kernel
+    class and emits the same outputs, element by element and per chunk."""
+
+    @pytest.mark.parametrize("kernel,ops,data", [
+        ("loop", [MapOp(_plus_one), PeekOp(_is_odd), DistinctOp()],
+         [x % 17 for x in range(200)]),
+        ("comprehension", [MapOp(_plus_one), FilterOp(_is_even)],
+         list(range(200))),
+        ("counted-window", [MapOp(_plus_one), SkipOp(3), LimitOp(50)],
+         list(range(200))),
+        ("whole-array", [MapOp(np.negative), MapOp(np.abs)],
+         np.arange(200, dtype=np.int64)),
+        ("loop", [MapOp(_plus_one), TakeWhileOp(_below_100)],
+         list(range(200))),
+        ("loop", [FilterOp(_is_even), LimitOp(20)], list(range(200))),
+    ], ids=["loop", "comprehension", "counted-window", "whole-array",
+            "take-while-cut", "limit-cut"])
+    def test_round_trip(self, kernel, ops, data):
+        kernels = maybe_fuse(ops, current_config())
+        clone = pickle.loads(pickle.dumps(kernels))
+        assert [k.kernel_class for k in clone] == [kernel]
+        assert clone[0].kinds == kernels[0].kinds
+        assert clone[0] is not kernels[0]
+        for mode in ("short_circuit", "chunked"):
+            expected = _drive(kernels, data, mode)
+            assert expected  # every chain emits something
+            assert _drive(clone, data, mode) == expected

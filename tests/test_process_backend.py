@@ -31,7 +31,8 @@ from repro.streams import (
 )
 from repro.streams import collectors
 from repro.streams import process_backend as pb
-from repro.streams.ops import FilterOp, LimitOp, MapOp
+from repro.streams.fusion import maybe_fuse
+from repro.streams.ops import FilterOp, LimitOp, MapOp, select_mode
 from repro.streams.optional import Optional
 from repro.streams.parallel import plan_segment
 from repro.streams.spliterators import ListSpliterator, RangeSpliterator
@@ -84,16 +85,19 @@ def executor():
 
 def _run_planned(spliterator, ops, terminal, *, executor, target_size=None,
                  deadline=None, budget=None):
-    """Plan one process segment for ``executor``'s workers and run it there:
-    the stream path's two steps, with the run's own deadline and a
-    ``limit(budget)`` cut that every leaf runs and the scatter stops at."""
+    """Plan one process segment for ``executor``'s workers, compile its
+    leaf chain and pick its mode, and run it there: the stream path's
+    steps, with the run's own deadline and a ``limit(budget)`` cut that
+    every leaf runs and the scatter stops at."""
     config = EngineConfig(backend="process")
     segment = plan_segment(
         spliterator, ops, executor.processes, target_size, config
     )
     leaf_ops = segment.ops if budget is None else [*segment.ops, LimitOp(budget)]
+    kernels = maybe_fuse(leaf_ops, config)
+    mode = select_mode(kernels, config, terminal.short_circuit)
     return pb.run_segment(
-        segment.source, leaf_ops, terminal, config, segment.decision,
+        segment.source, kernels, mode, terminal, segment.decision,
         deadline, executor, budget,
     )
 
@@ -407,8 +411,9 @@ class TestCountingShipsCounts:
         )
         assert got == n
         (shipped,) = seen
-        # One count per leaf crosses the boundary, not the leaf's elements.
-        assert pickle.loads(shipped) == [[n // 4]] * 4
+        # One count per leaf crosses the boundary, not the leaf's elements
+        # (each partial comes back as a 1-tuple: the leaf ran).
+        assert pickle.loads(shipped) == [([n // 4],)] * 4
         assert len(shipped) < 100
 
 

@@ -8,8 +8,9 @@ import time
 import numpy as np
 import pytest
 
-from repro.common import IllegalArgumentError
+from repro.common import CancellationError, IllegalArgumentError
 from repro.jplf import JplfMap, JplfPolynomialValue, JplfReduce, JplfSort
+from repro.jplf import process_executor
 from repro.jplf.process_executor import ProcessExecutor
 from repro.powerlist import PowerList
 
@@ -185,6 +186,51 @@ class TestLifecycle:
         assert ex.run_leaves(_square, [1, 2, 3, 4]) == [1, 4, 9, 16]
         ex.shutdown()  # idle: plain blocking teardown, nothing to cancel
         ex.shutdown()  # still idempotent
+
+
+class _Flag:
+    """A batch cancel flag (``is_set``) the test sets by hand."""
+
+    def __init__(self, value=False):
+        self.value = value
+
+    def is_set(self):
+        return self.value
+
+
+class TestChildRecursionCancellation:
+    """A worker runs its sub-function through ``SequentialExecutor``'s
+    recursion, polling the batch's flag before each leaf: an abandoned
+    run stops at the child's next leaf, not after its last one."""
+
+    N = 16 * process_executor._WORKER_LEAF_THRESHOLD  # 16 leaves
+
+    def _run(self, monkeypatch, flag, f):
+        monkeypatch.setattr(process_executor, "_leaf_cancel", flag)
+        return process_executor._run_subfunction(
+            JplfMap(PowerList(list(range(self.N))), f)
+        )
+
+    def test_set_flag_stops_at_the_first_leaf(self, monkeypatch):
+        seen = []
+        with pytest.raises(CancellationError):
+            self._run(monkeypatch, _Flag(True), seen.append)
+        assert seen == []
+
+    def test_flag_set_mid_run_stops_at_the_next_leaf(self, monkeypatch):
+        flag, seen = _Flag(), []
+
+        def record(x):
+            seen.append(x)
+            flag.value = True  # the parent abandons the run
+
+        with pytest.raises(CancellationError):
+            self._run(monkeypatch, flag, record)
+        assert seen == list(range(process_executor._WORKER_LEAF_THRESHOLD))
+
+    def test_clear_flag_runs_every_leaf(self, monkeypatch):
+        out = self._run(monkeypatch, _Flag(), _square)
+        assert out == [x * x for x in range(self.N)]
 
 
 class TestFaultRecovery:
